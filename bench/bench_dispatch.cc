@@ -4,8 +4,8 @@
  * (--dispatch=threaded) against the reference switch interpreter.
  *
  * Times whole simulations over the sample corpus plus the synthetic
- * grid workload, one row per fast-capable machine kind (conventional,
- * dtb, tiered). Before any timing, every corpus point is run once in
+ * grid workload, one row per machine kind (conventional, cached, dtb,
+ * dtb2, tiered). Before any timing, every corpus point is run once in
  * each mode and the two RunResults are compared field by field — the
  * bench aborts on the first divergence, so a published speedup is
  * always a speedup *at identical simulated output*.
@@ -215,7 +215,8 @@ try {
 
     std::vector<CorpusPoint> corpus = buildCorpus(1978);
     const std::vector<MachineKind> kinds = {
-        MachineKind::Conventional, MachineKind::Dtb, MachineKind::Tiered,
+        MachineKind::Conventional, MachineKind::Cached, MachineKind::Dtb,
+        MachineKind::Dtb2,         MachineKind::Tiered,
     };
 
     std::printf("bench_dispatch: host wall-clock, %u iters, "

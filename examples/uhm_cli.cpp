@@ -35,12 +35,13 @@
  * Options:
  *   --machine=<conventional|cached|dtb|dtb2|tiered>  (default dtb)
  *   --dispatch=<switch|threaded>  host interpreter loop (default
- *                          switch). "threaded" runs the fast mode:
+ *                          threaded). "threaded" runs the fast mode:
  *                          direct-threaded dispatch over flattened run
  *                          images with inline caches and batched cycle
  *                          attribution. Simulated cycles and all
  *                          outputs are byte-identical either way; the
- *                          switch loop is the reference path. Accepted
+ *                          switch loop is the reference path the
+ *                          identity checks compare against. Accepted
  *                          by sweep too.
  *   --encoding=<expanded|packed|contextual|huffman|pair-huffman|
  *               quantized>                      (default huffman)
@@ -121,7 +122,7 @@ struct Options
 {
     std::string program = "qsort";
     uhm::MachineKind kind = uhm::MachineKind::Dtb;
-    uhm::DispatchMode dispatch = uhm::DispatchMode::Switch;
+    uhm::DispatchMode dispatch = uhm::DispatchMode::Threaded;
     uhm::EncodingScheme scheme = uhm::EncodingScheme::Huffman;
     std::vector<int64_t> input;
     uint64_t dtbBytes = 4096;
@@ -189,9 +190,10 @@ constexpr const char *commonOptionsHelp =
     "  --machine=<conventional|cached|dtb|dtb2|tiered>\n"
     "                         machine organization (default dtb)\n"
     "  --dispatch=<switch|threaded>\n"
-    "                         host interpreter loop (default switch).\n"
+    "                         host interpreter loop (default threaded).\n"
     "                         threaded = direct-threaded dispatch over\n"
     "                         flattened run images with inline caches;\n"
+    "                         switch = the reference interpreter;\n"
     "                         simulated cycles and all outputs are\n"
     "                         byte-identical either way\n"
     "  --encoding=<expanded|packed|contextual|huffman|pair-huffman|\n"
@@ -445,7 +447,7 @@ runSweepCommand(int argc, char **argv)
     uint64_t seed = 1978;
     uint64_t sample_interval = 0;
     uhm::MachineKind kind = uhm::MachineKind::Dtb;
-    uhm::DispatchMode dispatch = uhm::DispatchMode::Switch;
+    uhm::DispatchMode dispatch = uhm::DispatchMode::Threaded;
     uhm::EncodingScheme scheme = uhm::EncodingScheme::Huffman;
     uhm::tier::TierConfig tier_cfg;
     uhm::tier::TraceCacheConfig trace_cache_cfg;

@@ -35,6 +35,8 @@ Dtb::Dtb(const DtbConfig &config) : config_(config), rng_(config.seed)
                "associativity exceeds entry count");
     numSets_ = numEntries_ / assoc_;
     uhm_assert(numSets_ >= 1, "no sets");
+    uhm_assert(numSets_ <= UINT32_MAX, "too many DTB sets");
+    setModM_ = UINT64_MAX / numSets_ + 1;
     // Trim entries that do not fill a whole set.
     numEntries_ = numSets_ * assoc_;
 
@@ -48,21 +50,6 @@ Dtb::Dtb(const DtbConfig &config) : config_(config), rng_(config.seed)
     repl_.reserve(numSets_);
     for (uint64_t s = 0; s < numSets_; ++s)
         repl_.emplace_back(assoc_, config.policy, &rng_);
-}
-
-uint64_t
-Dtb::setOf(uint64_t dir_addr) const
-{
-    // Multiplicative hash of the DIR bit address ("the DIR instruction
-    // address is hashed to select a unique set"). In partitioned mode
-    // the hash lands inside the current tenant's contiguous region
-    // (the trailing numSets_ % numPartitions_ sets go unused — the
-    // partitions stay equal-sized).
-    uint64_t h = (dir_addr * 0x9e3779b97f4a7c15ull) >> 32;
-    if (numPartitions_ == 1)
-        return h % numSets_;
-    return (asid_ % numPartitions_) * setsPerPartition_ +
-        h % setsPerPartition_;
 }
 
 Dtb::LookupResult
@@ -128,14 +115,13 @@ Dtb::setOccupancy() const
 }
 
 Dtb::InsertOutcome
-Dtb::insert(uint64_t dir_addr, std::vector<ShortInstr> code,
+Dtb::insert(uint64_t dir_addr, const std::vector<ShortInstr> &code,
             uint64_t now)
 {
-    unsigned units_needed = static_cast<unsigned>(
-        (code.size() + config_.unitShortInstrs - 1) /
-        config_.unitShortInstrs);
-    if (units_needed == 0)
-        units_needed = 1;
+    // Most translations fit one unit; skip the divide for them.
+    const uint64_t unit = config_.unitShortInstrs;
+    unsigned units_needed = code.size() <= unit ? 1 :
+        static_cast<unsigned>((code.size() + unit - 1) / unit);
     unsigned overflow_needed = units_needed - 1;
 
     InsertOutcome out;
@@ -196,10 +182,16 @@ Dtb::insert(uint64_t dir_addr, std::vector<ShortInstr> code,
     e.meta.valid = true;
     e.meta.units = units_needed;
     e.meta.insertCycle = now;
-    e.code = std::move(code);
+    // Copy into the slot's existing buffer (a first-level buffer
+    // refills its slots on every promotion); an element loop, since
+    // translations are a handful of instructions.
+    e.code.resize(code.size());
+    for (size_t i = 0; i < code.size(); ++i)
+        e.code[i] = code[i];
     repl_[set].fill(way);
     ++inserts_;
     out.retained = true;
+    out.entryIdx = static_cast<uint32_t>(set * assoc_ + way);
     return out;
 }
 

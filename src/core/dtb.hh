@@ -123,6 +123,8 @@ class Dtb
         uint32_t victimUses = 0;
         /** Valid ways in the target set before this insert. */
         unsigned setOccupancy = 0;
+        /** Address-array index of the new entry (when retained). */
+        uint32_t entryIdx = 0;
     };
 
     /**
@@ -140,7 +142,8 @@ class Dtb
      * lifetimes. Callers without a cycle source pass 0 (the default);
      * residency figures are then 0 rather than wrong.
      */
-    InsertOutcome insert(uint64_t dir_addr, std::vector<ShortInstr> code,
+    InsertOutcome insert(uint64_t dir_addr,
+                         const std::vector<ShortInstr> &code,
                          uint64_t now = 0);
 
     /** Invalidate every entry (e.g. program image replaced). */
@@ -203,8 +206,29 @@ class Dtb
     /** Clear the trace-anchor flag of @p dir_addr, if resident. */
     void clearTraceAnchor(uint64_t dir_addr);
 
-    /** The set index @p dir_addr hashes to. */
-    uint64_t setOf(uint64_t dir_addr) const;
+    /**
+     * The set index @p dir_addr hashes to: a multiplicative hash of the
+     * DIR bit address ("the DIR instruction address is hashed to select
+     * a unique set"). In partitioned mode the hash lands inside the
+     * current tenant's contiguous region (the trailing
+     * numSets_ % numPartitions_ sets go unused — the partitions stay
+     * equal-sized). Inline: every probe on the dispatch path starts
+     * here.
+     */
+    uint64_t
+    setOf(uint64_t dir_addr) const
+    {
+        uint64_t h = (dir_addr * 0x9e3779b97f4a7c15ull) >> 32;
+        if (numPartitions_ == 1) {
+            // h % numSets_ without a divide (Lemire's direct remainder,
+            // exact for 32-bit h and divisor).
+            return static_cast<uint64_t>(
+                (static_cast<unsigned __int128>(setModM_ * h) *
+                 numSets_) >> 64);
+        }
+        return (asid_ % numPartitions_) * setsPerPartition_ +
+            h % setsPerPartition_;
+    }
 
     // ---- inline-cache fast-hit interface ---------------------------------
     //
@@ -262,6 +286,13 @@ class Dtb
         ++hits_;
         ++entries_[idx].meta.useCount;
     }
+
+    /**
+     * Count the miss a lookup() of an address that probeIdx() just
+     * reported absent would have counted. A miss touches nothing else,
+     * so this is byte-identical to that lookup().
+     */
+    void countMiss() { ++misses_; }
 
     /** Metadata block of entry @p idx (IC-validated callers only). */
     EntryMeta &metaAt(uint32_t idx) { return entries_[idx].meta; }
@@ -362,6 +393,8 @@ class Dtb
     DtbConfig config_;
     uint64_t numEntries_;
     uint64_t numSets_;
+    /** ceil(2^64 / numSets_): the multiplier setOf() reduces by. */
+    uint64_t setModM_;
     unsigned assoc_;
     uint64_t overflowTotal_;
     uint64_t overflowFree_;

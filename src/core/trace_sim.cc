@@ -22,7 +22,7 @@ simulateDtbTrace(const std::vector<uint64_t> &trace,
         unsigned len = translation_size(addr);
         std::vector<ShortInstr> placeholder(
             len, ShortInstr{SOp::INTERP, SMode::Imm, 0});
-        if (!dtb.insert(addr, std::move(placeholder)).retained)
+        if (!dtb.insert(addr, placeholder).retained)
             ++result.rejects;
     }
     return result;

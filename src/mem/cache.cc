@@ -1,5 +1,7 @@
 #include "mem/cache.hh"
 
+#include <bit>
+
 #include "support/logging.hh"
 
 namespace uhm
@@ -19,6 +21,10 @@ SetAssocCache::SetAssocCache(const CacheConfig &config)
     uhm_assert(assoc_ <= num_lines, "associativity exceeds line count");
     numSets_ = num_lines / assoc_;
     uhm_assert(numSets_ >= 1, "no sets");
+    pow2_ = std::has_single_bit(config.lineBytes) &&
+        std::has_single_bit(numSets_);
+    lineShift_ = static_cast<unsigned>(std::countr_zero(config.lineBytes));
+    setShift_ = static_cast<unsigned>(std::countr_zero(numSets_));
 
     lines_.assign(numSets_ * assoc_, Line{});
     repl_.reserve(numSets_);
@@ -29,9 +35,18 @@ SetAssocCache::SetAssocCache(const CacheConfig &config)
 bool
 SetAssocCache::access(uint64_t byte_addr)
 {
-    uint64_t line_addr = byte_addr / config_.lineBytes;
-    uint64_t set = line_addr % numSets_;
-    uint64_t tag = line_addr / numSets_;
+    uint64_t line_addr, set, tag;
+    if (pow2_) {
+        // The Cached organization probes once per fetched image word;
+        // power-of-two geometries (the default) skip the divides.
+        line_addr = byte_addr >> lineShift_;
+        set = line_addr & (numSets_ - 1);
+        tag = line_addr >> setShift_;
+    } else {
+        line_addr = byte_addr / config_.lineBytes;
+        set = line_addr % numSets_;
+        tag = line_addr / numSets_;
+    }
 
     Line *set_lines = &lines_[set * assoc_];
     for (unsigned way = 0; way < assoc_; ++way) {

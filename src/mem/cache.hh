@@ -100,6 +100,11 @@ class SetAssocCache
     CacheConfig config_;
     uint64_t numSets_;
     unsigned assoc_;
+    /** lineBytes and numSets_ are powers of two: access() shifts by
+     *  lineShift_/setShift_ instead of dividing. */
+    bool pow2_;
+    unsigned lineShift_;
+    unsigned setShift_;
     Rng rng_;
     /** lines_[set * assoc_ + way]. */
     std::vector<Line> lines_;

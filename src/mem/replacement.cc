@@ -35,39 +35,9 @@ ReplacementSet::ReplacementSet(unsigned ways, ReplPolicy policy, Rng *rng)
     }
 }
 
-unsigned
-ReplacementSet::victim()
-{
-    if (policy_ == ReplPolicy::Random)
-        return static_cast<unsigned>(rng_->below(ways_));
-    if (packed_)
-        return static_cast<unsigned>(order64_ & 0xff);
-    return order_.front();
-}
-
 void
 ReplacementSet::touchSlow(unsigned way)
 {
-    auto it = std::find(order_.begin(), order_.end(), way);
-    uhm_assert(it != order_.end(), "unknown way %u", way);
-    order_.erase(it);
-    order_.push_back(way);
-}
-
-void
-ReplacementSet::fill(unsigned way)
-{
-    if (policy_ == ReplPolicy::Random)
-        return;
-    if (packed_) {
-        unsigned mru = 8 * (ways_ - 1);
-        if (((order64_ >> mru) & 0xff) == way)
-            return; // already most recently used
-        order64_ = packedRemove(way);
-        order64_ = (order64_ & ~(0xffull << mru)) |
-            (static_cast<uint64_t>(way) << mru);
-        return;
-    }
     auto it = std::find(order_.begin(), order_.end(), way);
     uhm_assert(it != order_.end(), "unknown way %u", way);
     order_.erase(it);

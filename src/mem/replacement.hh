@@ -50,7 +50,15 @@ class ReplacementSet
     ReplacementSet(unsigned ways, ReplPolicy policy, Rng *rng);
 
     /** The way to evict next. */
-    unsigned victim();
+    unsigned
+    victim()
+    {
+        if (policy_ == ReplPolicy::Random)
+            return static_cast<unsigned>(rng_->below(ways_));
+        if (packed_)
+            return static_cast<unsigned>(order64_ & 0xff);
+        return order_.front();
+    }
 
     /**
      * Record a use of @p way (hit). Inline: this sits on the per-step
@@ -62,6 +70,26 @@ class ReplacementSet
     {
         if (policy_ != ReplPolicy::LRU)
             return; // FIFO and Random ignore hits.
+        moveToMru(way);
+    }
+
+    /**
+     * Record installation of fresh contents into @p way. Inline: a
+     * first-level buffer fills a way on every promotion.
+     */
+    void
+    fill(unsigned way)
+    {
+        if (policy_ == ReplPolicy::Random)
+            return;
+        moveToMru(way);
+    }
+
+  private:
+    /** Make @p way the most recently used (the next victim last). */
+    void
+    moveToMru(unsigned way)
+    {
         if (packed_) {
             unsigned mru = 8 * (ways_ - 1);
             if (((order64_ >> mru) & 0xff) == way)
@@ -76,11 +104,7 @@ class ReplacementSet
         touchSlow(way);
     }
 
-    /** Record installation of fresh contents into @p way. */
-    void fill(unsigned way);
-
-  private:
-    /** LRU reorder for a hit on a way that is not already MRU. */
+    /** moveToMru() for a vector set whose MRU is another way. */
     void touchSlow(unsigned way);
 
     /**

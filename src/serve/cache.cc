@@ -134,6 +134,17 @@ SessionCache::release(const std::shared_ptr<Session> &session)
 }
 
 void
+SessionCache::discard(const std::shared_ptr<Session> &session)
+{
+    std::lock_guard<std::mutex> lock(mutex_);
+    auto it = sessions_.find(session->key);
+    if (it != sessions_.end() && it->second == session)
+        sessions_.erase(it);
+    // Dropping a pinned session may make room a refused eviction wanted.
+    shrinkLocked();
+}
+
+void
 SessionCache::shrinkLocked()
 {
     while (sessions_.size() > maxSessions_) {

@@ -89,6 +89,14 @@ class SessionCache
     /** Mark @p session idle again. */
     void release(const std::shared_ptr<Session> &session);
 
+    /**
+     * Drop @p session instead of releasing it: remove it from the cache
+     * (if it is the cached one for its key) so no later request is
+     * served by its machine. For sessions whose run threw something
+     * other than FatalError and left the machine in an unknown state.
+     */
+    void discard(const std::shared_ptr<Session> &session);
+
     CacheStats stats() const;
 
     /** Sessions currently cached. */

@@ -81,7 +81,7 @@ printHelp(std::FILE *out)
         "  --machine=KIND     conventional|cached|dtb|dtb2|tiered\n"
         "  --encoding=E       expanded|packed|contextual|huffman|"
         "pair-huffman|quantized\n"
-        "  --dispatch=MODE    switch|threaded\n"
+        "  --dispatch=MODE    switch|threaded (default threaded)\n"
         "  --input=a,b,c      read-statement input values\n"
         "  --seed=N           synthetic workload seed\n"
         "  --profile          attach the profile payload to a run\n"

@@ -24,7 +24,7 @@
  *    "machine": "conventional"|"cached"|"dtb"|"dtb2"|"tiered",
  *    "encoding": "expanded"|"packed"|"contextual"|"huffman"|
  *                "pair-huffman"|"quantized",
- *    "dispatch": "switch"|"threaded",
+ *    "dispatch": "switch"|"threaded", // default threaded
  *    "dtb_bytes": <uint>, "assoc": <uint>,
  *    "tier_threshold": <uint>, "trace_cap": <uint>,
  *    "trace_bytes": <uint>,        // tiered machines only, like the CLI
@@ -57,8 +57,14 @@
  * Error header (never followed by payload lines):
  *
  *   {"type":"response","id":N,"ok":false,
- *    "error":"bad_request"|"overloaded"|"shutting_down",
+ *    "error":"bad_request"|"overloaded"|"shutting_down"|
+ *            "internal_error",
  *    "message":"..."}
+ *
+ * bad_request covers malformed requests and guest faults the machine
+ * reports (FatalError); internal_error is any other exception a
+ * request raised. Its session is discarded, never reused, and the
+ * daemon keeps serving.
  *
  * The profile payload of a run/profile response and the report payload
  * of a sweep response are byte-identical to what a cold `uhm_cli`
@@ -129,7 +135,7 @@ bool parseJson(const std::string &text, JsonValue &out,
 struct MachineSettings
 {
     MachineKind kind = MachineKind::Dtb;
-    DispatchMode dispatch = DispatchMode::Switch;
+    DispatchMode dispatch = DispatchMode::Threaded;
     EncodingScheme scheme = EncodingScheme::Huffman;
     uint64_t dtbBytes = 4096;
     unsigned assoc = 4;

@@ -343,11 +343,9 @@ Server::startRequest(std::shared_ptr<Pending> p)
         }
         failRequest(p, "bad_request", "unhandled verb");
     } catch (const FatalError &e) {
-        if (p->session) {
-            cache_.release(p->session);
-            p->session.reset();
-        }
         failRequest(p, "bad_request", e.what());
+    } catch (const std::exception &e) {
+        failRequest(p, "internal_error", e.what(), true);
     }
 }
 
@@ -410,11 +408,9 @@ Server::runSliceStep(std::shared_ptr<Pending> p)
         p->session.reset();
         finishRequest(p, info, payload);
     } catch (const FatalError &e) {
-        if (p->session) {
-            cache_.release(p->session);
-            p->session.reset();
-        }
         failRequest(p, "bad_request", e.what());
+    } catch (const std::exception &e) {
+        failRequest(p, "internal_error", e.what(), true);
     }
 }
 
@@ -459,8 +455,16 @@ Server::finishRequest(const std::shared_ptr<Pending> &p,
 
 void
 Server::failRequest(const std::shared_ptr<Pending> &p,
-                    const std::string &code, const std::string &message)
+                    const std::string &code, const std::string &message,
+                    bool poisoned)
 {
+    if (p->session) {
+        if (poisoned)
+            cache_.discard(p->session);
+        else
+            cache_.release(p->session);
+        p->session.reset();
+    }
     const uint64_t end = nowUs();
     {
         std::lock_guard<std::mutex> lock(statsMutex_);

@@ -157,9 +157,15 @@ class Server
     void finishRequest(const std::shared_ptr<Pending> &p,
                        ResponseInfo info, const std::string &payload);
 
-    /** Write an error response and retire the request. */
+    /**
+     * Write an error response and retire the request. A session the
+     * request holds goes back to the cache, or — when @p poisoned (an
+     * unexpected exception left its machine in an unknown state) — is
+     * discarded so no later request reuses it.
+     */
     void failRequest(const std::shared_ptr<Pending> &p,
-                     const std::string &code, const std::string &message);
+                     const std::string &code, const std::string &message,
+                     bool poisoned = false);
 
     /** Drop one in-flight slot and open its response write. Called
      *  with statsMutex_ held, in the same critical section that

@@ -209,11 +209,11 @@ TierEngine::compileAndInstall(bool loops, uint64_t exit_addr)
 
 TierEngine::InstallResult
 TierEngine::installTranslation(uint64_t dir_addr,
-                               std::vector<ShortInstr> code,
+                               const std::vector<ShortInstr> &code,
                                uint64_t now)
 {
     InstallResult r;
-    r.dtb = dtb_->insert(dir_addr, std::move(code), now);
+    r.dtb = dtb_->insert(dir_addr, code, now);
     // Only a victim of our own address space can anchor a trace in
     // *this* engine's cache. A cross-tenant victim (shared-DTB mode)
     // may carry the same tag as one of our live, still-anchored traces

@@ -142,7 +142,7 @@ class TierEngine
      * caller has no cycle source.
      */
     InstallResult installTranslation(uint64_t dir_addr,
-                                     std::vector<ShortInstr> code,
+                                     const std::vector<ShortInstr> &code,
                                      uint64_t now = 0);
 
     /**

@@ -795,21 +795,50 @@ Machine::drainPending(Pending &p)
 }
 
 FastSeq *
-Machine::ensureSeqLowered(uint32_t idx)
+Machine::ensureSeqLowered(const Dtb &buf, std::vector<FastSeq> &slots,
+                          uint32_t idx, uint64_t fetch_cost)
 {
-    FastSeq &fs = fastSlots_[idx];
-    uint32_t gen = dtb_->metaAt(idx).gen;
+    FastSeq &fs = slots[idx];
+    uint32_t gen = buf.metaAt(idx).gen;
     if (fs.gen != gen) {
         // The entry's contents changed since this slot was lowered
         // (insert, evict or flush all bump the generation): relower,
         // which also clears the slot's inline cache.
-        lowerFastSeq(dtb_->codeAt(idx), flat_, config_.timing.tauD,
+        lowerFastSeq(buf.codeAt(idx), flat_, fetch_cost,
                      config_.timing.tau1, fs);
         fs.gen = gen;
     }
     return &fs;
 }
 
+uint32_t
+Machine::promoteFastSeq(uint64_t pc, uint32_t idx, const FastSeq &fs)
+{
+    Dtb::InsertOutcome ins = dtbL1_->insert(pc, dtb_->codeAt(idx));
+    if (!ins.retained)
+        return UINT32_MAX;
+    // The copy's lowering is the main entry's, fetched at tau1 instead
+    // of tauD (unsigned arithmetic wraps, so the adjustment is exact
+    // although tau1 < tauD): install it now rather than re-parse the
+    // copy on its first first-level hit. The inline caches carry over
+    // too — same code, same successor.
+    FastSeq &copy = fastL1Slots_[ins.entryIdx];
+    copy = fs;
+    copy.gen = dtbL1_->metaAt(ins.entryIdx).gen;
+    copy.dispatchAdd = fs.dispatchAdd +
+        fs.shortCount * (config_.timing.tau1 - config_.timing.tauD);
+    return ins.entryIdx;
+}
+
+// Dtb2 (TwoLevel) adds the first-level buffer in front of the main DTB.
+// Its inline caches live in the same FastSeq fields and name dtbL1
+// slots: every site predicts where its successor sits in the
+// first-level buffer, which is where a Dtb2 step looks first. A
+// first-level hit runs the L1 slot's lowering (fetched at tau1); a
+// first-level miss that hits the main DTB promotes inside the loop and
+// runs the main slot's lowering (fetched at tauD). Only a main-DTB miss
+// or an unfastable shape takes the switch-path step.
+template <bool TwoLevel>
 void
 Machine::runDtbFast()
 {
@@ -823,6 +852,9 @@ Machine::runDtbFast()
     const uint64_t stack_words = config_.layout.stackWords;
     const bool capture = config_.captureAddressTrace;
     Dtb *const dtb = dtb_;
+    Dtb *const l1buf = dtbL1_.get();
+    // The buffer a step looks in first, which its inline caches name.
+    Dtb *const first = TwoLevel ? l1buf : dtb;
     auto &r = regs_;
 
     // Pending step-level charges plus register-resident micro-op
@@ -851,6 +883,9 @@ Machine::runDtbFast()
     FastSeq *fs = nullptr;
     uint32_t idx = 0;
     uint64_t next = 0;
+    // Dispatch cycles of the buffer lookups (and promotion) that
+    // resolved this step's sequence.
+    uint64_t lookup = 0;
 
 #define VM_FLUSH()                                                     \
     do {                                                               \
@@ -897,39 +932,94 @@ Machine::runDtbFast()
         }
 
         // Inline-cache probe, then a full — still side-effect-free —
-        // DTB probe. Nothing is charged or counted unless the fast
-        // step commits below.
+        // probe of the buffer the step looks in first. Nothing is
+        // charged or counted unless the fast step commits below.
         if (site && site->icTag == pc &&
-            dtb->icCheck(site->icIdx, pc)) {
+            first->icCheck(site->icIdx, pc)) {
             idx = site->icIdx;
         } else {
-            idx = dtb->probeIdx(pc);
+            idx = first->probeIdx(pc);
             if (idx != UINT32_MAX && site) {
                 site->icTag = pc;
                 site->icIdx = idx;
             }
         }
         fs = nullptr;
-        if (idx != UINT32_MAX) {
-            fs = ensureSeqLowered(idx);
-            if (!fs->fastable || sp + fs->pushes.size() > stack_words)
+        if constexpr (TwoLevel) {
+            if (idx != UINT32_MAX) {
+                fs = ensureSeqLowered(*l1buf, fastL1Slots_, idx, tau1);
+                if (!fs->fastable ||
+                    sp + fs->numPushes > stack_words) {
+                    fs = nullptr;
+                } else {
+                    l1buf->hitAt(idx);
+                    lookup = tau1;
+                }
+            } else {
+                // First-level miss: the main DTB, through the site's
+                // second inline cache.
+                if (site && site->mainIcTag == pc &&
+                    dtb->icCheck(site->mainIcIdx, pc)) {
+                    idx = site->mainIcIdx;
+                } else {
+                    idx = dtb->probeIdx(pc);
+                    if (idx != UINT32_MAX && site) {
+                        site->mainIcTag = pc;
+                        site->mainIcIdx = idx;
+                    }
+                }
+                if (idx != UINT32_MAX) {
+                    // Main-DTB hit: promote the entry into the
+                    // first-level buffer — one tau1 store per short
+                    // instruction copied — and run it from the main
+                    // DTB at tauD.
+                    fs = ensureSeqLowered(*dtb, fastSlots_, idx, tau_d);
+                    if (!fs->fastable ||
+                        sp + fs->numPushes > stack_words) {
+                        fs = nullptr;
+                    } else {
+                        l1buf->countMiss();
+                        dtb->hitAt(idx);
+                        uint32_t copy = promoteFastSeq(pc, idx, *fs);
+                        if (site && copy != UINT32_MAX) {
+                            site->icTag = pc;
+                            site->icIdx = copy;
+                        }
+                        lookup = tau1 + tau_d + fs->shortCount * tau1;
+                    }
+                }
+            }
+        } else if (idx != UINT32_MAX) {
+            fs = ensureSeqLowered(*dtb, fastSlots_, idx, tau_d);
+            if (!fs->fastable || sp + fs->numPushes > stack_words) {
                 fs = nullptr;
+            } else {
+                dtb->hitAt(idx);
+                lookup = tau_d;
+            }
         }
         if (!fs) {
             // True DTB miss (translation) or an unfastable shape: one
-            // full switch-path step (the lookup counts its hit or miss
-            // exactly as always), then re-prime the inline cache from
-            // its outcome so the chain re-forms.
+            // full switch-path step (the lookups count their hits and
+            // misses exactly as always), then re-prime the inline cache
+            // from its outcome so the chain re-forms.
             VM_BAIL();
             {
                 uint64_t lookup_pc = pc;
-                uint32_t hit = dtbStep(false);
+                uint32_t hit = dtbStep(TwoLevel);
+                // Two-level sites predict first-level slots, and the
+                // step left lookup_pc there (unless the insert was
+                // rejected).
+                if constexpr (TwoLevel)
+                    hit = l1buf->probeIdx(lookup_pc);
                 if (hit != UINT32_MAX) {
                     if (site) {
                         site->icTag = lookup_pc;
                         site->icIdx = hit;
                     }
-                    site = ensureSeqLowered(hit);
+                    site = TwoLevel ?
+                        ensureSeqLowered(*l1buf, fastL1Slots_, hit, tau1) :
+                        ensureSeqLowered(*dtb, fastSlots_, hit, tau_d);
                 } else {
                     site = nullptr;
                 }
@@ -944,14 +1034,13 @@ Machine::runDtbFast()
             continue;
         }
 
-        // Committed fast hit — same accounting as lookup()'s hit branch
-        // plus the sequence's statically known charges.
-        dtb->hitAt(idx);
+        // Committed fast hit — the lookups' hit accounting is applied
+        // above; add the sequence's statically known charges.
         ++d_dir;
         if (capture)
             addressTrace_.push_back(pc);
         {
-            uint64_t add = tau_d + fs->dispatchAdd; // tau_d: the lookup
+            uint64_t add = lookup + fs->dispatchAdd;
             d_disp += add;
             d_stage += fs->stageAdd;
             cyc += add + fs->stageAdd;
@@ -961,7 +1050,7 @@ Machine::runDtbFast()
 
         {
             const int64_t *pv = fs->pushes.data();
-            size_t np = fs->pushes.size();
+            size_t np = fs->numPushes;
             for (size_t k = 0; k < np; ++k)
                 stk[sp + k] = pv[k];
             sp += np;
@@ -1233,8 +1322,8 @@ Machine::runTieredFast()
         }
         fs = nullptr;
         if (idx != UINT32_MAX) {
-            fs = ensureSeqLowered(idx);
-            if (!fs->fastable || sp + fs->pushes.size() > stack_words)
+            fs = ensureSeqLowered(*dtb, fastSlots_, idx, tau_d);
+            if (!fs->fastable || sp + fs->numPushes > stack_words)
                 fs = nullptr;
         }
         if (!fs) {
@@ -1247,7 +1336,7 @@ Machine::runTieredFast()
                         site->icTag = lookup_pc;
                         site->icIdx = hit;
                     }
-                    site = ensureSeqLowered(hit);
+                    site = ensureSeqLowered(*dtb, fastSlots_, hit, tau_d);
                 } else {
                     site = nullptr;
                 }
@@ -1341,7 +1430,7 @@ Machine::runTieredFast()
 
         {
             const int64_t *pv = fs->pushes.data();
-            size_t np = fs->pushes.size();
+            size_t np = fs->numPushes;
             for (size_t k = 0; k < np; ++k)
                 stk[sp + k] = pv[k];
             sp += np;
@@ -1380,6 +1469,10 @@ Machine::runTieredFast()
 #undef VM_FLUSH
 }
 
+// Cached probes the icache once per image word an instruction spans,
+// charging tauD on a hit and tau2 on a miss (chargeFetchCached); the
+// Conventional instantiation compiles that loop away.
+template <bool Cached>
 void
 Machine::runConventionalFast()
 {
@@ -1387,6 +1480,8 @@ Machine::runConventionalFast()
     const int64_t *vm_imm = flat_.imm.data();
     const uint64_t tau1 = config_.timing.tau1;
     const uint64_t tau2 = config_.timing.tau2;
+    const uint64_t tau_d = config_.timing.tauD;
+    SetAssocCache *const icache = icache_.get();
     const uint64_t level1_words = mem_.level1Words();
     const uint64_t stack_base = config_.layout.stackBase;
     const uint64_t stack_words = config_.layout.stackWords;
@@ -1473,9 +1568,19 @@ Machine::runConventionalFast()
                 const Staging &st = stagingMemo_[res.index];
                 fc->opIdx = static_cast<uint16_t>(res.instr.op);
                 uint64_t bits = res.nextBitAddr - pc;
-                fc->fetchRefs = static_cast<uint32_t>(
-                    std::max<uint64_t>(1, (bits + 63) / 64));
-                fc->fetchAdd = fc->fetchRefs * tau2;
+                if constexpr (Cached) {
+                    uint64_t first = pc / 64;
+                    uint64_t last =
+                        bits == 0 ? first : (pc + bits - 1) / 64;
+                    fc->fetchWord = first;
+                    fc->fetchRefs =
+                        static_cast<uint32_t>(last - first + 1);
+                    fc->fetchAdd = 0;
+                } else {
+                    fc->fetchRefs = static_cast<uint32_t>(
+                        std::max<uint64_t>(1, (bits + 63) / 64));
+                    fc->fetchAdd = fc->fetchRefs * tau2;
+                }
                 fc->decodeCycles = config_.costs.decodeCycles(res.cost);
                 fc->pushes = st.pushes;
                 fc->routineEntry = st.routine >= 0 ?
@@ -1493,9 +1598,15 @@ Machine::runConventionalFast()
         }
         ++opcodeCounts_[fc->opIdx];
         {
-            uint64_t add = fc->fetchAdd + fc->decodeCycles +
-                fc->stageAdd + fc->dispatchAdd;
-            d_fetch += fc->fetchAdd;
+            uint64_t fetch = fc->fetchAdd;
+            if constexpr (Cached) {
+                uint64_t word = fc->fetchWord;
+                for (uint32_t k = 0; k < fc->fetchRefs; ++k, ++word)
+                    fetch += icache->access(word * 8) ? tau_d : tau2;
+            }
+            uint64_t add = fetch + fc->decodeCycles + fc->stageAdd +
+                fc->dispatchAdd;
+            d_fetch += fetch;
             d_decode += fc->decodeCycles;
             d_stage += fc->stageAdd;
             d_disp += fc->dispatchAdd;
@@ -1656,9 +1767,12 @@ Machine::beginRun(std::vector<int64_t> input)
     if (useFastLoops()) {
         if (dtb_)
             fastSlots_.assign(dtb_->numEntries(), FastSeq{});
+        if (dtbL1_)
+            fastL1Slots_.assign(dtbL1_->numEntries(), FastSeq{});
         if (tier_)
             fastTraces_.assign(tier_->cache().numEntries(), FastTrace{});
-        if (config_.kind == MachineKind::Conventional)
+        if (config_.kind == MachineKind::Conventional ||
+            config_.kind == MachineKind::Cached)
             convFast_.assign(image_->numInstrs(), FastConv{});
         // The fast loops address the operand stack through a raw
         // pointer; materialize its backing storage up front.
@@ -1688,12 +1802,13 @@ Machine::runSlice(uint64_t max_cycles)
         start + max_cycles;
 
     if (useFastLoops()) {
-        if (config_.kind == MachineKind::Tiered)
-            runTieredFast();
-        else if (config_.kind == MachineKind::Dtb)
-            runDtbFast();
-        else
-            runConventionalFast();
+        switch (config_.kind) {
+          case MachineKind::Conventional: runConventionalFast<false>(); break;
+          case MachineKind::Cached:       runConventionalFast<true>(); break;
+          case MachineKind::Dtb:          runDtbFast<false>(); break;
+          case MachineKind::Dtb2:         runDtbFast<true>(); break;
+          case MachineKind::Tiered:       runTieredFast(); break;
+        }
     } else if (config_.kind == MachineKind::Tiered) {
         runTiered();
     } else if (config_.kind == MachineKind::Dtb ||

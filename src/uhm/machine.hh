@@ -90,7 +90,8 @@ const char *machineKindName(MachineKind kind);
  * How the run loops execute. Both modes simulate the identical machine:
  * every counter, histogram, event and output byte matches between them
  * (tests/dispatch_test.cc holds the line). Threaded is a host-side
- * optimization only.
+ * optimization only, and the default; Switch is the reference engine
+ * the identity tests compare against.
  */
 enum class DispatchMode : uint8_t
 {
@@ -103,9 +104,9 @@ enum class DispatchMode : uint8_t
      * computed goto (portable switch fallback without __GNUC__),
      * per-INTERP-site inline caches skip DTB/trace-cache probes, and
      * cycle attribution is batched in registers and drained at trace,
-     * slice and sampler boundaries. Organizations without a fast loop
-     * (Cached, Dtb2) and runs with event tracing on silently keep the
-     * switch loops.
+     * slice and sampler boundaries. Every organization has a fast loop;
+     * runs with event tracing on, and layouts whose operand stack
+     * spills into level 2, silently keep the switch loops.
      */
     Threaded,
 };
@@ -121,7 +122,7 @@ struct MachineConfig
 {
     MachineKind kind = MachineKind::Dtb;
     /** Execution engine for the run loops (see DispatchMode). */
-    DispatchMode dispatch = DispatchMode::Switch;
+    DispatchMode dispatch = DispatchMode::Threaded;
     MachineLayout layout;
     MemTiming timing;
     CostModel costs;
@@ -414,29 +415,41 @@ class Machine
     uint32_t tieredStep();
 
     // ---- fast-run dispatch (DispatchMode::Threaded) ------------------------
-    /** The fast loops are in force for this config and machine kind. */
+    /** The fast loops are in force for this config. */
     bool
     useFastLoops() const
     {
-        return config_.dispatch == DispatchMode::Threaded && fastOk_ &&
-            (config_.kind == MachineKind::Dtb ||
-             config_.kind == MachineKind::Tiered ||
-             config_.kind == MachineKind::Conventional);
+        return config_.dispatch == DispatchMode::Threaded && fastOk_;
     }
 
     /** Apply a Pending's batched deltas to the real counters, the
      *  breakdown and the memory accounting, and reset it. */
     void drainPending(Pending &p);
 
-    /** The lowered FastSeq for DTB entry @p idx (which must be valid),
-     *  relowered first if the entry's generation moved on. */
-    FastSeq *ensureSeqLowered(uint32_t idx);
+    /**
+     * The lowered FastSeq for entry @p idx (which must be valid) of
+     * translation buffer @p buf, held in @p slots; relowered first, with
+     * IU2 fetches charged at @p fetch_cost, if the entry's generation
+     * moved on.
+     */
+    FastSeq *ensureSeqLowered(const Dtb &buf, std::vector<FastSeq> &slots,
+                              uint32_t idx, uint64_t fetch_cost);
 
-    /** Run the flat micro-routine starting at stream index @p entry
-     *  (computed-goto dispatch), accounting into @p p. */
+    /**
+     * Promote main-DTB entry @p idx (whose lowering is @p fs) into the
+     * first-level buffer under @p pc, as dtbStep's hit path does, and
+     * install the copy's lowering in fastL1Slots_.
+     * @return the copy's first-level entry index, or UINT32_MAX when
+     *         the buffer rejected it.
+     */
+    uint32_t promoteFastSeq(uint64_t pc, uint32_t idx, const FastSeq &fs);
 
+    /** Dtb (TwoLevel = false) or Dtb2 (TwoLevel = true) fast loop. */
+    template <bool TwoLevel>
     void runDtbFast();
     void runTieredFast();
+    /** Conventional (Cached = false) or Cached fast loop. */
+    template <bool Cached>
     void runConventionalFast();
 
     /** Fast-path mirror of executeTrace over a lowered image. */
@@ -536,6 +549,9 @@ class Machine
      *  Sized at beginRun; never reallocated during a run, so FastSeq
      *  pointers stay stable across iterations. */
     std::vector<FastSeq> fastSlots_;
+    /** Lowered first-level-buffer sequences, by dtbL1 entry index
+     *  (Dtb2; fetched at tau1). Same lifetime rules as fastSlots_. */
+    std::vector<FastSeq> fastL1Slots_;
     /** Lowered trace bodies, by trace-cache entry index. */
     std::vector<FastTrace> fastTraces_;
     /** Lowered conventional-path instructions, by image index. */

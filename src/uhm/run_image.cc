@@ -221,13 +221,16 @@ lowerFastSeq(const std::vector<ShortInstr> &code,
     out.routineEntry = -1;
     out.nextImm = 0;
     out.icTag = ~0ull;
-    out.pushes.clear();
+    out.mainIcTag = ~0ull;
+    out.numPushes = 0;
 
     // Canonical translation shape: PUSH#* [CALL] INTERP.
     size_t i = 0;
     while (i < code.size() && code[i].op == SOp::PUSH &&
            code[i].mode == SMode::Imm) {
-        out.pushes.push_back(code[i].operand);
+        if (out.numPushes == FastSeq::maxPushes)
+            return false;
+        out.pushes[out.numPushes++] = code[i].operand;
         ++i;
     }
     if (i < code.size() && code[i].op == SOp::CALL) {
@@ -249,8 +252,8 @@ lowerFastSeq(const std::vector<ShortInstr> &code,
     out.shortCount = static_cast<uint32_t>(code.size());
     out.dispatchAdd = tau_d * out.shortCount +
         (out.stackNext ? tau1 : 0);
-    out.stageAdd = static_cast<uint64_t>(out.pushes.size()) * tau1;
-    out.level1Add = static_cast<uint32_t>(out.pushes.size()) +
+    out.stageAdd = static_cast<uint64_t>(out.numPushes) * tau1;
+    out.level1Add = out.numPushes +
         (out.stackNext ? 1u : 0u);
     out.fastable = true;
     return true;

@@ -31,6 +31,7 @@
 #ifndef UHM_UHM_RUN_IMAGE_HH
 #define UHM_UHM_RUN_IMAGE_HH
 
+#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -115,10 +116,16 @@ struct FlatRoutines
 
 /**
  * One DTB-resident PSDER sequence lowered for the fast hit path, plus
- * the per-site inline cache for its successor's DTB entry.
+ * the per-site inline cache for its successor's DTB entry. Trivially
+ * copyable: a Dtb2 promotion copies the main entry's lowering into the
+ * first-level slot.
  */
 struct FastSeq
 {
+    /** Most staging pushes any DIR instruction makes (BRZL/BRNZL); a
+     *  sequence with more leading immediates is left unfastable. */
+    static constexpr uint32_t maxPushes = 4;
+
     /** EntryMeta::gen of the DTB entry this lowering matches. gen 0 is
      *  unreachable for a resident entry (insert resets at least once),
      *  so a default-constructed FastSeq never validates. */
@@ -148,8 +155,14 @@ struct FastSeq
      *  matches a pc (halt is handled before the next lookup). */
     uint64_t icTag = ~0ull;
     uint32_t icIdx = 0;
-    /** Immediate push values, in order. */
-    std::vector<int64_t> pushes;
+    /** Second inline cache, for the main DTB behind a first-level
+     *  buffer (Dtb2): where the successor sat in the main DTB the last
+     *  time it missed the first level. */
+    uint64_t mainIcTag = ~0ull;
+    uint32_t mainIcIdx = 0;
+    /** Immediate push values, in order: the first numPushes. */
+    uint32_t numPushes = 0;
+    std::array<int64_t, maxPushes> pushes{};
 };
 
 /**
@@ -215,15 +228,21 @@ bool lowerFastTrace(const tier::Trace &trace, const FlatRoutines &flat,
  * One conventional-path DIR instruction lowered for the fast loop:
  * static fetch/decode charges plus the staged pushes and successor.
  * The image is immutable, so a lowered instruction never invalidates.
+ * Under the Cached organization the fetch charge is not static — each
+ * word's icache probe decides it — so only the word range is kept.
  */
 struct FastConv
 {
     bool valid = false;
     /** Opcode index (opcodeCounts_ bump). */
     uint16_t opIdx = 0;
-    /** Level-2 references one fetch performs. */
+    /** References one fetch performs: level-2 references
+     *  (Conventional), or 64-bit words the instruction spans, one
+     *  icache probe each (Cached). */
     uint32_t fetchRefs = 0;
-    /** fetchRefs * tau2. */
+    /** First 64-bit image word the instruction spans (Cached). */
+    uint64_t fetchWord = 0;
+    /** fetchRefs * tau2 (Conventional); 0 (Cached). */
     uint64_t fetchAdd = 0;
     uint64_t decodeCycles = 0;
     /** NextKind, widened. */

@@ -5,7 +5,8 @@
  * be byte-identical to the reference switch interpreter — across
  * machine kinds, encoders, the interval sampler, batch sweeps, and the
  * multi-tenant scheduler — and the per-site inline caches must be
- * invalidated by the existing DTB flush and eviction paths.
+ * invalidated by the existing DTB, first-level buffer and icache
+ * eviction and flush paths. Threaded is the default engine.
  */
 
 #include <gtest/gtest.h>
@@ -18,6 +19,7 @@
 #include "bench_common.hh"
 #include "hlr/compiler.hh"
 #include "sched/scheduler.hh"
+#include "serve/proto.hh"
 #include "uhm/machine.hh"
 #include "workload/samples.hh"
 #include "workload/synthetic.hh"
@@ -118,8 +120,7 @@ TEST(DispatchIdentity, IntervalSamplerSeries)
     DirProgram prog = hlr::compileSource(
         "program t; var i, s; begin i := 500; s := 0; "
         "while i > 0 do s := s + i; i := i - 1; od; write s; end.");
-    for (MachineKind kind :
-         {MachineKind::Dtb, MachineKind::Tiered}) {
+    for (MachineKind kind : kAllKinds) {
         MachineConfig cfg;
         cfg.kind = kind;
         cfg.sampleIntervalCycles = 997; // prime: misaligned boundaries
@@ -243,6 +244,84 @@ TEST(InlineCache, EvictionChurnStaysIdentical)
         compareModes(prog, EncodingScheme::Huffman, cfg, {},
                      std::string("tiny-dtb/") + machineKindName(kind));
     }
+}
+
+TEST(InlineCache, TinyIcacheAndFirstLevelBufferChurn)
+{
+    // Buffers small enough that every few fetches evict: icache misses
+    // interleave with fast-loop hits (Cached), and first-level
+    // promotions, evictions and main-DTB misses interleave with
+    // first-level hits (Dtb2). A stale inline cache or a missed charge
+    // shows up as a counter or histogram difference.
+    workload::SyntheticConfig scfg;
+    scfg.numLoops = 6;
+    scfg.bodyInstrs = 40;
+    scfg.iterations = 10;
+    scfg.outerRepeats = 3;
+    scfg.semworkDensity = 0.1;
+    scfg.semworkWeight = 5;
+    scfg.seed = 29;
+    DirProgram prog = workload::generateSynthetic(scfg);
+    for (EncodingScheme scheme :
+         {EncodingScheme::Huffman, EncodingScheme::Expanded}) {
+        MachineConfig cached;
+        cached.kind = MachineKind::Cached;
+        cached.icache.capacityBytes = 64;
+        cached.icache.assoc = 2;
+        compareModes(prog, scheme, cached, {},
+                     std::string("tiny-icache/") + encodingName(scheme));
+
+        MachineConfig dtb2;
+        dtb2.kind = MachineKind::Dtb2;
+        dtb2.dtbL1.capacityBytes = 64;
+        dtb2.dtbL1.assoc = 2;
+        compareModes(prog, scheme, dtb2, {},
+                     std::string("tiny-l1/") + encodingName(scheme));
+        dtb2.dtb.capacityBytes = 256;
+        dtb2.dtb.assoc = 2;
+        compareModes(prog, scheme, dtb2, {},
+                     std::string("tiny-l1-tiny-dtb/") +
+                         encodingName(scheme));
+    }
+}
+
+TEST(InlineCache, FlushDtbBetweenSlicesStaysIdentical)
+{
+    // flushDtb() between slices empties the DTB and the first-level
+    // buffer under a run in progress: every inline cache naming a
+    // flushed slot must miss, and the run must match the switch
+    // engine under the same flush schedule.
+    DirProgram prog = hlr::compileSource(
+        "program t; var i, s; begin i := 300; s := 0; "
+        "while i > 0 do s := s + 3; i := i - 1; od; write s; end.");
+    auto img = encodeDir(prog, EncodingScheme::Huffman);
+    auto sliced = [&](MachineKind kind, DispatchMode mode) {
+        MachineConfig cfg;
+        cfg.kind = kind;
+        cfg.dispatch = mode;
+        Machine m(*img, cfg);
+        m.beginRun({});
+        while (!m.finished()) {
+            m.runSlice(700);
+            m.flushDtb();
+        }
+        return m.finishRun();
+    };
+    for (MachineKind kind :
+         {MachineKind::Dtb, MachineKind::Dtb2, MachineKind::Tiered}) {
+        expectIdentical(sliced(kind, DispatchMode::Switch),
+                        sliced(kind, DispatchMode::Threaded),
+                        std::string("flush-slices/") +
+                            machineKindName(kind));
+    }
+}
+
+TEST(DispatchDefaults, ThreadedIsTheDefaultEngine)
+{
+    EXPECT_EQ(MachineConfig{}.dispatch, DispatchMode::Threaded);
+    EXPECT_EQ(serve::MachineSettings{}.dispatch, DispatchMode::Threaded);
+    EXPECT_EQ(serve::MachineSettings{}.toConfig().dispatch,
+              DispatchMode::Threaded);
 }
 
 TEST(InlineCache, FlushDtbInvalidatesBetweenRuns)

@@ -2,10 +2,13 @@
  * @file
  * Randomized differential tests: generated Contour programs must
  * behave identically under direct HLR interpretation and under every
- * encoding x machine-organization combination.
+ * encoding x machine-organization x dispatch-engine combination, and
+ * the two engines must agree on every simulated observable.
  */
 
 #include <gtest/gtest.h>
+
+#include <string>
 
 #include "hlr/compiler.hh"
 #include "hlr/interp.hh"
@@ -62,15 +65,28 @@ TEST_P(FuzzDifferential, HlrAndAllMachinePathsAgree)
                                   EncodingScheme::Quantized}) {
         auto image = encodeDir(prog, scheme);
         for (MachineKind kind : {MachineKind::Conventional,
-                                 MachineKind::Dtb, MachineKind::Dtb2,
+                                 MachineKind::Cached, MachineKind::Dtb,
+                                 MachineKind::Dtb2,
                                  MachineKind::Tiered}) {
+            SCOPED_TRACE(std::string(encodingName(scheme)) + " / " +
+                         machineKindName(kind));
             MachineConfig mc;
             mc.kind = kind;
-            Machine machine(*image, mc);
-            RunResult r = machine.run(input);
-            ASSERT_EQ(r.output, reference)
-                << encodingName(scheme) << " / "
-                << machineKindName(kind);
+            mc.dispatch = DispatchMode::Switch;
+            RunResult sw = Machine(*image, mc).run(input);
+            mc.dispatch = DispatchMode::Threaded;
+            RunResult th = Machine(*image, mc).run(input);
+            ASSERT_EQ(sw.output, reference);
+            ASSERT_EQ(th.output, reference);
+            EXPECT_EQ(sw.cycles, th.cycles);
+            EXPECT_EQ(sw.breakdown.fetch, th.breakdown.fetch);
+            EXPECT_EQ(sw.breakdown.decode, th.breakdown.decode);
+            EXPECT_EQ(sw.breakdown.stage, th.breakdown.stage);
+            EXPECT_EQ(sw.breakdown.dispatch, th.breakdown.dispatch);
+            EXPECT_EQ(sw.breakdown.semantic, th.breakdown.semantic);
+            EXPECT_EQ(sw.breakdown.translate, th.breakdown.translate);
+            EXPECT_EQ(sw.breakdown.translate2, th.breakdown.translate2);
+            EXPECT_EQ(sw.counters, th.counters);
         }
     }
 }

@@ -157,6 +157,26 @@ TEST(Cache, LruEvictionWithinSet)
     EXPECT_FALSE(cache.access(4 * 8)); // 4 was evicted
 }
 
+TEST(Cache, NonPowerOfTwoGeometryMapsByDivision)
+{
+    // 12-byte lines, 6 lines, 2-way -> 3 sets: the divide path of
+    // access() (power-of-two geometries shift instead). Lines 0, 3 and
+    // 6 share set 0.
+    CacheConfig cfg;
+    cfg.capacityBytes = 72;
+    cfg.lineBytes = 12;
+    cfg.assoc = 2;
+    SetAssocCache cache(cfg);
+    EXPECT_EQ(cache.numSets(), 3u);
+    EXPECT_FALSE(cache.access(0));
+    EXPECT_TRUE(cache.access(11));      // same 12-byte line
+    EXPECT_FALSE(cache.access(12));     // line 1, set 1
+    EXPECT_FALSE(cache.access(3 * 12)); // line 3, set 0
+    EXPECT_FALSE(cache.access(6 * 12)); // line 6, set 0: evicts line 0
+    EXPECT_TRUE(cache.access(12));      // set 1 untouched
+    EXPECT_FALSE(cache.access(0));      // line 0 was evicted
+}
+
 TEST(Cache, FullyAssociativeUsesWholeCapacity)
 {
     CacheConfig cfg = smallCache(0); // fully associative

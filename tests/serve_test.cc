@@ -16,6 +16,7 @@
 #include "hlr/compiler.hh"
 #include "obs/timeline.hh"
 #include "obs/window.hh"
+#include "serve/cache.hh"
 #include "serve/client.hh"
 #include "serve/proto.hh"
 #include "serve/server.hh"
@@ -228,6 +229,74 @@ TEST(ServeDaemon, CompileEncodeAndErrorVerbs)
     EXPECT_TRUE(after.ok);
 
     server.stop();
+}
+
+TEST(ServeDaemon, HostExceptionInARunDoesNotKillTheDaemon)
+{
+    // A wild guest store grows the level-2 backing store past what the
+    // host can allocate: the run throws std::length_error, not a
+    // FatalError. It must come back as internal_error, its session
+    // must not be reused, and the daemon must keep serving.
+    serve::ServerConfig cfg;
+    cfg.socketPath = testSocketPath();
+    cfg.workers = 2;
+    serve::Server server(cfg);
+    server.start();
+
+    serve::Client client(cfg.socketPath);
+    const std::string wild =
+        R"({"id":1,"verb":"run","program":"wild","source":)"
+        R"("program t; var a[4]; begin )"
+        R"(a[1152921504606846976] := 1; write 1; end."})";
+    serve::Response crash = client.call(wild);
+    EXPECT_FALSE(crash.ok);
+    EXPECT_EQ(crash.error, "internal_error");
+
+    serve::Response ping = client.call(R"({"id":2,"verb":"ping"})");
+    EXPECT_TRUE(ping.ok);
+
+    // A warm-path run on the same daemon still works and still matches
+    // a cold run.
+    const std::string fib =
+        R"({"id":3,"verb":"profile","program":"fib"})";
+    ASSERT_TRUE(client.call(fib).ok);
+    serve::Response warm = client.call(fib);
+    ASSERT_TRUE(warm.ok) << warm.message;
+    EXPECT_TRUE(warm.doc.find("cached")->boolean);
+    EXPECT_EQ(warm.payload, coldProfileJsonl("fib"));
+
+    // The same source again: rebuilt from scratch, it fails the same
+    // way, and the daemon still answers.
+    serve::Response again = client.call(wild);
+    EXPECT_EQ(again.error, "internal_error");
+    EXPECT_TRUE(client.call(R"({"id":4,"verb":"ping"})").ok);
+
+    server.stop();
+}
+
+TEST(ServeCache, DiscardedSessionIsNeverReused)
+{
+    serve::SessionCache cache(4);
+    serve::Request req;
+    std::string err;
+    ASSERT_TRUE(serve::parseRequest(
+        R"({"verb":"run","program":"fib"})", req, err)) << err;
+
+    bool cached = true;
+    auto first = cache.acquire(req, cached);
+    EXPECT_FALSE(cached);
+    cache.release(first);
+    auto warm = cache.acquire(req, cached);
+    EXPECT_TRUE(cached);
+    EXPECT_EQ(warm, first);
+
+    cache.discard(warm);
+    EXPECT_EQ(cache.size(), 0u);
+    auto rebuilt = cache.acquire(req, cached);
+    EXPECT_FALSE(cached);
+    EXPECT_NE(rebuilt, first);
+    cache.release(rebuilt);
+    EXPECT_EQ(cache.size(), 1u);
 }
 
 TEST(ServeDaemon, SweepMatchesTheHarnessByteForByte)
