@@ -34,15 +34,6 @@
  *
  * Options:
  *   --machine=<conventional|cached|dtb|dtb2|tiered>  (default dtb)
- *   --dispatch=<switch|threaded>  host interpreter loop (default
- *                          threaded). "threaded" runs the fast mode:
- *                          direct-threaded dispatch over flattened run
- *                          images with inline caches and batched cycle
- *                          attribution. Simulated cycles and all
- *                          outputs are byte-identical either way; the
- *                          switch loop is the reference path the
- *                          identity checks compare against. Accepted
- *                          by sweep too.
  *   --encoding=<expanded|packed|contextual|huffman|pair-huffman|
  *               quantized>                      (default huffman)
  *   --decode=<tree|table>  host-side Huffman decode implementation
@@ -122,7 +113,6 @@ struct Options
 {
     std::string program = "qsort";
     uhm::MachineKind kind = uhm::MachineKind::Dtb;
-    uhm::DispatchMode dispatch = uhm::DispatchMode::Threaded;
     uhm::EncodingScheme scheme = uhm::EncodingScheme::Huffman;
     std::vector<int64_t> input;
     uint64_t dtbBytes = 4096;
@@ -175,27 +165,10 @@ parseMachine(const std::string &name)
     uhm::fatal("unknown machine kind '%s'", name.c_str());
 }
 
-uhm::DispatchMode
-parseDispatch(const std::string &name)
-{
-    uhm::DispatchMode mode;
-    if (!uhm::parseDispatchMode(name, mode))
-        uhm::fatal("unknown dispatch mode '%s' (switch|threaded)",
-                   name.c_str());
-    return mode;
-}
-
 /** Shared help text for the options both subcommands accept. */
 constexpr const char *commonOptionsHelp =
     "  --machine=<conventional|cached|dtb|dtb2|tiered>\n"
     "                         machine organization (default dtb)\n"
-    "  --dispatch=<switch|threaded>\n"
-    "                         host interpreter loop (default threaded).\n"
-    "                         threaded = direct-threaded dispatch over\n"
-    "                         flattened run images with inline caches;\n"
-    "                         switch = the reference interpreter;\n"
-    "                         simulated cycles and all outputs are\n"
-    "                         byte-identical either way\n"
     "  --encoding=<expanded|packed|contextual|huffman|pair-huffman|\n"
     "              quantized> DIR encoding (default huffman)\n"
     "  --decode=<tree|table>  host-side Huffman decode (default table)\n"
@@ -314,8 +287,6 @@ parseArgs(int argc, char **argv)
         };
         if (arg.rfind("--machine=", 0) == 0)
             opts.kind = parseMachine(value("--machine="));
-        else if (arg.rfind("--dispatch=", 0) == 0)
-            opts.dispatch = parseDispatch(value("--dispatch="));
         else if (arg.rfind("--encoding=", 0) == 0)
             opts.scheme = parseEncoding(value("--encoding="));
         else if (arg.rfind("--decode=", 0) == 0)
@@ -447,7 +418,6 @@ runSweepCommand(int argc, char **argv)
     uint64_t seed = 1978;
     uint64_t sample_interval = 0;
     uhm::MachineKind kind = uhm::MachineKind::Dtb;
-    uhm::DispatchMode dispatch = uhm::DispatchMode::Threaded;
     uhm::EncodingScheme scheme = uhm::EncodingScheme::Huffman;
     uhm::tier::TierConfig tier_cfg;
     uhm::tier::TraceCacheConfig trace_cache_cfg;
@@ -466,8 +436,6 @@ runSweepCommand(int argc, char **argv)
             seed = std::stoull(value("--seed="));
         else if (arg.rfind("--machine=", 0) == 0)
             kind = parseMachine(value("--machine="));
-        else if (arg.rfind("--dispatch=", 0) == 0)
-            dispatch = parseDispatch(value("--dispatch="));
         else if (arg.rfind("--encoding=", 0) == 0)
             scheme = parseEncoding(value("--encoding="));
         else if (arg.rfind("--decode=", 0) == 0)
@@ -521,7 +489,6 @@ runSweepCommand(int argc, char **argv)
         }
         point.scheme = scheme;
         point.config.kind = kind;
-        point.config.dispatch = dispatch;
         point.config.tier = tier_cfg;
         point.config.traceCache = trace_cache_cfg;
         point.config.sampleIntervalCycles = sample_interval;
@@ -718,7 +685,6 @@ try {
     auto image = uhm::encodeDir(prog, opts.scheme);
     uhm::MachineConfig cfg;
     cfg.kind = opts.kind;
-    cfg.dispatch = opts.dispatch;
     cfg.dtb.capacityBytes = opts.dtbBytes;
     cfg.dtb.assoc = opts.assoc;
     cfg.icache.capacityBytes = opts.dtbBytes;

@@ -7,7 +7,10 @@ namespace uhm
 
 Dtb::Dtb(const DtbConfig &config) : config_(config), rng_(config.seed)
 {
-    uhm_assert(config.unitShortInstrs >= 1, "unit of allocation empty");
+    // Geometry comes from user configuration (CLI flags, wire fields):
+    // an impossible one is a user error, not a simulator bug.
+    if (config.unitShortInstrs < 1)
+        fatal("DTB unit of allocation is empty");
     // Round the unit size *up* to whole bytes: flooring would undersize
     // the unit whenever unitShortInstrs * shortInstrBits is not
     // byte-aligned, silently overcommitting the buffer array.
@@ -17,7 +20,10 @@ Dtb::Dtb(const DtbConfig &config) : config_(config), rng_(config.seed)
     uhm_assert(unit_bytes * 8 >= unit_bits,
                "unit of allocation cannot hold its instructions");
     uint64_t total_units = config.capacityBytes / unit_bytes;
-    uhm_assert(total_units >= 1, "DTB smaller than one unit");
+    if (total_units < 1)
+        fatal("DTB of %llu bytes is smaller than one %llu-byte unit",
+              static_cast<unsigned long long>(config.capacityBytes),
+              static_cast<unsigned long long>(unit_bytes));
     uhm_assert(total_units * unit_bytes <= config.capacityBytes,
                "allocation units exceed buffer-array capacity");
 
@@ -26,24 +32,30 @@ Dtb::Dtb(const DtbConfig &config) : config_(config), rng_(config.seed)
             static_cast<double>(total_units) * config.overflowFraction) :
         0;
     numEntries_ = total_units - overflowTotal_;
-    uhm_assert(numEntries_ >= 1, "no primary units left");
+    if (numEntries_ < 1)
+        fatal("DTB overflow reserve leaves no primary units");
     overflowFree_ = overflowTotal_;
 
     assoc_ = config.assoc == 0 ? static_cast<unsigned>(numEntries_) :
         config.assoc;
-    uhm_assert(assoc_ <= numEntries_,
-               "associativity exceeds entry count");
+    if (assoc_ > numEntries_)
+        fatal("DTB associativity %u exceeds its %llu entries", assoc_,
+              static_cast<unsigned long long>(numEntries_));
     numSets_ = numEntries_ / assoc_;
     uhm_assert(numSets_ >= 1, "no sets");
-    uhm_assert(numSets_ <= UINT32_MAX, "too many DTB sets");
+    if (numSets_ > UINT32_MAX)
+        fatal("DTB has too many sets (%llu)",
+              static_cast<unsigned long long>(numSets_));
     setModM_ = UINT64_MAX / numSets_ + 1;
     // Trim entries that do not fill a whole set.
     numEntries_ = numSets_ * assoc_;
 
     numPartitions_ = config.numPartitions <= 1 ? 1 :
         config.numPartitions;
-    uhm_assert(numPartitions_ <= numSets_,
-               "more DTB partitions than sets");
+    if (numPartitions_ > numSets_)
+        fatal("%llu DTB partitions exceed its %llu sets",
+              static_cast<unsigned long long>(numPartitions_),
+              static_cast<unsigned long long>(numSets_));
     setsPerPartition_ = numSets_ / numPartitions_;
 
     entries_.assign(numEntries_, Entry{});

@@ -10,15 +10,22 @@ namespace uhm
 SetAssocCache::SetAssocCache(const CacheConfig &config)
     : config_(config), rng_(config.seed)
 {
-    uhm_assert(config.lineBytes >= 1, "line size must be positive");
-    uhm_assert(config.capacityBytes >= config.lineBytes,
-               "capacity smaller than one line");
+    // Geometry comes from user configuration (CLI flags, wire fields):
+    // an impossible one is a user error, not a simulator bug.
+    if (config.lineBytes < 1)
+        fatal("cache line size must be positive");
+    if (config.capacityBytes < config.lineBytes)
+        fatal("cache of %llu bytes is smaller than one %llu-byte line",
+              static_cast<unsigned long long>(config.capacityBytes),
+              static_cast<unsigned long long>(config.lineBytes));
     uint64_t num_lines = config.capacityBytes / config.lineBytes;
     uhm_assert(num_lines >= 1, "no lines");
 
     assoc_ = config.assoc == 0 ? static_cast<unsigned>(num_lines) :
         config.assoc;
-    uhm_assert(assoc_ <= num_lines, "associativity exceeds line count");
+    if (assoc_ > num_lines)
+        fatal("cache associativity %u exceeds its %llu lines", assoc_,
+              static_cast<unsigned long long>(num_lines));
     numSets_ = num_lines / assoc_;
     uhm_assert(numSets_ >= 1, "no sets");
     pow2_ = std::has_single_bit(config.lineBytes) &&

@@ -38,7 +38,7 @@ struct Options
     std::string verb = "run";
     std::string program;
     std::vector<std::string> positional;
-    std::string machine, encoding, dispatch;
+    std::string machine, encoding;
     std::string input; // comma-separated
     bool haveSeed = false;
     uint64_t seed = 0;
@@ -81,7 +81,6 @@ printHelp(std::FILE *out)
         "  --machine=KIND     conventional|cached|dtb|dtb2|tiered\n"
         "  --encoding=E       expanded|packed|contextual|huffman|"
         "pair-huffman|quantized\n"
-        "  --dispatch=MODE    switch|threaded (default threaded)\n"
         "  --input=a,b,c      read-statement input values\n"
         "  --seed=N           synthetic workload seed\n"
         "  --profile          attach the profile payload to a run\n"
@@ -113,8 +112,6 @@ parseArgs(int argc, char **argv)
             opts.machine = value("--machine=");
         else if (arg.rfind("--encoding=", 0) == 0)
             opts.encoding = value("--encoding=");
-        else if (arg.rfind("--dispatch=", 0) == 0)
-            opts.dispatch = value("--dispatch=");
         else if (arg.rfind("--input=", 0) == 0)
             opts.input = value("--input=");
         else if (arg.rfind("--seed=", 0) == 0) {
@@ -178,8 +175,6 @@ buildRequest(const Options &opts, uint64_t id)
         jw.key("machine").value(opts.machine);
     if (!opts.encoding.empty())
         jw.key("encoding").value(opts.encoding);
-    if (!opts.dispatch.empty())
-        jw.key("dispatch").value(opts.dispatch);
     if (opts.haveSeed)
         jw.key("seed").value(opts.seed);
     if (!opts.input.empty()) {

@@ -339,7 +339,6 @@ MachineSettings::toConfig() const
 {
     MachineConfig cfg;
     cfg.kind = kind;
-    cfg.dispatch = dispatch;
     cfg.dtb.capacityBytes = dtbBytes;
     cfg.dtb.assoc = assoc;
     cfg.icache.capacityBytes = dtbBytes;
@@ -356,10 +355,9 @@ MachineSettings::fingerprint() const
 {
     char buf[192];
     std::snprintf(buf, sizeof(buf),
-                  "m=%s;d=%s;e=%s;dtb=%llu;assoc=%u;tt=%u;tc=%zu;"
+                  "m=%s;e=%s;dtb=%llu;assoc=%u;tt=%u;tc=%zu;"
                   "tb=%llu;si=%llu",
-                  machineKindName(kind), dispatchModeName(dispatch),
-                  encodingName(scheme),
+                  machineKindName(kind), encodingName(scheme),
                   static_cast<unsigned long long>(dtbBytes), assoc,
                   tierThreshold, traceCap,
                   static_cast<unsigned long long>(traceBytes),
@@ -432,6 +430,20 @@ parseRequest(const std::string &line, Request &out, std::string &err)
         into = static_cast<uint64_t>(v.integer);
         return true;
     };
+    // For fields narrower than the wire integer: a value that does not
+    // fit must not silently wrap (assoc 2^32 would mean "fully
+    // associative").
+    auto wantUint32 = [&](const JsonValue &v, const char *field,
+                          uint64_t &into) {
+        if (!wantUint(v, field, into))
+            return false;
+        if (into > UINT32_MAX) {
+            err = std::string("'") + field + "' must be at most " +
+                std::to_string(UINT32_MAX);
+            return false;
+        }
+        return true;
+    };
     auto wantBool = [&err](const JsonValue &v, const char *field,
                            bool &into) {
         if (v.kind != JsonValue::Kind::Bool) {
@@ -497,25 +509,17 @@ parseRequest(const std::string &line, Request &out, std::string &err)
                 err = "unknown encoding '" + name + "'";
                 return false;
             }
-        } else if (key == "dispatch") {
-            std::string name;
-            if (!wantString(v, "dispatch", name))
-                return false;
-            if (!parseDispatchMode(name, out.machine.dispatch)) {
-                err = "unknown dispatch mode '" + name + "'";
-                return false;
-            }
         } else if (key == "dtb_bytes") {
             if (!wantUint(v, "dtb_bytes", out.machine.dtbBytes))
                 return false;
         } else if (key == "assoc") {
             uint64_t n = 0;
-            if (!wantUint(v, "assoc", n))
+            if (!wantUint32(v, "assoc", n))
                 return false;
             out.machine.assoc = static_cast<unsigned>(n);
         } else if (key == "tier_threshold") {
             uint64_t n = 0;
-            if (!wantUint(v, "tier_threshold", n))
+            if (!wantUint32(v, "tier_threshold", n))
                 return false;
             out.machine.tierThreshold = static_cast<uint32_t>(n);
             out.tierFieldSeen = "tier_threshold";

@@ -325,7 +325,6 @@ Server::startRequest(std::shared_ptr<Pending> p)
                 // Exactly the fields `uhm_cli sweep` sets (it leaves
                 // the DTB geometry at its defaults).
                 point.config.kind = p->req.machine.kind;
-                point.config.dispatch = p->req.machine.dispatch;
                 point.config.tier.hotThreshold =
                     p->req.machine.tierThreshold;
                 point.config.tier.traceCap = p->req.machine.traceCap;

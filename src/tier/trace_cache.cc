@@ -8,14 +8,21 @@ namespace uhm::tier
 TraceCache::TraceCache(const TraceCacheConfig &config)
     : config_(config), rng_(config.seed)
 {
-    uhm_assert(config.unitShortInstrs >= 1, "unit of allocation empty");
+    // Geometry comes from user configuration (CLI flags, wire fields):
+    // an impossible one is a user error, not a simulator bug.
+    if (config.unitShortInstrs < 1)
+        fatal("trace-cache unit of allocation is empty");
     // Round the unit size up to whole bytes (same argument as the DTB:
     // flooring would undersize the unit and overcommit the buffer).
     uint64_t unit_bits =
         uint64_t{config.unitShortInstrs} * shortInstrBits;
     uint64_t unit_bytes = (unit_bits + 7) / 8;
     unitsTotal_ = config.capacityBytes / unit_bytes;
-    uhm_assert(unitsTotal_ >= 1, "trace cache smaller than one unit");
+    if (unitsTotal_ < 1)
+        fatal("trace cache of %llu bytes is smaller than one %llu-byte "
+              "unit",
+              static_cast<unsigned long long>(config.capacityBytes),
+              static_cast<unsigned long long>(unit_bytes));
 
     // One tag entry per unit: the tag array can never run out before
     // the unit budget does.

@@ -22,33 +22,9 @@ machineKindName(MachineKind kind)
     return "?";
 }
 
-const char *
-dispatchModeName(DispatchMode mode)
-{
-    switch (mode) {
-      case DispatchMode::Switch:   return "switch";
-      case DispatchMode::Threaded: return "threaded";
-    }
-    return "?";
-}
-
-bool
-parseDispatchMode(const std::string &name, DispatchMode &out)
-{
-    if (name == "switch") {
-        out = DispatchMode::Switch;
-        return true;
-    }
-    if (name == "threaded") {
-        out = DispatchMode::Threaded;
-        return true;
-    }
-    return false;
-}
-
 Machine::Machine(const EncodedDir &image, const MachineConfig &config,
                  Dtb *shared_dtb)
-    : image_(&image), config_(config), routines_(config.layout),
+    : image_(&image), config_(config),
       mem_(config.layout.level1Words, config.timing), translator_(image),
       decodeMemo_(image), stagingValid_(image.numInstrs(), 0),
       stagingMemo_(image.numInstrs())
@@ -57,6 +33,18 @@ Machine::Machine(const EncodedDir &image, const MachineConfig &config,
         config_.kind != MachineKind::Tiered) {
         fatal("machine kind '%s' cannot dispatch through a shared DTB",
               machineKindName(config_.kind));
+    }
+    // The operand stack lives wholly in level-1 memory: every push and
+    // pop charges a static tau1, and the run loops address the stack
+    // through a raw pointer into the level-1 backing store.
+    const MachineLayout &layout = config_.layout;
+    if (layout.stackBase + layout.stackWords > layout.level1Words) {
+        fatal("operand stack [%llu, %llu) does not fit in level-1 "
+              "memory (%llu words)",
+              static_cast<unsigned long long>(layout.stackBase),
+              static_cast<unsigned long long>(layout.stackBase +
+                                              layout.stackWords),
+              static_cast<unsigned long long>(layout.level1Words));
     }
     switch (config_.kind) {
       case MachineKind::Dtb2:
@@ -88,26 +76,14 @@ Machine::Machine(const EncodedDir &image, const MachineConfig &config,
       case MachineKind::Conventional:
         break;
     }
-    flat_ = FlatRoutines::build(routines_, numOps);
-    // Both dispatch modes call semantic routines through this table —
-    // one bounds-unchecked load instead of a byId lookup per CALL.
-    routinePtrs_.resize(numOps);
-    for (size_t id = 0; id < numOps; ++id)
-        routinePtrs_[id] = &routines_.byId(static_cast<int64_t>(id));
-    // The fast loops bank on the operand stack living wholly in level-1
-    // memory (every push/pop then charges a static tau1); a layout that
-    // spills the stack into level 2 keeps the switch loops. Event
-    // tracing keeps them too: events are stamped mid-instruction, which
-    // batched attribution does not reproduce.
-    fastOk_ = config_.layout.stackBase + config_.layout.stackWords <=
-            config_.layout.level1Words &&
-        !config_.profileEvents && !config_.traceEvents;
+    // The routine library's only consumer is its flattened form.
+    flat_ = FlatRoutines::build(RoutineLibrary(layout), numOps);
 
     const DirProgram &prog = image.program();
-    if (prog.maxDepth() > config_.layout.maxDepth) {
+    if (prog.maxDepth() > layout.maxDepth) {
         fatal("program nests %u contours deep; layout supports %llu",
               prog.maxDepth(),
-              static_cast<unsigned long long>(config_.layout.maxDepth));
+              static_cast<unsigned long long>(layout.maxDepth));
     }
 
     // Publish every component's counters under one hierarchical
@@ -176,125 +152,50 @@ Machine::popStack(uint64_t &bucket)
     return v;
 }
 
-// ---- IU1: micro-routine execution ------------------------------------------
+// ---- IU1: semantic-routine execution --------------------------------------
+//
+// The out-of-line instance of the micro-op core, which the step
+// functions reach through executeStaged and executeShort. The fast
+// loops include vm_ops.inc themselves and batch its charges; this
+// instance applies them when the routine retires, so a step leaves the
+// counters, the breakdown and the memory accounting current for the
+// events and samples that follow it.
 
 void
-Machine::runRoutine(const MicroRoutine &routine)
+Machine::callRoutine(size_t entry)
 {
-    const MemTiming &timing = config_.timing;
-    size_t mpc = 0;
-    for (;;) {
-        uhm_assert(mpc < routine.ops.size(),
-                   "fell off routine '%s'", routine.name.c_str());
-        const MicroOp &op = routine.ops[mpc++];
-        // One level-1 reference to fetch the micro-instruction.
-        breakdown_.semantic += timing.tau1;
-        ++microOps_;
+    const uint32_t *vm_code = flat_.code.data();
+    const int64_t *vm_imm = flat_.imm.data();
+    const uint64_t tau1 = config_.timing.tau1;
+    const uint64_t tau2 = config_.timing.tau2;
+    const uint64_t level1_words = mem_.level1Words();
+    const uint64_t stack_base = config_.layout.stackBase;
+    const uint64_t stack_words = config_.layout.stackWords;
+    auto &r = regs_;
 
-        auto &r = regs_;
-        switch (op.op) {
-          case MOp::MOVI: r[op.dst] = op.imm; break;
-          case MOp::MOV:  r[op.dst] = r[op.srcA]; break;
-          case MOp::ADD:  r[op.dst] = wrapAdd(r[op.srcA], r[op.srcB]); break;
-          case MOp::ADDI: r[op.dst] = wrapAdd(r[op.srcA], op.imm); break;
-          case MOp::SUB:  r[op.dst] = wrapSub(r[op.srcA], r[op.srcB]); break;
-          case MOp::MUL:  r[op.dst] = wrapMul(r[op.srcA], r[op.srcB]); break;
-          case MOp::DIV:
-            if (r[op.srcB] == 0)
-                fatal("division by zero");
-            r[op.dst] = wrapDiv(r[op.srcA], r[op.srcB]);
-            break;
-          case MOp::MOD:
-            if (r[op.srcB] == 0)
-                fatal("modulo by zero");
-            r[op.dst] = wrapMod(r[op.srcA], r[op.srcB]);
-            break;
-          case MOp::NEG:  r[op.dst] = wrapNeg(r[op.srcA]); break;
-          case MOp::AND:  r[op.dst] = r[op.srcA] & r[op.srcB]; break;
-          case MOp::OR:   r[op.dst] = r[op.srcA] | r[op.srcB]; break;
-          case MOp::XOR:  r[op.dst] = r[op.srcA] ^ r[op.srcB]; break;
-          case MOp::NOT:  r[op.dst] = ~r[op.srcA]; break;
-          case MOp::SHL:
-            r[op.dst] = wrapShl(r[op.srcA], r[op.srcB]);
-            break;
-          case MOp::SHR:
-            r[op.dst] = wrapShr(r[op.srcA], r[op.srcB]);
-            break;
-          case MOp::CMPEQ: r[op.dst] = r[op.srcA] == r[op.srcB]; break;
-          case MOp::CMPNE: r[op.dst] = r[op.srcA] != r[op.srcB]; break;
-          case MOp::CMPLT: r[op.dst] = r[op.srcA] <  r[op.srcB]; break;
-          case MOp::CMPLE: r[op.dst] = r[op.srcA] <= r[op.srcB]; break;
-          case MOp::CMPGT: r[op.dst] = r[op.srcA] >  r[op.srcB]; break;
-          case MOp::CMPGE: r[op.dst] = r[op.srcA] >= r[op.srcB]; break;
-          case MOp::EXTRACT: {
-            unsigned shift = static_cast<unsigned>(op.imm & 63);
-            unsigned width = static_cast<unsigned>((op.imm >> 6) & 63);
-            uint64_t mask = width >= 64 ? ~0ull : (1ull << width) - 1;
-            r[op.dst] = static_cast<int64_t>(
-                (static_cast<uint64_t>(r[op.srcA]) >> shift) & mask);
-            break;
-          }
-          case MOp::LOAD: {
-            uint64_t before = mem_.cycles();
-            r[op.dst] = mem_.read(
-                static_cast<uint64_t>(r[op.srcA] + op.imm));
-            breakdown_.semantic += mem_.cycles() - before;
-            break;
-          }
-          case MOp::STORE: {
-            uint64_t before = mem_.cycles();
-            mem_.write(static_cast<uint64_t>(r[op.srcA] + op.imm),
-                       r[op.srcB]);
-            breakdown_.semantic += mem_.cycles() - before;
-            break;
-          }
-          case MOp::SPUSH:
-            pushStack(r[op.srcA], breakdown_.semantic);
-            break;
-          case MOp::SPOP:
-            r[op.dst] = popStack(breakdown_.semantic);
-            break;
-          case MOp::RASPUSH:
-            if (ras_.size() >= config_.layout.rasDepth)
-                fatal("return-address stack overflow");
-            ras_.push_back(static_cast<uint64_t>(r[op.srcA]));
-            break;
-          case MOp::RASPOP:
-            if (ras_.empty())
-                fatal("return-address stack underflow");
-            r[op.dst] = static_cast<int64_t>(ras_.back());
-            ras_.pop_back();
-            break;
-          case MOp::BR:
-            mpc = static_cast<size_t>(
-                static_cast<int64_t>(mpc) + op.imm);
-            break;
-          case MOp::BRZ:
-            if (r[op.srcA] == 0)
-                mpc = static_cast<size_t>(
-                    static_cast<int64_t>(mpc) + op.imm);
-            break;
-          case MOp::BRNZ:
-            if (r[op.srcA] != 0)
-                mpc = static_cast<size_t>(
-                    static_cast<int64_t>(mpc) + op.imm);
-            break;
-          case MOp::BRNEG:
-            if (r[op.srcA] < 0)
-                mpc = static_cast<size_t>(
-                    static_cast<int64_t>(mpc) + op.imm);
-            break;
-          case MOp::OUTP:
-            output_.push_back(r[op.srcA]);
-            break;
-          case MOp::INP:
-            r[op.dst] = inputPos_ < input_->size() ?
-                (*input_)[inputPos_++] : 0;
-            break;
-          case MOp::DONE:
-            return;
-        }
-    }
+    uint64_t n = 0, sem_mem = 0, l1 = 0, l2 = 0;
+    uint64_t sp = sp_;
+    int64_t *stk = mem_.raw() + stack_base;
+    size_t vm_i = entry, vm_ii = 0;
+    uint32_t vm_w = 0;
+
+#define VM_BAIL()                                                      \
+    do {                                                               \
+        microOps_ += n;                                                \
+        breakdown_.semantic += n * tau1 + sem_mem;                     \
+        mem_.chargeBatch(l1, l2);                                      \
+        sp_ = sp;                                                      \
+    } while (0)
+
+    goto vm_enter;
+routine_done:
+    VM_BAIL();
+    return;
+
+#define VM_DONE_GOTO goto routine_done
+#include "uhm/vm_ops.inc"
+#undef VM_DONE_GOTO
+#undef VM_BAIL
 }
 
 // ---- fetch paths ----------------------------------------------------------
@@ -337,10 +238,9 @@ Machine::executeStaged(const Staging &staging)
     for (int64_t v : staging.pushes)
         pushStack(v, breakdown_.stage);
     if (staging.routine >= 0) {
-        const MicroRoutine &routine =
-            *routinePtrs_[static_cast<size_t>(staging.routine)];
-        if (!routine.empty())
-            runRoutine(routine);
+        int32_t entry = flat_.entry[static_cast<size_t>(staging.routine)];
+        if (entry >= 0)
+            callRoutine(static_cast<size_t>(entry));
     }
     switch (staging.next) {
       case NextKind::Imm:
@@ -356,40 +256,42 @@ Machine::executeStaged(const Staging &staging)
 }
 
 void
-Machine::runConventionalOrCached()
+Machine::convStep()
 {
-    bool cached = config_.kind == MachineKind::Cached;
-    while (!halted_ && breakdown_.total() < sliceLimit_) {
-        maybeSample();
-        if (dirInstrs_ >= config_.maxDirInstrs)
-            fatal("DIR instruction budget exhausted (%llu)",
-                  static_cast<unsigned long long>(config_.maxDirInstrs));
-        ++dirInstrs_;
-        ++decodedInstrs_;
-        if (config_.captureAddressTrace)
-            addressTrace_.push_back(pc_);
+    maybeSample();
+    if (dirInstrs_ >= config_.maxDirInstrs)
+        fatal("DIR instruction budget exhausted (%llu)",
+              static_cast<unsigned long long>(config_.maxDirInstrs));
+    ++dirInstrs_;
+    ++decodedInstrs_;
+    if (config_.captureAddressTrace)
+        addressTrace_.push_back(pc_);
 
-        // The simulated machine decodes every executed instruction (and
-        // is charged for it below); the host replays the memoized
-        // result after the first visit to a pc.
-        const DecodeResult &res = decodeMemo_.decodeAt(pc_);
-        ++opcodeCounts_[static_cast<size_t>(res.instr.op)];
-        uint64_t bits = res.nextBitAddr - pc_;
-        if (cached)
-            chargeFetchCached(pc_, bits);
-        else
-            chargeFetchLevel2(bits);
-        uint64_t decode_cycles = config_.costs.decodeCycles(res.cost);
-        breakdown_.decode += decode_cycles;
-        emitEvent(obs::EventKind::Decode, pc_, decode_cycles);
+    // The simulated machine decodes every executed instruction (and is
+    // charged for it below); the host replays the memoized result after
+    // the first visit to a pc.
+    const DecodeResult &res = decodeMemo_.decodeAt(pc_);
+    ++opcodeCounts_[static_cast<size_t>(res.instr.op)];
+    uint64_t bits = res.nextBitAddr - pc_;
+    if (config_.kind == MachineKind::Cached)
+        chargeFetchCached(pc_, bits);
+    else
+        chargeFetchLevel2(bits);
+    uint64_t decode_cycles = config_.costs.decodeCycles(res.cost);
+    breakdown_.decode += decode_cycles;
+    emitEvent(obs::EventKind::Decode, pc_, decode_cycles);
+    executeStaged(stagingAt(res));
+}
 
-        if (!stagingValid_[res.index]) {
-            stagingMemo_[res.index] =
-                stageInstruction(res.instr, *image_, res.index);
-            stagingValid_[res.index] = 1;
-        }
-        executeStaged(stagingMemo_[res.index]);
+const Staging &
+Machine::stagingAt(const DecodeResult &res)
+{
+    if (!stagingValid_[res.index]) {
+        stagingMemo_[res.index] =
+            stageInstruction(res.instr, *image_, res.index);
+        stagingValid_[res.index] = 1;
     }
+    return stagingMemo_[res.index];
 }
 
 void
@@ -420,12 +322,11 @@ Machine::executeShort(const ShortInstr &si)
       }
       case SOp::CALL: {
         uhm_assert(si.operand >= 0 &&
-                   static_cast<size_t>(si.operand) < routinePtrs_.size(),
+                   static_cast<size_t>(si.operand) < flat_.entry.size(),
                    "CALL to unknown routine id");
-        const MicroRoutine &routine =
-            *routinePtrs_[static_cast<size_t>(si.operand)];
-        if (!routine.empty())
-            runRoutine(routine);
+        int32_t entry = flat_.entry[static_cast<size_t>(si.operand)];
+        if (entry >= 0)
+            callRoutine(static_cast<size_t>(entry));
         break;
       }
       case SOp::INTERP:
@@ -452,92 +353,33 @@ Machine::executeShortSequence(const std::vector<ShortInstr> &code,
     panic("PSDER sequence did not end with INTERP");
 }
 
-uint64_t
-Machine::executeTrace(const tier::Trace &trace)
-{
-    const uint64_t fetch_cost = config_.timing.tauD;
-    for (;;) {
-        ++traceIterations_;
-        for (const tier::TraceStep &step : trace.steps) {
-            for (uint64_t addr : step.dirAddrs) {
-                if (dirInstrs_ >= config_.maxDirInstrs)
-                    fatal("DIR instruction budget exhausted (%llu)",
-                          static_cast<unsigned long long>(
-                              config_.maxDirInstrs));
-                ++dirInstrs_;
-                ++traceDirInstrs_;
-                if (config_.captureAddressTrace)
-                    addressTrace_.push_back(addr);
-            }
-            for (const ShortInstr &si : step.body) {
-                // The fused body is fetched from the trace cache's
-                // buffer array at DTB speed — but carries no INTERP, so
-                // the per-instruction lookup and successor fetch are
-                // gone.
-                breakdown_.dispatch += fetch_cost;
-                ++shortInstrs_;
-                ++traceShortInstrs_;
-                executeShort(si);
-            }
-            if (step.guarded) {
-                // The semantic routine left the successor on the
-                // operand stack (as it would for INTERP); the guard
-                // pops and compares it against the recorded path.
-                uint64_t next = static_cast<uint64_t>(
-                    popStack(breakdown_.dispatch));
-                if (next != step.expect) {
-                    ++traceExits_;
-                    prevPc_ = step.dirAddrs.back();
-                    return next;
-                }
-            }
-        }
-        if (!trace.loops) {
-            ++traceExits_;
-            prevPc_ = trace.steps.back().dirAddrs.back();
-            return trace.exitAddr;
-        }
-        // Loop back to the head: one trace dispatch per iteration.
-        breakdown_.dispatch += config_.tier.dispatchCycles;
-    }
-}
-
-void
-Machine::runDtb()
-{
-    bool two_level = config_.kind == MachineKind::Dtb2;
-    while (!halted_ && breakdown_.total() < sliceLimit_)
-        dtbStep(two_level);
-}
-
 uint32_t
 Machine::dtbStep(bool two_level)
 {
     uint32_t hit_idx = UINT32_MAX;
-    {
-        maybeSample();
-        if (dirInstrs_ >= config_.maxDirInstrs)
-            fatal("DIR instruction budget exhausted (%llu)",
-                  static_cast<unsigned long long>(config_.maxDirInstrs));
-        ++dirInstrs_;
-        if (config_.captureAddressTrace)
-            addressTrace_.push_back(pc_);
+    maybeSample();
+    if (dirInstrs_ >= config_.maxDirInstrs)
+        fatal("DIR instruction budget exhausted (%llu)",
+              static_cast<unsigned long long>(config_.maxDirInstrs));
+    ++dirInstrs_;
+    if (config_.captureAddressTrace)
+        addressTrace_.push_back(pc_);
 
-        std::vector<ShortInstr> local;
-        const std::vector<ShortInstr> *code = nullptr;
-        uint64_t fetch_cost = config_.timing.tauD;
+    std::vector<ShortInstr> local;
+    const std::vector<ShortInstr> *code = nullptr;
+    uint64_t fetch_cost = config_.timing.tauD;
 
-        // First-level translation buffer (Dtb2): a tau1-speed lookup.
-        if (two_level) {
-            breakdown_.dispatch += config_.timing.tau1;
-            Dtb::LookupResult l1 = dtbL1_->lookup(pc_);
-            if (l1.hit) {
-                code = l1.code;
-                fetch_cost = config_.timing.tau1;
-            }
+    // First-level translation buffer (Dtb2): a tau1-speed lookup.
+    if (two_level) {
+        breakdown_.dispatch += config_.timing.tau1;
+        Dtb::LookupResult l1 = dtbL1_->lookup(pc_);
+        if (l1.hit) {
+            code = l1.code;
+            fetch_cost = config_.timing.tau1;
         }
+    }
 
-        if (!code) {
+    if (!code) {
         // INTERP presents the DIR address to the associative address
         // array (one DTB-array access).
         breakdown_.dispatch += config_.timing.tauD;
@@ -614,164 +456,156 @@ Machine::dtbStep(bool two_level)
                 dtbL1_->insert(pc_, tr.code);
             code = &tr.code;
         }
-        }
-
-        uint64_t next = executeShortSequence(*code, fetch_cost);
-        if (next == haltBitAddr)
-            halted_ = true;
-        else
-            pc_ = next;
     }
-    return hit_idx;
-}
 
-void
-Machine::runTiered()
-{
-    while (!halted_ && breakdown_.total() < sliceLimit_)
-        tieredStep();
+    uint64_t next = executeShortSequence(*code, fetch_cost);
+    if (next == haltBitAddr)
+        halted_ = true;
+    else
+        pc_ = next;
+    return hit_idx;
 }
 
 uint32_t
 Machine::tieredStep()
 {
     uint32_t hit_idx = UINT32_MAX;
-    {
-        maybeSample();
-        if (dirInstrs_ >= config_.maxDirInstrs)
-            fatal("DIR instruction budget exhausted (%llu)",
-                  static_cast<unsigned long long>(config_.maxDirInstrs));
+    maybeSample();
+    if (dirInstrs_ >= config_.maxDirInstrs)
+        fatal("DIR instruction budget exhausted (%llu)",
+              static_cast<unsigned long long>(config_.maxDirInstrs));
 
-        // Recorder hook: report the pc about to be interpreted.
-        if (tier_->recording()) {
-            tier::TierEngine::RecordOutcome ro = tier_->recordStep(pc_);
-            if (ro.status == tier::TierEngine::RecordStatus::Closed) {
-                // Tier-2 translation charge: construct each short
-                // instruction of the fused body and store it into the
-                // trace cache's buffer array.
-                breakdown_.translate2 += ro.compile.compiledShorts *
-                    (config_.tier.gen2CyclesPerInstr +
-                     config_.timing.tauD);
-                tierTraceLen_.record(ro.compile.steps);
-                emitEvent(obs::EventKind::Translate2, ro.compile.head,
-                          ro.compile.compiledShorts);
-                if (ro.compile.evictedTrace)
-                    emitEvent(obs::EventKind::TraceEvict,
-                              ro.compile.evictedHead);
-            } else if (ro.status ==
-                       tier::TierEngine::RecordStatus::Aborted) {
-                emitEvent(obs::EventKind::TraceAbort, pc_);
-            }
+    // Recorder hook: report the pc about to be interpreted.
+    if (tier_->recording()) {
+        tier::TierEngine::RecordOutcome ro = tier_->recordStep(pc_);
+        if (ro.status == tier::TierEngine::RecordStatus::Closed) {
+            // Tier-2 translation charge: construct each short
+            // instruction of the fused body and store it into the
+            // trace cache's buffer array.
+            breakdown_.translate2 += ro.compile.compiledShorts *
+                (config_.tier.gen2CyclesPerInstr +
+                 config_.timing.tauD);
+            tierTraceLen_.record(ro.compile.steps);
+            emitEvent(obs::EventKind::Translate2, ro.compile.head,
+                      ro.compile.compiledShorts);
+            if (ro.compile.evictedTrace)
+                emitEvent(obs::EventKind::TraceEvict,
+                          ro.compile.evictedHead);
+        } else if (ro.status ==
+                   tier::TierEngine::RecordStatus::Aborted) {
+            emitEvent(obs::EventKind::TraceAbort, pc_);
         }
-
-        // INTERP presents the DIR address to the associative address
-        // array (one DTB-array access), as in the Dtb organization.
-        breakdown_.dispatch += config_.timing.tauD;
-        Dtb::LookupResult lr = dtb_->lookup(pc_);
-        const std::vector<ShortInstr> *code = nullptr;
-
-        if (lr.hit) {
-            hit_idx = lr.entryIdx;
-            emitEvent(obs::EventKind::DtbHit, pc_);
-            // Hotness profile: a backward transfer into a resident
-            // entry is a backedge (loops close with one).
-            bool backedge = pc_ <= prevPc_;
-            if (backedge)
-                ++lr.meta->backedgeCount;
-
-            if (lr.meta->anchorsTrace && !tier_->recording()) {
-                // Trace dispatch: one trace-cache access plus the
-                // dispatch overhead — paid once per entry, not once
-                // per instruction.
-                breakdown_.dispatch += config_.timing.tauD +
-                    config_.tier.dispatchCycles;
-                if (const tier::Trace *trace = tier_->lookupTrace(pc_)) {
-                    ++traceEnters_;
-                    emitEvent(obs::EventKind::TraceEnter, pc_,
-                              trace->dirCount);
-                    uint64_t iters_before = traceIterations_.value();
-                    uint64_t next = executeTrace(*trace);
-                    emitEvent(obs::EventKind::TraceExit, next,
-                              traceIterations_.value() - iters_before);
-                    if (next == haltBitAddr)
-                        halted_ = true;
-                    else
-                        pc_ = next;
-                    return hit_idx;
-                }
-                // Stale anchor (cleared by lookupTrace): fall back to
-                // the ordinary tier-1 path.
-            }
-            if (backedge && tier_->wantsRecording(*lr.meta, pc_)) {
-                tier_->beginRecording(pc_);
-                emitEvent(obs::EventKind::TraceRecord, pc_);
-            }
-            code = lr.code;
-        } else {
-            // Figure 4 miss flow, with the insert routed through the
-            // tier engine so an eviction invalidates any trace the
-            // victim anchored.
-            emitEvent(obs::EventKind::DtbMiss, pc_);
-            uint64_t miss_start = breakdown_.total();
-            breakdown_.dispatch += config_.trapCycles;
-            ++traps_;
-            emitEvent(obs::EventKind::Trap, pc_, config_.trapCycles);
-            ++decodedInstrs_;
-            ++translatedInstrs_;
-
-            const Translation &tr = translator_.translate(pc_);
-            chargeFetchLevel2(tr.bits);
-            uint64_t decode_cycles =
-                config_.costs.decodeCycles(tr.decodeCost);
-            breakdown_.decode += decode_cycles;
-            emitEvent(obs::EventKind::Decode, pc_, decode_cycles);
-            breakdown_.translate +=
-                tr.genSteps * (1 + config_.timing.tauD);
-            translateShortEmitted_ += tr.code.size();
-            emitEvent(obs::EventKind::Translate, pc_, tr.code.size());
-
-            tier::TierEngine::InstallResult ins =
-                tier_->installTranslation(
-                    pc_, tr.code, cycleBase_ + breakdown_.total());
-            translateLatency_.record(breakdown_.total() - miss_start);
-            if (ins.dtb.evicted) {
-                dtbResidency_.record(ins.dtb.victimResidency);
-                dtbEvictOccupancy_.record(ins.dtb.setOccupancy);
-                emitEvent(obs::EventKind::DtbEvict, ins.dtb.victimTag,
-                          ins.dtb.unitsNeeded);
-            }
-            if (ins.invalidatedTrace)
-                emitEvent(obs::EventKind::TraceInvalidate,
-                          ins.dtb.victimTag);
-            if (!ins.dtb.retained)
-                emitEvent(obs::EventKind::DtbReject, pc_,
-                          ins.dtb.unitsNeeded);
-            code = &tr.code;
-        }
-
-        ++dirInstrs_;
-        if (config_.captureAddressTrace)
-            addressTrace_.push_back(pc_);
-        prevPc_ = pc_;
-        uint64_t next =
-            executeShortSequence(*code, config_.timing.tauD);
-        if (next == haltBitAddr)
-            halted_ = true;
-        else
-            pc_ = next;
     }
+
+    // INTERP presents the DIR address to the associative address
+    // array (one DTB-array access), as in the Dtb organization.
+    breakdown_.dispatch += config_.timing.tauD;
+    Dtb::LookupResult lr = dtb_->lookup(pc_);
+    const std::vector<ShortInstr> *code = nullptr;
+
+    if (lr.hit) {
+        hit_idx = lr.entryIdx;
+        emitEvent(obs::EventKind::DtbHit, pc_);
+        // Hotness profile: a backward transfer into a resident
+        // entry is a backedge (loops close with one).
+        bool backedge = pc_ <= prevPc_;
+        if (backedge)
+            ++lr.meta->backedgeCount;
+
+        if (lr.meta->anchorsTrace && !tier_->recording()) {
+            // Trace dispatch: one trace-cache access plus the
+            // dispatch overhead — paid once per entry, not once
+            // per instruction.
+            breakdown_.dispatch += config_.timing.tauD +
+                config_.tier.dispatchCycles;
+            if (const tier::Trace *trace = tier_->lookupTrace(pc_)) {
+                ++traceEnters_;
+                emitEvent(obs::EventKind::TraceEnter, pc_,
+                          trace->dirCount);
+                uint64_t iters_before = traceIterations_.value();
+                uint64_t next = runTrace(pc_, *trace);
+                emitEvent(obs::EventKind::TraceExit, next,
+                          traceIterations_.value() - iters_before);
+                if (next == haltBitAddr)
+                    halted_ = true;
+                else
+                    pc_ = next;
+                return hit_idx;
+            }
+            // Stale anchor (cleared by lookupTrace): fall back to
+            // the ordinary tier-1 path.
+        }
+        if (backedge && tier_->wantsRecording(*lr.meta, pc_)) {
+            tier_->beginRecording(pc_);
+            emitEvent(obs::EventKind::TraceRecord, pc_);
+        }
+        code = lr.code;
+    } else {
+        // Figure 4 miss flow, with the insert routed through the
+        // tier engine so an eviction invalidates any trace the
+        // victim anchored.
+        emitEvent(obs::EventKind::DtbMiss, pc_);
+        uint64_t miss_start = breakdown_.total();
+        breakdown_.dispatch += config_.trapCycles;
+        ++traps_;
+        emitEvent(obs::EventKind::Trap, pc_, config_.trapCycles);
+        ++decodedInstrs_;
+        ++translatedInstrs_;
+
+        const Translation &tr = translator_.translate(pc_);
+        chargeFetchLevel2(tr.bits);
+        uint64_t decode_cycles =
+            config_.costs.decodeCycles(tr.decodeCost);
+        breakdown_.decode += decode_cycles;
+        emitEvent(obs::EventKind::Decode, pc_, decode_cycles);
+        breakdown_.translate +=
+            tr.genSteps * (1 + config_.timing.tauD);
+        translateShortEmitted_ += tr.code.size();
+        emitEvent(obs::EventKind::Translate, pc_, tr.code.size());
+
+        tier::TierEngine::InstallResult ins =
+            tier_->installTranslation(
+                pc_, tr.code, cycleBase_ + breakdown_.total());
+        translateLatency_.record(breakdown_.total() - miss_start);
+        if (ins.dtb.evicted) {
+            dtbResidency_.record(ins.dtb.victimResidency);
+            dtbEvictOccupancy_.record(ins.dtb.setOccupancy);
+            emitEvent(obs::EventKind::DtbEvict, ins.dtb.victimTag,
+                      ins.dtb.unitsNeeded);
+        }
+        if (ins.invalidatedTrace)
+            emitEvent(obs::EventKind::TraceInvalidate,
+                      ins.dtb.victimTag);
+        if (!ins.dtb.retained)
+            emitEvent(obs::EventKind::DtbReject, pc_,
+                      ins.dtb.unitsNeeded);
+        code = &tr.code;
+    }
+
+    ++dirInstrs_;
+    if (config_.captureAddressTrace)
+        addressTrace_.push_back(pc_);
+    prevPc_ = pc_;
+    uint64_t next =
+        executeShortSequence(*code, config_.timing.tauD);
+    if (next == haltBitAddr)
+        halted_ = true;
+    else
+        pc_ = next;
     return hit_idx;
 }
 
-// ---- fast-run dispatch (DispatchMode::Threaded) ----------------------------
+// ---- the run loops --------------------------------------------------------
 //
-// The loops below are host-side optimizations only: every charge they
-// batch into a Pending is the exact per-step sum the switch loops above
-// would have applied, and anything they cannot run from a lowered image
-// — misses, cold sites, active trace recording, unfastable shapes —
-// falls back to exactly one switch-path step (dtbStep/tieredStep), so
-// cold-path accounting has a single implementation.
-// Byte-identity across modes is enforced by tests/dispatch_test.cc.
+// One fast loop per organization family. Every charge a loop batches
+// into a Pending is the exact sum its step function would have applied
+// instruction by instruction, and anything it cannot run from a lowered
+// image — misses, cold sites, active trace recording, unfastable
+// shapes — falls back to exactly one step (convStep/dtbStep/
+// tieredStep), so cold-path accounting has a single implementation.
+// Runs with events on step every instruction: events are stamped
+// mid-instruction, which batched attribution does not reproduce.
+// tests/dispatch_test.cc holds stepped and fast runs byte-identical.
 
 void
 Machine::drainPending(Pending &p)
@@ -837,11 +671,16 @@ Machine::promoteFastSeq(uint64_t pc, uint32_t idx, const FastSeq &fs)
 // first-level hit runs the L1 slot's lowering (fetched at tau1); a
 // first-level miss that hits the main DTB promotes inside the loop and
 // runs the main slot's lowering (fetched at tauD). Only a main-DTB miss
-// or an unfastable shape takes the switch-path step.
+// or an unfastable shape takes dtbStep.
 template <bool TwoLevel>
 void
 Machine::runDtbFast()
 {
+    if (eventsOn()) {
+        while (!halted_ && breakdown_.total() < sliceLimit_)
+            dtbStep(TwoLevel);
+        return;
+    }
     const uint32_t *vm_code = flat_.code.data();
     const int64_t *vm_imm = flat_.imm.data();
     const uint64_t tau1 = config_.timing.tau1;
@@ -858,7 +697,7 @@ Machine::runDtbFast()
     auto &r = regs_;
 
     // Pending step-level charges plus register-resident micro-op
-    // charges (n, sem_mem, l1, l2). "Now" on the switch path is
+    // charges (n, sem_mem, l1, l2). "Now" in a step is
     // breakdown_.total(); here it is drained + cyc + n*tau1 + sem_mem,
     // where cyc mirrors p.cycles() so the loop head never has to sum
     // the Pending buckets.
@@ -1000,7 +839,7 @@ Machine::runDtbFast()
         }
         if (!fs) {
             // True DTB miss (translation) or an unfastable shape: one
-            // full switch-path step (the lookups count their hits and
+            // full dtbStep (the lookups count their hits and
             // misses exactly as always), then re-prime the inline cache
             // from its outcome so the chain re-forms.
             VM_BAIL();
@@ -1063,7 +902,7 @@ Machine::runDtbFast()
     seq_done:
         if (fs->stackNext) {
             if (sp == 0) {
-                // The switch path fatals before charging the pop.
+                // The step fatals before charging the pop.
                 d_disp -= tau1;
                 cyc -= tau1;
                 --l1;
@@ -1091,8 +930,19 @@ Machine::runDtbFast()
 }
 
 uint64_t
-Machine::executeTraceFast(const FastTrace &ft, Pending &p)
+Machine::runTrace(uint64_t head, const tier::Trace &trace)
 {
+    uint32_t tidx = 0;
+    uint32_t tgen = 0;
+    bool resident = tier_->cache().refOf(head, tidx, tgen);
+    uhm_assert(resident, "trace dispatched without a cache entry");
+    FastTrace &ft = fastTraces_[tidx];
+    if (ft.gen != tgen) {
+        lowerFastTrace(trace, flat_, config_.timing.tauD,
+                       config_.timing.tau1, ft);
+        ft.gen = tgen;
+    }
+
     const uint32_t *vm_code = flat_.code.data();
     const int64_t *vm_imm = flat_.imm.data();
     const uint64_t tau1 = config_.timing.tau1;
@@ -1118,7 +968,8 @@ Machine::executeTraceFast(const FastTrace &ft, Pending &p)
     uint64_t next = 0;
     size_t vm_i = 0, vm_ii = 0;
     uint32_t vm_w = 0;
-    uint64_t dir_base = dirInstrs_.value() + p.dirInstrs;
+    Pending p;
+    uint64_t dir_base = dirInstrs_.value();
     uint64_t budget_left = max_dir > dir_base ? max_dir - dir_base : 0;
 
 #define VM_FLUSH()                                                     \
@@ -1205,7 +1056,7 @@ Machine::executeTraceFast(const FastTrace &ft, Pending &p)
                 if (next != stp->expect) {
                     ++p.traceExits;
                     prevPc_ = stp->lastAddr;
-                    VM_FLUSH();
+                    VM_BAIL();
                     return next;
                 }
             }
@@ -1213,7 +1064,7 @@ Machine::executeTraceFast(const FastTrace &ft, Pending &p)
         if (!ft.loops) {
             ++p.traceExits;
             prevPc_ = ft.lastAddr;
-            VM_FLUSH();
+            VM_BAIL();
             return ft.exitAddr;
         }
         d_disp += loop_cycles;
@@ -1229,6 +1080,11 @@ Machine::executeTraceFast(const FastTrace &ft, Pending &p)
 void
 Machine::runTieredFast()
 {
+    if (eventsOn()) {
+        while (!halted_ && breakdown_.total() < sliceLimit_)
+            tieredStep();
+        return;
+    }
     const uint32_t *vm_code = flat_.code.data();
     const int64_t *vm_imm = flat_.imm.data();
     const uint64_t tau1 = config_.timing.tau1;
@@ -1306,7 +1162,7 @@ Machine::runTieredFast()
         }
 
         // While the recorder is active every step must pass through it:
-        // keep to the switch path (recording windows are short).
+        // keep to tieredStep (recording windows are short).
         idx = UINT32_MAX;
         if (!tier_->recording()) {
             if (site && site->icTag == pc &&
@@ -1370,26 +1226,9 @@ Machine::runTieredFast()
                 cyc += add;
                 if (const tier::Trace *trace = tier_->lookupTrace(pc)) {
                     ++traceEnters_;
-                    FastTrace *ft = nullptr;
-                    uint32_t tidx = 0;
-                    uint32_t tgen = 0;
-                    if (tier_->cache().refOf(pc, tidx, tgen)) {
-                        ft = &fastTraces_[tidx];
-                        if (ft->gen != tgen) {
-                            lowerFastTrace(*trace, flat_, tau_d, tau1,
-                                           *ft);
-                            ft->gen = tgen;
-                        }
-                        if (!ft->fastable)
-                            ft = nullptr;
-                    }
                     // Trace boundaries are drain points.
                     VM_BAIL();
-                    if (ft)
-                        next = executeTraceFast(*ft, p);
-                    else
-                        next = executeTrace(*trace);
-                    drainPending(p);
+                    next = runTrace(pc, *trace);
                     drained = breakdown_.total();
                     cyc = 0;
                     budget_left =
@@ -1476,6 +1315,11 @@ template <bool Cached>
 void
 Machine::runConventionalFast()
 {
+    if (eventsOn()) {
+        while (!halted_ && breakdown_.total() < sliceLimit_)
+            convStep();
+        return;
+    }
     const uint32_t *vm_code = flat_.code.data();
     const int64_t *vm_imm = flat_.imm.data();
     const uint64_t tau1 = config_.timing.tau1;
@@ -1560,12 +1404,7 @@ Machine::runConventionalFast()
             if (!fc->valid) {
                 // Lower lazily on first visit. The image is immutable,
                 // so a lowered instruction never invalidates.
-                if (!stagingValid_[res.index]) {
-                    stagingMemo_[res.index] =
-                        stageInstruction(res.instr, *image_, res.index);
-                    stagingValid_[res.index] = 1;
-                }
-                const Staging &st = stagingMemo_[res.index];
+                const Staging &st = stagingAt(res);
                 fc->opIdx = static_cast<uint16_t>(res.instr.op);
                 uint64_t bits = res.nextBitAddr - pc;
                 if constexpr (Cached) {
@@ -1761,23 +1600,21 @@ Machine::beginRun(std::vector<int64_t> input)
     if (tier_)
         tier_->reset();
 
-    // Fast-run dispatch state. Sized once per run and never reallocated
+    // Lowered run images. Sized once per run and never reallocated
     // while it runs, so FastSeq pointers (the inline-cache sites) stay
     // stable across the whole slice sequence.
-    if (useFastLoops()) {
-        if (dtb_)
-            fastSlots_.assign(dtb_->numEntries(), FastSeq{});
-        if (dtbL1_)
-            fastL1Slots_.assign(dtbL1_->numEntries(), FastSeq{});
-        if (tier_)
-            fastTraces_.assign(tier_->cache().numEntries(), FastTrace{});
-        if (config_.kind == MachineKind::Conventional ||
-            config_.kind == MachineKind::Cached)
-            convFast_.assign(image_->numInstrs(), FastConv{});
-        // The fast loops address the operand stack through a raw
-        // pointer; materialize its backing storage up front.
-        mem_.ensure(config_.layout.stackBase + config_.layout.stackWords);
-    }
+    if (dtb_)
+        fastSlots_.assign(dtb_->numEntries(), FastSeq{});
+    if (dtbL1_)
+        fastL1Slots_.assign(dtbL1_->numEntries(), FastSeq{});
+    if (tier_)
+        fastTraces_.assign(tier_->cache().numEntries(), FastTrace{});
+    if (config_.kind == MachineKind::Conventional ||
+        config_.kind == MachineKind::Cached)
+        convFast_.assign(image_->numInstrs(), FastConv{});
+    // The micro-op core addresses the operand stack through a raw
+    // pointer; materialize its backing storage up front.
+    mem_.ensure(layout.stackBase + layout.stackWords);
 
     // Loader: display D[0] points at the globals; FSP starts just above
     // them. Loader pokes are not charged.
@@ -1801,21 +1638,12 @@ Machine::runSlice(uint64_t max_cycles)
     sliceLimit_ = max_cycles > UINT64_MAX - start ? UINT64_MAX :
         start + max_cycles;
 
-    if (useFastLoops()) {
-        switch (config_.kind) {
-          case MachineKind::Conventional: runConventionalFast<false>(); break;
-          case MachineKind::Cached:       runConventionalFast<true>(); break;
-          case MachineKind::Dtb:          runDtbFast<false>(); break;
-          case MachineKind::Dtb2:         runDtbFast<true>(); break;
-          case MachineKind::Tiered:       runTieredFast(); break;
-        }
-    } else if (config_.kind == MachineKind::Tiered) {
-        runTiered();
-    } else if (config_.kind == MachineKind::Dtb ||
-               config_.kind == MachineKind::Dtb2) {
-        runDtb();
-    } else {
-        runConventionalOrCached();
+    switch (config_.kind) {
+      case MachineKind::Conventional: runConventionalFast<false>(); break;
+      case MachineKind::Cached:       runConventionalFast<true>(); break;
+      case MachineKind::Dtb:          runDtbFast<false>(); break;
+      case MachineKind::Dtb2:         runDtbFast<true>(); break;
+      case MachineKind::Tiered:       runTieredFast(); break;
     }
     return breakdown_.total() - start;
 }

@@ -86,43 +86,10 @@ enum class MachineKind : uint8_t
 /** Printable name of a machine kind. */
 const char *machineKindName(MachineKind kind);
 
-/**
- * How the run loops execute. Both modes simulate the identical machine:
- * every counter, histogram, event and output byte matches between them
- * (tests/dispatch_test.cc holds the line). Threaded is a host-side
- * optimization only, and the default; Switch is the reference engine
- * the identity tests compare against.
- */
-enum class DispatchMode : uint8_t
-{
-    /** The reference interpreter: switch dispatch over decoded
-     *  structures, every charge applied as it accrues. */
-    Switch,
-    /**
-     * Fast-run mode: decoded Programs/DIR/PSDER structures are lowered
-     * into flat run images (uhm/run_image.hh), micro-ops dispatch via
-     * computed goto (portable switch fallback without __GNUC__),
-     * per-INTERP-site inline caches skip DTB/trace-cache probes, and
-     * cycle attribution is batched in registers and drained at trace,
-     * slice and sampler boundaries. Every organization has a fast loop;
-     * runs with event tracing on, and layouts whose operand stack
-     * spills into level 2, silently keep the switch loops.
-     */
-    Threaded,
-};
-
-/** Printable name of a dispatch mode. */
-const char *dispatchModeName(DispatchMode mode);
-
-/** Parse "switch"/"threaded" into @p out; false on anything else. */
-bool parseDispatchMode(const std::string &name, DispatchMode &out);
-
 /** Full configuration of one machine instance. */
 struct MachineConfig
 {
     MachineKind kind = MachineKind::Dtb;
-    /** Execution engine for the run loops (see DispatchMode). */
-    DispatchMode dispatch = DispatchMode::Threaded;
     MachineLayout layout;
     MemTiming timing;
     CostModel costs;
@@ -154,7 +121,10 @@ struct MachineConfig
      * Record typed obs::Events — fetch, decode, dtb_hit, dtb_miss,
      * dtb_evict, dtb_reject, trap, translate, promote — stamped with
      * the machine's cycle counter, into a bounded ring
-     * (RunResult::events). Zero-overhead when off.
+     * (RunResult::events). Zero-overhead when off. When on (or when
+     * traceEvents is), every instruction takes its organization's
+     * step instead of the fast loop: slower on the host, identical
+     * in every simulated result.
      */
     bool profileEvents = false;
     /** Ring capacity (events) for the typed trace. */
@@ -371,9 +341,6 @@ class Machine
     /** The instruction cache (Cached kind only; null otherwise). */
     const SetAssocCache *icache() const { return icache_.get(); }
 
-    /** The semantic-routine library. */
-    const RoutineLibrary &routines() const { return routines_; }
-
     /**
      * The machine's counter registry. Every component registered its
      * counters here at construction; reading it is a live view.
@@ -388,7 +355,12 @@ class Machine
     int64_t popStack(uint64_t &bucket);
 
     // ---- IU1: long-format micro-routine execution ------------------------
-    void runRoutine(const MicroRoutine &routine);
+    /**
+     * Run the semantic routine whose flat code starts at @p entry
+     * (FlatRoutines::entry) to DONE, charging as it retires. The one
+     * out-of-line instance of uhm/vm_ops.inc; the steps call it.
+     */
+    void callRoutine(size_t entry);
 
     // ---- fetch paths ------------------------------------------------------
     /** Charge a conventional level-2 fetch of @p bits DIR bits. */
@@ -396,31 +368,40 @@ class Machine
     /** Charge a fetch of @p bits at @p bit_addr through the icache. */
     void chargeFetchCached(uint64_t bit_addr, uint64_t bits);
 
-    // ---- execution loops ---------------------------------------------------
-    void runConventionalOrCached();
-    void runDtb();
-    void runTiered();
+    // ---- per-instruction steps --------------------------------------------
+    //
+    // One step per organization family executes one DIR instruction with
+    // every charge applied as it accrues and every event emitted. A fast
+    // loop calls its step for each instruction it cannot run from a
+    // lowered image, and for every instruction while events are on, so
+    // cold paths have exactly one accounting implementation.
+
+    /** One Conventional/Cached instruction: fetch, decode, staging. */
+    void convStep();
 
     /**
-     * One switch-path iteration of the Dtb/Dtb2 loop (sampler gate,
-     * budget check, lookup or miss flow, sequence execution). The fast
-     * loop calls it for every instruction it cannot run from a lowered
-     * image, so cold paths have exactly one accounting implementation.
+     * One Dtb/Dtb2 instruction (sampler gate, budget check, lookup or
+     * miss flow, sequence execution).
      * @return the main-DTB entry index that hit, or UINT32_MAX (miss,
      *         or an L1-buffer hit in two-level mode).
      */
     uint32_t dtbStep(bool two_level);
 
-    /** One switch-path iteration of the Tiered loop; same contract. */
+    /** One Tiered instruction or trace dispatch; same contract. */
     uint32_t tieredStep();
 
-    // ---- fast-run dispatch (DispatchMode::Threaded) ------------------------
-    /** The fast loops are in force for this config. */
+    /** The memoized staging of a decoded conventional-path instruction. */
+    const Staging &stagingAt(const DecodeResult &res);
+
+    /** Typed or string events are on: the run loops step every
+     *  instruction, since events are stamped mid-instruction. */
     bool
-    useFastLoops() const
+    eventsOn() const
     {
-        return config_.dispatch == DispatchMode::Threaded && fastOk_;
+        return config_.profileEvents || config_.traceEvents;
     }
+
+    // ---- the run loops ----------------------------------------------------
 
     /** Apply a Pending's batched deltas to the real counters, the
      *  breakdown and the memory accounting, and reset it. */
@@ -452,8 +433,17 @@ class Machine
     template <bool Cached>
     void runConventionalFast();
 
-    /** Fast-path mirror of executeTrace over a lowered image. */
-    uint64_t executeTraceFast(const FastTrace &ft, Pending &p);
+    /**
+     * Execute the tier-2 trace @p trace anchored at @p head (a
+     * lookupTrace hit) from its lowered image until a guard side-exits
+     * or a non-looping trace runs out of steps; returns the exit
+     * address. Counts every covered DIR instruction exactly as the
+     * tier-1 step would (dirInstrs, address trace), charges tauD per
+     * body short instruction and TierConfig::dispatchCycles per
+     * loop-back, and drains all of it before returning. The fast loop
+     * and tieredStep both dispatch traces through it.
+     */
+    uint64_t runTrace(uint64_t head, const tier::Trace &trace);
 
     /** Perform the staging actions and semantics of one instruction. */
     void executeStaged(const Staging &staging);
@@ -468,15 +458,6 @@ class Machine
      */
     uint64_t executeShortSequence(const std::vector<ShortInstr> &code,
                                   uint64_t fetch_cost);
-
-    /**
-     * Execute a compiled tier-2 trace until a guard side-exits or a
-     * non-looping trace runs out of steps; returns the exit address.
-     * Counts every covered DIR instruction exactly as the tier-1 loop
-     * would (dirInstrs, address trace), charges tauD per body short
-     * instruction and TierConfig::dispatchCycles per loop-back.
-     */
-    uint64_t executeTrace(const tier::Trace &trace);
 
     void traceEvent(const std::string &event);
 
@@ -515,7 +496,6 @@ class Machine
 
     const EncodedDir *image_;
     MachineConfig config_;
-    RoutineLibrary routines_;
     MainMemory mem_;
     /** The DTB this machine dispatches through: ownedDtb_ or a shared
      *  one injected at construction. */
@@ -538,13 +518,10 @@ class Machine
     std::vector<uint8_t> stagingValid_;
     std::vector<Staging> stagingMemo_;
 
-    // Fast-run dispatch state (DispatchMode::Threaded; see
-    // uhm/run_image.hh and docs/INTERNALS.md "Fast-run dispatch").
+    // Run images (see uhm/run_image.hh and docs/INTERNALS.md
+    // "Execution engine").
     /** All semantic routines flattened; immutable, built once. */
     FlatRoutines flat_;
-    /** Layout/config admits the fast loops at all (stack resident in
-     *  level 1, no event tracing). Computed at construction. */
-    bool fastOk_ = false;
     /** Lowered PSDER sequences + inline caches, by DTB entry index.
      *  Sized at beginRun; never reallocated during a run, so FastSeq
      *  pointers stay stable across iterations. */
@@ -556,10 +533,6 @@ class Machine
     std::vector<FastTrace> fastTraces_;
     /** Lowered conventional-path instructions, by image index. */
     std::vector<FastConv> convFast_;
-    /** Semantic routines by id, resolved once per run at beginRun so
-     *  the interpreter loops index a raw-pointer table per CALL instead
-     *  of going through the bounds-checked RoutineLibrary::byId. */
-    std::vector<const MicroRoutine *> routinePtrs_;
 
     // Machine state.
     std::array<int64_t, numMicroRegs> regs_{};

@@ -185,8 +185,8 @@ FlatRoutines::build(const RoutineLibrary &lib, size_t count)
             if (isBranch(op.op)) {
                 // Relative distance from the following instruction →
                 // absolute stream index. A target outside the routine
-                // is redirected to the sentinel, which reproduces the
-                // switch interpreter's "fell off" panic.
+                // is redirected to the sentinel, which panics: the
+                // routine fell off its end.
                 int64_t target =
                     static_cast<int64_t>(j) + 1 + op.imm;
                 if (target < 0 || target > static_cast<int64_t>(n))
@@ -259,22 +259,18 @@ lowerFastSeq(const std::vector<ShortInstr> &code,
     return true;
 }
 
-bool
+void
 lowerFastTrace(const tier::Trace &trace, const FlatRoutines &flat,
                uint64_t tau_d, uint64_t tau1, FastTrace &out)
 {
-    out.fastable = false;
+    uhm_assert(!trace.steps.empty(), "empty trace");
     out.steps.clear();
     out.loops = trace.loops;
     out.exitAddr = trace.exitAddr;
-    out.lastAddr = 0;
-    if (trace.steps.empty())
-        return false;
 
     out.steps.reserve(trace.steps.size());
     for (const tier::TraceStep &step : trace.steps) {
-        if (step.dirAddrs.empty())
-            return false;
+        uhm_assert(!step.dirAddrs.empty(), "trace step covers no DIR");
         FastTraceStep fs;
         fs.src = &step;
         fs.nDir = static_cast<uint32_t>(step.dirAddrs.size());
@@ -283,24 +279,24 @@ lowerFastTrace(const tier::Trace &trace, const FlatRoutines &flat,
         fs.expect = step.expect;
         fs.lastAddr = step.dirAddrs.back();
         for (const ShortInstr &si : step.body) {
-            if (si.op == SOp::PUSH && si.mode == SMode::Imm) {
+            if (si.op == SOp::PUSH) {
+                // Trace bodies are PUSH#/CALL only by construction
+                // (tier::TierEngine lowers stagings without INTERP).
+                uhm_assert(si.mode == SMode::Imm,
+                           "non-immediate PUSH in a trace body");
                 ++fs.nPushes;
                 fs.items.push_back({-1, si.operand});
-            } else if (si.op == SOp::CALL) {
-                int64_t id = si.operand;
-                if (id < 0 ||
-                    static_cast<size_t>(id) >= flat.entry.size())
-                    return false;
-                int32_t entry = flat.entry[static_cast<size_t>(id)];
-                // Empty routines still count as executed short
-                // instructions (nBody covers them) but emit no item.
-                if (entry >= 0)
-                    fs.items.push_back({entry, 0});
-            } else {
-                // Trace bodies are PUSH/CALL only by construction;
-                // anything else stays on the switch path.
-                return false;
+                continue;
             }
+            uhm_assert(si.op == SOp::CALL && si.operand >= 0 &&
+                       static_cast<size_t>(si.operand) <
+                           flat.entry.size(),
+                       "trace body is not PUSH#/CALL");
+            int32_t entry = flat.entry[static_cast<size_t>(si.operand)];
+            // Empty routines still count as executed short instructions
+            // (nBody covers them) but emit no item.
+            if (entry >= 0)
+                fs.items.push_back({entry, 0});
         }
         fs.dispatchAdd =
             tau_d * fs.nBody + (fs.guarded ? tau1 : 0);
@@ -309,8 +305,6 @@ lowerFastTrace(const tier::Trace &trace, const FlatRoutines &flat,
         out.steps.push_back(std::move(fs));
     }
     out.lastAddr = out.steps.back().lastAddr;
-    out.fastable = true;
-    return true;
 }
 
 } // namespace uhm

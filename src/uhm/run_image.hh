@@ -1,12 +1,11 @@
 /**
  * @file
- * Flattened run images for the fast ("threaded") dispatch mode.
+ * Flattened run images for the execution engine in uhm/machine.cc.
  *
- * The switch interpreter in uhm/machine.cc walks pointer-rich decoded
- * structures: vectors of MicroOp per routine, vectors of ShortInstr per
- * DTB entry, vectors of TraceStep per trace. The fast-run mode lowers
- * each of them once into arena-style, struct-of-arrays images so the
- * inner loop is pointer-chase-free:
+ * The decoded structures are pointer-rich: vectors of MicroOp per
+ * routine, vectors of ShortInstr per DTB entry, vectors of TraceStep
+ * per trace. The engine lowers each of them once into arena-style,
+ * struct-of-arrays images so the inner loop is pointer-chase-free:
  *
  *  - FlatRoutines: every semantic routine's micro-ops concatenated into
  *    two parallel streams (a packed op/register word and an immediate),
@@ -21,8 +20,8 @@
  *    TraceStep with per-step static charges.
  *
  * Lowered images carry no simulated semantics of their own: every
- * charge they batch is the exact sum the switch interpreter would have
- * accumulated step by step, and tests assert byte-identical counters.
+ * charge they batch is the exact sum the per-instruction step functions
+ * would have accumulated, and tests assert byte-identical counters.
  * Validity is keyed on EntryMeta::gen — any insert/evict/flush of the
  * backing cache entry bumps the generation and orphans the lowered
  * image, so invalidation rides the existing replacement paths.
@@ -63,7 +62,7 @@ struct FlatRoutines
 
     /**
      * Fused superops installed by the build() peephole. They exist only
-     * in the flat streams — the switch path never sees them. Each is
+     * in the flat streams, not in the RoutineLibrary. Each is
      * the textual concatenation of its constituents' bodies with
      * identical per-constituent accounting (micro-op counts, charges
      * and fatal-check order), minus the inter-op dispatches. Only the
@@ -167,8 +166,8 @@ struct FastSeq
 
 /**
  * Lower @p code into @p out. @return out.fastable: false when the
- * sequence is not of the canonical shape (the caller then keeps the
- * switch path for it — accounting stays identical either way).
+ * sequence is not of the canonical shape (the caller then takes its
+ * step for it — accounting stays identical either way).
  * @p tau_d / @p tau1 are the IU2 fetch and level-1 access times the
  * static charges are computed with.
  */
@@ -208,7 +207,6 @@ struct FastTrace
 {
     /** EntryMeta::gen of the trace-cache entry this lowering matches. */
     uint32_t gen = 0;
-    bool fastable = false;
     bool loops = false;
     uint64_t exitAddr = 0;
     /** prevPc_ when a non-looping trace runs off its last step. */
@@ -217,11 +215,12 @@ struct FastTrace
 };
 
 /**
- * Lower @p trace into @p out; same contract as lowerFastSeq. The
- * lowered image holds pointers into @p trace and is valid exactly as
- * long as the trace-cache entry's generation is unchanged.
+ * Lower @p trace into @p out. Every trace lowers: bodies are PUSH#/CALL
+ * only by construction. The lowered image holds pointers into @p trace
+ * and is valid exactly as long as the trace-cache entry's generation is
+ * unchanged.
  */
-bool lowerFastTrace(const tier::Trace &trace, const FlatRoutines &flat,
+void lowerFastTrace(const tier::Trace &trace, const FlatRoutines &flat,
                     uint64_t tau_d, uint64_t tau1, FastTrace &out);
 
 /**

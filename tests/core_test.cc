@@ -80,6 +80,17 @@ TEST(Dtb, GeometryFollowsConfig)
     EXPECT_EQ(dtb.overflowFree(), 128u);
 }
 
+TEST(Dtb, BadGeometryIsFatal)
+{
+    // Geometry is user configuration: a user error, not a panic.
+    DtbConfig cfg = smallDtb();
+    cfg.capacityBytes = 1; // smaller than one unit
+    EXPECT_THROW(Dtb{cfg}, FatalError);
+    cfg = smallDtb();
+    cfg.assoc = 100000; // more ways than entries
+    EXPECT_THROW(Dtb{cfg}, FatalError);
+}
+
 TEST(Dtb, FullyAssociativeSingleSet)
 {
     DtbConfig cfg = smallDtb();

@@ -1,12 +1,15 @@
 /**
  * @file
- * Fast-run dispatch (--dispatch=threaded): the threaded engine is a
- * host-side implementation detail, so every simulated observable must
- * be byte-identical to the reference switch interpreter — across
- * machine kinds, encoders, the interval sampler, batch sweeps, and the
+ * The execution engine's identity contract: a run with events on takes
+ * its organization's per-instruction step for every DIR instruction
+ * (the single cold-path accounting), a run with events off takes the
+ * fast loops over lowered run images. Batching is a host-side
+ * implementation detail, so every simulated observable except the
+ * events themselves must be byte-identical between the two — across
+ * machine kinds, encoders, the interval sampler, batch sweeps and the
  * multi-tenant scheduler — and the per-site inline caches must be
  * invalidated by the existing DTB, first-level buffer and icache
- * eviction and flush paths. Threaded is the default engine.
+ * eviction and flush paths.
  */
 
 #include <gtest/gtest.h>
@@ -19,7 +22,6 @@
 #include "bench_common.hh"
 #include "hlr/compiler.hh"
 #include "sched/scheduler.hh"
-#include "serve/proto.hh"
 #include "uhm/machine.hh"
 #include "workload/samples.hh"
 #include "workload/synthetic.hh"
@@ -36,44 +38,51 @@ const std::vector<MachineKind> kAllKinds = {
 
 /** Every simulated observable of two runs must agree exactly. */
 void
-expectIdentical(const RunResult &sw, const RunResult &th,
+expectIdentical(const RunResult &a, const RunResult &b,
                 const std::string &what)
 {
     SCOPED_TRACE(what);
-    EXPECT_EQ(sw.output, th.output);
-    EXPECT_EQ(sw.cycles, th.cycles);
-    EXPECT_EQ(sw.dirInstrs, th.dirInstrs);
-    EXPECT_EQ(sw.breakdown.fetch, th.breakdown.fetch);
-    EXPECT_EQ(sw.breakdown.decode, th.breakdown.decode);
-    EXPECT_EQ(sw.breakdown.stage, th.breakdown.stage);
-    EXPECT_EQ(sw.breakdown.dispatch, th.breakdown.dispatch);
-    EXPECT_EQ(sw.breakdown.semantic, th.breakdown.semantic);
-    EXPECT_EQ(sw.breakdown.translate, th.breakdown.translate);
-    EXPECT_EQ(sw.breakdown.translate2, th.breakdown.translate2);
-    EXPECT_EQ(sw.stats.toString(), th.stats.toString());
-    EXPECT_EQ(sw.counters, th.counters);
-    EXPECT_EQ(sw.histograms, th.histograms);
-    EXPECT_EQ(sw.samples, th.samples);
-    EXPECT_EQ(sw.opcodeCounts, th.opcodeCounts);
-    EXPECT_EQ(sw.dtbHitRatio, th.dtbHitRatio);
-    EXPECT_EQ(sw.dtbL1HitRatio, th.dtbL1HitRatio);
-    EXPECT_EQ(sw.cacheHitRatio, th.cacheHitRatio);
-    EXPECT_EQ(sw.traceHitRatio, th.traceHitRatio);
-    EXPECT_EQ(sw.traceCoverage, th.traceCoverage);
-    EXPECT_EQ(sw.traceMeanIterLen, th.traceMeanIterLen);
+    EXPECT_EQ(a.output, b.output);
+    EXPECT_EQ(a.cycles, b.cycles);
+    EXPECT_EQ(a.dirInstrs, b.dirInstrs);
+    EXPECT_EQ(a.breakdown.fetch, b.breakdown.fetch);
+    EXPECT_EQ(a.breakdown.decode, b.breakdown.decode);
+    EXPECT_EQ(a.breakdown.stage, b.breakdown.stage);
+    EXPECT_EQ(a.breakdown.dispatch, b.breakdown.dispatch);
+    EXPECT_EQ(a.breakdown.semantic, b.breakdown.semantic);
+    EXPECT_EQ(a.breakdown.translate, b.breakdown.translate);
+    EXPECT_EQ(a.breakdown.translate2, b.breakdown.translate2);
+    EXPECT_EQ(a.stats.toString(), b.stats.toString());
+    EXPECT_EQ(a.counters, b.counters);
+    EXPECT_EQ(a.histograms, b.histograms);
+    EXPECT_EQ(a.samples, b.samples);
+    EXPECT_EQ(a.opcodeCounts, b.opcodeCounts);
+    EXPECT_EQ(a.dtbHitRatio, b.dtbHitRatio);
+    EXPECT_EQ(a.dtbL1HitRatio, b.dtbL1HitRatio);
+    EXPECT_EQ(a.cacheHitRatio, b.cacheHitRatio);
+    EXPECT_EQ(a.traceHitRatio, b.traceHitRatio);
+    EXPECT_EQ(a.traceCoverage, b.traceCoverage);
+    EXPECT_EQ(a.traceMeanIterLen, b.traceMeanIterLen);
 }
 
-/** Run @p prog under both dispatch modes and demand identity. */
+/** @p cfg with typed events on: every instruction takes the step. */
+MachineConfig
+stepped(MachineConfig cfg)
+{
+    cfg.profileEvents = true;
+    return cfg;
+}
+
+/** Run @p prog stepped and on the fast loops; demand identity. */
 void
 compareModes(const DirProgram &prog, EncodingScheme scheme,
-             MachineConfig cfg, const std::vector<int64_t> &input,
+             const MachineConfig &cfg, const std::vector<int64_t> &input,
              const std::string &what)
 {
-    cfg.dispatch = DispatchMode::Switch;
-    RunResult sw = runProgram(prog, scheme, cfg, input);
-    cfg.dispatch = DispatchMode::Threaded;
-    RunResult th = runProgram(prog, scheme, cfg, input);
-    expectIdentical(sw, th, what);
+    RunResult st = runProgram(prog, scheme, stepped(cfg), input);
+    RunResult fast = runProgram(prog, scheme, cfg, input);
+    EXPECT_GT(st.eventsSeen, 0u) << what;
+    expectIdentical(st, fast, what);
 }
 
 TEST(DispatchIdentity, SamplesAcrossKindsAndEncoders)
@@ -131,7 +140,7 @@ TEST(DispatchIdentity, IntervalSamplerSeries)
 
 TEST(DispatchIdentity, SweepJsonlByteIdentical)
 {
-    auto makePoints = [](DispatchMode mode) {
+    auto makePoints = [](bool events) {
         std::vector<bench::SweepPoint> points;
         for (MachineKind kind : kAllKinds) {
             bench::SweepPoint pt;
@@ -142,18 +151,15 @@ TEST(DispatchIdentity, SweepJsonlByteIdentical)
                 "write s; end.");
             pt.scheme = EncodingScheme::Huffman;
             pt.config.kind = kind;
-            pt.config.dispatch = mode;
+            pt.config.profileEvents = events;
             points.push_back(std::move(pt));
         }
         return points;
     };
     bench::SweepRunner runner(2);
-    std::string sw =
-        bench::runSweep(runner, makePoints(DispatchMode::Switch)).jsonl;
-    std::string th =
-        bench::runSweep(runner,
-                        makePoints(DispatchMode::Threaded)).jsonl;
-    EXPECT_EQ(sw, th);
+    std::string st = bench::runSweep(runner, makePoints(true)).jsonl;
+    std::string fast = bench::runSweep(runner, makePoints(false)).jsonl;
+    EXPECT_EQ(st, fast);
 }
 
 /** Deterministic serialization of a scheduler run, for byte-compares. */
@@ -205,17 +211,16 @@ TEST(DispatchIdentity, MultiTenantSchedulerByteIdentical)
                             1 + static_cast<uint32_t>(i % 3);
                         specs.push_back(std::move(spec));
                     }
-                    sc.machine.dispatch = DispatchMode::Switch;
-                    std::string sw =
+                    std::string fast =
                         serializeSched(runScheduled(sc, specs));
-                    sc.machine.dispatch = DispatchMode::Threaded;
-                    std::string th =
+                    sc.machine = stepped(sc.machine);
+                    std::string st =
                         serializeSched(runScheduled(sc, specs));
                     SCOPED_TRACE(std::string(machineKindName(kind)) +
                                  "/" + policyName(policy) + "/" +
                                  switchModeName(mode) + "/" +
                                  std::to_string(tenants));
-                    EXPECT_EQ(sw, th);
+                    EXPECT_EQ(st, fast);
                 }
             }
         }
@@ -226,7 +231,7 @@ TEST(InlineCache, EvictionChurnStaysIdentical)
 {
     // A DTB small enough that the working set churns through every
     // set: each eviction must invalidate any inline cache pointing at
-    // the victim slot, or the threaded engine dispatches stale code.
+    // the victim slot, or the fast loop dispatches stale code.
     workload::SyntheticConfig scfg;
     scfg.numLoops = 6;
     scfg.bodyInstrs = 40;
@@ -289,16 +294,16 @@ TEST(InlineCache, FlushDtbBetweenSlicesStaysIdentical)
 {
     // flushDtb() between slices empties the DTB and the first-level
     // buffer under a run in progress: every inline cache naming a
-    // flushed slot must miss, and the run must match the switch
-    // engine under the same flush schedule.
+    // flushed slot must miss, and the run must match the stepped run
+    // under the same flush schedule.
     DirProgram prog = hlr::compileSource(
         "program t; var i, s; begin i := 300; s := 0; "
         "while i > 0 do s := s + 3; i := i - 1; od; write s; end.");
     auto img = encodeDir(prog, EncodingScheme::Huffman);
-    auto sliced = [&](MachineKind kind, DispatchMode mode) {
+    auto sliced = [&](MachineKind kind, bool events) {
         MachineConfig cfg;
         cfg.kind = kind;
-        cfg.dispatch = mode;
+        cfg.profileEvents = events;
         Machine m(*img, cfg);
         m.beginRun({});
         while (!m.finished()) {
@@ -309,19 +314,10 @@ TEST(InlineCache, FlushDtbBetweenSlicesStaysIdentical)
     };
     for (MachineKind kind :
          {MachineKind::Dtb, MachineKind::Dtb2, MachineKind::Tiered}) {
-        expectIdentical(sliced(kind, DispatchMode::Switch),
-                        sliced(kind, DispatchMode::Threaded),
+        expectIdentical(sliced(kind, true), sliced(kind, false),
                         std::string("flush-slices/") +
                             machineKindName(kind));
     }
-}
-
-TEST(DispatchDefaults, ThreadedIsTheDefaultEngine)
-{
-    EXPECT_EQ(MachineConfig{}.dispatch, DispatchMode::Threaded);
-    EXPECT_EQ(serve::MachineSettings{}.dispatch, DispatchMode::Threaded);
-    EXPECT_EQ(serve::MachineSettings{}.toConfig().dispatch,
-              DispatchMode::Threaded);
 }
 
 TEST(InlineCache, FlushDtbInvalidatesBetweenRuns)
@@ -336,7 +332,6 @@ TEST(InlineCache, FlushDtbInvalidatesBetweenRuns)
     auto img = encodeDir(prog, EncodingScheme::Huffman);
     MachineConfig cfg;
     cfg.kind = MachineKind::Dtb;
-    cfg.dispatch = DispatchMode::Threaded;
 
     Machine flushed(*img, cfg);
     RunResult first = flushed.run({});

@@ -219,15 +219,16 @@ TEST(Cache, LoopingTraceHitRatioImprovesWithCapacity)
     EXPECT_GT(big.hitRatio(), 0.85);
 }
 
-TEST(Cache, BadGeometryPanics)
+TEST(Cache, BadGeometryIsFatal)
 {
+    // Geometry is user configuration: a user error, not a panic.
     CacheConfig cfg;
     cfg.capacityBytes = 4;
     cfg.lineBytes = 8;
-    EXPECT_THROW(SetAssocCache{cfg}, PanicError);
+    EXPECT_THROW(SetAssocCache{cfg}, FatalError);
 
     cfg = smallCache(16); // more ways than lines
-    EXPECT_THROW(SetAssocCache{cfg}, PanicError);
+    EXPECT_THROW(SetAssocCache{cfg}, FatalError);
 }
 
 class CacheAssocSweep : public ::testing::TestWithParam<unsigned>

@@ -123,6 +123,24 @@ TEST(ServeProto, ParsesRequestsStrictly)
     EXPECT_FALSE(serve::parseRequest(
         R"({"verb":"run","program":"fib","trace_cap":32})", req, err));
     EXPECT_NE(err.find("tiered"), std::string::npos);
+
+    // There is one execution engine; no field selects one.
+    EXPECT_FALSE(serve::parseRequest(
+        R"({"verb":"run","program":"fib","dispatch":"threaded"})", req,
+        err));
+    EXPECT_NE(err.find("unknown field"), std::string::npos);
+
+    // Narrow fields must not wrap: assoc 2^32 is not "fully
+    // associative".
+    EXPECT_FALSE(serve::parseRequest(
+        R"({"verb":"run","program":"fib","assoc":4294967296})", req,
+        err));
+    EXPECT_NE(err.find("assoc"), std::string::npos);
+    EXPECT_FALSE(serve::parseRequest(
+        R"({"verb":"run","program":"fib","machine":"tiered",)"
+        R"("tier_threshold":4294967296})",
+        req, err));
+    EXPECT_NE(err.find("tier_threshold"), std::string::npos);
 }
 
 TEST(ServeProto, FingerprintSeparatesConfigs)
@@ -270,6 +288,34 @@ TEST(ServeDaemon, HostExceptionInARunDoesNotKillTheDaemon)
     serve::Response again = client.call(wild);
     EXPECT_EQ(again.error, "internal_error");
     EXPECT_TRUE(client.call(R"({"id":4,"verb":"ping"})").ok);
+
+    server.stop();
+}
+
+TEST(ServeDaemon, ImpossibleGeometryIsABadRequest)
+{
+    // Buffer geometry comes from the request, so a geometry the
+    // buffers cannot be built with is the client's error, not a
+    // simulator bug: bad_request, and the daemon keeps serving.
+    serve::ServerConfig cfg;
+    cfg.socketPath = testSocketPath();
+    cfg.workers = 2;
+    serve::Server server(cfg);
+    server.start();
+
+    serve::Client client(cfg.socketPath);
+    for (const char *line :
+         {R"({"verb":"run","program":"fib","assoc":100000})",
+          R"({"verb":"run","program":"fib","dtb_bytes":1})",
+          R"({"verb":"run","program":"fib","machine":"tiered",)"
+          R"("trace_bytes":1})",
+          R"({"verb":"run","program":"fib","assoc":4294967296})"}) {
+        SCOPED_TRACE(line);
+        serve::Response r = client.call(line);
+        EXPECT_FALSE(r.ok);
+        EXPECT_EQ(r.error, "bad_request") << r.message;
+        EXPECT_TRUE(client.call(R"({"verb":"ping"})").ok);
+    }
 
     server.stop();
 }

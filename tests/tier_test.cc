@@ -18,6 +18,7 @@
 #include "dir/isa.hh"
 #include "hlr/compiler.hh"
 #include "obs/trace.hh"
+#include "support/logging.hh"
 #include "tier/engine.hh"
 #include "tier/trace_cache.hh"
 #include "uhm/machine.hh"
@@ -84,6 +85,14 @@ TEST(TraceCache, InsertLookupRoundTrip)
     EXPECT_EQ(t->head, 100u);
     EXPECT_EQ(cache.unitsUsed(), 1u);
     EXPECT_DOUBLE_EQ(cache.hitRatio(), 0.5); // one miss, one hit
+}
+
+TEST(TraceCache, BadGeometryIsFatal)
+{
+    // Geometry is user configuration: a user error, not a panic.
+    TraceCacheConfig cfg = tinyCache(4);
+    cfg.capacityBytes = 1; // smaller than one unit
+    EXPECT_THROW(TraceCache{cfg}, FatalError);
 }
 
 TEST(TraceCache, SameHeadReinsertReplaces)

@@ -511,6 +511,22 @@ TEST(MachineErrors, TooDeepNestingIsFatal)
     EXPECT_THROW(Machine(*image, cfg), FatalError);
 }
 
+TEST(MachineErrors, StackOutsideLevel1IsFatal)
+{
+    // The operand stack must sit wholly in level-1 memory; a layout
+    // that spills it into level 2 is refused at construction.
+    DirProgram p = hlr::compileSource(
+        workload::sampleByName("fib").source);
+    auto image = encodeDir(p, EncodingScheme::Packed);
+    MachineConfig cfg;
+    cfg.layout.stackWords =
+        cfg.layout.level1Words - cfg.layout.stackBase + 1;
+    EXPECT_THROW(Machine(*image, cfg), FatalError);
+    cfg.layout.stackWords -= 1; // exactly fills level 1: accepted
+    Machine machine(*image, cfg);
+    EXPECT_FALSE(machine.run().output.empty());
+}
+
 TEST(MachineErrors, OperandStackOverflowIsFatal)
 {
     // Unbounded recursion with a pending left operand per activation
