@@ -88,6 +88,7 @@
 #include <cstring>
 #include <fstream>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -265,6 +266,30 @@ applyDecodeKind(const std::string &name)
                    name.c_str());
 }
 
+/**
+ * The value @p text of flag @p flag as an unsigned 32-bit integer. A
+ * sign, trailing characters or a value past UINT32_MAX is an error, not
+ * a silent wrap (--assoc=4294967296 would otherwise mean "fully
+ * associative").
+ */
+uint32_t
+parseUint32(const char *flag, const std::string &text)
+{
+    size_t used = 0;
+    unsigned long long v = 0;
+    if (!text.empty() && text[0] >= '0' && text[0] <= '9') {
+        try {
+            v = std::stoull(text, &used);
+        } catch (const std::out_of_range &) {
+            used = 0;
+        }
+    }
+    if (used == 0 || used != text.size() || v > UINT32_MAX)
+        uhm::fatal("%s must be an integer in [0, %u], not '%s'", flag,
+                   UINT32_MAX, text.c_str());
+    return static_cast<uint32_t>(v);
+}
+
 std::vector<int64_t>
 parseInts(const std::string &list)
 {
@@ -296,11 +321,10 @@ parseArgs(int argc, char **argv)
         else if (arg.rfind("--dtb-bytes=", 0) == 0)
             opts.dtbBytes = std::stoull(value("--dtb-bytes="));
         else if (arg.rfind("--assoc=", 0) == 0)
-            opts.assoc = static_cast<unsigned>(
-                std::stoul(value("--assoc=")));
+            opts.assoc = parseUint32("--assoc", value("--assoc="));
         else if (arg.rfind("--tier-threshold=", 0) == 0) {
-            opts.tierThreshold = static_cast<uint32_t>(
-                std::stoul(value("--tier-threshold=")));
+            opts.tierThreshold = parseUint32(
+                "--tier-threshold", value("--tier-threshold="));
             opts.tierFlagSeen = "--tier-threshold";
         }
         else if (arg.rfind("--trace-cap=", 0) == 0) {
@@ -312,8 +336,7 @@ parseArgs(int argc, char **argv)
             opts.tierFlagSeen = "--trace-bytes";
         }
         else if (arg.rfind("--tenants=", 0) == 0)
-            opts.tenants = static_cast<unsigned>(
-                std::stoul(value("--tenants=")));
+            opts.tenants = parseUint32("--tenants", value("--tenants="));
         else if (arg.rfind("--sched=", 0) == 0) {
             if (!uhm::sched::parsePolicy(value("--sched="),
                                          opts.schedPolicy))
@@ -431,7 +454,7 @@ runSweepCommand(int argc, char **argv)
             return arg.substr(std::strlen(prefix));
         };
         if (arg.rfind("--jobs=", 0) == 0)
-            jobs = static_cast<unsigned>(std::stoul(value("--jobs=")));
+            jobs = parseUint32("--jobs", value("--jobs="));
         else if (arg.rfind("--seed=", 0) == 0)
             seed = std::stoull(value("--seed="));
         else if (arg.rfind("--machine=", 0) == 0)
@@ -441,8 +464,8 @@ runSweepCommand(int argc, char **argv)
         else if (arg.rfind("--decode=", 0) == 0)
             applyDecodeKind(value("--decode="));
         else if (arg.rfind("--tier-threshold=", 0) == 0) {
-            tier_cfg.hotThreshold = static_cast<uint32_t>(
-                std::stoul(value("--tier-threshold=")));
+            tier_cfg.hotThreshold = parseUint32(
+                "--tier-threshold", value("--tier-threshold="));
             tier_flag_seen = "--tier-threshold";
         }
         else if (arg.rfind("--trace-cap=", 0) == 0) {

@@ -353,24 +353,95 @@ Machine::executeShortSequence(const std::vector<ShortInstr> &code,
     panic("PSDER sequence did not end with INTERP");
 }
 
+const std::vector<ShortInstr> &
+Machine::missFlow()
+{
+    // Figure 4: trap through DTRPOINT to the dynamic translator.
+    emitEvent(obs::EventKind::DtbMiss, pc_);
+    uint64_t miss_start = breakdown_.total();
+    breakdown_.dispatch += config_.trapCycles;
+    ++traps_;
+    emitEvent(obs::EventKind::Trap, pc_, config_.trapCycles);
+    ++decodedInstrs_;
+    ++translatedInstrs_;
+
+    // Memoized: a repeat miss on this pc replays the cached translation;
+    // the charged costs are identical either way.
+    const Translation &tr = translator_.translate(pc_);
+    chargeFetchLevel2(tr.bits);
+    uint64_t decode_cycles = config_.costs.decodeCycles(tr.decodeCost);
+    breakdown_.decode += decode_cycles;
+    emitEvent(obs::EventKind::Decode, pc_, decode_cycles);
+    // Generation: one cycle to construct each short instruction plus one
+    // buffer-array store each.
+    breakdown_.translate += tr.genSteps * (1 + config_.timing.tauD);
+    translateShortEmitted_ += tr.code.size();
+    emitEvent(obs::EventKind::Translate, pc_, tr.code.size());
+
+    // Tiered inserts through its tier engine, so an eviction also
+    // invalidates any trace the victim anchored.
+    uint64_t now = cycleBase_ + breakdown_.total();
+    tier::TierEngine::InstallResult ins;
+    if (tier_)
+        ins = tier_->installTranslation(pc_, tr.code, now);
+    else
+        ins.dtb = dtb_->insert(pc_, tr.code, now);
+    translateLatency_.record(breakdown_.total() - miss_start);
+    if (ins.dtb.evicted) {
+        dtbResidency_.record(ins.dtb.victimResidency);
+        dtbEvictOccupancy_.record(ins.dtb.setOccupancy);
+        emitEvent(obs::EventKind::DtbEvict, ins.dtb.victimTag,
+                  ins.dtb.unitsNeeded);
+    }
+    if (ins.invalidatedTrace)
+        emitEvent(obs::EventKind::TraceInvalidate, ins.dtb.victimTag);
+    if (!ins.dtb.retained)
+        emitEvent(obs::EventKind::DtbReject, pc_, ins.dtb.unitsNeeded);
+    if (config_.traceEvents) {
+        std::ostringstream os;
+        os << "interp miss dir@" << pc_ << " -> translate ("
+           << tr.code.size() << " short instrs, "
+           << (ins.dtb.retained ? "stored" : "rejected") << ")";
+        traceEvent(os.str());
+    }
+    return tr.code;
+}
+
 uint32_t
-Machine::dtbStep(bool two_level)
+Machine::dtbStep()
 {
     uint32_t hit_idx = UINT32_MAX;
     maybeSample();
     if (dirInstrs_ >= config_.maxDirInstrs)
         fatal("DIR instruction budget exhausted (%llu)",
               static_cast<unsigned long long>(config_.maxDirInstrs));
-    ++dirInstrs_;
-    if (config_.captureAddressTrace)
-        addressTrace_.push_back(pc_);
+
+    // Recorder hook (Tiered): report the pc about to be interpreted.
+    if (tier_ && tier_->recording()) {
+        tier::TierEngine::RecordOutcome ro = tier_->recordStep(pc_);
+        if (ro.status == tier::TierEngine::RecordStatus::Closed) {
+            // Tier-2 translation charge: construct each short
+            // instruction of the fused body and store it into the trace
+            // cache's buffer array.
+            breakdown_.translate2 += ro.compile.compiledShorts *
+                (config_.tier.gen2CyclesPerInstr + config_.timing.tauD);
+            tierTraceLen_.record(ro.compile.steps);
+            emitEvent(obs::EventKind::Translate2, ro.compile.head,
+                      ro.compile.compiledShorts);
+            if (ro.compile.evictedTrace)
+                emitEvent(obs::EventKind::TraceEvict,
+                          ro.compile.evictedHead);
+        } else if (ro.status == tier::TierEngine::RecordStatus::Aborted) {
+            emitEvent(obs::EventKind::TraceAbort, pc_);
+        }
+    }
 
     std::vector<ShortInstr> local;
     const std::vector<ShortInstr> *code = nullptr;
     uint64_t fetch_cost = config_.timing.tauD;
 
     // First-level translation buffer (Dtb2): a tau1-speed lookup.
-    if (two_level) {
+    if (dtbL1_) {
         breakdown_.dispatch += config_.timing.tau1;
         Dtb::LookupResult l1 = dtbL1_->lookup(pc_);
         if (l1.hit) {
@@ -384,210 +455,73 @@ Machine::dtbStep(bool two_level)
         // array (one DTB-array access).
         breakdown_.dispatch += config_.timing.tauD;
         Dtb::LookupResult lr = dtb_->lookup(pc_);
-
-        if (lr.hit) {
+        if (!lr.hit) {
+            code = &missFlow();
+            if (dtbL1_)
+                dtbL1_->insert(pc_, *code);
+        } else {
             hit_idx = lr.entryIdx;
+            code = lr.code;
             emitEvent(obs::EventKind::DtbHit, pc_);
             if (config_.traceEvents) {
                 std::ostringstream os;
                 os << "interp hit dir@" << pc_;
                 traceEvent(os.str());
             }
-            // Promote into the first-level buffer: one tau1 store per
-            // short instruction copied.
-            if (two_level) {
-                breakdown_.dispatch +=
-                    lr.code->size() * config_.timing.tau1;
-                local = *lr.code;
-                dtbL1_->insert(pc_, *lr.code);
-                emitEvent(obs::EventKind::Promote, pc_,
-                          local.size());
+            if (dtbL1_) {
+                // Promote into the first-level buffer: one tau1 store
+                // per short instruction copied.
+                breakdown_.dispatch += code->size() * config_.timing.tau1;
+                local = *code;
+                dtbL1_->insert(pc_, local);
+                emitEvent(obs::EventKind::Promote, pc_, local.size());
                 code = &local;
-            } else {
-                code = lr.code;
             }
-        } else {
-            // Figure 4: trap through DTRPOINT to the dynamic translator.
-            emitEvent(obs::EventKind::DtbMiss, pc_);
-            uint64_t miss_start = breakdown_.total();
-            breakdown_.dispatch += config_.trapCycles;
-            ++traps_;
-            emitEvent(obs::EventKind::Trap, pc_, config_.trapCycles);
-            ++decodedInstrs_;
-            ++translatedInstrs_;
-
-            // Memoized: a repeat miss on this pc replays the cached
-            // translation; the charged costs are identical either way.
-            const Translation &tr = translator_.translate(pc_);
-            chargeFetchLevel2(tr.bits);
-            uint64_t decode_cycles =
-                config_.costs.decodeCycles(tr.decodeCost);
-            breakdown_.decode += decode_cycles;
-            emitEvent(obs::EventKind::Decode, pc_, decode_cycles);
-            // Generation: one cycle to construct each short instruction
-            // plus one buffer-array store each.
-            breakdown_.translate +=
-                tr.genSteps * (1 + config_.timing.tauD);
-            translateShortEmitted_ += tr.code.size();
-            emitEvent(obs::EventKind::Translate, pc_, tr.code.size());
-
-            Dtb::InsertOutcome ins =
-                dtb_->insert(pc_, tr.code,
-                             cycleBase_ + breakdown_.total());
-            translateLatency_.record(breakdown_.total() - miss_start);
-            if (ins.evicted) {
-                dtbResidency_.record(ins.victimResidency);
-                dtbEvictOccupancy_.record(ins.setOccupancy);
-                emitEvent(obs::EventKind::DtbEvict, ins.victimTag,
-                          ins.unitsNeeded);
+            if (tier_) {
+                // Hotness profile: a backward transfer into a resident
+                // entry is a backedge (loops close with one).
+                bool backedge = pc_ <= prevPc_;
+                if (backedge)
+                    ++lr.meta->backedgeCount;
+                if (lr.meta->anchorsTrace && !tier_->recording()) {
+                    // Trace dispatch: one trace-cache access plus the
+                    // dispatch overhead, paid once per entry rather
+                    // than once per instruction. runTrace counts the
+                    // head itself.
+                    breakdown_.dispatch += config_.timing.tauD +
+                        config_.tier.dispatchCycles;
+                    if (const tier::Trace *trace =
+                            tier_->lookupTrace(pc_)) {
+                        ++traceEnters_;
+                        emitEvent(obs::EventKind::TraceEnter, pc_,
+                                  trace->dirCount);
+                        uint64_t iters_before = traceIterations_.value();
+                        uint64_t next = runTrace(pc_, *trace);
+                        emitEvent(obs::EventKind::TraceExit, next,
+                                  traceIterations_.value() -
+                                      iters_before);
+                        if (next == haltBitAddr)
+                            halted_ = true;
+                        else
+                            pc_ = next;
+                        return hit_idx;
+                    }
+                    // Stale anchor (cleared by lookupTrace): fall back
+                    // to the ordinary tier-1 path.
+                }
+                if (backedge && tier_->wantsRecording(*lr.meta, pc_)) {
+                    tier_->beginRecording(pc_);
+                    emitEvent(obs::EventKind::TraceRecord, pc_);
+                }
             }
-            if (!ins.retained)
-                emitEvent(obs::EventKind::DtbReject, pc_,
-                          ins.unitsNeeded);
-            if (config_.traceEvents) {
-                std::ostringstream os;
-                os << "interp miss dir@" << pc_
-                   << " -> translate (" << tr.code.size()
-                   << " short instrs, "
-                   << (ins.retained ? "stored" : "rejected") << ")";
-                traceEvent(os.str());
-            }
-            if (two_level)
-                dtbL1_->insert(pc_, tr.code);
-            code = &tr.code;
         }
-    }
-
-    uint64_t next = executeShortSequence(*code, fetch_cost);
-    if (next == haltBitAddr)
-        halted_ = true;
-    else
-        pc_ = next;
-    return hit_idx;
-}
-
-uint32_t
-Machine::tieredStep()
-{
-    uint32_t hit_idx = UINT32_MAX;
-    maybeSample();
-    if (dirInstrs_ >= config_.maxDirInstrs)
-        fatal("DIR instruction budget exhausted (%llu)",
-              static_cast<unsigned long long>(config_.maxDirInstrs));
-
-    // Recorder hook: report the pc about to be interpreted.
-    if (tier_->recording()) {
-        tier::TierEngine::RecordOutcome ro = tier_->recordStep(pc_);
-        if (ro.status == tier::TierEngine::RecordStatus::Closed) {
-            // Tier-2 translation charge: construct each short
-            // instruction of the fused body and store it into the
-            // trace cache's buffer array.
-            breakdown_.translate2 += ro.compile.compiledShorts *
-                (config_.tier.gen2CyclesPerInstr +
-                 config_.timing.tauD);
-            tierTraceLen_.record(ro.compile.steps);
-            emitEvent(obs::EventKind::Translate2, ro.compile.head,
-                      ro.compile.compiledShorts);
-            if (ro.compile.evictedTrace)
-                emitEvent(obs::EventKind::TraceEvict,
-                          ro.compile.evictedHead);
-        } else if (ro.status ==
-                   tier::TierEngine::RecordStatus::Aborted) {
-            emitEvent(obs::EventKind::TraceAbort, pc_);
-        }
-    }
-
-    // INTERP presents the DIR address to the associative address
-    // array (one DTB-array access), as in the Dtb organization.
-    breakdown_.dispatch += config_.timing.tauD;
-    Dtb::LookupResult lr = dtb_->lookup(pc_);
-    const std::vector<ShortInstr> *code = nullptr;
-
-    if (lr.hit) {
-        hit_idx = lr.entryIdx;
-        emitEvent(obs::EventKind::DtbHit, pc_);
-        // Hotness profile: a backward transfer into a resident
-        // entry is a backedge (loops close with one).
-        bool backedge = pc_ <= prevPc_;
-        if (backedge)
-            ++lr.meta->backedgeCount;
-
-        if (lr.meta->anchorsTrace && !tier_->recording()) {
-            // Trace dispatch: one trace-cache access plus the
-            // dispatch overhead — paid once per entry, not once
-            // per instruction.
-            breakdown_.dispatch += config_.timing.tauD +
-                config_.tier.dispatchCycles;
-            if (const tier::Trace *trace = tier_->lookupTrace(pc_)) {
-                ++traceEnters_;
-                emitEvent(obs::EventKind::TraceEnter, pc_,
-                          trace->dirCount);
-                uint64_t iters_before = traceIterations_.value();
-                uint64_t next = runTrace(pc_, *trace);
-                emitEvent(obs::EventKind::TraceExit, next,
-                          traceIterations_.value() - iters_before);
-                if (next == haltBitAddr)
-                    halted_ = true;
-                else
-                    pc_ = next;
-                return hit_idx;
-            }
-            // Stale anchor (cleared by lookupTrace): fall back to
-            // the ordinary tier-1 path.
-        }
-        if (backedge && tier_->wantsRecording(*lr.meta, pc_)) {
-            tier_->beginRecording(pc_);
-            emitEvent(obs::EventKind::TraceRecord, pc_);
-        }
-        code = lr.code;
-    } else {
-        // Figure 4 miss flow, with the insert routed through the
-        // tier engine so an eviction invalidates any trace the
-        // victim anchored.
-        emitEvent(obs::EventKind::DtbMiss, pc_);
-        uint64_t miss_start = breakdown_.total();
-        breakdown_.dispatch += config_.trapCycles;
-        ++traps_;
-        emitEvent(obs::EventKind::Trap, pc_, config_.trapCycles);
-        ++decodedInstrs_;
-        ++translatedInstrs_;
-
-        const Translation &tr = translator_.translate(pc_);
-        chargeFetchLevel2(tr.bits);
-        uint64_t decode_cycles =
-            config_.costs.decodeCycles(tr.decodeCost);
-        breakdown_.decode += decode_cycles;
-        emitEvent(obs::EventKind::Decode, pc_, decode_cycles);
-        breakdown_.translate +=
-            tr.genSteps * (1 + config_.timing.tauD);
-        translateShortEmitted_ += tr.code.size();
-        emitEvent(obs::EventKind::Translate, pc_, tr.code.size());
-
-        tier::TierEngine::InstallResult ins =
-            tier_->installTranslation(
-                pc_, tr.code, cycleBase_ + breakdown_.total());
-        translateLatency_.record(breakdown_.total() - miss_start);
-        if (ins.dtb.evicted) {
-            dtbResidency_.record(ins.dtb.victimResidency);
-            dtbEvictOccupancy_.record(ins.dtb.setOccupancy);
-            emitEvent(obs::EventKind::DtbEvict, ins.dtb.victimTag,
-                      ins.dtb.unitsNeeded);
-        }
-        if (ins.invalidatedTrace)
-            emitEvent(obs::EventKind::TraceInvalidate,
-                      ins.dtb.victimTag);
-        if (!ins.dtb.retained)
-            emitEvent(obs::EventKind::DtbReject, pc_,
-                      ins.dtb.unitsNeeded);
-        code = &tr.code;
     }
 
     ++dirInstrs_;
     if (config_.captureAddressTrace)
         addressTrace_.push_back(pc_);
     prevPc_ = pc_;
-    uint64_t next =
-        executeShortSequence(*code, config_.timing.tauD);
+    uint64_t next = executeShortSequence(*code, fetch_cost);
     if (next == haltBitAddr)
         halted_ = true;
     else
@@ -601,8 +535,8 @@ Machine::tieredStep()
 // into a Pending is the exact sum its step function would have applied
 // instruction by instruction, and anything it cannot run from a lowered
 // image — misses, cold sites, active trace recording, unfastable
-// shapes — falls back to exactly one step (convStep/dtbStep/
-// tieredStep), so cold-path accounting has a single implementation.
+// shapes — falls back to exactly one step (convStep or dtbStep), so
+// cold-path accounting has a single implementation.
 // Runs with events on step every instruction: events are stamped
 // mid-instruction, which batched attribution does not reproduce.
 // tests/dispatch_test.cc holds stepped and fast runs byte-identical.
@@ -664,21 +598,26 @@ Machine::promoteFastSeq(uint64_t pc, uint32_t idx, const FastSeq &fs)
     return ins.entryIdx;
 }
 
-// Dtb2 (TwoLevel) adds the first-level buffer in front of the main DTB.
-// Its inline caches live in the same FastSeq fields and name dtbL1
-// slots: every site predicts where its successor sits in the
-// first-level buffer, which is where a Dtb2 step looks first. A
-// first-level hit runs the L1 slot's lowering (fetched at tau1); a
-// first-level miss that hits the main DTB promotes inside the loop and
-// runs the main slot's lowering (fetched at tauD). Only a main-DTB miss
-// or an unfastable shape takes dtbStep.
-template <bool TwoLevel>
+// The DTB family's one fast loop. Dtb2 adds the first-level buffer in
+// front of the main DTB. Its inline caches live in the same FastSeq
+// fields and name dtbL1 slots: every site predicts where its successor
+// sits in the first-level buffer, which is where a Dtb2 step looks
+// first. A first-level hit runs the L1 slot's lowering (fetched at
+// tau1); a first-level miss that hits the main DTB promotes inside the
+// loop and runs the main slot's lowering (fetched at tauD). Tiered adds
+// the hotness profile and trace dispatch on a committed hit, and keeps
+// to dtbStep while the recorder is active (every step must pass
+// through it; recording windows are short). Only a main-DTB miss, an
+// unfastable shape or an active recording takes dtbStep.
+template <MachineKind K>
 void
 Machine::runDtbFast()
 {
+    constexpr bool TwoLevel = K == MachineKind::Dtb2;
+    constexpr bool Tiered = K == MachineKind::Tiered;
     if (eventsOn()) {
         while (!halted_ && breakdown_.total() < sliceLimit_)
-            dtbStep(TwoLevel);
+            dtbStep();
         return;
     }
     const uint32_t *vm_code = flat_.code.data();
@@ -711,13 +650,14 @@ Machine::runDtbFast()
     uint64_t d_dir = 0, d_disp = 0, d_stage = 0, d_short = 0;
     uint64_t sp = sp_;
     uint64_t pc = pc_;
+    uint64_t prev_pc = prevPc_;
     int64_t *stk = mem_.raw() + stack_base;
     uint64_t budget_left = config_.maxDirInstrs - dirInstrs_.value();
     uint64_t sample_at = sampleEvery_ ? nextSampleAt_ : UINT64_MAX;
     size_t vm_i = 0, vm_ii = 0;
     uint32_t vm_w = 0;
     // The sequence executed last step: its inline cache predicts the
-    // DTB slot of the pc about to be looked up.
+    // slot of the pc about to be looked up.
     FastSeq *site = nullptr;
     FastSeq *fs = nullptr;
     uint32_t idx = 0;
@@ -742,6 +682,8 @@ Machine::runDtbFast()
         d_dir = d_disp = d_stage = d_short = 0;                        \
         sp_ = sp;                                                      \
         pc_ = pc;                                                      \
+        if constexpr (Tiered)                                          \
+            prevPc_ = prev_pc;                                         \
     } while (0)
 #define VM_BAIL()                                                      \
     do {                                                               \
@@ -773,14 +715,17 @@ Machine::runDtbFast()
         // Inline-cache probe, then a full — still side-effect-free —
         // probe of the buffer the step looks in first. Nothing is
         // charged or counted unless the fast step commits below.
-        if (site && site->icTag == pc &&
-            first->icCheck(site->icIdx, pc)) {
-            idx = site->icIdx;
-        } else {
-            idx = first->probeIdx(pc);
-            if (idx != UINT32_MAX && site) {
-                site->icTag = pc;
-                site->icIdx = idx;
+        idx = UINT32_MAX;
+        if (!(Tiered && tier_->recording())) {
+            if (site && site->icTag == pc &&
+                first->icCheck(site->icIdx, pc)) {
+                idx = site->icIdx;
+            } else {
+                idx = first->probeIdx(pc);
+                if (idx != UINT32_MAX && site) {
+                    site->icTag = pc;
+                    site->icIdx = idx;
+                }
             }
         }
         fs = nullptr;
@@ -838,43 +783,68 @@ Machine::runDtbFast()
             }
         }
         if (!fs) {
-            // True DTB miss (translation) or an unfastable shape: one
-            // full dtbStep (the lookups count their hits and
-            // misses exactly as always), then re-prime the inline cache
-            // from its outcome so the chain re-forms.
+            // True DTB miss (translation), an unfastable shape or an
+            // active recording: one full dtbStep (the lookups count
+            // their hits and misses exactly as always), then re-prime
+            // the inline cache from its outcome so the chain re-forms.
             VM_BAIL();
-            {
-                uint64_t lookup_pc = pc;
-                uint32_t hit = dtbStep(TwoLevel);
-                // Two-level sites predict first-level slots, and the
-                // step left lookup_pc there (unless the insert was
-                // rejected).
-                if constexpr (TwoLevel)
-                    hit = l1buf->probeIdx(lookup_pc);
-                if (hit != UINT32_MAX) {
-                    if (site) {
-                        site->icTag = lookup_pc;
-                        site->icIdx = hit;
-                    }
-                    site = TwoLevel ?
-                        ensureSeqLowered(*l1buf, fastL1Slots_, hit, tau1) :
-                        ensureSeqLowered(*dtb, fastSlots_, hit, tau_d);
-                } else {
-                    site = nullptr;
+            uint64_t lookup_pc = pc;
+            uint32_t hit = dtbStep();
+            // Two-level sites predict first-level slots, and the step
+            // left lookup_pc there (unless the insert was rejected).
+            if constexpr (TwoLevel)
+                hit = l1buf->probeIdx(lookup_pc);
+            if (hit != UINT32_MAX) {
+                if (site) {
+                    site->icTag = lookup_pc;
+                    site->icIdx = hit;
                 }
+                site = TwoLevel ?
+                    ensureSeqLowered(*l1buf, fastL1Slots_, hit, tau1) :
+                    ensureSeqLowered(*dtb, fastSlots_, hit, tau_d);
+            } else {
+                site = nullptr;
             }
-            drained = breakdown_.total();
-            cyc = 0;
-            budget_left = config_.maxDirInstrs - dirInstrs_.value();
-            sample_at = sampleEvery_ ? nextSampleAt_ : UINT64_MAX;
-            sp = sp_;
-            pc = pc_;
-            stk = mem_.raw() + stack_base;
-            continue;
+            goto resync;
+        }
+
+        if constexpr (Tiered) {
+            // Hotness profile and trace dispatch, as in dtbStep (the
+            // recorder is known idle here).
+            EntryMeta &meta = dtb->metaAt(idx);
+            bool backedge = pc <= prev_pc;
+            if (backedge)
+                ++meta.backedgeCount;
+            if (meta.anchorsTrace) {
+                // The DTB lookup plus one trace-cache access and the
+                // dispatch overhead, charged before the drain.
+                uint64_t add =
+                    lookup + tau_d + config_.tier.dispatchCycles;
+                d_disp += add;
+                cyc += add;
+                if (const tier::Trace *trace = tier_->lookupTrace(pc)) {
+                    ++traceEnters_;
+                    // Trace boundaries are drain points.
+                    VM_BAIL();
+                    next = runTrace(pc, *trace);
+                    site = nullptr;
+                    if (next == haltBitAddr)
+                        halted_ = true;
+                    else
+                        pc_ = next;
+                    goto resync;
+                }
+                // Stale anchor (cleared by lookupTrace): fall through
+                // to the ordinary tier-1 sequence path.
+            }
+            if (backedge && tier_->wantsRecording(meta, pc))
+                tier_->beginRecording(pc);
+            prev_pc = pc;
         }
 
         // Committed fast hit — the lookups' hit accounting is applied
-        // above; add the sequence's statically known charges.
+        // above; add their cycles and the sequence's statically known
+        // charges.
         ++d_dir;
         if (capture)
             addressTrace_.push_back(pc);
@@ -918,6 +888,18 @@ Machine::runDtbFast()
             halted_ = true;
         else
             pc = next;
+        continue;
+
+    resync:
+        // A step or a trace ran with the locals drained: reload them.
+        drained = breakdown_.total();
+        cyc = 0;
+        budget_left = config_.maxDirInstrs - dirInstrs_.value();
+        sample_at = sampleEvery_ ? nextSampleAt_ : UINT64_MAX;
+        sp = sp_;
+        pc = pc_;
+        prev_pc = prevPc_;
+        stk = mem_.raw() + stack_base;
     }
     VM_BAIL();
     return;
@@ -1071,237 +1053,6 @@ Machine::runTrace(uint64_t head, const tier::Trace &trace)
     }
 
 #define VM_DONE_GOTO goto item_done
-#include "uhm/vm_ops.inc"
-#undef VM_DONE_GOTO
-#undef VM_BAIL
-#undef VM_FLUSH
-}
-
-void
-Machine::runTieredFast()
-{
-    if (eventsOn()) {
-        while (!halted_ && breakdown_.total() < sliceLimit_)
-            tieredStep();
-        return;
-    }
-    const uint32_t *vm_code = flat_.code.data();
-    const int64_t *vm_imm = flat_.imm.data();
-    const uint64_t tau1 = config_.timing.tau1;
-    const uint64_t tau2 = config_.timing.tau2;
-    const uint64_t tau_d = config_.timing.tauD;
-    const uint64_t level1_words = mem_.level1Words();
-    const uint64_t stack_base = config_.layout.stackBase;
-    const uint64_t stack_words = config_.layout.stackWords;
-    const bool capture = config_.captureAddressTrace;
-    Dtb *const dtb = dtb_;
-    auto &r = regs_;
-
-    Pending p;
-    uint64_t drained = breakdown_.total();
-    uint64_t cyc = 0;
-    uint64_t n = 0, sem_mem = 0, l1 = 0, l2 = 0;
-    // Register-resident step buckets; see runDtbFast.
-    uint64_t d_dir = 0, d_disp = 0, d_stage = 0, d_short = 0;
-    uint64_t sp = sp_;
-    uint64_t pc = pc_;
-    uint64_t prev_pc = prevPc_;
-    int64_t *stk = mem_.raw() + stack_base;
-    uint64_t budget_left = config_.maxDirInstrs - dirInstrs_.value();
-    uint64_t sample_at = sampleEvery_ ? nextSampleAt_ : UINT64_MAX;
-    size_t vm_i = 0, vm_ii = 0;
-    uint32_t vm_w = 0;
-    FastSeq *site = nullptr;
-    FastSeq *fs = nullptr;
-    uint32_t idx = 0;
-    uint64_t next = 0;
-
-#define VM_FLUSH()                                                     \
-    do {                                                               \
-        uint64_t vm_sem = n * tau1 + sem_mem;                          \
-        p.microOps += n;                                               \
-        p.semantic += vm_sem;                                          \
-        p.level1 += l1;                                                \
-        p.level2 += l2;                                                \
-        p.dirInstrs += d_dir;                                          \
-        p.dispatch += d_disp;                                          \
-        p.stage += d_stage;                                            \
-        p.shortInstrs += d_short;                                      \
-        cyc += vm_sem;                                                 \
-        n = sem_mem = l1 = l2 = 0;                                     \
-        d_dir = d_disp = d_stage = d_short = 0;                        \
-        sp_ = sp;                                                      \
-        pc_ = pc;                                                      \
-        prevPc_ = prev_pc;                                             \
-    } while (0)
-#define VM_BAIL()                                                      \
-    do {                                                               \
-        VM_FLUSH();                                                    \
-        drainPending(p);                                               \
-    } while (0)
-
-    while (!halted_) {
-        {
-            uint64_t now = drained + cyc + n * tau1 + sem_mem;
-            if (now >= sliceLimit_)
-                break;
-            if (now >= sample_at) {
-                VM_BAIL();
-                drained = breakdown_.total();
-                cyc = 0;
-                budget_left =
-                    config_.maxDirInstrs - dirInstrs_.value();
-                takeSample();
-                sample_at = nextSampleAt_;
-            }
-        }
-        if (d_dir >= budget_left) {
-            VM_BAIL();
-            fatal("DIR instruction budget exhausted (%llu)",
-                  static_cast<unsigned long long>(config_.maxDirInstrs));
-        }
-
-        // While the recorder is active every step must pass through it:
-        // keep to tieredStep (recording windows are short).
-        idx = UINT32_MAX;
-        if (!tier_->recording()) {
-            if (site && site->icTag == pc &&
-                dtb->icCheck(site->icIdx, pc)) {
-                idx = site->icIdx;
-            } else {
-                idx = dtb->probeIdx(pc);
-                if (idx != UINT32_MAX && site) {
-                    site->icTag = pc;
-                    site->icIdx = idx;
-                }
-            }
-        }
-        fs = nullptr;
-        if (idx != UINT32_MAX) {
-            fs = ensureSeqLowered(*dtb, fastSlots_, idx, tau_d);
-            if (!fs->fastable || sp + fs->numPushes > stack_words)
-                fs = nullptr;
-        }
-        if (!fs) {
-            VM_BAIL();
-            {
-                uint64_t lookup_pc = pc;
-                uint32_t hit = tieredStep();
-                if (hit != UINT32_MAX) {
-                    if (site) {
-                        site->icTag = lookup_pc;
-                        site->icIdx = hit;
-                    }
-                    site = ensureSeqLowered(*dtb, fastSlots_, hit, tau_d);
-                } else {
-                    site = nullptr;
-                }
-            }
-            drained = breakdown_.total();
-            cyc = 0;
-            budget_left = config_.maxDirInstrs - dirInstrs_.value();
-            sample_at = sampleEvery_ ? nextSampleAt_ : UINT64_MAX;
-            sp = sp_;
-            pc = pc_;
-            prev_pc = prevPc_;
-            stk = mem_.raw() + stack_base;
-            continue;
-        }
-
-        // Committed hit.
-        dtb->hitAt(idx);
-        d_disp += tau_d;
-        cyc += tau_d;
-        {
-            EntryMeta &meta = dtb->metaAt(idx);
-            bool backedge = pc <= prev_pc;
-            if (backedge)
-                ++meta.backedgeCount;
-
-            if (meta.anchorsTrace) {
-                // Trace dispatch (the recorder is known idle here): one
-                // trace-cache access plus the dispatch overhead.
-                uint64_t add = tau_d + config_.tier.dispatchCycles;
-                d_disp += add;
-                cyc += add;
-                if (const tier::Trace *trace = tier_->lookupTrace(pc)) {
-                    ++traceEnters_;
-                    // Trace boundaries are drain points.
-                    VM_BAIL();
-                    next = runTrace(pc, *trace);
-                    drained = breakdown_.total();
-                    cyc = 0;
-                    budget_left =
-                        config_.maxDirInstrs - dirInstrs_.value();
-                    sample_at =
-                        sampleEvery_ ? nextSampleAt_ : UINT64_MAX;
-                    sp = sp_;
-                    pc = pc_;
-                    prev_pc = prevPc_;
-                    stk = mem_.raw() + stack_base;
-                    site = nullptr;
-                    if (next == haltBitAddr)
-                        halted_ = true;
-                    else
-                        pc = next;
-                    continue;
-                }
-                // Stale anchor (cleared by lookupTrace): fall through
-                // to the ordinary tier-1 sequence path.
-            }
-            if (backedge && tier_->wantsRecording(meta, pc))
-                tier_->beginRecording(pc);
-        }
-
-        ++d_dir;
-        if (capture)
-            addressTrace_.push_back(pc);
-        prev_pc = pc;
-
-        {
-            uint64_t add = fs->dispatchAdd;
-            d_disp += add;
-            d_stage += fs->stageAdd;
-            cyc += add + fs->stageAdd;
-        }
-        l1 += fs->level1Add;
-        d_short += fs->shortCount;
-
-        {
-            const int64_t *pv = fs->pushes.data();
-            size_t np = fs->numPushes;
-            for (size_t k = 0; k < np; ++k)
-                stk[sp + k] = pv[k];
-            sp += np;
-        }
-
-        if (fs->routineEntry >= 0) {
-            vm_i = static_cast<size_t>(fs->routineEntry);
-            goto vm_enter;
-        }
-    seq_done:
-        if (fs->stackNext) {
-            if (sp == 0) {
-                d_disp -= tau1;
-                cyc -= tau1;
-                --l1;
-                VM_BAIL();
-                fatal("operand stack underflow");
-            }
-            next = static_cast<uint64_t>(stk[--sp]);
-        } else {
-            next = fs->nextImm;
-        }
-        site = fs;
-        if (next == haltBitAddr)
-            halted_ = true;
-        else
-            pc = next;
-    }
-    VM_BAIL();
-    return;
-
-#define VM_DONE_GOTO goto seq_done
 #include "uhm/vm_ops.inc"
 #undef VM_DONE_GOTO
 #undef VM_BAIL
@@ -1641,9 +1392,9 @@ Machine::runSlice(uint64_t max_cycles)
     switch (config_.kind) {
       case MachineKind::Conventional: runConventionalFast<false>(); break;
       case MachineKind::Cached:       runConventionalFast<true>(); break;
-      case MachineKind::Dtb:          runDtbFast<false>(); break;
-      case MachineKind::Dtb2:         runDtbFast<true>(); break;
-      case MachineKind::Tiered:       runTieredFast(); break;
+      case MachineKind::Dtb:          runDtbFast<MachineKind::Dtb>(); break;
+      case MachineKind::Dtb2:         runDtbFast<MachineKind::Dtb2>(); break;
+      case MachineKind::Tiered:       runDtbFast<MachineKind::Tiered>(); break;
     }
     return breakdown_.total() - start;
 }

@@ -380,15 +380,21 @@ class Machine
     void convStep();
 
     /**
-     * One Dtb/Dtb2 instruction (sampler gate, budget check, lookup or
-     * miss flow, sequence execution).
+     * One Dtb/Dtb2/Tiered instruction, or one Tiered trace dispatch
+     * (sampler gate, budget check, recorder hook, lookups or miss flow,
+     * sequence execution).
      * @return the main-DTB entry index that hit, or UINT32_MAX (miss,
-     *         or an L1-buffer hit in two-level mode).
+     *         or a first-level hit in Dtb2).
      */
-    uint32_t dtbStep(bool two_level);
+    uint32_t dtbStep();
 
-    /** One Tiered instruction or trace dispatch; same contract. */
-    uint32_t tieredStep();
+    /**
+     * Figure 4's miss flow for pc_: trap through DTRPOINT, fetch,
+     * decode, translate and insert into the main DTB (through the tier
+     * engine in Tiered). Returns the translation, which the caller
+     * executes whether or not the insert retained it.
+     */
+    const std::vector<ShortInstr> &missFlow();
 
     /** The memoized staging of a decoded conventional-path instruction. */
     const Staging &stagingAt(const DecodeResult &res);
@@ -425,10 +431,9 @@ class Machine
      */
     uint32_t promoteFastSeq(uint64_t pc, uint32_t idx, const FastSeq &fs);
 
-    /** Dtb (TwoLevel = false) or Dtb2 (TwoLevel = true) fast loop. */
-    template <bool TwoLevel>
+    /** The Dtb, Dtb2 or Tiered fast loop. */
+    template <MachineKind K>
     void runDtbFast();
-    void runTieredFast();
     /** Conventional (Cached = false) or Cached fast loop. */
     template <bool Cached>
     void runConventionalFast();
@@ -441,7 +446,7 @@ class Machine
      * tier-1 step would (dirInstrs, address trace), charges tauD per
      * body short instruction and TierConfig::dispatchCycles per
      * loop-back, and drains all of it before returning. The fast loop
-     * and tieredStep both dispatch traces through it.
+     * and dtbStep both dispatch traces through it.
      */
     uint64_t runTrace(uint64_t head, const tier::Trace &trace);
 

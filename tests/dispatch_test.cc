@@ -63,6 +63,7 @@ expectIdentical(const RunResult &a, const RunResult &b,
     EXPECT_EQ(a.traceHitRatio, b.traceHitRatio);
     EXPECT_EQ(a.traceCoverage, b.traceCoverage);
     EXPECT_EQ(a.traceMeanIterLen, b.traceMeanIterLen);
+    EXPECT_EQ(a.addressTrace, b.addressTrace);
 }
 
 /** @p cfg with typed events on: every instruction takes the step. */
@@ -91,13 +92,48 @@ TEST(DispatchIdentity, SamplesAcrossKindsAndEncoders)
         DirProgram prog = hlr::compileSource(sample.source);
         for (MachineKind kind : kAllKinds) {
             for (EncodingScheme scheme : allEncodingSchemes()) {
-                MachineConfig cfg;
-                cfg.kind = kind;
-                compareModes(prog, scheme, cfg, sample.input,
-                             std::string(sample.name) + "/" +
-                                 machineKindName(kind) + "/" +
-                                 encodingName(scheme));
+                for (bool capture : {false, true}) {
+                    MachineConfig cfg;
+                    cfg.kind = kind;
+                    cfg.captureAddressTrace = capture;
+                    compareModes(prog, scheme, cfg, sample.input,
+                                 std::string(sample.name) + "/" +
+                                     machineKindName(kind) + "/" +
+                                     encodingName(scheme) +
+                                     (capture ? "/capture" : ""));
+                }
             }
+        }
+    }
+}
+
+TEST(DispatchIdentity, BudgetAbortLeavesIdenticalState)
+{
+    // Every loop publishes its batched charges (VM_BAIL) before it
+    // fatals, so a run that exhausts its DIR budget leaves the same
+    // counters stepped and fast. The nested loop puts the exhaustion
+    // point in the tier-1 loop, in a step or inside a tier-2 trace
+    // (runTrace's per-address budget path), depending on the budget.
+    DirProgram prog = hlr::compileSource(
+        "program t; var i, a; begin"
+        " while 1 do i := 0;"
+        "  while i < 40 do a := a + i; i := i + 1; od;"
+        " od; end.");
+    auto image = encodeDir(prog, EncodingScheme::Huffman);
+    for (MachineKind kind : kAllKinds) {
+        for (uint64_t budget : {997u, 10007u, 123457u}) {
+            SCOPED_TRACE(std::string(machineKindName(kind)) + "/" +
+                         std::to_string(budget));
+            MachineConfig cfg;
+            cfg.kind = kind;
+            cfg.maxDirInstrs = budget;
+            Machine st(*image, stepped(cfg));
+            Machine fast(*image, cfg);
+            EXPECT_THROW(st.run(), FatalError);
+            EXPECT_THROW(fast.run(), FatalError);
+            EXPECT_EQ(st.dirInstrsSoFar(), fast.dirInstrsSoFar());
+            EXPECT_EQ(st.cyclesSoFar(), fast.cyclesSoFar());
+            EXPECT_EQ(st.registry().snapshot(), fast.registry().snapshot());
         }
     }
 }
