@@ -429,9 +429,11 @@ TEST(ObsReport, EmbeddedJsonCarriesNoEventBodies)
 
 // ---- machine integration ---------------------------------------------------
 
-/** One sample run with the image and machine kept alive for inspection. */
+/** One sample run with the program, image and machine kept alive for
+ *  inspection (the image refers to the program). */
 struct SampleRun
 {
+    std::unique_ptr<DirProgram> program;
     std::unique_ptr<EncodedDir> image;
     std::unique_ptr<Machine> machine;
     RunResult result;
@@ -442,8 +444,9 @@ runSample(const char *name, MachineKind kind, MachineConfig cfg)
 {
     SampleRun sr;
     const auto &sample = workload::sampleByName(name);
-    DirProgram prog = hlr::compileSource(sample.source);
-    sr.image = encodeDir(prog, EncodingScheme::Huffman);
+    sr.program = std::make_unique<DirProgram>(
+        hlr::compileSource(sample.source));
+    sr.image = encodeDir(*sr.program, EncodingScheme::Huffman);
     cfg.kind = kind;
     sr.machine = std::make_unique<Machine>(*sr.image, cfg);
     sr.result = sr.machine->run(sample.input);
