@@ -101,6 +101,7 @@
 #include "dir/fusion.hh"
 #include "dir/serialize.hh"
 #include "hlr/compiler.hh"
+#include "support/flags.hh"
 #include "support/huffman.hh"
 #include "support/logging.hh"
 #include "uhm/machine.hh"
@@ -266,28 +267,13 @@ applyDecodeKind(const std::string &name)
                    name.c_str());
 }
 
-/**
- * The value @p text of flag @p flag as an unsigned 32-bit integer. A
- * sign, trailing characters or a value past UINT32_MAX is an error, not
- * a silent wrap (--assoc=4294967296 would otherwise mean "fully
- * associative").
- */
+/** @p text of flag @p flag as a uint32_t (range-checked, never wraps:
+ *  --assoc=4294967296 would otherwise mean "fully associative"). */
 uint32_t
 parseUint32(const char *flag, const std::string &text)
 {
-    size_t used = 0;
-    unsigned long long v = 0;
-    if (!text.empty() && text[0] >= '0' && text[0] <= '9') {
-        try {
-            v = std::stoull(text, &used);
-        } catch (const std::out_of_range &) {
-            used = 0;
-        }
-    }
-    if (used == 0 || used != text.size() || v > UINT32_MAX)
-        uhm::fatal("%s must be an integer in [0, %u], not '%s'", flag,
-                   UINT32_MAX, text.c_str());
-    return static_cast<uint32_t>(v);
+    return static_cast<uint32_t>(
+        uhm::parseUintFlag(flag, text, 0, UINT32_MAX));
 }
 
 std::vector<int64_t>

@@ -3,6 +3,7 @@
 #include <fstream>
 
 #include "support/bitstream.hh"
+#include "support/hash.hh"
 #include "support/logging.hh"
 
 namespace uhm
@@ -13,18 +14,6 @@ namespace
 
 /** File magic: "UHMDIR" + format version. */
 constexpr uint64_t magic = 0x5548'4d44'4952'0001ull;
-
-/** FNV-1a over a byte range. */
-uint64_t
-fnv1a(const uint8_t *data, size_t size)
-{
-    uint64_t h = 0xcbf29ce484222325ull;
-    for (size_t i = 0; i < size; ++i) {
-        h ^= data[i];
-        h *= 0x100000001b3ull;
-    }
-    return h;
-}
 
 /** Byte-stream writer with varint support. */
 class Writer

@@ -12,6 +12,7 @@
 #ifndef UHM_PSDER_LAYOUT_HH
 #define UHM_PSDER_LAYOUT_HH
 
+#include <compare>
 #include <cstdint>
 
 namespace uhm
@@ -35,6 +36,10 @@ struct MachineLayout
 
     /** Base of the globals region (start of level 2). */
     uint64_t globalsBase() const { return level1Words; }
+
+    /** Memberwise, so a field added later is part of every comparison
+     *  (FlatRoutines::forLayout keys its memo on the whole layout). */
+    auto operator<=>(const MachineLayout &) const = default;
 };
 
 } // namespace uhm

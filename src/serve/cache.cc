@@ -3,31 +3,13 @@
 #include <algorithm>
 
 #include "bench_common.hh"
-#include "dir/serialize.hh"
 #include "hlr/compiler.hh"
+#include "support/hash.hh"
 #include "support/logging.hh"
 #include "workload/samples.hh"
 
 namespace uhm::serve
 {
-
-namespace
-{
-
-/** FNV-1a over @p bytes (the same flavor the serializer trailers use). */
-uint64_t
-fnv1a(const void *data, size_t size)
-{
-    const auto *p = static_cast<const uint8_t *>(data);
-    uint64_t hash = 14695981039346656037ull;
-    for (size_t i = 0; i < size; ++i) {
-        hash ^= p[i];
-        hash *= 1099511628211ull;
-    }
-    return hash;
-}
-
-} // anonymous namespace
 
 SessionCache::SessionCache(size_t max_sessions)
     : maxSessions_(std::max<size_t>(max_sessions, 1))
@@ -73,8 +55,6 @@ SessionCache::build(const Request &req, const std::string &key)
         session->defaultInput = sample.input;
         session->program = hlr::compileSource(sample.source);
     }
-    std::vector<uint8_t> bytes = serializeDirProgram(session->program);
-    session->programHash = fnv1a(bytes.data(), bytes.size());
     session->image = encodeDir(session->program, req.machine.scheme);
     session->machine = std::make_unique<Machine>(
         *session->image, req.machine.toConfig());

@@ -49,8 +49,6 @@ struct Session
     DirProgram program;
     /** The sample's canonical input (empty for synthetic/source). */
     std::vector<int64_t> defaultInput;
-    /** FNV-1a of the serialized program. */
-    uint64_t programHash = 0;
     std::unique_ptr<EncodedDir> image;
     std::unique_ptr<Machine> machine;
     /** Executing a request right now (pinned against eviction). */

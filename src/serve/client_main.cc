@@ -17,6 +17,7 @@
 #include <unistd.h>
 
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -26,11 +27,16 @@
 #include <vector>
 
 #include "serve/client.hh"
+#include "support/flags.hh"
 #include "support/json.hh"
 #include "support/logging.hh"
 
 namespace
 {
+
+/** Most concurrent copies --jobs accepts: each is a thread and a
+ *  connection. */
+constexpr unsigned maxJobs = 256;
 
 struct Options
 {
@@ -88,8 +94,8 @@ printHelp(std::FILE *out)
         "  --reset            stats: zero the counters after\n"
         "  --out=FILE         write the payload to FILE\n"
         "  --id=N             request id (fan-out uses N..N+jobs-1)\n"
-        "  --jobs=N           send N concurrent copies and verify "
-        "byte-identical responses\n"
+        "  --jobs=N           send N (at most 256) concurrent copies "
+        "and verify byte-identical responses\n"
         "  --json=RAW         send RAW as the request line verbatim\n"
         "  --help             this text\n",
         out);
@@ -128,8 +134,8 @@ parseArgs(int argc, char **argv)
         else if (arg.rfind("--id=", 0) == 0)
             opts.id = std::stoull(value("--id="));
         else if (arg.rfind("--jobs=", 0) == 0)
-            opts.jobs = static_cast<unsigned>(
-                std::stoul(value("--jobs=")));
+            opts.jobs = static_cast<unsigned>(uhm::parseUintFlag(
+                "--jobs", value("--jobs="), 1, maxJobs));
         else if (arg.rfind("--format=", 0) == 0)
             opts.format = value("--format=");
         else if (arg.rfind("--watch=", 0) == 0) {
@@ -137,7 +143,8 @@ parseArgs(int argc, char **argv)
             if (!(opts.watchSecs > 0.0))
                 uhm::fatal("--watch=SECS needs a positive interval");
         } else if (arg.rfind("--count=", 0) == 0)
-            opts.count = std::stoull(value("--count="));
+            opts.count = uhm::parseUintFlag("--count", value("--count="),
+                                            0, UINT64_MAX);
         else if (arg.rfind("--json=", 0) == 0)
             opts.rawJson = value("--json=");
         else if (arg == "--help" || arg == "-h") {

@@ -9,6 +9,7 @@
  */
 
 #include <csignal>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -16,6 +17,7 @@
 
 #include "obs/emit.hh"
 #include "serve/server.hh"
+#include "support/flags.hh"
 #include "support/logging.hh"
 
 namespace
@@ -42,8 +44,8 @@ printHelp(std::FILE *out)
         "options:\n"
         "  --socket=PATH        listen path "
         "(default /tmp/uhm_serve.sock)\n"
-        "  --workers=N          pool workers (default: UHM_JOBS or "
-        "hardware)\n"
+        "  --workers=N          pool workers, at most 256 (default: "
+        "UHM_JOBS or hardware)\n"
         "  --max-sessions=N     session-cache capacity (default 32)\n"
         "  --max-queue=N        in-flight cap before 'overloaded' "
         "(default 128)\n"
@@ -51,8 +53,8 @@ printHelp(std::FILE *out)
         "(default 50000)\n"
         "  --timeline=FILE      dump the serve-track Chrome trace on "
         "exit\n"
-        "  --timeline-events=N  serve-track event ring capacity "
-        "(default 1048576)\n"
+        "  --timeline-events=N  serve-track event ring capacity, at "
+        "most 16777216 (default 1048576)\n"
         "  --window=SECS        rolling metrics window width "
         "(default 60)\n"
         "  --stats              dump serve.* counters to stderr on "
@@ -75,40 +77,35 @@ try {
         auto value = [&](const char *prefix) -> std::string {
             return arg.substr(std::strlen(prefix));
         };
-        // Strict positive integer: the whole text must parse and the
-        // result must be >= 1, so `--timeline-events=0` (a ring that
-        // can hold nothing) and trailing garbage both fail loudly.
-        auto uintValue = [&](const char *prefix) -> uint64_t {
-            const std::string text = value(prefix);
-            uint64_t parsed = 0;
-            size_t used = 0;
-            try {
-                parsed = std::stoull(text, &used);
-            } catch (const std::exception &) {
-                used = 0;
-            }
-            if (text.empty() || used != text.size() || parsed == 0)
-                uhm::fatal("%sN needs a positive integer (got '%s')",
-                           prefix, text.c_str());
-            return parsed;
+        // Range-checked before anything starts. Every count but
+        // --workers (where 0 means "default") must be at least 1: a
+        // ring, queue or slice of zero could never serve a request.
+        auto uintValue = [&](const char *prefix, uint64_t min,
+                             uint64_t max) -> uint64_t {
+            const std::string flag(prefix, std::strlen(prefix) - 1);
+            return uhm::parseUintFlag(flag.c_str(), value(prefix), min,
+                                      max);
         };
         if (arg.rfind("--socket=", 0) == 0)
             cfg.socketPath = value("--socket=");
         else if (arg.rfind("--workers=", 0) == 0)
-            cfg.workers = static_cast<unsigned>(
-                std::stoul(value("--workers=")));
+            cfg.workers = static_cast<unsigned>(uintValue(
+                "--workers=", 0, uhm::serve::ServerConfig::maxWorkers));
         else if (arg.rfind("--max-sessions=", 0) == 0)
-            cfg.maxSessions = std::stoull(value("--max-sessions="));
+            cfg.maxSessions = uintValue("--max-sessions=", 1, SIZE_MAX);
         else if (arg.rfind("--max-queue=", 0) == 0)
-            cfg.maxQueue = std::stoull(value("--max-queue="));
+            cfg.maxQueue = uintValue("--max-queue=", 1, SIZE_MAX);
         else if (arg.rfind("--slice-cycles=", 0) == 0)
-            cfg.sliceCycles = std::stoull(value("--slice-cycles="));
+            cfg.sliceCycles = uintValue("--slice-cycles=", 1, UINT64_MAX);
         else if (arg.rfind("--timeline=", 0) == 0)
             timeline_path = value("--timeline=");
         else if (arg.rfind("--timeline-events=", 0) == 0)
-            cfg.eventCapacity = uintValue("--timeline-events=");
+            cfg.eventCapacity = uintValue(
+                "--timeline-events=", 1,
+                uhm::serve::ServerConfig::maxEventCapacity);
         else if (arg.rfind("--window=", 0) == 0)
-            cfg.windowUs = uintValue("--window=") * 1'000'000;
+            cfg.windowUs = uintValue("--window=", 1,
+                                     UINT64_MAX / 1'000'000) * 1'000'000;
         else if (arg == "--stats")
             stats = true;
         else if (arg == "--help" || arg == "-h") {

@@ -11,8 +11,10 @@
 #include <cstring>
 
 #include "bench_common.hh"
+#include "dir/serialize.hh"
 #include "hlr/compiler.hh"
 #include "obs/emit.hh"
+#include "support/hash.hh"
 #include "support/json.hh"
 #include "support/logging.hh"
 #include "uhm/profile.hh"
@@ -33,6 +35,16 @@ countLines(const std::string &payload)
         if (c == '\n')
             ++n;
     return n;
+}
+
+/** The program_hash compile and encode replies carry: FNV-1a of the
+ *  serialized program. Computed per reply, since no other reply and no
+ *  cache lookup reads it. */
+uint64_t
+programHash(const DirProgram &program)
+{
+    std::vector<uint8_t> bytes = serializeDirProgram(program);
+    return fnv1a(bytes.data(), bytes.size());
 }
 
 } // anonymous namespace
@@ -279,7 +291,7 @@ Server::startRequest(std::shared_ptr<Pending> p)
             info.cached = p->cached;
             info.hasProgramSummary = true;
             info.instrs = p->session->program.size();
-            info.programHash = p->session->programHash;
+            info.programHash = programHash(p->session->program);
             if (p->req.verb == Verb::Encode)
                 info.imageBits = p->session->image->bitSize();
             if (p->req.disasm)

@@ -25,9 +25,7 @@ machineKindName(MachineKind kind)
 Machine::Machine(const EncodedDir &image, const MachineConfig &config,
                  Dtb *shared_dtb)
     : image_(&image), config_(config),
-      mem_(config.layout.level1Words, config.timing), translator_(image),
-      decodeMemo_(image), stagingValid_(image.numInstrs(), 0),
-      stagingMemo_(image.numInstrs())
+      mem_(config.layout.level1Words, config.timing)
 {
     if (shared_dtb && config_.kind != MachineKind::Dtb &&
         config_.kind != MachineKind::Tiered) {
@@ -76,8 +74,14 @@ Machine::Machine(const EncodedDir &image, const MachineConfig &config,
       case MachineKind::Conventional:
         break;
     }
-    // The routine library's only consumer is its flattened form.
-    flat_ = FlatRoutines::build(RoutineLibrary(layout), numOps);
+    flat_ = FlatRoutines::forLayout(layout);
+    if (decodesEveryInstr(config_.kind)) {
+        decodeMemo_.emplace(image);
+        stagingValid_.assign(image.numInstrs(), 0);
+        stagingMemo_.resize(image.numInstrs());
+    } else {
+        translator_.emplace(image);
+    }
 
     const DirProgram &prog = image.program();
     if (prog.maxDepth() > layout.maxDepth) {
@@ -164,8 +168,8 @@ Machine::popStack(uint64_t &bucket)
 void
 Machine::callRoutine(size_t entry)
 {
-    const uint32_t *vm_code = flat_.code.data();
-    const int64_t *vm_imm = flat_.imm.data();
+    const uint32_t *vm_code = flat_->code.data();
+    const int64_t *vm_imm = flat_->imm.data();
     const uint64_t tau1 = config_.timing.tau1;
     const uint64_t tau2 = config_.timing.tau2;
     const uint64_t level1_words = mem_.level1Words();
@@ -238,7 +242,7 @@ Machine::executeStaged(const Staging &staging)
     for (int64_t v : staging.pushes)
         pushStack(v, breakdown_.stage);
     if (staging.routine >= 0) {
-        int32_t entry = flat_.entry[static_cast<size_t>(staging.routine)];
+        int32_t entry = flat_->entry[static_cast<size_t>(staging.routine)];
         if (entry >= 0)
             callRoutine(static_cast<size_t>(entry));
     }
@@ -270,7 +274,7 @@ Machine::convStep()
     // The simulated machine decodes every executed instruction (and is
     // charged for it below); the host replays the memoized result after
     // the first visit to a pc.
-    const DecodeResult &res = decodeMemo_.decodeAt(pc_);
+    const DecodeResult &res = decodeMemo_->decodeAt(pc_);
     ++opcodeCounts_[static_cast<size_t>(res.instr.op)];
     uint64_t bits = res.nextBitAddr - pc_;
     if (config_.kind == MachineKind::Cached)
@@ -322,9 +326,9 @@ Machine::executeShort(const ShortInstr &si)
       }
       case SOp::CALL: {
         uhm_assert(si.operand >= 0 &&
-                   static_cast<size_t>(si.operand) < flat_.entry.size(),
+                   static_cast<size_t>(si.operand) < flat_->entry.size(),
                    "CALL to unknown routine id");
-        int32_t entry = flat_.entry[static_cast<size_t>(si.operand)];
+        int32_t entry = flat_->entry[static_cast<size_t>(si.operand)];
         if (entry >= 0)
             callRoutine(static_cast<size_t>(entry));
         break;
@@ -367,7 +371,7 @@ Machine::missFlow()
 
     // Memoized: a repeat miss on this pc replays the cached translation;
     // the charged costs are identical either way.
-    const Translation &tr = translator_.translate(pc_);
+    const Translation &tr = translator_->translate(pc_);
     chargeFetchLevel2(tr.bits);
     uint64_t decode_cycles = config_.costs.decodeCycles(tr.decodeCost);
     breakdown_.decode += decode_cycles;
@@ -572,7 +576,7 @@ Machine::ensureSeqLowered(const Dtb &buf, std::vector<FastSeq> &slots,
         // The entry's contents changed since this slot was lowered
         // (insert, evict or flush all bump the generation): relower,
         // which also clears the slot's inline cache.
-        lowerFastSeq(buf.codeAt(idx), flat_, fetch_cost,
+        lowerFastSeq(buf.codeAt(idx), *flat_, fetch_cost,
                      config_.timing.tau1, fs);
         fs.gen = gen;
     }
@@ -620,8 +624,8 @@ Machine::runDtbFast()
             dtbStep();
         return;
     }
-    const uint32_t *vm_code = flat_.code.data();
-    const int64_t *vm_imm = flat_.imm.data();
+    const uint32_t *vm_code = flat_->code.data();
+    const int64_t *vm_imm = flat_->imm.data();
     const uint64_t tau1 = config_.timing.tau1;
     const uint64_t tau2 = config_.timing.tau2;
     const uint64_t tau_d = config_.timing.tauD;
@@ -920,13 +924,13 @@ Machine::runTrace(uint64_t head, const tier::Trace &trace)
     uhm_assert(resident, "trace dispatched without a cache entry");
     FastTrace &ft = fastTraces_[tidx];
     if (ft.gen != tgen) {
-        lowerFastTrace(trace, flat_, config_.timing.tauD,
+        lowerFastTrace(trace, *flat_, config_.timing.tauD,
                        config_.timing.tau1, ft);
         ft.gen = tgen;
     }
 
-    const uint32_t *vm_code = flat_.code.data();
-    const int64_t *vm_imm = flat_.imm.data();
+    const uint32_t *vm_code = flat_->code.data();
+    const int64_t *vm_imm = flat_->imm.data();
     const uint64_t tau1 = config_.timing.tau1;
     const uint64_t tau2 = config_.timing.tau2;
     const uint64_t level1_words = mem_.level1Words();
@@ -1071,8 +1075,8 @@ Machine::runConventionalFast()
             convStep();
         return;
     }
-    const uint32_t *vm_code = flat_.code.data();
-    const int64_t *vm_imm = flat_.imm.data();
+    const uint32_t *vm_code = flat_->code.data();
+    const int64_t *vm_imm = flat_->imm.data();
     const uint64_t tau1 = config_.timing.tau1;
     const uint64_t tau2 = config_.timing.tau2;
     const uint64_t tau_d = config_.timing.tauD;
@@ -1150,7 +1154,7 @@ Machine::runConventionalFast()
             addressTrace_.push_back(pc);
 
         {
-            const DecodeResult &res = decodeMemo_.decodeAt(pc);
+            const DecodeResult &res = decodeMemo_->decodeAt(pc);
             fc = &convFast_[res.index];
             if (!fc->valid) {
                 // Lower lazily on first visit. The image is immutable,
@@ -1174,7 +1178,7 @@ Machine::runConventionalFast()
                 fc->decodeCycles = config_.costs.decodeCycles(res.cost);
                 fc->pushes = st.pushes;
                 fc->routineEntry = st.routine >= 0 ?
-                    flat_.entry[static_cast<size_t>(st.routine)] : -1;
+                    flat_->entry[static_cast<size_t>(st.routine)] : -1;
                 fc->next = static_cast<uint8_t>(st.next);
                 fc->nextImm = st.nextImm;
                 fc->stageAdd = fc->pushes.size() * tau1;
@@ -1360,8 +1364,7 @@ Machine::beginRun(std::vector<int64_t> input)
         fastL1Slots_.assign(dtbL1_->numEntries(), FastSeq{});
     if (tier_)
         fastTraces_.assign(tier_->cache().numEntries(), FastTrace{});
-    if (config_.kind == MachineKind::Conventional ||
-        config_.kind == MachineKind::Cached)
+    if (decodesEveryInstr(config_.kind))
         convFast_.assign(image_->numInstrs(), FastConv{});
     // The micro-op core addresses the operand stack through a raw
     // pointer; materialize its backing storage up front.
@@ -1453,10 +1456,8 @@ Machine::finishRun()
     result.eventsSeen = tracer_.seen();
     result.eventsDropped = tracer_.dropped();
     result.addressTrace = std::move(addressTrace_);
-    if (config_.kind == MachineKind::Conventional ||
-        config_.kind == MachineKind::Cached) {
+    if (decodesEveryInstr(config_.kind))
         result.opcodeCounts = opcodeCounts_;
-    }
 
     if (dtb_) {
         result.dtbHitRatio = dtb_->hitRatio();

@@ -86,6 +86,15 @@ enum class MachineKind : uint8_t
 /** Printable name of a machine kind. */
 const char *machineKindName(MachineKind kind);
 
+/** Conventional and Cached decode every executed instruction; the DTB
+ *  family decodes only on a translation miss. */
+inline bool
+decodesEveryInstr(MachineKind kind)
+{
+    return kind == MachineKind::Conventional ||
+           kind == MachineKind::Cached;
+}
+
 /** Full configuration of one machine instance. */
 struct MachineConfig
 {
@@ -349,6 +358,10 @@ class Machine
 
     const MachineConfig &config() const { return config_; }
 
+    /** The semantic-routine library, shared by every machine with this
+     *  layout (FlatRoutines::forLayout). */
+    const FlatRoutines &routines() const { return *flat_; }
+
   private:
     // ---- operand stack (resident in level-1 memory) ----------------------
     void pushStack(int64_t value, uint64_t &bucket);
@@ -511,22 +524,24 @@ class Machine
     std::unique_ptr<Dtb> dtbL1_;
     std::unique_ptr<SetAssocCache> icache_;
     std::unique_ptr<tier::TierEngine> tier_;
-    DynamicTranslator translator_;
+    /** The DTB family's miss-path translator (memoized per pc);
+     *  empty for the kinds that decode every instruction. */
+    std::optional<DynamicTranslator> translator_;
     /**
      * Host-side decode/staging memos for the conventional and cached
-     * fetch paths (the DTB paths memoize inside translator_). The
-     * image is immutable, so the memos never invalidate; simulated
-     * decode cycles are charged from the cached DecodeCost and are
-     * identical to a cold decode.
+     * fetch paths, so allocated for those kinds only. The image is
+     * immutable, so the memos never invalidate; simulated decode
+     * cycles are charged from the cached DecodeCost and are identical
+     * to a cold decode.
      */
-    DecodeMemo decodeMemo_;
+    std::optional<DecodeMemo> decodeMemo_;
     std::vector<uint8_t> stagingValid_;
     std::vector<Staging> stagingMemo_;
 
     // Run images (see uhm/run_image.hh and docs/INTERNALS.md
     // "Execution engine").
-    /** All semantic routines flattened; immutable, built once. */
-    FlatRoutines flat_;
+    /** All semantic routines flattened; immutable, shared per layout. */
+    std::shared_ptr<const FlatRoutines> flat_;
     /** Lowered PSDER sequences + inline caches, by DTB entry index.
      *  Sized at beginRun; never reallocated during a run, so FastSeq
      *  pointers stay stable across iterations. */

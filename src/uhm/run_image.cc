@@ -1,5 +1,8 @@
 #include "uhm/run_image.hh"
 
+#include <map>
+#include <mutex>
+
 #include "psder/staging.hh"
 #include "support/logging.hh"
 
@@ -207,6 +210,21 @@ FlatRoutines::build(const RoutineLibrary &lib, size_t count)
             size_t len = fuseAt(r.ops, j, flat.code, base);
             j += len ? len : 1;
         }
+    }
+    return flat;
+}
+
+std::shared_ptr<const FlatRoutines>
+FlatRoutines::forLayout(const MachineLayout &layout)
+{
+    static std::mutex mutex;
+    static std::map<MachineLayout, std::shared_ptr<const FlatRoutines>>
+        memo;
+    std::lock_guard<std::mutex> lock(mutex);
+    std::shared_ptr<const FlatRoutines> &flat = memo[layout];
+    if (!flat) {
+        flat = std::make_shared<const FlatRoutines>(
+            build(RoutineLibrary(layout), numOps));
     }
     return flat;
 }

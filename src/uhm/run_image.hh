@@ -32,6 +32,7 @@
 
 #include <array>
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "psder/routines.hh"
@@ -111,6 +112,16 @@ struct FlatRoutines
 
     /** Flatten @p count routines of @p lib (ids 0..count-1). */
     static FlatRoutines build(const RoutineLibrary &lib, size_t count);
+
+    /**
+     * The flattened library of every DIR opcode's routine for
+     * @p layout. The routines are fixed firmware that depends only on
+     * the layout, so each distinct layout is built once per process and
+     * every machine with that layout shares the one immutable copy.
+     * Thread-safe.
+     */
+    static std::shared_ptr<const FlatRoutines>
+    forLayout(const MachineLayout &layout);
 };
 
 /**

@@ -10,9 +10,11 @@
 #include <unistd.h>
 
 #include <cmath>
+#include <cstdio>
 #include <thread>
 
 #include "bench_common.hh"
+#include "dir/serialize.hh"
 #include "hlr/compiler.hh"
 #include "obs/timeline.hh"
 #include "obs/window.hh"
@@ -20,6 +22,7 @@
 #include "serve/client.hh"
 #include "serve/proto.hh"
 #include "serve/server.hh"
+#include "support/hash.hh"
 #include "uhm/profile.hh"
 #include "workload/samples.hh"
 
@@ -246,6 +249,47 @@ TEST(ServeDaemon, CompileEncodeAndErrorVerbs)
     serve::Response after = client.call(R"({"id":6,"verb":"ping"})");
     EXPECT_TRUE(after.ok);
 
+    server.stop();
+}
+
+TEST(ServeDaemon, ProgramHashIsFnvOfTheColdSerializedProgram)
+{
+    // program_hash is FNV-1a over serializeDirProgram of the program a
+    // cold compile produces, on a cache miss and a hit alike, and for
+    // compile and encode alike (the encoding does not enter it).
+    DirProgram prog = hlr::compileSource(
+        workload::sampleByName("fib").source);
+    std::vector<uint8_t> bytes = serializeDirProgram(prog);
+    char expected[24];
+    std::snprintf(expected, sizeof(expected), "%016llx",
+                  static_cast<unsigned long long>(
+                      fnv1a(bytes.data(), bytes.size())));
+
+    serve::ServerConfig cfg;
+    cfg.socketPath = testSocketPath();
+    cfg.workers = 1;
+    serve::Server server(cfg);
+    server.start();
+    serve::Client client(cfg.socketPath);
+    struct Case
+    {
+        const char *request;
+        bool cached;
+    };
+    for (const Case &c : {
+             Case{R"({"id":1,"verb":"compile","program":"fib"})", false},
+             Case{R"({"id":2,"verb":"compile","program":"fib"})", true},
+             Case{R"({"id":3,"verb":"encode","program":"fib"})", true},
+             Case{R"({"id":4,"verb":"encode","program":"fib",)"
+                  R"("encoding":"packed"})", false},
+             Case{R"({"id":5,"verb":"encode","program":"fib",)"
+                  R"("encoding":"packed"})", true}}) {
+        serve::Response r = client.call(c.request);
+        ASSERT_TRUE(r.ok) << c.request << ": " << r.message;
+        EXPECT_EQ(r.doc.find("cached")->boolean, c.cached) << c.request;
+        EXPECT_EQ(r.doc.find("program_hash")->string, expected)
+            << c.request;
+    }
     server.stop();
 }
 

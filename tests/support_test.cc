@@ -1,7 +1,8 @@
 /**
  * @file
  * Unit tests for the support substrate: bit streams, Huffman coding,
- * logging, stats, RNG, wrapping arithmetic and table rendering.
+ * logging, stats, RNG, wrapping arithmetic, table rendering, flag
+ * parsing and hashing.
  */
 
 #include <gtest/gtest.h>
@@ -9,6 +10,8 @@
 #include <cmath>
 
 #include "support/bitstream.hh"
+#include "support/flags.hh"
+#include "support/hash.hh"
 #include "support/huffman.hh"
 #include "support/json.hh"
 #include "support/logging.hh"
@@ -47,6 +50,49 @@ TEST(Logging, AssertMacroFiresOnFalse)
 TEST(Logging, AssertMacroPassesOnTrue)
 {
     EXPECT_NO_THROW(uhm_assert(1 == 1, "fine"));
+}
+
+// ---- flags -----------------------------------------------------------------
+
+TEST(Flags, ParsesValuesInRange)
+{
+    EXPECT_EQ(parseUintFlag("--n", "0", 0, 10), 0u);
+    EXPECT_EQ(parseUintFlag("--n", "10", 0, 10), 10u);
+    EXPECT_EQ(parseUintFlag("--n", "007", 1, 10), 7u);
+    EXPECT_EQ(parseUintFlag("--n", "18446744073709551615", 0, UINT64_MAX),
+              UINT64_MAX);
+}
+
+TEST(Flags, RejectsWhatStoullWouldWrapOrTruncate)
+{
+    for (const char *text : {"", "-1", "+1", " 1", "1 ", "1k", "0x10",
+                             "18446744073709551616"}) {
+        EXPECT_THROW(parseUintFlag("--n", text, 0, UINT64_MAX), FatalError)
+            << "'" << text << "'";
+    }
+}
+
+TEST(Flags, RejectsValuesOutsideTheRange)
+{
+    EXPECT_THROW(parseUintFlag("--n", "0", 1, 10), FatalError);
+    EXPECT_THROW(parseUintFlag("--n", "11", 1, 10), FatalError);
+    EXPECT_THROW(parseUintFlag("--n", "4294967296", 0, UINT32_MAX),
+                 FatalError);
+    try {
+        parseUintFlag("--workers", "-1", 0, 256);
+        FAIL() << "-1 was accepted";
+    } catch (const FatalError &e) {
+        EXPECT_STREQ(e.what(),
+                     "--workers must be an integer in [0, 256], not '-1'");
+    }
+}
+
+// ---- hash ------------------------------------------------------------------
+
+TEST(Hash, Fnv1aKnownValues)
+{
+    EXPECT_EQ(fnv1a("", 0), 0xcbf29ce484222325ull);
+    EXPECT_EQ(fnv1a("a", 1), 0xaf63dc4c8601ec8cull);
 }
 
 // ---- bitstream -------------------------------------------------------------

@@ -1,7 +1,8 @@
 /**
  * @file
  * Tests for the universal host machine: per-opcode semantics, the three
- * machine organizations, cycle accounting and the Figure 4 INTERP flow.
+ * machine organizations, cycle accounting, the Figure 4 INTERP flow and
+ * the per-layout semantic-routine library.
  */
 
 #include <gtest/gtest.h>
@@ -10,6 +11,7 @@
 #include "hlr/interp.hh"
 #include "hlr/parser.hh"
 #include "support/logging.hh"
+#include "support/pool.hh"
 #include "uhm/machine.hh"
 #include "workload/samples.hh"
 #include "workload/synthetic.hh"
@@ -578,6 +580,90 @@ TEST(CrossMachine, IdenticalOutputsDifferentCycleProfiles)
     EXPECT_EQ(rc.breakdown.semantic, rd.breakdown.semantic);
     // Fetch/decode profiles differ.
     EXPECT_NE(rc.cycles, rd.cycles);
+}
+
+// ---- the semantic-routine library, shared per layout -----------------------
+
+bool
+sameRoutines(const FlatRoutines &a, const FlatRoutines &b)
+{
+    return a.code == b.code && a.imm == b.imm && a.entry == b.entry;
+}
+
+FlatRoutines
+freshRoutines(const MachineLayout &layout)
+{
+    return FlatRoutines::build(RoutineLibrary(layout), numOps);
+}
+
+TEST(RoutineLibraryMemo, OneLayoutSharesOneLibrary)
+{
+    DirProgram p = hlr::compileSource(
+        workload::sampleByName("fib").source);
+    auto image = encodeDir(p, EncodingScheme::Huffman);
+    const Machine a(*image, configFor(MachineKind::Dtb));
+    const Machine b(*image, configFor(MachineKind::Conventional));
+    EXPECT_EQ(&a.routines(), &b.routines());
+    EXPECT_TRUE(sameRoutines(a.routines(), freshRoutines(MachineLayout{})));
+}
+
+TEST(RoutineLibraryMemo, ADifferentLayoutGetsItsOwnLibrary)
+{
+    DirProgram p = hlr::compileSource(
+        workload::sampleByName("qsort").source);
+    auto image = encodeDir(p, EncodingScheme::Huffman);
+    Machine dflt(*image, configFor(MachineKind::Dtb));
+    RunResult want = dflt.run();
+
+    // stackWords does not enter the routines, dispBase does; either way
+    // the layout is a different key, and the run is unchanged.
+    MachineConfig small = configFor(MachineKind::Dtb);
+    small.layout.stackWords = 1024;
+    MachineConfig moved = configFor(MachineKind::Dtb);
+    moved.layout.dispBase = 20;
+    for (const MachineConfig &cfg : {small, moved}) {
+        Machine m(*image, cfg);
+        EXPECT_NE(&m.routines(), &dflt.routines());
+        EXPECT_TRUE(sameRoutines(m.routines(), freshRoutines(cfg.layout)));
+        RunResult got = m.run();
+        EXPECT_EQ(got.output, want.output);
+        EXPECT_EQ(got.cycles, want.cycles);
+        EXPECT_EQ(got.breakdown.semantic, want.breakdown.semantic);
+    }
+    Machine again(*image, small);
+    Machine other(*image, small);
+    EXPECT_EQ(&again.routines(), &other.routines());
+    EXPECT_FALSE(sameRoutines(Machine(*image, moved).routines(),
+                              dflt.routines()));
+}
+
+TEST(RoutineLibraryMemo, ConcurrentBuildsShareOneLibrary)
+{
+    DirProgram p = hlr::compileSource(
+        workload::sampleByName("fib").source);
+    auto image = encodeDir(p, EncodingScheme::Huffman);
+    // A layout no other test uses, so the workers race to build it.
+    MachineConfig cfg;
+    cfg.layout.stackWords = 1536;
+    const MachineKind kinds[] = {
+        MachineKind::Conventional, MachineKind::Cached, MachineKind::Dtb,
+        MachineKind::Dtb2, MachineKind::Tiered};
+    std::vector<const FlatRoutines *> seen(20, nullptr);
+    {
+        ThreadPool pool(4);
+        for (size_t i = 0; i < seen.size(); ++i) {
+            pool.submit([&, i] {
+                MachineConfig mine = cfg;
+                mine.kind = kinds[i % 5];
+                Machine m(*image, mine);
+                seen[i] = &m.routines();
+            });
+        }
+        pool.wait();
+    }
+    for (const FlatRoutines *flat : seen)
+        EXPECT_EQ(flat, seen[0]);
+    EXPECT_EQ(&Machine(*image, cfg).routines(), seen[0]);
 }
 
 } // anonymous namespace
