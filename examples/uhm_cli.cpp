@@ -26,7 +26,8 @@
  * grid workload, generated from --seed.
  *
  * Sweep options:
- *   --jobs=<n>             worker threads (default: all cores)
+ *   --jobs=<n>             worker threads, at most 256 (default: all
+ *                          cores)
  *   --seed=<n>             seed for the "synthetic" workload (1978)
  *   --machine=/--encoding= as below, applied to every point
  *   --tier-threshold=/--trace-cap=/--trace-bytes= as below
@@ -104,6 +105,7 @@
 #include "support/flags.hh"
 #include "support/huffman.hh"
 #include "support/logging.hh"
+#include "support/pool.hh"
 #include "uhm/machine.hh"
 #include "uhm/profile.hh"
 #include "workload/samples.hh"
@@ -233,7 +235,8 @@ printSweepHelp(std::FILE *out = stdout)
         out);
     std::fputs(commonOptionsHelp, out);
     std::fputs(
-        "  --jobs=<n>             worker threads (default: all cores)\n"
+        "  --jobs=<n>             worker threads, at most 256 (default:\n"
+        "                         all cores)\n"
         "  --seed=<n>             seed for the \"synthetic\" workload\n"
         "  --sample-interval=<n>  sample DTB/trace-cache occupancy\n"
         "                         every <n> cycles per point (0 = off)\n"
@@ -440,7 +443,8 @@ runSweepCommand(int argc, char **argv)
             return arg.substr(std::strlen(prefix));
         };
         if (arg.rfind("--jobs=", 0) == 0)
-            jobs = parseUint32("--jobs", value("--jobs="));
+            jobs = static_cast<unsigned>(uhm::parseUintFlag(
+                "--jobs", value("--jobs="), 0, uhm::maxJobs));
         else if (arg.rfind("--seed=", 0) == 0)
             seed = std::stoull(value("--seed="));
         else if (arg.rfind("--machine=", 0) == 0)

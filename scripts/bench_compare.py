@@ -14,9 +14,13 @@ gated — they are ratios of two noisy timings and swing twice as hard as
 either input. Counting metrics (``instrs``, ``iters``, ...) are
 compared for drift but never gate either.
 
+A gate that silently stops gating is an error too: a timing metric of
+the baseline that the candidate lacks (a renamed key), or a comparison
+in which no timing metric is gated at all, exits 2.
+
 Usage: bench_compare.py BASELINE.json CANDIDATE.json [--threshold=0.10]
 Exit status: 0 if no timing regressed past the threshold, 1 otherwise,
-2 on malformed input.
+2 on malformed input or a lost gate.
 """
 
 import json
@@ -45,12 +49,33 @@ def element_key(element, index):
     return str(index)
 
 
-def walk(base, cand, path, rows):
-    """Collect (path, base, cand) rows for every shared numeric leaf."""
+def is_number(value):
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def timing_leaves(doc, path, out):
+    """Collect the paths of every gated timing leaf under @p doc."""
+    if isinstance(doc, dict):
+        for key, value in doc.items():
+            timing_leaves(value, path + [key], out)
+    elif isinstance(doc, list):
+        for i, el in enumerate(doc):
+            timing_leaves(el, path + [element_key(el, i)], out)
+    elif is_number(doc) and path and is_timing(path[-1]) \
+            and not is_ungated(path[-1]):
+        out.append(".".join(path))
+
+
+def walk(base, cand, path, rows, missing):
+    """Collect (path, base, cand) rows for every shared numeric leaf,
+    and in @p missing the baseline's timing leaves the candidate
+    lacks."""
     if isinstance(base, dict) and isinstance(cand, dict):
         for key in base:
             if key in cand:
-                walk(base[key], cand[key], path + [key], rows)
+                walk(base[key], cand[key], path + [key], rows, missing)
+            else:
+                timing_leaves(base[key], path + [key], missing)
     elif isinstance(base, list) and isinstance(cand, list):
         cand_by_key = {
             element_key(el, i): el for i, el in enumerate(cand)
@@ -58,10 +83,13 @@ def walk(base, cand, path, rows):
         for i, el in enumerate(base):
             key = element_key(el, i)
             if key in cand_by_key:
-                walk(el, cand_by_key[key], path + [key], rows)
-    elif isinstance(base, (int, float)) and not isinstance(base, bool) \
-            and isinstance(cand, (int, float)):
+                walk(el, cand_by_key[key], path + [key], rows, missing)
+            else:
+                timing_leaves(el, path + [key], missing)
+    elif is_number(base) and is_number(cand):
         rows.append((".".join(path), float(base), float(cand)))
+    else:
+        timing_leaves(base, path, missing)
 
 
 def main(argv):
@@ -86,11 +114,13 @@ def main(argv):
         return 2
 
     rows = []
-    walk(base, cand, [], rows)
+    missing = []
+    walk(base, cand, [], rows, missing)
     if not rows:
         print("bench_compare: no shared numeric metrics", file=sys.stderr)
         return 2
 
+    gated = 0
     regressions = []
     print("%-55s %12s %12s %9s" % ("metric", "baseline", "candidate",
                                    "delta"))
@@ -98,12 +128,24 @@ def main(argv):
         delta = (c - b) / b if b else 0.0
         gate = ""
         if is_timing(name) and not is_ungated(name):
+            gated += 1
             if delta > threshold:
                 regressions.append((name, b, c, delta))
                 gate = "  << REGRESSION"
         print("%-55s %12.4g %12.4g %+8.1f%%%s"
               % (name, b, c, delta * 100, gate))
 
+    if missing:
+        print("\nbench_compare: %d baseline timing metric(s) missing "
+              "from the candidate, so not gated:" % len(missing),
+              file=sys.stderr)
+        for name in missing:
+            print("  %s" % name, file=sys.stderr)
+        return 2
+    if gated == 0:
+        print("\nbench_compare: no timing metric was gated",
+              file=sys.stderr)
+        return 2
     if regressions:
         print("\n%d wall-clock metric(s) regressed more than %.0f%%:"
               % (len(regressions), threshold * 100))

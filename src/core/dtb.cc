@@ -5,7 +5,8 @@
 namespace uhm
 {
 
-Dtb::Dtb(const DtbConfig &config) : config_(config), rng_(config.seed)
+Dtb::Dtb(const DtbConfig &config)
+    : config_(config), rng_(config.seed), repl_(config.policy, &rng_)
 {
     // Geometry comes from user configuration (CLI flags, wire fields):
     // an impossible one is a user error, not a simulator bug.
@@ -59,9 +60,6 @@ Dtb::Dtb(const DtbConfig &config) : config_(config), rng_(config.seed)
     setsPerPartition_ = numSets_ / numPartitions_;
 
     entries_.assign(numEntries_, Entry{});
-    repl_.reserve(numSets_);
-    for (uint64_t s = 0; s < numSets_; ++s)
-        repl_.emplace_back(assoc_, config.policy, &rng_);
 }
 
 Dtb::LookupResult
@@ -73,7 +71,7 @@ Dtb::lookup(uint64_t dir_addr)
         Entry &e = set_entries[way];
         if (e.meta.valid && e.meta.tag == dir_addr &&
             e.meta.asid == asid_) {
-            repl_[set].touch(way);
+            repl_.touch(e.meta.stamp);
             ++hits_;
             ++e.meta.useCount;
             return {true, &e.code, e.meta.units, &e.meta,
@@ -157,7 +155,9 @@ Dtb::insert(uint64_t dir_addr, const std::vector<ShortInstr> &code,
     }
     Entry *victim = nullptr;
     if (way == assoc_) {
-        way = repl_[set].victim();
+        way = repl_.victim(assoc_, [&](unsigned w) {
+            return set_entries[w].meta.stamp;
+        });
         victim = &set_entries[way];
     }
 
@@ -200,7 +200,7 @@ Dtb::insert(uint64_t dir_addr, const std::vector<ShortInstr> &code,
     e.code.resize(code.size());
     for (size_t i = 0; i < code.size(); ++i)
         e.code[i] = code[i];
-    repl_[set].fill(way);
+    repl_.fill(e.meta.stamp);
     ++inserts_;
     out.retained = true;
     out.entryIdx = static_cast<uint32_t>(set * assoc_ + way);

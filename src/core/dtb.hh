@@ -8,7 +8,8 @@
  * array (DIR instruction addresses), an address array (explicit pointers
  * into the buffer array — kept explicit, as section 5.2 argues, so the
  * unit of allocation can vary per configuration), a replacement array
- * (per-set recency ordering) and the buffer array itself, which holds
+ * (per-set recency ordering, kept as a use stamp per entry:
+ * mem/replacement.hh) and the buffer array itself, which holds
  * the PSDER short-format instructions and lives in the machine's
  * directly addressable memory.
  *
@@ -282,9 +283,10 @@ class Dtb
     void
     hitAt(uint32_t idx)
     {
-        repl_[idx / assoc_].touch(idx % assoc_);
+        EntryMeta &meta = entries_[idx].meta;
+        repl_.touch(meta.stamp);
         ++hits_;
-        ++entries_[idx].meta.useCount;
+        ++meta.useCount;
     }
 
     /**
@@ -405,9 +407,10 @@ class Dtb
     /** Current address-space ID (0 for single-tenant machines). */
     uint32_t asid_ = 0;
     Rng rng_;
+    /** The replacement array, as EntryMeta::stamp per entry. */
+    UseClock repl_;
     /** entries_[set * assoc_ + way]. */
     std::vector<Entry> entries_;
-    std::vector<ReplacementSet> repl_;
     obs::Counter hits_;
     obs::Counter misses_;
     obs::Counter inserts_;

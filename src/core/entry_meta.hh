@@ -9,9 +9,14 @@
  * hotness/promotion state the adaptive tier reads — is identical in
  * both, so it lives here once instead of as two hand-rolled copies.
  *
- * The recency ("LRU stamp") half of the replacement state stays in
- * mem/replacement.hh's per-set ReplacementSet, which both structures
- * also share; EntryMeta carries the per-entry half.
+ * The replacement array lives here too, as one use stamp per entry
+ * (EntryMeta::stamp, driven by mem/replacement.hh's UseClock): a hit
+ * under LRU and every fill set it to the structure's ++clock, and the
+ * victim is the set's way with the lowest stamp. That is exact, not an
+ * approximation: the DTB and the trace cache prefer an invalid way and
+ * consult the victim only when the whole set is valid, so every way
+ * then carries the stamp of its last fill or hit. reset() therefore
+ * leaves the stamp alone.
  */
 
 #ifndef UHM_CORE_ENTRY_META_HH
@@ -44,6 +49,12 @@ struct EntryMeta
      * Dies with the entry — an evicted translation restarts cold.
      */
     uint32_t useCount = 0;
+    /**
+     * Replacement use stamp: the structure's UseClock value at the last
+     * fill (or, under LRU, hit). Survives reset(): an invalid way is
+     * never a stamp-ordered victim, and its next fill restamps it.
+     */
+    uint64_t stamp = 0;
     /**
      * Backward control transfers that landed on this entry while it was
      * resident (the tier's per-backedge promotion counter). Only the

@@ -8,7 +8,7 @@ namespace uhm
 {
 
 SetAssocCache::SetAssocCache(const CacheConfig &config)
-    : config_(config), rng_(config.seed)
+    : config_(config), rng_(config.seed), repl_(config.policy, &rng_)
 {
     // Geometry comes from user configuration (CLI flags, wire fields):
     // an impossible one is a user error, not a simulator bug.
@@ -34,9 +34,6 @@ SetAssocCache::SetAssocCache(const CacheConfig &config)
     setShift_ = static_cast<unsigned>(std::countr_zero(numSets_));
 
     lines_.assign(numSets_ * assoc_, Line{});
-    repl_.reserve(numSets_);
-    for (uint64_t s = 0; s < numSets_; ++s)
-        repl_.emplace_back(assoc_, config.policy, &rng_);
 }
 
 bool
@@ -58,7 +55,7 @@ SetAssocCache::access(uint64_t byte_addr)
     Line *set_lines = &lines_[set * assoc_];
     for (unsigned way = 0; way < assoc_; ++way) {
         if (set_lines[way].valid && set_lines[way].tag == tag) {
-            repl_[set].touch(way);
+            repl_.touch(set_lines[way].stamp);
             ++hits_;
             return true;
         }
@@ -73,11 +70,12 @@ SetAssocCache::access(uint64_t byte_addr)
         }
     }
     if (victim == assoc_)
-        victim = repl_[set].victim();
+        victim = repl_.victim(
+            assoc_, [&](unsigned w) { return set_lines[w].stamp; });
 
     set_lines[victim].tag = tag;
     set_lines[victim].valid = true;
-    repl_[set].fill(victim);
+    repl_.fill(set_lines[victim].stamp);
     ++misses_;
     return false;
 }

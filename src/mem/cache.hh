@@ -94,6 +94,8 @@ class SetAssocCache
     struct Line
     {
         uint64_t tag = 0;
+        /** Replacement use stamp (mem/replacement.hh). */
+        uint64_t stamp = 0;
         bool valid = false;
     };
 
@@ -106,9 +108,9 @@ class SetAssocCache
     unsigned lineShift_;
     unsigned setShift_;
     Rng rng_;
+    UseClock repl_;
     /** lines_[set * assoc_ + way]. */
     std::vector<Line> lines_;
-    std::vector<ReplacementSet> repl_;
     obs::Counter hits_;
     obs::Counter misses_;
 };

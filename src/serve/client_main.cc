@@ -30,13 +30,10 @@
 #include "support/flags.hh"
 #include "support/json.hh"
 #include "support/logging.hh"
+#include "support/pool.hh"
 
 namespace
 {
-
-/** Most concurrent copies --jobs accepts: each is a thread and a
- *  connection. */
-constexpr unsigned maxJobs = 256;
 
 struct Options
 {
@@ -135,7 +132,7 @@ parseArgs(int argc, char **argv)
             opts.id = std::stoull(value("--id="));
         else if (arg.rfind("--jobs=", 0) == 0)
             opts.jobs = static_cast<unsigned>(uhm::parseUintFlag(
-                "--jobs", value("--jobs="), 1, maxJobs));
+                "--jobs", value("--jobs="), 1, uhm::maxJobs));
         else if (arg.rfind("--format=", 0) == 0)
             opts.format = value("--format=");
         else if (arg.rfind("--watch=", 0) == 0) {

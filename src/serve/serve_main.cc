@@ -19,6 +19,7 @@
 #include "serve/server.hh"
 #include "support/flags.hh"
 #include "support/logging.hh"
+#include "support/pool.hh"
 
 namespace
 {
@@ -90,7 +91,7 @@ try {
             cfg.socketPath = value("--socket=");
         else if (arg.rfind("--workers=", 0) == 0)
             cfg.workers = static_cast<unsigned>(uintValue(
-                "--workers=", 0, uhm::serve::ServerConfig::maxWorkers));
+                "--workers=", 0, uhm::maxJobs));
         else if (arg.rfind("--max-sessions=", 0) == 0)
             cfg.maxSessions = uintValue("--max-sessions=", 1, SIZE_MAX);
         else if (arg.rfind("--max-queue=", 0) == 0)

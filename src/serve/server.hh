@@ -51,9 +51,6 @@ namespace uhm::serve
 /** Daemon knobs. */
 struct ServerConfig
 {
-    /** Most pool workers uhm_serve's --workers accepts: each worker
-     *  is an OS thread. */
-    static constexpr unsigned maxWorkers = 256;
     /** Largest serve-track event ring --timeline-events accepts; the
      *  ring is allocated whole at start. */
     static constexpr size_t maxEventCapacity = size_t{1} << 24;

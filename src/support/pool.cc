@@ -1,5 +1,6 @@
 #include "support/pool.hh"
 
+#include <algorithm>
 #include <cstdlib>
 #include <utility>
 
@@ -14,7 +15,7 @@ defaultJobs()
     if (const char *env = std::getenv("UHM_JOBS")) {
         long n = std::strtol(env, nullptr, 10);
         if (n > 0)
-            return static_cast<unsigned>(n);
+            return static_cast<unsigned>(std::min<long>(n, maxJobs));
     }
     unsigned hw = std::thread::hardware_concurrency();
     return hw > 0 ? hw : 1;

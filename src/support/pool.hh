@@ -36,9 +36,14 @@
 namespace uhm
 {
 
+/** Most workers a --jobs/--workers flag or UHM_JOBS asks for: each
+ *  worker is an OS thread. */
+inline constexpr unsigned maxJobs = 256;
+
 /**
  * Default worker count: UHM_JOBS from the environment if set and
- * positive, else the hardware concurrency, and at least 1.
+ * positive (clamped to maxJobs), else the hardware concurrency, and at
+ * least 1.
  */
 unsigned defaultJobs();
 

@@ -6,7 +6,7 @@ namespace uhm::tier
 {
 
 TraceCache::TraceCache(const TraceCacheConfig &config)
-    : config_(config), rng_(config.seed)
+    : config_(config), rng_(config.seed), repl_(config.policy, &rng_)
 {
     // Geometry comes from user configuration (CLI flags, wire fields):
     // an impossible one is a user error, not a simulator bug.
@@ -37,9 +37,6 @@ TraceCache::TraceCache(const TraceCacheConfig &config)
     numEntries_ = numSets_ * assoc_;
 
     entries_.assign(numEntries_, Entry{});
-    repl_.reserve(numSets_);
-    for (uint64_t s = 0; s < numSets_; ++s)
-        repl_.emplace_back(assoc_, config.policy, &rng_);
 }
 
 uint64_t
@@ -71,7 +68,7 @@ TraceCache::lookup(uint64_t head)
         Entry &e = set_entries[way];
         if (e.meta.valid && e.meta.tag == head &&
             e.meta.asid == asid_) {
-            repl_[set].touch(way);
+            repl_.touch(e.meta.stamp);
             ++hits_;
             ++e.meta.useCount;
             return &e.trace;
@@ -148,7 +145,9 @@ TraceCache::insert(Trace trace)
     }
     Entry *victim = nullptr;
     if (way == assoc_) {
-        way = repl_[set].victim();
+        way = repl_.victim(assoc_, [&](unsigned w) {
+            return set_entries[w].meta.stamp;
+        });
         victim = &set_entries[way];
     } else if (set_entries[way].meta.valid) {
         victim = &set_entries[way];
@@ -179,7 +178,7 @@ TraceCache::insert(Trace trace)
     e.meta.units = units_needed;
     e.trace = std::move(trace);
     unitsUsed_ += units_needed;
-    repl_[set].fill(way);
+    repl_.fill(e.meta.stamp);
     ++inserts_;
     out.retained = true;
     return out;

@@ -172,9 +172,10 @@ class TraceCache
     /** Current address-space ID (0 for single-tenant machines). */
     uint32_t asid_ = 0;
     Rng rng_;
+    /** Per-set recency, as EntryMeta::stamp per entry. */
+    UseClock repl_;
     /** entries_[set * assoc_ + way]. */
     std::vector<Entry> entries_;
-    std::vector<ReplacementSet> repl_;
     obs::Counter hits_;
     obs::Counter misses_;
     obs::Counter inserts_;

@@ -6,6 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <numeric>
+#include <vector>
+
 #include "mem/cache.hh"
 #include "mem/memory.hh"
 #include "mem/replacement.hh"
@@ -68,9 +72,79 @@ TEST(MainMemory, IsLevel1Boundary)
 
 // ---- replacement -----------------------------------------------------------
 
+/** One set's ways under a UseClock: a stamp per way, as the
+ *  structures keep them in their entries. */
+class StampedSet
+{
+  public:
+    StampedSet(unsigned ways, ReplPolicy policy, Rng *rng)
+        : clock_(policy, rng), stamps_(ways, 0)
+    {}
+
+    unsigned
+    victim()
+    {
+        return clock_.victim(static_cast<unsigned>(stamps_.size()),
+                             [&](unsigned w) { return stamps_[w]; });
+    }
+    void touch(unsigned way) { clock_.touch(stamps_[way]); }
+    void fill(unsigned way) { clock_.fill(stamps_[way]); }
+
+  private:
+    UseClock clock_;
+    std::vector<uint64_t> stamps_;
+};
+
+/**
+ * Reference model: the replacement array as an explicit order list per
+ * set (front = next victim, back = most recently used), the form the
+ * paper describes and the simulator kept before the use stamps.
+ */
+class OrderListSet
+{
+  public:
+    OrderListSet(unsigned ways, ReplPolicy policy, Rng *rng)
+        : order_(ways), policy_(policy), rng_(rng)
+    {
+        std::iota(order_.begin(), order_.end(), 0u);
+    }
+
+    unsigned
+    victim()
+    {
+        if (policy_ == ReplPolicy::Random)
+            return static_cast<unsigned>(rng_->below(order_.size()));
+        return order_.front();
+    }
+    void
+    touch(unsigned way)
+    {
+        if (policy_ == ReplPolicy::LRU)
+            moveToMru(way);
+    }
+    void
+    fill(unsigned way)
+    {
+        if (policy_ != ReplPolicy::Random)
+            moveToMru(way);
+    }
+
+  private:
+    void
+    moveToMru(unsigned way)
+    {
+        order_.erase(std::find(order_.begin(), order_.end(), way));
+        order_.push_back(way);
+    }
+
+    std::vector<unsigned> order_;
+    ReplPolicy policy_;
+    Rng *rng_;
+};
+
 TEST(Replacement, LruEvictsLeastRecentlyUsed)
 {
-    ReplacementSet set(4, ReplPolicy::LRU, nullptr);
+    StampedSet set(4, ReplPolicy::LRU, nullptr);
     set.fill(0);
     set.fill(1);
     set.fill(2);
@@ -85,7 +159,7 @@ TEST(Replacement, LruEvictsLeastRecentlyUsed)
 
 TEST(Replacement, FifoIgnoresTouches)
 {
-    ReplacementSet set(3, ReplPolicy::FIFO, nullptr);
+    StampedSet set(3, ReplPolicy::FIFO, nullptr);
     set.fill(0);
     set.fill(1);
     set.fill(2);
@@ -97,7 +171,7 @@ TEST(Replacement, FifoIgnoresTouches)
 TEST(Replacement, RandomVictimsAreValidWays)
 {
     Rng rng(3);
-    ReplacementSet set(4, ReplPolicy::Random, &rng);
+    StampedSet set(4, ReplPolicy::Random, &rng);
     bool saw[4] = {};
     for (int i = 0; i < 200; ++i) {
         unsigned v = set.victim();
@@ -109,8 +183,7 @@ TEST(Replacement, RandomVictimsAreValidWays)
 
 TEST(Replacement, RandomWithoutRngPanics)
 {
-    EXPECT_THROW(ReplacementSet(4, ReplPolicy::Random, nullptr),
-                 PanicError);
+    EXPECT_THROW(UseClock(ReplPolicy::Random, nullptr), PanicError);
 }
 
 TEST(Replacement, PolicyNames)
@@ -118,6 +191,59 @@ TEST(Replacement, PolicyNames)
     EXPECT_STREQ(replPolicyName(ReplPolicy::LRU), "lru");
     EXPECT_STREQ(replPolicyName(ReplPolicy::FIFO), "fifo");
     EXPECT_STREQ(replPolicyName(ReplPolicy::Random), "random");
+}
+
+TEST(Replacement, StampsNameTheOrderListsVictim)
+{
+    // Drive both forms through the structures' protocol — a hit
+    // touches a valid way, a miss fills the lowest invalid way or else
+    // the victim, invalidation leaves the replacement state alone —
+    // and ask for the victim at random points, full set or not. Random
+    // draws from two generators with one seed, so the draws line up.
+    const ReplPolicy policies[] = {ReplPolicy::LRU, ReplPolicy::FIFO,
+                                   ReplPolicy::Random};
+    for (unsigned ways : {1u, 2u, 3u, 4u, 8u, 9u, 384u}) {
+        for (ReplPolicy policy : policies) {
+            SCOPED_TRACE(testing::Message()
+                         << ways << " ways, " << replPolicyName(policy));
+            Rng ops(ways * 31 + static_cast<unsigned>(policy));
+            Rng ref_rng(11), stamp_rng(11);
+            OrderListSet ref(ways, policy, &ref_rng);
+            StampedSet stamped(ways, policy, &stamp_rng);
+            std::vector<bool> valid(ways, false);
+            unsigned full_victims = 0;
+            for (int step = 0; step < 20000; ++step) {
+                unsigned way = static_cast<unsigned>(ops.below(ways));
+                uint64_t op = ops.below(100);
+                if (op < 50) {
+                    if (valid[way]) {
+                        ref.touch(way);
+                        stamped.touch(way);
+                    }
+                } else if (op < 80) {
+                    auto invalid = std::find(valid.begin(), valid.end(),
+                                             false);
+                    unsigned target;
+                    if (invalid != valid.end()) {
+                        target = static_cast<unsigned>(
+                            invalid - valid.begin());
+                    } else {
+                        target = ref.victim();
+                        ASSERT_EQ(stamped.victim(), target);
+                        ++full_victims;
+                    }
+                    ref.fill(target);
+                    stamped.fill(target);
+                    valid[target] = true;
+                } else if (op < 85) {
+                    valid[way] = false;
+                } else {
+                    ASSERT_EQ(stamped.victim(), ref.victim());
+                }
+            }
+            EXPECT_GT(full_victims, 1000u);
+        }
+    }
 }
 
 // ---- cache -----------------------------------------------------------------

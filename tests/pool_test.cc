@@ -11,6 +11,8 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <cstdlib>
+#include <string>
 #include <vector>
 
 #include "obs/counter.hh"
@@ -118,6 +120,21 @@ TEST(ThreadPool, IndexAddressedResultsNeedNoLocks)
     });
     for (size_t i = 0; i < n; ++i)
         EXPECT_EQ(results[i], i * i);
+}
+
+TEST(ThreadPool, DefaultJobsClampsUhmJobs)
+{
+    // Reads the count only: no pool, so no thread, is started.
+    const char *saved = std::getenv("UHM_JOBS");
+    std::string restore = saved ? saved : "";
+    setenv("UHM_JOBS", "100000", 1);
+    EXPECT_EQ(defaultJobs(), maxJobs);
+    setenv("UHM_JOBS", "3", 1);
+    EXPECT_EQ(defaultJobs(), 3u);
+    if (saved)
+        setenv("UHM_JOBS", restore.c_str(), 1);
+    else
+        unsetenv("UHM_JOBS");
 }
 
 // ---- deterministic merges --------------------------------------------------
