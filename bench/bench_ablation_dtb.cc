@@ -92,7 +92,7 @@ overflowAblation(SweepRunner &runner, const DirProgram &prog)
         table.addRow({TextTable::num(fracs[i], 2),
                       TextTable::num(probe.numEntries()),
                       TextTable::num(r.dtbHitRatio, 4),
-                      TextTable::num(r.stats.get("dtb_rejects")),
+                      TextTable::num(r.counter("dtb.rejects")),
                       TextTable::num(r.avgInterpTime(), 2)});
     }
     table.print();

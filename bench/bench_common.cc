@@ -42,11 +42,11 @@ measurePoint(const DirProgram &prog, EncodingScheme scheme,
     pt.hc = r3.cacheHitRatio;
     pt.dirInstrs = r1.dirInstrs;
     if (r2.dirInstrs > 0) {
-        pt.s1 = static_cast<double>(r2.stats.get("short_instrs")) /
+        pt.s1 = static_cast<double>(r2.counter("machine.short_instrs")) /
                 static_cast<double>(r2.dirInstrs);
     }
     if (r1.dirInstrs > 0) {
-        pt.s2 = static_cast<double>(r1.stats.get("dir_fetch_refs")) /
+        pt.s2 = static_cast<double>(r1.counter("machine.dir_fetch_refs")) /
                 static_cast<double>(r1.dirInstrs);
     }
     return pt;

@@ -73,8 +73,8 @@ printLevelAxis(const char *name)
     // HLR: direct interpretation with associative name lookup.
     hlr::HlrRunResult hr = hlr::interpretHlr(ast, sample.input);
     double searches_per_stmt =
-        static_cast<double>(hr.stats.get("hlr_name_search_steps")) /
-        static_cast<double>(hr.stats.get("hlr_stmts"));
+        static_cast<double>(hr.nameSearchSteps) /
+        static_cast<double>(hr.stmts);
     table.addRow({"HLR (direct, associative lookups)",
                   TextTable::num(searches_per_stmt, 2) +
                       " table-search steps/stmt",

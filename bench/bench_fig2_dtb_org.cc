@@ -90,9 +90,9 @@ allocationSweep(const DirProgram &prog)
                           overflow ? "yes" : "no",
                           TextTable::num(probe.numEntries()),
                           TextTable::num(r.dtbHitRatio, 4),
-                          TextTable::num(r.stats.get(
-                              "dtb_overflow_blocks")),
-                          TextTable::num(r.stats.get("dtb_rejects")),
+                          TextTable::num(r.counter(
+                              "dtb.overflow_blocks")),
+                          TextTable::num(r.counter("dtb.rejects")),
                           TextTable::num(r.avgInterpTime(), 2)});
         }
     }

@@ -99,7 +99,7 @@ sharedRoutinesTable()
         RunResult r = machine.run();
         table.addRow({machineKindName(kind),
                       TextTable::num(r.measuredX, 3),
-                      TextTable::num(r.stats.get("micro_ops"))});
+                      TextTable::num(r.counter("machine.micro_ops"))});
     }
     table.print();
 }

@@ -18,6 +18,7 @@
 
 #include "bench_common.hh"
 #include "support/table.hh"
+#include "uhm/profile.hh"
 
 using namespace uhm;
 using namespace uhm::bench;
@@ -33,20 +34,17 @@ printTrace()
         "while i > 0 do s := s + i; i := i - 1; od; write s; end.");
     auto image = encodeDir(prog, EncodingScheme::Huffman);
     MachineConfig cfg = makeConfig(MachineKind::Dtb);
-    cfg.traceEvents = true;
+    cfg.profileEvents = true;
     Machine machine(*image, cfg);
     RunResult r = machine.run();
 
     std::printf("Event trace (3-iteration countdown loop, huffman DIR):\n"
                 "first %d INTERP events --\n\n", 40);
-    int shown = 0;
-    for (const std::string &event : r.trace) {
-        std::printf("  %s\n", event.c_str());
-        if (++shown >= 40)
-            break;
-    }
-    uint64_t misses = r.stats.get("dtb_misses");
-    uint64_t hits = r.stats.get("dtb_hits");
+    std::vector<InterpStep> steps = interpSteps(r.events);
+    for (size_t i = 0; i < steps.size() && i < 40; ++i)
+        std::printf("  %s\n", steps[i].toString().c_str());
+    uint64_t misses = r.counter("dtb.misses");
+    uint64_t hits = r.counter("dtb.hits");
     std::printf("\n%llu interp events total: %llu misses (one per "
                 "distinct DIR instruction\nexecuted), %llu hits; output "
                 "= %lld (expected 6)\n",
@@ -107,7 +105,7 @@ printMissPathCost()
     TextTable table("Miss-path decomposition (cold straight-line code, "
                     "per translated instruction)");
     table.setHeader({"component", "cycles/translated instr"});
-    double n = static_cast<double>(r.stats.get("dtb_misses"));
+    double n = static_cast<double>(r.counter("dtb.misses"));
     table.addRow({"fetch DIR from level 2",
                   TextTable::num(r.breakdown.fetch / n, 2)});
     table.addRow({"decode + parse (d)",

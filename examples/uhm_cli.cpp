@@ -62,8 +62,13 @@
  *   --disasm               print the DIR disassembly and exit
  *   --emit-asm=<file>      write round-trippable DIR assembly and exit
  *   --emit-bin=<file>      write the binary DIR form and exit
- *   --stats                print the full counter set after the run
- *   --trace                print the INTERP event trace (DTB kinds)
+ *   --stats                print the cycle breakdown and the registry
+ *                          counter snapshot ("# name = value") after
+ *                          the run
+ *   --trace                print the INTERP hit/miss trace (DTB kinds),
+ *                          rendered from the typed event ring: the
+ *                          first 200 lookups, or the ring's tail when
+ *                          the run overflows it
  *   --profile[=<file>]     emit a JSONL profile report (phases,
  *                          counters, histograms, ratios) to <file>, or
  *                          to stderr when no file is given; combined
@@ -88,6 +93,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -210,8 +216,10 @@ printMainHelp(std::FILE *out = stdout)
         "  --disasm               print the DIR disassembly and exit\n"
         "  --emit-asm=<file>      write DIR assembly and exit\n"
         "  --emit-bin=<file>      write binary DIR form and exit\n"
-        "  --stats                print the full counter set\n"
-        "  --trace                print the INTERP event trace\n"
+        "  --stats                print the cycle breakdown and every\n"
+        "                         registry counter\n"
+        "  --trace                print the INTERP hit/miss trace (DTB\n"
+        "                         kinds; from the bounded event ring)\n"
         "  --profile[=<file>]     emit a JSONL profile report\n"
         "  --timeline=<file>      write a Chrome-trace timeline (load\n"
         "                         in Perfetto or chrome://tracing)\n"
@@ -279,6 +287,14 @@ parseUint32(const char *flag, const std::string &text)
         uhm::parseUintFlag(flag, text, 0, UINT32_MAX));
 }
 
+/** @p text of flag @p flag as a uint64_t: no sign, no trailing
+ *  characters ("-1" would otherwise wrap to 2^64-1). */
+uint64_t
+parseUint64(const char *flag, const std::string &text)
+{
+    return uhm::parseUintFlag(flag, text, 0, UINT64_MAX);
+}
+
 std::vector<int64_t>
 parseInts(const std::string &list)
 {
@@ -308,7 +324,8 @@ parseArgs(int argc, char **argv)
         else if (arg.rfind("--input=", 0) == 0)
             opts.input = parseInts(value("--input="));
         else if (arg.rfind("--dtb-bytes=", 0) == 0)
-            opts.dtbBytes = std::stoull(value("--dtb-bytes="));
+            opts.dtbBytes = parseUint64("--dtb-bytes",
+                                        value("--dtb-bytes="));
         else if (arg.rfind("--assoc=", 0) == 0)
             opts.assoc = parseUint32("--assoc", value("--assoc="));
         else if (arg.rfind("--tier-threshold=", 0) == 0) {
@@ -317,11 +334,13 @@ parseArgs(int argc, char **argv)
             opts.tierFlagSeen = "--tier-threshold";
         }
         else if (arg.rfind("--trace-cap=", 0) == 0) {
-            opts.traceCap = std::stoull(value("--trace-cap="));
+            opts.traceCap = parseUint64("--trace-cap",
+                                        value("--trace-cap="));
             opts.tierFlagSeen = "--trace-cap";
         }
         else if (arg.rfind("--trace-bytes=", 0) == 0) {
-            opts.traceBytes = std::stoull(value("--trace-bytes="));
+            opts.traceBytes = parseUint64("--trace-bytes",
+                                          value("--trace-bytes="));
             opts.tierFlagSeen = "--trace-bytes";
         }
         else if (arg.rfind("--tenants=", 0) == 0)
@@ -335,8 +354,8 @@ parseArgs(int argc, char **argv)
             opts.schedFlagSeen = "--sched";
         }
         else if (arg.rfind("--quantum-cycles=", 0) == 0) {
-            opts.quantumCycles =
-                std::stoull(value("--quantum-cycles="));
+            opts.quantumCycles = parseUint64(
+                "--quantum-cycles", value("--quantum-cycles="));
             opts.schedFlagSeen = "--quantum-cycles";
         }
         else if (arg.rfind("--switch-mode=", 0) == 0) {
@@ -347,7 +366,8 @@ parseArgs(int argc, char **argv)
             opts.schedFlagSeen = "--switch-mode";
         }
         else if (arg.rfind("--partitions=", 0) == 0) {
-            opts.partitions = std::stoull(value("--partitions="));
+            opts.partitions = parseUint64("--partitions",
+                                          value("--partitions="));
             opts.schedFlagSeen = "--partitions";
         }
         else if (arg == "--help" || arg == "-h") {
@@ -375,8 +395,8 @@ parseArgs(int argc, char **argv)
         else if (arg.rfind("--timeline=", 0) == 0)
             opts.timelinePath = value("--timeline=");
         else if (arg.rfind("--sample-interval=", 0) == 0)
-            opts.sampleInterval =
-                std::stoull(value("--sample-interval="));
+            opts.sampleInterval = parseUint64(
+                "--sample-interval", value("--sample-interval="));
         else if (!arg.empty() && arg[0] == '-') {
             // Usage goes to stderr here: stdout must stay clean (and
             // empty) on a failed invocation so pipelines never mistake
@@ -446,7 +466,7 @@ runSweepCommand(int argc, char **argv)
             jobs = static_cast<unsigned>(uhm::parseUintFlag(
                 "--jobs", value("--jobs="), 0, uhm::maxJobs));
         else if (arg.rfind("--seed=", 0) == 0)
-            seed = std::stoull(value("--seed="));
+            seed = parseUint64("--seed", value("--seed="));
         else if (arg.rfind("--machine=", 0) == 0)
             kind = parseMachine(value("--machine="));
         else if (arg.rfind("--encoding=", 0) == 0)
@@ -459,12 +479,13 @@ runSweepCommand(int argc, char **argv)
             tier_flag_seen = "--tier-threshold";
         }
         else if (arg.rfind("--trace-cap=", 0) == 0) {
-            tier_cfg.traceCap = std::stoull(value("--trace-cap="));
+            tier_cfg.traceCap = parseUint64("--trace-cap",
+                                            value("--trace-cap="));
             tier_flag_seen = "--trace-cap";
         }
         else if (arg.rfind("--trace-bytes=", 0) == 0) {
-            trace_cache_cfg.capacityBytes =
-                std::stoull(value("--trace-bytes="));
+            trace_cache_cfg.capacityBytes = parseUint64(
+                "--trace-bytes", value("--trace-bytes="));
             tier_flag_seen = "--trace-bytes";
         }
         else if (arg == "--help" || arg == "-h") {
@@ -472,8 +493,8 @@ runSweepCommand(int argc, char **argv)
             return 0;
         }
         else if (arg.rfind("--sample-interval=", 0) == 0)
-            sample_interval =
-                std::stoull(value("--sample-interval="));
+            sample_interval = parseUint64(
+                "--sample-interval", value("--sample-interval="));
         else if (arg.rfind("--out=", 0) == 0)
             out_path = value("--out=");
         else if (!arg.empty() && arg[0] == '-') {
@@ -522,6 +543,16 @@ runSweepCommand(int argc, char **argv)
     return 0;
 }
 
+/** Print a registry counter snapshot to stderr, one "# name = value"
+ *  line per counter in name order. */
+void
+printCounters(const std::map<std::string, uint64_t> &counters)
+{
+    for (const auto &kv : counters)
+        std::fprintf(stderr, "# %s = %llu\n", kv.first.c_str(),
+                     static_cast<unsigned long long>(kv.second));
+}
+
 /**
  * The multi-tenant path: n copies of the program time-sliced over one
  * shared-DTB machine by the tenant scheduler. @p cfg is the per-tenant
@@ -547,7 +578,6 @@ runMultiTenant(const Options &opts, const uhm::DirProgram &prog,
                    "with --tenants");
 
     cfg.dtb.numPartitions = opts.partitions;
-    cfg.traceEvents = false;
     cfg.profileEvents = false;
 
     sched::SchedConfig sc;
@@ -609,11 +639,8 @@ runMultiTenant(const Options &opts, const uhm::DirProgram &prog,
                      static_cast<unsigned long long>(
                          t.finishedAtCycle));
     }
-    if (opts.stats) {
-        for (const auto &kv : sr.counters)
-            std::fprintf(stderr, "# %s = %llu\n", kv.first.c_str(),
-                         static_cast<unsigned long long>(kv.second));
-    }
+    if (opts.stats)
+        printCounters(sr.counters);
     if (!opts.timelinePath.empty()) {
         uhm::obs::ProfileData p;
         p.meta.emplace_back("program", opts.program);
@@ -626,14 +653,7 @@ runMultiTenant(const Options &opts, const uhm::DirProgram &prog,
         p.meta.emplace_back("policy", sched::policyName(sc.policy));
         p.meta.emplace_back("switch_mode",
                             sched::switchModeName(sc.switchMode));
-        const uhm::CycleBreakdown &b = sr.breakdown;
-        p.phases = {
-            {"fetch", b.fetch},         {"decode", b.decode},
-            {"stage", b.stage},         {"dispatch", b.dispatch},
-            {"semantic", b.semantic},   {"translate", b.translate},
-            {"translate2", b.translate2},
-            {"total", b.total()},
-        };
+        p.phases = uhm::cyclePhases(sr.breakdown);
         p.counters = sr.counters;
         p.histograms = sr.histograms;
         p.events = sr.events;
@@ -705,14 +725,18 @@ try {
     cfg.tier.hotThreshold = opts.tierThreshold;
     cfg.tier.traceCap = opts.traceCap;
     cfg.traceCache.capacityBytes = opts.traceBytes;
-    cfg.traceEvents = opts.trace;
-    // The bounded typed-event ring rides along only when the user also
-    // asked for tracing; the counter/phase report alone stays small.
-    // A timeline is built *from* the ring, so --timeline enables it
-    // too — with a much deeper ring, since a truncated timeline is a
-    // lot less useful than a truncated event list.
+    // The bounded typed-event ring rides along only when the user asked
+    // for tracing: --trace renders the DTB kinds' INTERP trace from it,
+    // and --profile --trace reports it as event lines. The
+    // counter/phase report alone stays small, and --trace alone on a
+    // decode-every-instruction kind, which has no INTERP trace, records
+    // nothing. A timeline is built *from* the ring, so --timeline
+    // enables it too — with a much deeper ring, since a truncated
+    // timeline is a lot less useful than a truncated event list.
     cfg.profileEvents =
-        (opts.profile && opts.trace) || !opts.timelinePath.empty();
+        (opts.trace &&
+         (opts.profile || !uhm::decodesEveryInstr(opts.kind))) ||
+        !opts.timelinePath.empty();
     if (!opts.timelinePath.empty())
         cfg.profileEventCapacity =
             std::max<size_t>(cfg.profileEventCapacity, size_t{1} << 20);
@@ -763,7 +787,7 @@ try {
                          r.breakdown.translate),
                      static_cast<unsigned long long>(
                          r.breakdown.translate2));
-        std::fputs(r.stats.toString().c_str(), stderr);
+        printCounters(r.counters);
     }
     if (r.eventsDropped > 0) {
         std::fprintf(stderr,
@@ -786,15 +810,16 @@ try {
             uhm::obs::emitChromeTrace(profile, opts.timelinePath);
     }
     if (opts.trace) {
-        size_t shown = 0;
-        for (const std::string &event : r.trace) {
-            std::fprintf(stderr, "# %s\n", event.c_str());
-            if (++shown >= 200) {
-                std::fprintf(stderr, "# ... (%zu more events)\n",
-                             r.trace.size() - shown);
-                break;
-            }
-        }
+        // From the ring: after an overflow (warned above) these are
+        // the retained tail's lookups, not the run's first ones.
+        const std::vector<uhm::InterpStep> steps =
+            uhm::interpSteps(r.events);
+        const size_t shown = std::min<size_t>(steps.size(), 200);
+        for (size_t i = 0; i < shown; ++i)
+            std::fprintf(stderr, "# %s\n", steps[i].toString().c_str());
+        if (shown == 200)
+            std::fprintf(stderr, "# ... (%zu more events)\n",
+                         steps.size() - shown);
     }
     return 0;
 } catch (const std::exception &e) {

@@ -207,17 +207,6 @@ Dtb::insert(uint64_t dir_addr, const std::vector<ShortInstr> &code,
     return out;
 }
 
-StatSet
-Dtb::stats() const
-{
-    StatSet set;
-    set.add("dtb_inserts", inserts_.value());
-    set.add("dtb_evictions", evictions_.value());
-    set.add("dtb_rejects", rejects_.value());
-    set.add("dtb_overflow_blocks", overflowBlocks_.value());
-    return set;
-}
-
 void
 Dtb::registerCounters(obs::Registry &registry,
                       const std::string &prefix) const

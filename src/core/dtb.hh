@@ -33,7 +33,6 @@
 #include "obs/registry.hh"
 #include "psder/short_isa.hh"
 #include "support/rng.hh"
-#include "support/stats.hh"
 
 namespace uhm
 {
@@ -313,6 +312,9 @@ class Dtb
 
     uint64_t hits() const { return hits_.value(); }
     uint64_t misses() const { return misses_.value(); }
+    uint64_t inserts() const { return inserts_.value(); }
+    uint64_t evictions() const { return evictions_.value(); }
+    uint64_t rejects() const { return rejects_.value(); }
 
     /** Hit ratio so far (the paper's h_D); 1.0 before any access. */
     double
@@ -345,13 +347,6 @@ class Dtb
 
     /** Total overflow blocks. */
     uint64_t overflowTotal() const { return overflowTotal_; }
-
-    /**
-     * Legacy counter view: dtb_evictions, dtb_overflow_blocks,
-     * dtb_rejects, dtb_inserts. Kept for existing benches and tests;
-     * new code reads the same counters through registerCounters().
-     */
-    StatSet stats() const;
 
     uint64_t flushes() const { return flushes_.value(); }
     uint64_t flushedEntries() const { return flushedEntries_.value(); }

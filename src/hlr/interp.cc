@@ -77,7 +77,7 @@ class HlrInterp
             if (execStmt(*stmt, 0))
                 break;
         }
-        result_.stats.add("hlr_name_search_steps", searchSteps_);
+        result_.stmts = steps_;
         return std::move(result_);
     }
 
@@ -118,7 +118,7 @@ class HlrInterp
         for (size_t a = act; a != SIZE_MAX;
              a = activations_[a].staticParent) {
             for (Binding &b : activations_[a].vars) {
-                ++searchSteps_;
+                ++result_.nameSearchSteps;
                 if (b.name == name)
                     return &b.value;
             }
@@ -132,7 +132,7 @@ class HlrInterp
         for (size_t a = act; a != SIZE_MAX;
              a = activations_[a].staticParent) {
             for (const ProcBinding &p : activations_[a].procs) {
-                ++searchSteps_;
+                ++result_.nameSearchSteps;
                 if (p.name == name)
                     return &p;
             }
@@ -157,7 +157,7 @@ class HlrInterp
         for (size_t a = act; a != SIZE_MAX;
              a = activations_[a].staticParent) {
             for (Binding &b : activations_[a].vars) {
-                ++searchSteps_;
+                ++result_.nameSearchSteps;
                 if (b.name == name) {
                     if (b.isConst)
                         fatal("%s: constant '%s' cannot be assigned "
@@ -177,7 +177,6 @@ class HlrInterp
         if (++steps_ > maxSteps_)
             fatal("%s: statement budget exhausted",
                   loc.toString().c_str());
-        result_.stats.add("hlr_stmts");
     }
 
     int64_t
@@ -358,7 +357,6 @@ class HlrInterp
     int64_t
     evalExpr(const Expr &expr, size_t act)
     {
-        result_.stats.add("hlr_exprs");
         switch (expr.kind) {
           case Expr::Kind::Number:
             return expr.value;
@@ -418,7 +416,6 @@ class HlrInterp
     size_t inputPos_ = 0;
     uint64_t maxSteps_;
     uint64_t steps_ = 0;
-    uint64_t searchSteps_ = 0;
     std::deque<Activation> activations_;
     HlrRunResult result_;
 };

@@ -20,7 +20,6 @@
 #include <vector>
 
 #include "hlr/ast.hh"
-#include "support/stats.hh"
 
 namespace uhm::hlr
 {
@@ -30,13 +29,10 @@ struct HlrRunResult
 {
     /** Values produced by 'write' statements, in order. */
     std::vector<int64_t> output;
-    /**
-     * Counters:
-     *  - hlr_name_search_steps: name-table comparisons performed
-     *  - hlr_stmts: statements executed
-     *  - hlr_exprs: expression nodes evaluated
-     */
-    StatSet stats;
+    /** Name-table comparisons performed. */
+    uint64_t nameSearchSteps = 0;
+    /** Statements executed. */
+    uint64_t stmts = 0;
 };
 
 /**

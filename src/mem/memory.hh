@@ -19,7 +19,6 @@
 #include "mem/timing.hh"
 #include "obs/counter.hh"
 #include "obs/registry.hh"
-#include "support/stats.hh"
 
 namespace uhm
 {
@@ -110,19 +109,6 @@ class MainMemory
 
     /** Size of the fast level in words. */
     uint64_t level1Words() const { return level1Words_; }
-
-    /**
-     * Legacy counter view: mem_level1_accesses, mem_level2_accesses.
-     * New code reads the same counters through registerCounters().
-     */
-    StatSet
-    stats() const
-    {
-        StatSet set;
-        set.add("mem_level1_accesses", level1Accesses_.value());
-        set.add("mem_level2_accesses", level2Accesses_.value());
-        return set;
-    }
 
     /** Publish "<prefix>.level1_accesses" / "<prefix>.level2_accesses". */
     void

@@ -3,11 +3,11 @@
  * A single always-on event counter.
  *
  * The observability layer's unit of accounting: a plain 64-bit count
- * that components own as a member and bump on their hot paths. Unlike
- * the string-keyed StatSet (a map lookup per increment), a Counter
- * increment compiles to one add — cheap enough to leave enabled
- * unconditionally. Counters become visible by being registered into an
- * obs::Registry under a hierarchical dotted name ("dtb.hits").
+ * that components own as a member and bump on their hot paths. An
+ * increment compiles to one add, with no name lookup — cheap enough to
+ * leave enabled unconditionally. Counters become visible by being
+ * registered into an obs::Registry under a hierarchical dotted name
+ * ("dtb.hits").
  */
 
 #ifndef UHM_OBS_COUNTER_HH

@@ -118,7 +118,8 @@ parseArgs(int argc, char **argv)
         else if (arg.rfind("--input=", 0) == 0)
             opts.input = value("--input=");
         else if (arg.rfind("--seed=", 0) == 0) {
-            opts.seed = std::stoull(value("--seed="));
+            opts.seed = uhm::parseUintFlag("--seed", value("--seed="), 0,
+                                           UINT64_MAX);
             opts.haveSeed = true;
         } else if (arg == "--profile")
             opts.profile = true;
@@ -129,7 +130,8 @@ parseArgs(int argc, char **argv)
         else if (arg.rfind("--out=", 0) == 0)
             opts.outPath = value("--out=");
         else if (arg.rfind("--id=", 0) == 0)
-            opts.id = std::stoull(value("--id="));
+            opts.id = uhm::parseUintFlag("--id", value("--id="), 0,
+                                         UINT64_MAX);
         else if (arg.rfind("--jobs=", 0) == 0)
             opts.jobs = static_cast<unsigned>(uhm::parseUintFlag(
                 "--jobs", value("--jobs="), 1, uhm::maxJobs));

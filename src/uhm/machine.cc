@@ -1,7 +1,6 @@
 #include "uhm/machine.hh"
 
 #include <cstdlib>
-#include <sstream>
 
 #include "support/logging.hh"
 #include "support/wrap.hh"
@@ -230,13 +229,6 @@ Machine::chargeFetchCached(uint64_t bit_addr, uint64_t bits)
 // ---- execution ------------------------------------------------------------
 
 void
-Machine::traceEvent(const std::string &event)
-{
-    if (config_.traceEvents)
-        trace_.push_back(event);
-}
-
-void
 Machine::executeStaged(const Staging &staging)
 {
     for (int64_t v : staging.pushes)
@@ -401,13 +393,6 @@ Machine::missFlow()
         emitEvent(obs::EventKind::TraceInvalidate, ins.dtb.victimTag);
     if (!ins.dtb.retained)
         emitEvent(obs::EventKind::DtbReject, pc_, ins.dtb.unitsNeeded);
-    if (config_.traceEvents) {
-        std::ostringstream os;
-        os << "interp miss dir@" << pc_ << " -> translate ("
-           << tr.code.size() << " short instrs, "
-           << (ins.dtb.retained ? "stored" : "rejected") << ")";
-        traceEvent(os.str());
-    }
     return tr.code;
 }
 
@@ -467,11 +452,6 @@ Machine::dtbStep()
             hit_idx = lr.entryIdx;
             code = lr.code;
             emitEvent(obs::EventKind::DtbHit, pc_);
-            if (config_.traceEvents) {
-                std::ostringstream os;
-                os << "interp hit dir@" << pc_;
-                traceEvent(os.str());
-            }
             if (dtbL1_) {
                 // Promote into the first-level buffer: one tau1 store
                 // per short instruction copied.
@@ -1336,7 +1316,6 @@ Machine::beginRun(std::vector<int64_t> input)
         tracer_.enable(config_.profileEventCapacity);
     else
         tracer_.disable();
-    trace_.clear();
     addressTrace_.clear();
     opcodeCounts_.assign(numOps, 0);
     mem_.resetStats();
@@ -1444,11 +1423,6 @@ Machine::finishRun()
     result.breakdown = breakdown_;
     result.cycles = breakdown_.total();
     result.dirInstrs = dirInstrs_;
-    result.stats.add("micro_ops", microOps_.value());
-    result.stats.add("short_instrs", shortInstrs_.value());
-    result.stats.add("dir_fetch_refs", dirFetchRefs_.value());
-    result.stats.merge(mem_.stats());
-    result.trace = std::move(trace_);
     result.counters = registry_.snapshot();
     result.histograms = registry_.histogramSnapshot();
     result.samples = std::move(samples_);
@@ -1459,22 +1433,12 @@ Machine::finishRun()
     if (decodesEveryInstr(config_.kind))
         result.opcodeCounts = opcodeCounts_;
 
-    if (dtb_) {
+    if (dtb_)
         result.dtbHitRatio = dtb_->hitRatio();
-        result.stats.add("dtb_hits", dtb_->hits());
-        result.stats.add("dtb_misses", dtb_->misses());
-        result.stats.merge(dtb_->stats());
-    }
-    if (dtbL1_) {
+    if (dtbL1_)
         result.dtbL1HitRatio = dtbL1_->hitRatio();
-        result.stats.add("dtbl1_hits", dtbL1_->hits());
-        result.stats.add("dtbl1_misses", dtbL1_->misses());
-    }
-    if (icache_) {
+    if (icache_)
         result.cacheHitRatio = icache_->hitRatio();
-        result.stats.add("icache_hits", icache_->hits());
-        result.stats.add("icache_misses", icache_->misses());
-    }
     if (tier_) {
         result.traceHitRatio = tier_->cache().hitRatio();
         result.traceCoverage = dirInstrs_ == 0 ? 0.0 :
@@ -1486,12 +1450,6 @@ Machine::finishRun()
         result.measuredG2 = tier_->compiledShortInstrs() == 0 ? 0.0 :
             static_cast<double>(breakdown_.translate2) /
             static_cast<double>(tier_->compiledShortInstrs());
-        result.stats.add("trace_dir_instrs", traceDirInstrs_.value());
-        result.stats.add("trace_short_instrs",
-                         traceShortInstrs_.value());
-        result.stats.add("trace_iterations", traceIterations_.value());
-        result.stats.add("trace_enters", traceEnters_.value());
-        result.stats.add("trace_exits", traceExits_.value());
     }
 
     result.measuredD = decodedInstrs_ == 0 ? 0.0 :

@@ -124,16 +124,13 @@ struct MachineConfig
     uint64_t maxDirInstrs = 500'000'000;
     /** Fixed trap overhead on a DTB miss (DTRPOINT branch, Figure 4). */
     uint64_t trapCycles = 2;
-    /** Record a legacy string trace (tests of the Figure 4 flow). */
-    bool traceEvents = false;
     /**
      * Record typed obs::Events — fetch, decode, dtb_hit, dtb_miss,
      * dtb_evict, dtb_reject, trap, translate, promote — stamped with
      * the machine's cycle counter, into a bounded ring
-     * (RunResult::events). Zero-overhead when off. When on (or when
-     * traceEvents is), every instruction takes its organization's
-     * step instead of the fast loop: slower on the host, identical
-     * in every simulated result.
+     * (RunResult::events). Zero-overhead when off. When on, every
+     * instruction takes its organization's step instead of the fast
+     * loop: slower on the host, identical in every simulated result.
      */
     bool profileEvents = false;
     /** Ring capacity (events) for the typed trace. */
@@ -184,21 +181,16 @@ struct RunResult
     /** DIR instructions interpreted. */
     uint64_t dirInstrs = 0;
     CycleBreakdown breakdown;
-    /** Detailed counters (memory accesses, DTB/cache hits, ...). */
-    StatSet stats;
     /** DTB hit ratio (Dtb/Dtb2 kinds; 1.0 otherwise). */
     double dtbHitRatio = 1.0;
     /** First-level translation-buffer hit ratio (Dtb2 only). */
     double dtbL1HitRatio = 1.0;
     /** Instruction-cache hit ratio (Cached kind; 1.0 otherwise). */
     double cacheHitRatio = 1.0;
-    /** Legacy string trace (when MachineConfig::traceEvents). */
-    std::vector<std::string> trace;
     /**
      * Hierarchical counter snapshot from the machine's obs::Registry
      * ("dtb.hits", "icache.misses", "machine.dir_instrs", ...).
-     * Always filled; the counters agree exactly with the legacy keys
-     * in #stats.
+     * Always filled; read one with counter().
      */
     std::map<std::string, uint64_t> counters;
     /** Typed event trace (when MachineConfig::profileEvents). */
@@ -235,6 +227,14 @@ struct RunResult
     {
         return dirInstrs == 0 ? 0.0 :
             static_cast<double>(cycles) / static_cast<double>(dirInstrs);
+    }
+
+    /** Counter @p name of #counters; an absent counter reads as 0. */
+    uint64_t
+    counter(const std::string &name) const
+    {
+        auto it = counters.find(name);
+        return it == counters.end() ? 0 : it->second;
     }
 
     /** Measured average decode cycles per *decoded* DIR instruction. */
@@ -412,13 +412,9 @@ class Machine
     /** The memoized staging of a decoded conventional-path instruction. */
     const Staging &stagingAt(const DecodeResult &res);
 
-    /** Typed or string events are on: the run loops step every
-     *  instruction, since events are stamped mid-instruction. */
-    bool
-    eventsOn() const
-    {
-        return config_.profileEvents || config_.traceEvents;
-    }
+    /** Typed events are on: the run loops step every instruction,
+     *  since events are stamped mid-instruction. */
+    bool eventsOn() const { return config_.profileEvents; }
 
     // ---- the run loops ----------------------------------------------------
 
@@ -476,8 +472,6 @@ class Machine
      */
     uint64_t executeShortSequence(const std::vector<ShortInstr> &code,
                                   uint64_t fetch_cost);
-
-    void traceEvent(const std::string &event);
 
     /**
      * Record a typed obs event stamped with the current cycle count.
@@ -618,7 +612,6 @@ class Machine
     std::vector<obs::OccupancySample> samples_;
     obs::Registry registry_;
     obs::Tracer tracer_;
-    std::vector<std::string> trace_;
     std::vector<uint64_t> opcodeCounts_;
     std::vector<uint64_t> addressTrace_;
 };

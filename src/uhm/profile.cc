@@ -3,6 +3,18 @@
 namespace uhm
 {
 
+std::vector<std::pair<std::string, uint64_t>>
+cyclePhases(const CycleBreakdown &b)
+{
+    return {
+        {"fetch", b.fetch},         {"decode", b.decode},
+        {"stage", b.stage},         {"dispatch", b.dispatch},
+        {"semantic", b.semantic},   {"translate", b.translate},
+        {"translate2", b.translate2},
+        {"total", b.total()},
+    };
+}
+
 obs::ProfileData
 buildProfile(const ProfileMeta &meta, const RunResult &result)
 {
@@ -18,24 +30,14 @@ buildProfile(const ProfileMeta &meta, const RunResult &result)
                             std::to_string(meta.imageBits));
 
     const CycleBreakdown &b = result.breakdown;
-    p.phases = {
-        {"fetch", b.fetch},         {"decode", b.decode},
-        {"stage", b.stage},         {"dispatch", b.dispatch},
-        {"semantic", b.semantic},   {"translate", b.translate},
-        {"translate2", b.translate2},
-        {"total", b.total()},
-    };
+    p.phases = cyclePhases(b);
 
     p.counters = result.counters;
     p.histograms = result.histograms;
     p.samples = result.samples;
 
-    auto counter = [&result](const char *name) -> uint64_t {
-        auto it = result.counters.find(name);
-        return it == result.counters.end() ? 0 : it->second;
-    };
-    uint64_t translated = counter("machine.translated_instrs");
-    uint64_t emitted = counter("translate.short_emitted");
+    uint64_t translated = result.counter("machine.translated_instrs");
+    uint64_t emitted = result.counter("translate.short_emitted");
 
     p.ratios.emplace_back("cycles_per_instr", result.avgInterpTime());
     p.ratios.emplace_back("dtb.hit_ratio", result.dtbHitRatio);
@@ -78,6 +80,34 @@ std::string
 profileJsonl(const ProfileMeta &meta, const RunResult &result)
 {
     return obs::toJsonl(buildProfile(meta, result));
+}
+
+std::string
+InterpStep::toString() const
+{
+    std::string s = (miss ? "interp miss dir@" : "interp hit dir@") +
+        std::to_string(pc);
+    if (miss) {
+        s += " -> translate (" + std::to_string(shortInstrs) +
+            " short instrs, " + (rejected ? "rejected)" : "stored)");
+    }
+    return s;
+}
+
+std::vector<InterpStep>
+interpSteps(const std::vector<obs::Event> &events)
+{
+    std::vector<InterpStep> steps;
+    for (const obs::Event &e : events) {
+        if (e.kind == obs::EventKind::DtbHit)
+            steps.push_back({e.addr, false, 0, false});
+        else if (e.kind == obs::EventKind::Translate)
+            steps.push_back({e.addr, true, e.arg, false});
+        else if (e.kind == obs::EventKind::DtbReject && !steps.empty() &&
+                 steps.back().miss)
+            steps.back().rejected = true;
+    }
+    return steps;
 }
 
 } // namespace uhm

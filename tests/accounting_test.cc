@@ -100,8 +100,8 @@ TEST_F(AccountingFixture, DtbDispatchAccountsLookupsAndShortFetches)
     // dispatch = tauD per INTERP lookup + tauD per short-instr fetch
     //          + trap cycles per miss + tau1 per INTERP-stack pop.
     uint64_t lookups = r.dirInstrs * cfg.timing.tauD;
-    uint64_t fetches = r.stats.get("short_instrs") * cfg.timing.tauD;
-    uint64_t traps = r.stats.get("dtb_misses") * cfg.trapCycles;
+    uint64_t fetches = r.counter("machine.short_instrs") * cfg.timing.tauD;
+    uint64_t traps = r.counter("dtb.misses") * cfg.trapCycles;
     uint64_t slack = r.breakdown.dispatch - lookups - fetches - traps;
     // The remainder is exactly the INTERP-stack pops (one level-1 read
     // each); bounded by the number of control transfers.
@@ -127,7 +127,7 @@ TEST_F(AccountingFixture, TranslateChargesPerEmittedShortInstr)
                         (1 + cfg.timing.tauD);
         }
     }
-    EXPECT_EQ(r.stats.get("dtb_misses"), missed.size());
+    EXPECT_EQ(r.counter("dtb.misses"), missed.size());
     EXPECT_EQ(r.breakdown.translate, expected);
 }
 
@@ -151,13 +151,13 @@ TEST_F(AccountingFixture, CachedFetchBoundedByExtremes)
     Machine machine(*image_, cfg);
     RunResult r = machine.run();
 
-    uint64_t refs = r.stats.get("dir_fetch_refs");
+    uint64_t refs = r.counter("machine.dir_fetch_refs");
     // Every reference costs between tauD (hit) and tau2 (miss).
     EXPECT_GE(r.breakdown.fetch, refs * cfg.timing.tauD);
     EXPECT_LE(r.breakdown.fetch, refs * cfg.timing.tau2);
     // And the exact value follows from the hit/miss counts.
-    uint64_t hits = r.stats.get("icache_hits");
-    uint64_t misses = r.stats.get("icache_misses");
+    uint64_t hits = r.counter("icache.hits");
+    uint64_t misses = r.counter("icache.misses");
     EXPECT_EQ(refs, hits + misses);
     EXPECT_EQ(r.breakdown.fetch,
               hits * cfg.timing.tauD + misses * cfg.timing.tau2);

@@ -118,7 +118,7 @@ TEST(Dtb, LruEvictionWithinFullyAssociativeSet)
     EXPECT_TRUE(dtb.lookup(0).hit);
     EXPECT_FALSE(dtb.lookup(1).hit); // evicted
     EXPECT_TRUE(dtb.lookup(99).hit);
-    EXPECT_GE(dtb.stats().get("dtb_evictions"), 1u);
+    EXPECT_GE(dtb.evictions(), 1u);
 }
 
 TEST(Dtb, SetMappingIsStable)
@@ -177,7 +177,7 @@ TEST(Dtb, OverflowExhaustionRejectsButDoesNotBreak)
 
     EXPECT_TRUE(dtb.insert(1, fakeCode(12, 1)).retained);  // takes both blocks
     EXPECT_FALSE(dtb.insert(2, fakeCode(12, 2)).retained); // rejected
-    EXPECT_GE(dtb.stats().get("dtb_rejects"), 1u);
+    EXPECT_GE(dtb.rejects(), 1u);
     EXPECT_FALSE(dtb.lookup(2).hit);
     // Short translations still insert fine.
     EXPECT_TRUE(dtb.insert(3, fakeCode(3, 3)).retained);
@@ -211,8 +211,8 @@ TEST(Dtb, RejectedInsertPreservesResidentVictim)
     EXPECT_FALSE(out.retained);
     EXPECT_FALSE(out.evicted);
     EXPECT_EQ(out.unitsNeeded, 4u);
-    EXPECT_GE(dtb.stats().get("dtb_rejects"), 1u);
-    EXPECT_EQ(dtb.stats().get("dtb_evictions"), 0u);
+    EXPECT_GE(dtb.rejects(), 1u);
+    EXPECT_EQ(dtb.evictions(), 0u);
     EXPECT_EQ(dtb.overflowFree(), 0u);
 
     // Every resident entry — the would-be victim included — still hits.
@@ -401,9 +401,9 @@ TEST_F(TraceSimFixture, ReplayReproducesFullSimulationExactly)
     MachineConfig cfg;
     TraceSimResult replay =
         simulateDtbTrace(run_.addressTrace, cfg.dtb, sizeOf());
-    EXPECT_EQ(replay.hits, run_.stats.get("dtb_hits"));
-    EXPECT_EQ(replay.misses, run_.stats.get("dtb_misses"));
-    EXPECT_EQ(replay.rejects, run_.stats.get("dtb_rejects"));
+    EXPECT_EQ(replay.hits, run_.counter("dtb.hits"));
+    EXPECT_EQ(replay.misses, run_.counter("dtb.misses"));
+    EXPECT_EQ(replay.rejects, run_.counter("dtb.rejects"));
 }
 
 TEST_F(TraceSimFixture, ReplayMatchesAlternativeConfigurations)
@@ -421,9 +421,9 @@ TEST_F(TraceSimFixture, ReplayMatchesAlternativeConfigurations)
         RunResult full = machine.run();
         TraceSimResult replay =
             simulateDtbTrace(run_.addressTrace, cfg.dtb, sizeOf());
-        EXPECT_EQ(replay.hits, full.stats.get("dtb_hits"))
+        EXPECT_EQ(replay.hits, full.counter("dtb.hits"))
             << cap << "/" << assoc << "/" << unit;
-        EXPECT_EQ(replay.misses, full.stats.get("dtb_misses"));
+        EXPECT_EQ(replay.misses, full.counter("dtb.misses"));
     }
 }
 

@@ -52,7 +52,6 @@ expectIdentical(const RunResult &a, const RunResult &b,
     EXPECT_EQ(a.breakdown.semantic, b.breakdown.semantic);
     EXPECT_EQ(a.breakdown.translate, b.breakdown.translate);
     EXPECT_EQ(a.breakdown.translate2, b.breakdown.translate2);
-    EXPECT_EQ(a.stats.toString(), b.stats.toString());
     EXPECT_EQ(a.counters, b.counters);
     EXPECT_EQ(a.histograms, b.histograms);
     EXPECT_EQ(a.samples, b.samples);

@@ -433,8 +433,8 @@ TEST(HlrInterp, CountsAssociativeSearchWork)
     HlrRunResult result = interpretHlr(ast);
     // Every name reference costs table-search comparisons; a sieve over
     // 1000 elements performs tens of thousands.
-    EXPECT_GT(result.stats.get("hlr_name_search_steps"), 10'000u);
-    EXPECT_GT(result.stats.get("hlr_stmts"), 1'000u);
+    EXPECT_GT(result.nameSearchSteps, 10'000u);
+    EXPECT_GT(result.stmts, 1'000u);
 }
 
 TEST(HlrInterp, StatementBudgetGuardsRunaways)

@@ -76,9 +76,9 @@ TEST(ModelAgreement, MeasuredT2WithinModelBallpark)
     p.x = r1.measuredX;
     p.g = r2.measuredG;
     p.hD = r2.dtbHitRatio;
-    p.s1 = static_cast<double>(r2.stats.get("short_instrs")) /
+    p.s1 = static_cast<double>(r2.counter("machine.short_instrs")) /
            static_cast<double>(r2.dirInstrs);
-    p.s2 = static_cast<double>(r1.stats.get("dir_fetch_refs")) /
+    p.s2 = static_cast<double>(r1.counter("machine.dir_fetch_refs")) /
            static_cast<double>(r1.dirInstrs);
 
     double predicted_t2 = analytic::t2(p);
@@ -112,9 +112,9 @@ TEST(ModelAgreement, MeasuredT4WithinModelBallpark)
     RunResult r4 = tiered.run();
 
     double trace_dir =
-        static_cast<double>(r4.stats.get("trace_dir_instrs"));
+        static_cast<double>(r4.counter("tier.trace_dir_instrs"));
     double trace_short =
-        static_cast<double>(r4.stats.get("trace_short_instrs"));
+        static_cast<double>(r4.counter("tier.trace_short_instrs"));
     double dir_instrs = static_cast<double>(r4.dirInstrs);
     double compiled = static_cast<double>(
         r4.counters.at("tier.compiled_short_instrs"));
@@ -125,11 +125,11 @@ TEST(ModelAgreement, MeasuredT4WithinModelBallpark)
     p.x = r1.measuredX;
     p.g = r4.measuredG;
     p.hD = r4.dtbHitRatio;
-    p.s2 = static_cast<double>(r1.stats.get("dir_fetch_refs")) /
+    p.s2 = static_cast<double>(r1.counter("machine.dir_fetch_refs")) /
            static_cast<double>(r1.dirInstrs);
     // Cold instructions' short fetches per instruction: the aggregate
     // s1 minus the trace-resident share.
-    p.s1 = (static_cast<double>(r4.stats.get("short_instrs")) -
+    p.s1 = (static_cast<double>(r4.counter("machine.short_instrs")) -
             trace_short) / (dir_instrs - trace_dir);
     p.hT = r4.traceCoverage;
     p.nT = r4.traceMeanIterLen;

@@ -13,6 +13,7 @@
 #include "mem/cache.hh"
 #include "mem/memory.hh"
 #include "mem/replacement.hh"
+#include "obs/registry.hh"
 #include "support/logging.hh"
 
 namespace uhm
@@ -41,8 +42,10 @@ TEST(MainMemory, LevelChargingFollowsBoundary)
     mem.read(64);      // level 2: +10
     mem.write(1000, 2);// level 2: +10
     EXPECT_EQ(mem.cycles(), 22u);
-    EXPECT_EQ(mem.stats().get("mem_level1_accesses"), 2u);
-    EXPECT_EQ(mem.stats().get("mem_level2_accesses"), 2u);
+    obs::Registry reg;
+    mem.registerCounters(reg, "mem");
+    EXPECT_EQ(reg.get("mem.level1_accesses"), 2u);
+    EXPECT_EQ(reg.get("mem.level2_accesses"), 2u);
 }
 
 TEST(MainMemory, PeekAndPokeAreFree)

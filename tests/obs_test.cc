@@ -453,7 +453,7 @@ runSample(const char *name, MachineKind kind, MachineConfig cfg)
     return sr;
 }
 
-TEST(ObsMachine, RegistryAgreesWithLegacyDtbCounters)
+TEST(ObsMachine, RegistryAgreesWithDtbAccessors)
 {
     SampleRun sr = runSample("collatz", MachineKind::Dtb,
                              MachineConfig{});
@@ -462,24 +462,31 @@ TEST(ObsMachine, RegistryAgreesWithLegacyDtbCounters)
     ASSERT_NE(machine->dtb(), nullptr);
     const obs::Registry &reg = machine->registry();
 
-    // Registry view == legacy accessors == RunResult legacy stats.
+    // Registry view == the components' own accessors == RunResult.
+    const Dtb &dtb = *machine->dtb();
     EXPECT_GT(reg.get("dtb.hits"), 0u);
-    EXPECT_EQ(reg.get("dtb.hits"), machine->dtb()->hits());
-    EXPECT_EQ(reg.get("dtb.misses"), machine->dtb()->misses());
-    EXPECT_EQ(reg.get("dtb.hits"), r.stats.get("dtb_hits"));
-    EXPECT_EQ(reg.get("dtb.misses"), r.stats.get("dtb_misses"));
-    EXPECT_EQ(reg.get("dtb.inserts"), r.stats.get("dtb_inserts"));
-    EXPECT_EQ(reg.get("dtb.rejects"), r.stats.get("dtb_rejects"));
+    EXPECT_EQ(reg.get("dtb.hits"), dtb.hits());
+    EXPECT_EQ(reg.get("dtb.misses"), dtb.misses());
+    EXPECT_EQ(reg.get("dtb.inserts"), dtb.inserts());
+    EXPECT_EQ(reg.get("dtb.evictions"), dtb.evictions());
+    EXPECT_EQ(reg.get("dtb.rejects"), dtb.rejects());
+    EXPECT_EQ(reg.get("dtb.flushes"), dtb.flushes());
     EXPECT_EQ(reg.get("machine.dir_instrs"), r.dirInstrs);
-    EXPECT_EQ(reg.get("machine.micro_ops"), r.stats.get("micro_ops"));
-    EXPECT_EQ(reg.get("machine.short_instrs"),
-              r.stats.get("short_instrs"));
+    EXPECT_EQ(reg.get("machine.dir_instrs"), machine->dirInstrsSoFar());
+    EXPECT_GT(r.counter("machine.micro_ops"), 0u);
+    EXPECT_EQ(r.counter("machine.micro_ops"),
+              reg.get("machine.micro_ops"));
+    EXPECT_GT(r.counter("machine.short_instrs"), 0u);
+    EXPECT_EQ(r.counter("machine.short_instrs"),
+              reg.get("machine.short_instrs"));
+    // An absent counter reads as 0, as a registry get does.
+    EXPECT_EQ(r.counter("icache.hits"), 0u);
 
     // The snapshot in the RunResult matches the live registry.
     EXPECT_EQ(r.counters, reg.snapshot());
 }
 
-TEST(ObsMachine, RegistryAgreesWithLegacyCacheCounters)
+TEST(ObsMachine, RegistryAgreesWithCacheAccessors)
 {
     SampleRun sr = runSample("sieve", MachineKind::Cached,
                              MachineConfig{});
@@ -487,11 +494,12 @@ TEST(ObsMachine, RegistryAgreesWithLegacyCacheCounters)
     const RunResult &r = sr.result;
     ASSERT_NE(machine->icache(), nullptr);
     EXPECT_EQ(r.counters.at("icache.hits"), machine->icache()->hits());
-    EXPECT_EQ(r.counters.at("icache.hits"), r.stats.get("icache_hits"));
     EXPECT_EQ(r.counters.at("icache.misses"),
-              r.stats.get("icache_misses"));
-    EXPECT_EQ(r.counters.at("mem.level1_accesses"),
-              r.stats.get("mem_level1_accesses"));
+              machine->icache()->misses());
+    // Each DIR fetch reference probes the icache exactly once.
+    EXPECT_EQ(r.counters.at("machine.dir_fetch_refs"),
+              machine->icache()->hits() + machine->icache()->misses());
+    EXPECT_GT(r.counters.at("mem.level1_accesses"), 0u);
     // No DTB on the cached organization: no dtb.* counters registered.
     EXPECT_EQ(r.counters.count("dtb.hits"), 0u);
 }
@@ -528,6 +536,44 @@ TEST(ObsMachine, TypedEventsFollowTheFigure4Flow)
               r.counters.at("machine.translated_instrs"));
 }
 
+TEST(ObsMachine, InterpStepsRebuildTheFigure4Trace)
+{
+    // One-unit entries and no overflow: every multi-instruction
+    // translation is rejected, so the trace carries both miss outcomes.
+    MachineConfig cfg;
+    cfg.profileEvents = true;
+    cfg.profileEventCapacity = size_t{1} << 18;
+    cfg.dtb.unitShortInstrs = 1;
+    cfg.dtb.allowOverflow = false;
+    RunResult r = runSample("collatz", MachineKind::Dtb, cfg).result;
+    ASSERT_EQ(r.eventsDropped, 0u);
+
+    std::vector<InterpStep> steps = interpSteps(r.events);
+    uint64_t hits = 0, misses = 0, rejected = 0;
+    for (const InterpStep &s : steps) {
+        hits += !s.miss;
+        misses += s.miss;
+        rejected += s.rejected;
+        EXPECT_TRUE(s.miss || !s.rejected);
+    }
+    EXPECT_EQ(hits, r.counter("dtb.hits"));
+    EXPECT_EQ(misses, r.counter("dtb.misses"));
+    EXPECT_EQ(rejected, r.counter("dtb.rejects"));
+    EXPECT_EQ(misses - rejected, r.counter("dtb.inserts"));
+    EXPECT_GT(rejected, 0u);
+    EXPECT_GT(misses - rejected, 0u);
+
+    InterpStep miss{40, true, 3, true};
+    EXPECT_EQ(miss.toString(),
+              "interp miss dir@40 -> translate (3 short instrs, "
+              "rejected)");
+    miss.rejected = false;
+    EXPECT_EQ(miss.toString(),
+              "interp miss dir@40 -> translate (3 short instrs, stored)");
+    EXPECT_EQ((InterpStep{7, false, 0, false}.toString()),
+              "interp hit dir@7");
+}
+
 TEST(ObsMachine, EventsOffByDefaultAndRingBounded)
 {
     RunResult plain =
@@ -555,20 +601,18 @@ TEST(ObsMachine, ProfileJsonlMatchesRunResultStatistics)
     meta.encoding = "huffman";
     std::string doc = profileJsonl(meta, r);
 
-    // The acceptance contract: the JSONL counters equal the legacy
-    // RunResult statistics, byte for byte.
+    // The acceptance contract: every RunResult counter appears in the
+    // JSONL with its value, byte for byte.
     auto expectCounter = [&doc](const std::string &name, uint64_t v) {
         std::string needle =
             "\"" + name + "\":" + std::to_string(v);
         EXPECT_NE(doc.find(needle), std::string::npos)
             << "missing " << needle;
     };
-    expectCounter("dtb.hits", r.stats.get("dtb_hits"));
-    expectCounter("dtb.misses", r.stats.get("dtb_misses"));
-    expectCounter("dtb.inserts", r.stats.get("dtb_inserts"));
+    ASSERT_GT(r.counters.size(), 10u);
+    for (const auto &kv : r.counters)
+        expectCounter(kv.first, kv.second);
     expectCounter("machine.dir_instrs", r.dirInstrs);
-    expectCounter("machine.short_instrs",
-                  r.stats.get("short_instrs"));
     EXPECT_NE(doc.find("\"type\":\"phases\""), std::string::npos);
     EXPECT_NE(doc.find("\"total\":" + std::to_string(r.cycles)),
               std::string::npos);

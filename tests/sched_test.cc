@@ -152,7 +152,7 @@ TEST(DtbFlush, ReportsEveryVictimAndEmptiesTheBuffer)
     // Flush accounting is distinct from capacity-eviction accounting.
     EXPECT_EQ(dtb.flushes(), 1u);
     EXPECT_EQ(dtb.flushedEntries(), 2u);
-    EXPECT_EQ(dtb.stats().get("dtb_evictions"), 0u);
+    EXPECT_EQ(dtb.evictions(), 0u);
 }
 
 TEST(DtbFlush, FlushCrossesAsidBoundaries)
@@ -258,7 +258,7 @@ TEST(ResetStats, DtbCountersClearButResidencySurvives)
     EXPECT_EQ(dtb.misses(), 0u);
     EXPECT_EQ(dtb.flushes(), 0u);
     EXPECT_EQ(dtb.flushedEntries(), 0u);
-    EXPECT_EQ(dtb.stats().get("dtb_inserts"), 0u);
+    EXPECT_EQ(dtb.inserts(), 0u);
     // The translation itself is behavioral state, not statistics.
     EXPECT_TRUE(dtb.lookup(100).hit);
 }

@@ -16,7 +16,6 @@
 #include "support/json.hh"
 #include "support/logging.hh"
 #include "support/rng.hh"
-#include "support/stats.hh"
 #include "support/table.hh"
 #include "support/wrap.hh"
 
@@ -540,41 +539,6 @@ TEST(Entropy, UniformAndDegenerate)
     EXPECT_NEAR(entropyBits({1, 1, 1, 1}), 2.0, 1e-12);
     EXPECT_NEAR(entropyBits({5, 0, 0, 0}), 0.0, 1e-12);
     EXPECT_NEAR(entropyBits({}), 0.0, 1e-12);
-}
-
-// ---- stats -----------------------------------------------------------------
-
-TEST(Stats, AddGetMergeClear)
-{
-    StatSet a;
-    a.add("x");
-    a.add("x", 4);
-    a.add("y", 2);
-    EXPECT_EQ(a.get("x"), 5u);
-    EXPECT_EQ(a.get("y"), 2u);
-    EXPECT_EQ(a.get("absent"), 0u);
-
-    StatSet b;
-    b.add("x", 10);
-    b.add("z", 1);
-    a.merge(b);
-    EXPECT_EQ(a.get("x"), 15u);
-    EXPECT_EQ(a.get("z"), 1u);
-
-    a.clear();
-    EXPECT_EQ(a.get("x"), 0u);
-}
-
-TEST(Stats, SampleStat)
-{
-    SampleStat s;
-    s.record(3.0);
-    s.record(1.0);
-    s.record(8.0);
-    EXPECT_EQ(s.count(), 3u);
-    EXPECT_DOUBLE_EQ(s.mean(), 4.0);
-    EXPECT_DOUBLE_EQ(s.min(), 1.0);
-    EXPECT_DOUBLE_EQ(s.max(), 8.0);
 }
 
 // ---- rng -------------------------------------------------------------------

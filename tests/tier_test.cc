@@ -307,8 +307,8 @@ TEST(Dtb2Promotion, HotLoopSteadyStateRunsFromTheFirstLevel)
     // The working set is installed into the first level...
     EXPECT_GT(r.counters.at("dtbl1.inserts"), 0u);
     // ...and the hot loop's steady state then hits there.
-    EXPECT_GT(r.stats.get("dtbl1_hits"),
-              r.stats.get("dtbl1_misses"));
+    EXPECT_GT(r.counter("dtbl1.hits"),
+              r.counter("dtbl1.misses"));
 }
 
 TEST(Dtb2Promotion, ReuseAfterDemotionPromotesFromTheSecondLevel)
@@ -331,7 +331,7 @@ TEST(Dtb2Promotion, ReuseAfterDemotionPromotesFromTheSecondLevel)
     EXPECT_GT(promotes, 0u);
     // Promotion serves reuse from the second level: its hits dwarf its
     // misses (the only misses are first touches).
-    EXPECT_GT(r.stats.get("dtb_hits"), r.stats.get("dtb_misses"));
+    EXPECT_GT(r.counter("dtb.hits"), r.counter("dtb.misses"));
 }
 
 TEST(Dtb2Promotion, DemotionOnEvictionKeepsRunsCorrect)

@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "hlr/compiler.hh"
 #include "hlr/interp.hh"
 #include "hlr/parser.hh"
@@ -333,24 +335,31 @@ TEST(InterpFlow, FirstTouchMissesThenHits)
         "while i > 0 do i := i - 1; od; write i; end.");
     auto image = encodeDir(p, EncodingScheme::Packed);
     MachineConfig cfg = configFor(MachineKind::Dtb);
-    cfg.traceEvents = true;
+    cfg.profileEvents = true;
     Machine machine(*image, cfg);
     RunResult r = machine.run();
 
-    ASSERT_FALSE(r.trace.empty());
-    // The very first INTERP must miss and translate.
-    EXPECT_NE(r.trace[0].find("miss"), std::string::npos);
-    EXPECT_NE(r.trace[0].find("translate"), std::string::npos);
+    ASSERT_EQ(r.eventsDropped, 0u);
+    auto first = [&r](obs::EventKind kind) {
+        return std::find_if(r.events.begin(), r.events.end(),
+                            [kind](const obs::Event &e) {
+                                return e.kind == kind;
+                            });
+    };
+    // The very first INTERP must miss, then translate.
+    ASSERT_NE(first(obs::EventKind::DtbMiss), r.events.end());
+    EXPECT_LT(first(obs::EventKind::DtbMiss),
+              first(obs::EventKind::Translate));
     // Later loop iterations must hit.
     size_t hits = 0, misses = 0;
-    for (const std::string &event : r.trace) {
-        hits += event.find("interp hit") != std::string::npos;
-        misses += event.find("interp miss") != std::string::npos;
+    for (const obs::Event &e : r.events) {
+        hits += e.kind == obs::EventKind::DtbHit;
+        misses += e.kind == obs::EventKind::DtbMiss;
     }
     EXPECT_GT(hits, 0u);
     // Each distinct instruction misses exactly once (DTB large enough).
-    EXPECT_EQ(misses, static_cast<size_t>(r.stats.get("dtb_misses")));
-    EXPECT_EQ(misses, static_cast<size_t>(r.stats.get("dtb_inserts")));
+    EXPECT_EQ(misses, static_cast<size_t>(r.counter("dtb.misses")));
+    EXPECT_EQ(misses, static_cast<size_t>(r.counter("dtb.inserts")));
 }
 
 TEST(InterpFlow, LoopRereachesUnityHitRatio)
@@ -378,7 +387,7 @@ TEST(InterpFlow, MissChargesDecodeAndTranslate)
     EXPECT_GT(r.breakdown.translate, 0u);
     EXPECT_GT(r.measuredG, 0.0);
     // Decode happened only on misses.
-    EXPECT_EQ(r.stats.get("dtb_misses") + r.stats.get("dtb_hits"),
+    EXPECT_EQ(r.counter("dtb.misses") + r.counter("dtb.hits"),
               r.dirInstrs);
 }
 
@@ -427,7 +436,7 @@ TEST(InterpFlow, RejectedTranslationsStillExecute)
     Machine machine(*image, cfg);
     RunResult r = machine.run();
     EXPECT_EQ(r.output, std::vector<int64_t>{111});
-    EXPECT_GT(r.stats.get("dtb_rejects"), 0u);
+    EXPECT_GT(r.counter("dtb.rejects"), 0u);
 }
 
 TEST(OpcodeCounts, ConventionalCountsSumToInstructions)
