@@ -1,9 +1,13 @@
 #include "bench_common.hh"
 
+#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 
+#include "support/flags.hh"
 #include "support/json.hh"
+#include "support/logging.hh"
+#include "support/pool.hh"
 
 namespace uhm::bench
 {
@@ -71,10 +75,16 @@ unsigned
 jobsFromArgs(int argc, char **argv)
 {
     for (int i = 1; i < argc; ++i) {
-        if (std::strncmp(argv[i], "--jobs=", 7) == 0) {
-            long n = std::strtol(argv[i] + 7, nullptr, 10);
-            if (n > 0)
-                return static_cast<unsigned>(n);
+        if (std::strncmp(argv[i], "--jobs=", 7) != 0)
+            continue;
+        try {
+            return static_cast<unsigned>(
+                parseUintFlag("--jobs", argv[i] + 7, 0, maxJobs));
+        } catch (const FatalError &e) {
+            // Not every grid bench catches at top level: exit here,
+            // before any worker thread starts.
+            std::fprintf(stderr, "error: %s\n", e.what());
+            std::exit(1);
         }
     }
     return 0;

@@ -86,7 +86,8 @@ DirProgram gridWorkload(uint32_t semwork_weight, uint64_t seed = 1978);
 /**
  * First "--jobs=N" among @p argv, or 0 (meaning defaultJobs(), which
  * itself honours the UHM_JOBS environment variable). Every grid bench
- * accepts the flag.
+ * accepts the flag. A value that is not an integer in [0, maxJobs]
+ * prints "error: --jobs ..." and exits 1.
  */
 unsigned jobsFromArgs(int argc, char **argv);
 

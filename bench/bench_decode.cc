@@ -5,8 +5,9 @@
  * *simulated* cycles (identical whichever host path runs), this bench
  * times the host:
  *
- *  1. decode: tree-walk vs. table-driven Huffman decoding over the
- *     whole sample corpus, per encoding scheme;
+ *  1. decode: the bulk EncodedDir::decodeAll() pass (table-driven
+ *     Huffman decoding) vs. the DecodeMemo replay, over the whole
+ *     sample corpus, per encoding scheme;
  *  2. translate: the cold DynamicTranslator path vs. the memoized
  *     repeated-miss replay;
  *  3. events: a full DTB run with the typed-event tracer detached vs.
@@ -29,7 +30,6 @@
 
 #include "bench_common.hh"
 #include "core/translator.hh"
-#include "support/huffman.hh"
 #include "support/json.hh"
 #include "support/logging.hh"
 
@@ -80,21 +80,15 @@ struct DecodeRow
 {
     std::string scheme;
     uint64_t instrs = 0;         ///< instructions decoded per pass
-    size_t tableEntries = 0;     ///< host decode-table footprint proxy
-    double treeNsPerInstr = 0;
     double tableNsPerInstr = 0;
     double memoNsPerInstr = 0;
-    /** Tree walk vs. raw table decode (every pass re-walks the stream). */
-    double tableSpeedup() const
-    {
-        return treeNsPerInstr / tableNsPerInstr;
-    }
     /**
-     * Tree walk vs. the shipped fast path: table decode on first touch,
-     * DecodeMemo replay on every revisit — what Machine/DynamicTranslator
-     * actually pay per decode after warm-up.
+     * Raw table decode (every pass re-walks the stream) vs. the shipped
+     * path: table decode on first touch, DecodeMemo replay on every
+     * revisit, which is what Machine/DynamicTranslator pay per decode
+     * after warm-up.
      */
-    double speedup() const { return treeNsPerInstr / memoNsPerInstr; }
+    double speedup() const { return tableNsPerInstr / memoNsPerInstr; }
 };
 
 DecodeRow
@@ -104,14 +98,11 @@ timeDecode(const std::vector<DirProgram> &programs,
     DecodeRow row;
     row.scheme = encodingName(scheme);
     auto images = corpusImages(programs, scheme);
-    for (const auto &image : images) {
+    for (const auto &image : images)
         row.instrs += image->numInstrs();
-        row.tableEntries += image->metadataBits() / 32;
-    }
 
-    std::vector<DecodeResult> buf;
-    auto measure = [&](HuffmanDecodeKind kind) -> double {
-        ScopedHuffmanDecodeKind scoped(kind);
+    {
+        std::vector<DecodeResult> buf;
         for (const auto &image : images) // warm-up
             g_sink = g_sink + decodePass(*image, buf);
         double t0 = nowNs();
@@ -119,17 +110,13 @@ timeDecode(const std::vector<DirProgram> &programs,
             for (const auto &image : images)
                 g_sink = g_sink + decodePass(*image, buf);
         double t1 = nowNs();
-        return (t1 - t0) /
-               (static_cast<double>(row.instrs) * iters);
-    };
-
-    row.treeNsPerInstr = measure(HuffmanDecodeKind::Tree);
-    row.tableNsPerInstr = measure(HuffmanDecodeKind::Table);
+        row.tableNsPerInstr =
+            (t1 - t0) / (static_cast<double>(row.instrs) * iters);
+    }
 
     // The shipped fast path: a DecodeMemo per image, filled by the
     // table decoder on the warm-up pass, replayed on every timed pass.
     {
-        ScopedHuffmanDecodeKind scoped(HuffmanDecodeKind::Table);
         std::vector<DecodeMemo> memos;
         for (const auto &image : images)
             memos.emplace_back(*image);
@@ -278,23 +265,21 @@ try {
 
     std::printf("bench_decode: host wall-clock, %u iters, "
                 "%zu corpus programs\n\n", iters, programs.size());
-    std::printf("%-14s %8s %12s %12s %12s %9s %9s\n", "scheme",
-                "instrs", "tree ns/ins", "table ns/ins", "memo ns/ins",
-                "tbl-spd", "fast-spd");
+    std::printf("%-14s %8s %12s %12s %9s\n", "scheme", "instrs",
+                "table ns/ins", "memo ns/ins", "memo-spd");
 
     std::vector<DecodeRow> rows;
     for (EncodingScheme scheme : schemes) {
         rows.push_back(timeDecode(programs, scheme, iters));
         const DecodeRow &r = rows.back();
-        std::printf("%-14s %8llu %12.2f %12.2f %12.2f %8.2fx %8.2fx\n",
+        std::printf("%-14s %8llu %12.2f %12.2f %8.2fx\n",
                     r.scheme.c_str(),
                     static_cast<unsigned long long>(r.instrs),
-                    r.treeNsPerInstr, r.tableNsPerInstr,
-                    r.memoNsPerInstr, r.tableSpeedup(), r.speedup());
+                    r.tableNsPerInstr, r.memoNsPerInstr, r.speedup());
     }
 
     TranslateRow tr = timeTranslate(programs, iters);
-    std::printf("\ntranslate      %10llu %12.2f %12.2f %8.2fx  "
+    std::printf("\ntranslate      %8llu %12.2f %12.2f %8.2fx  "
                 "(cold vs memo)\n",
                 static_cast<unsigned long long>(tr.instrs),
                 tr.coldNsPerInstr, tr.memoNsPerInstr, tr.speedup());
@@ -315,10 +300,8 @@ try {
         jw.beginObject();
         jw.key("scheme").value(r.scheme);
         jw.key("instrs").value(r.instrs);
-        jw.key("tree_ns_per_instr").value(r.treeNsPerInstr);
         jw.key("table_ns_per_instr").value(r.tableNsPerInstr);
         jw.key("memo_ns_per_instr").value(r.memoNsPerInstr);
-        jw.key("table_speedup").value(r.tableSpeedup());
         jw.key("speedup").value(r.speedup());
         jw.endObject();
     }

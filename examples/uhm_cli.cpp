@@ -37,12 +37,6 @@
  *   --machine=<conventional|cached|dtb|dtb2|tiered>  (default dtb)
  *   --encoding=<expanded|packed|contextual|huffman|pair-huffman|
  *               quantized>                      (default huffman)
- *   --decode=<tree|table>  host-side Huffman decode implementation
- *                          (default table). Simulated cycles and all
- *                          outputs are identical either way; the tree
- *                          walk is the reference path, kept as an
- *                          escape hatch for bisecting fast-path
- *                          regressions. Accepted by sweep too.
  *   --input=<comma-separated ints>              (read-statement input)
  *   --dtb-bytes=<n>        DTB buffer capacity  (default 4096)
  *   --assoc=<n>            DTB/cache ways, 0 = full (default 4)
@@ -109,7 +103,6 @@
 #include "dir/serialize.hh"
 #include "hlr/compiler.hh"
 #include "support/flags.hh"
-#include "support/huffman.hh"
 #include "support/logging.hh"
 #include "support/pool.hh"
 #include "uhm/machine.hh"
@@ -181,7 +174,6 @@ constexpr const char *commonOptionsHelp =
     "                         machine organization (default dtb)\n"
     "  --encoding=<expanded|packed|contextual|huffman|pair-huffman|\n"
     "              quantized> DIR encoding (default huffman)\n"
-    "  --decode=<tree|table>  host-side Huffman decode (default table)\n"
     "  --tier-threshold=<n>   backedges into a resident DTB entry before\n"
     "                         a trace records (tiered only, default 8)\n"
     "  --trace-cap=<n>        max DIR instrs per trace (tiered, 64)\n"
@@ -265,19 +257,6 @@ parseEncoding(const std::string &name)
     uhm::fatal("unknown encoding '%s'", name.c_str());
 }
 
-/** Apply --decode=<tree|table> to the process-wide decode kind. */
-void
-applyDecodeKind(const std::string &name)
-{
-    if (name == "tree")
-        uhm::setHuffmanDecodeKind(uhm::HuffmanDecodeKind::Tree);
-    else if (name == "table")
-        uhm::setHuffmanDecodeKind(uhm::HuffmanDecodeKind::Table);
-    else
-        uhm::fatal("unknown decode kind '%s' (tree|table)",
-                   name.c_str());
-}
-
 /** @p text of flag @p flag as a uint32_t (range-checked, never wraps:
  *  --assoc=4294967296 would otherwise mean "fully associative"). */
 uint32_t
@@ -295,17 +274,6 @@ parseUint64(const char *flag, const std::string &text)
     return uhm::parseUintFlag(flag, text, 0, UINT64_MAX);
 }
 
-std::vector<int64_t>
-parseInts(const std::string &list)
-{
-    std::vector<int64_t> values;
-    std::istringstream is(list);
-    std::string item;
-    while (std::getline(is, item, ','))
-        values.push_back(std::stoll(item));
-    return values;
-}
-
 Options
 parseArgs(int argc, char **argv)
 {
@@ -319,10 +287,9 @@ parseArgs(int argc, char **argv)
             opts.kind = parseMachine(value("--machine="));
         else if (arg.rfind("--encoding=", 0) == 0)
             opts.scheme = parseEncoding(value("--encoding="));
-        else if (arg.rfind("--decode=", 0) == 0)
-            applyDecodeKind(value("--decode="));
         else if (arg.rfind("--input=", 0) == 0)
-            opts.input = parseInts(value("--input="));
+            opts.input = uhm::parseIntListFlag("--input",
+                                               value("--input="));
         else if (arg.rfind("--dtb-bytes=", 0) == 0)
             opts.dtbBytes = parseUint64("--dtb-bytes",
                                         value("--dtb-bytes="));
@@ -471,8 +438,6 @@ runSweepCommand(int argc, char **argv)
             kind = parseMachine(value("--machine="));
         else if (arg.rfind("--encoding=", 0) == 0)
             scheme = parseEncoding(value("--encoding="));
-        else if (arg.rfind("--decode=", 0) == 0)
-            applyDecodeKind(value("--decode="));
         else if (arg.rfind("--tier-threshold=", 0) == 0) {
             tier_cfg.hotThreshold = parseUint32(
                 "--tier-threshold", value("--tier-threshold="));

@@ -65,9 +65,8 @@ class HuffmanDir : public EncodedDir
 
         DecodeResult res;
         res.index = indexOfBitAddr(bit_addr);
-        const HuffmanDecodeKind kind = huffmanDecodeKind();
 
-        uint64_t token = opCode_.decode(br, &res.cost.treeEdges, kind);
+        uint64_t token = opCode_.decode(br, &res.cost.treeEdges);
         uhm_assert(token < opOfToken_.size(), "bad opcode token %llu",
                    static_cast<unsigned long long>(token));
         res.instr.op = static_cast<Op>(opOfToken_[token]);
@@ -76,8 +75,7 @@ class HuffmanDir : public EncodedDir
         for (size_t k = 0; k < ops.size(); ++k) {
             const TokenTable &tt =
                 tokens_[static_cast<size_t>(ops[k])];
-            uint64_t token =
-                tt.code.decode(br, &res.cost.treeEdges, kind);
+            uint64_t token = tt.code.decode(br, &res.cost.treeEdges);
             // Mapping the token back to its value is one table lookup.
             // The token came out of tt's own code, so it is in range.
             res.instr.operands[k] = tt.values[token];
@@ -85,38 +83,6 @@ class HuffmanDir : public EncodedDir
         }
         res.nextBitAddr = br.pos();
         return res;
-    }
-
-    void
-    decodeAll(std::vector<DecodeResult> &out) const override
-    {
-        out.resize(bitAddrs_.size());
-        BitReader br(bytes_.data(), bitSize_);
-        const HuffmanDecodeKind kind = huffmanDecodeKind();
-        for (size_t i = 0; i < out.size(); ++i) {
-            DecodeResult &res = out[i];
-            res.index = i;
-            res.cost = {};
-            res.instr.operands = {};
-
-            uint64_t token = opCode_.decode(br, &res.cost.treeEdges,
-                                            kind);
-            uhm_assert(token < opOfToken_.size(),
-                       "bad opcode token %llu",
-                       static_cast<unsigned long long>(token));
-            res.instr.op = static_cast<Op>(opOfToken_[token]);
-
-            const OperandKinds &ops = operandsOf(res.instr.op);
-            for (size_t k = 0; k < ops.size(); ++k) {
-                const TokenTable &tt =
-                    tokens_[static_cast<size_t>(ops[k])];
-                uint64_t t =
-                    tt.code.decode(br, &res.cost.treeEdges, kind);
-                res.instr.operands[k] = tt.values[t];
-                res.cost.tableLookups += 1;
-            }
-            res.nextBitAddr = br.pos();
-        }
     }
 
     uint64_t

@@ -97,9 +97,8 @@ class PairHuffmanDir : public EncodedDir
         // table lookup.
         const ContextCode &cc = contexts_[prevContext_[res.index]];
         res.cost.tableLookups += 1;
-        const HuffmanDecodeKind kind = huffmanDecodeKind();
 
-        uint64_t token = cc.code.decode(br, &res.cost.treeEdges, kind);
+        uint64_t token = cc.code.decode(br, &res.cost.treeEdges);
         uhm_assert(token < cc.opOfToken.size(), "bad opcode token %llu",
                    static_cast<unsigned long long>(token));
         res.instr.op = static_cast<Op>(cc.opOfToken[token]);
@@ -108,49 +107,13 @@ class PairHuffmanDir : public EncodedDir
         for (size_t k = 0; k < ops.size(); ++k) {
             const TokenTable &tt =
                 tokens_[static_cast<size_t>(ops[k])];
-            uint64_t token =
-                tt.code.decode(br, &res.cost.treeEdges, kind);
+            uint64_t token = tt.code.decode(br, &res.cost.treeEdges);
             // In range: the token came out of tt's own code.
             res.instr.operands[k] = tt.values[token];
             res.cost.tableLookups += 1;
         }
         res.nextBitAddr = br.pos();
         return res;
-    }
-
-    void
-    decodeAll(std::vector<DecodeResult> &out) const override
-    {
-        out.resize(bitAddrs_.size());
-        BitReader br(bytes_.data(), bitSize_);
-        const HuffmanDecodeKind kind = huffmanDecodeKind();
-        for (size_t i = 0; i < out.size(); ++i) {
-            DecodeResult &res = out[i];
-            res.index = i;
-            res.cost = {};
-            res.instr.operands = {};
-
-            const ContextCode &cc = contexts_[prevContext_[i]];
-            res.cost.tableLookups += 1;
-
-            uint64_t token =
-                cc.code.decode(br, &res.cost.treeEdges, kind);
-            uhm_assert(token < cc.opOfToken.size(),
-                       "bad opcode token %llu",
-                       static_cast<unsigned long long>(token));
-            res.instr.op = static_cast<Op>(cc.opOfToken[token]);
-
-            const OperandKinds &ops = operandsOf(res.instr.op);
-            for (size_t k = 0; k < ops.size(); ++k) {
-                const TokenTable &tt =
-                    tokens_[static_cast<size_t>(ops[k])];
-                uint64_t t =
-                    tt.code.decode(br, &res.cost.treeEdges, kind);
-                res.instr.operands[k] = tt.values[t];
-                res.cost.tableLookups += 1;
-            }
-            res.nextBitAddr = br.pos();
-        }
     }
 
     uint64_t

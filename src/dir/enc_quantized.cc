@@ -137,9 +137,8 @@ class QuantizedDir : public EncodedDir
 
         DecodeResult res;
         res.index = indexOfBitAddr(bit_addr);
-        const HuffmanDecodeKind kind = huffmanDecodeKind();
 
-        uint64_t token = decodeField(br, opCode_, res.cost, kind);
+        uint64_t token = decodeField(br, opCode_, res.cost);
         uhm_assert(token < opOfToken_.size(), "bad opcode token %llu",
                    static_cast<unsigned long long>(token));
         res.instr.op = static_cast<Op>(opOfToken_[token]);
@@ -147,43 +146,13 @@ class QuantizedDir : public EncodedDir
         const OperandKinds &ops = operandsOf(res.instr.op);
         for (size_t k = 0; k < ops.size(); ++k) {
             size_t ki = static_cast<size_t>(ops[k]);
-            uint64_t t = decodeField(br, tokenCodes_[ki], res.cost, kind);
+            uint64_t t = decodeField(br, tokenCodes_[ki], res.cost);
             // In range: the token came out of this kind's own code.
             res.instr.operands[k] = tokens_[ki].values[t];
             res.cost.tableLookups += 1;
         }
         res.nextBitAddr = br.pos();
         return res;
-    }
-
-    void
-    decodeAll(std::vector<DecodeResult> &out) const override
-    {
-        out.resize(bitAddrs_.size());
-        BitReader br(bytes_.data(), bitSize_);
-        const HuffmanDecodeKind kind = huffmanDecodeKind();
-        for (size_t i = 0; i < out.size(); ++i) {
-            DecodeResult &res = out[i];
-            res.index = i;
-            res.cost = {};
-            res.instr.operands = {};
-
-            uint64_t token = decodeField(br, opCode_, res.cost, kind);
-            uhm_assert(token < opOfToken_.size(),
-                       "bad opcode token %llu",
-                       static_cast<unsigned long long>(token));
-            res.instr.op = static_cast<Op>(opOfToken_[token]);
-
-            const OperandKinds &ops = operandsOf(res.instr.op);
-            for (size_t k = 0; k < ops.size(); ++k) {
-                size_t ki = static_cast<size_t>(ops[k]);
-                uint64_t t =
-                    decodeField(br, tokenCodes_[ki], res.cost, kind);
-                res.instr.operands[k] = tokens_[ki].values[t];
-                res.cost.tableLookups += 1;
-            }
-            res.nextBitAddr = br.pos();
-        }
     }
 
     uint64_t
@@ -202,11 +171,10 @@ class QuantizedDir : public EncodedDir
      * length-class probe instead of one tree edge per bit.
      */
     uint64_t
-    decodeField(BitReader &br, const QuantCode &qc, DecodeCost &cost,
-                HuffmanDecodeKind kind) const
+    decodeField(BitReader &br, const QuantCode &qc, DecodeCost &cost) const
     {
         size_t before = br.pos();
-        uint64_t symbol = qc.code.decode(br, nullptr, kind);
+        uint64_t symbol = qc.code.decode(br);
         // The cursor advanced by exactly the codeword length, so the
         // probe charge is one precomputed lookup away.
         cost.fieldExtracts += qc.probesByLen[br.pos() - before];

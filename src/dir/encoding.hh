@@ -23,7 +23,8 @@
  * by the DTB. Decoders return, along with the instruction, a DecodeCost
  * that counts the primitive work performed (field extractions, decode
  * tree edges, metadata table lookups); the host-machine simulator turns
- * these counts into the paper's parameter d.
+ * these counts into the paper's parameter d. decodeAt() is the one
+ * decode routine each encoder writes.
  */
 
 #ifndef UHM_DIR_ENCODING_HH
@@ -118,13 +119,11 @@ class EncodedDir
 
     /**
      * Decode the whole image front to back into @p out (resized to
-     * numInstrs()). Semantically identical to calling decodeAt() on
-     * every instruction boundary, but encoders that can stream — one
-     * BitReader carried across instructions, indices assigned
-     * sequentially — override it to skip the per-call setup. This is
-     * the bulk-decode path bench_decode times.
+     * numInstrs()): decodeAt() on every instruction boundary. The
+     * machines decode through decodeAt() alone; this bulk loop is what
+     * bench_decode and perfbench time.
      */
-    virtual void decodeAll(std::vector<DecodeResult> &out) const;
+    void decodeAll(std::vector<DecodeResult> &out) const;
 
     /**
      * Size in bits of the decoding metadata the interpreter must keep

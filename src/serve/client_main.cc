@@ -21,7 +21,6 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -42,7 +41,7 @@ struct Options
     std::string program;
     std::vector<std::string> positional;
     std::string machine, encoding;
-    std::string input; // comma-separated
+    std::vector<int64_t> input;
     bool haveSeed = false;
     uint64_t seed = 0;
     bool profile = false;
@@ -116,7 +115,8 @@ parseArgs(int argc, char **argv)
         else if (arg.rfind("--encoding=", 0) == 0)
             opts.encoding = value("--encoding=");
         else if (arg.rfind("--input=", 0) == 0)
-            opts.input = value("--input=");
+            opts.input = uhm::parseIntListFlag("--input",
+                                               value("--input="));
         else if (arg.rfind("--seed=", 0) == 0) {
             opts.seed = uhm::parseUintFlag("--seed", value("--seed="), 0,
                                            UINT64_MAX);
@@ -138,9 +138,8 @@ parseArgs(int argc, char **argv)
         else if (arg.rfind("--format=", 0) == 0)
             opts.format = value("--format=");
         else if (arg.rfind("--watch=", 0) == 0) {
-            opts.watchSecs = std::stod(value("--watch="));
-            if (!(opts.watchSecs > 0.0))
-                uhm::fatal("--watch=SECS needs a positive interval");
+            opts.watchSecs = uhm::parsePositiveFlag("--watch",
+                                                    value("--watch="));
         } else if (arg.rfind("--count=", 0) == 0)
             opts.count = uhm::parseUintFlag("--count", value("--count="),
                                             0, UINT64_MAX);
@@ -185,10 +184,8 @@ buildRequest(const Options &opts, uint64_t id)
         jw.key("seed").value(opts.seed);
     if (!opts.input.empty()) {
         jw.key("input").beginArray();
-        std::string token;
-        std::istringstream is(opts.input);
-        while (std::getline(is, token, ','))
-            jw.value(static_cast<int64_t>(std::stoll(token)));
+        for (int64_t v : opts.input)
+            jw.value(v);
         jw.endArray();
     }
     if (opts.profile)

@@ -1,7 +1,6 @@
 #include "support/huffman.hh"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <numeric>
 #include <queue>
@@ -10,32 +9,6 @@
 
 namespace uhm
 {
-
-namespace
-{
-
-/**
- * The process-wide decode implementation. Relaxed accesses: the flag is
- * set once at startup (or under a test's ScopedHuffmanDecodeKind) and
- * both implementations produce identical results, so a racy read could
- * at worst pick the other — equally correct — path.
- */
-std::atomic<HuffmanDecodeKind> defaultDecodeKind{
-    HuffmanDecodeKind::Table};
-
-} // anonymous namespace
-
-void
-setHuffmanDecodeKind(HuffmanDecodeKind kind)
-{
-    defaultDecodeKind.store(kind, std::memory_order_relaxed);
-}
-
-HuffmanDecodeKind
-huffmanDecodeKind()
-{
-    return defaultDecodeKind.load(std::memory_order_relaxed);
-}
 
 namespace
 {

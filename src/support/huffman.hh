@@ -13,20 +13,14 @@
  *  - quantized codes whose lengths are drawn from a small allowed set
  *    (the B1700-style compromise).
  *
- * Decoding has two host-side implementations with identical results and
- * identical *simulated* cost accounting:
- *
- *  - the tree walk: one BitReader bit per decode-tree edge (the
- *    reference semantics, and the paper's cost model), and
- *  - a table-driven fast path: a canonical-Huffman root lookup table
- *    (up to 11 bits wide) with overflow subtables for longer
- *    codewords, fed by a multi-bit BitReader::peek/consume pair.
- *
- * Both report the number of decode-tree edges the *simulated* machine
- * would traverse (the codeword length), so every cycle count in the
- * system is independent of which host path ran; only wall-clock
- * differs. The process-wide default is the table path; see
- * setHuffmanDecodeKind() for the tree escape hatch.
+ * Decoding runs through a canonical-Huffman lookup table: a root table
+ * (up to 11 bits wide) with overflow subtables for longer codewords, fed
+ * by a multi-bit BitReader::peek/consume pair. It reports the number of
+ * decode-tree edges the *simulated* machine would traverse (the codeword
+ * length), so every cycle count in the system is the paper's
+ * one-edge-per-bit charge. The explicit decode tree is kept: its size is
+ * the resident metadata the encoders report, and decodeTree(), one
+ * BitReader bit per edge, is the reference the table is tested against.
  */
 
 #ifndef UHM_SUPPORT_HUFFMAN_HH
@@ -39,45 +33,6 @@
 
 namespace uhm
 {
-
-/** Which host-side Huffman decode implementation to run. */
-enum class HuffmanDecodeKind : uint8_t
-{
-    Tree,  ///< bit-at-a-time decode-tree walk (reference semantics)
-    Table, ///< canonical root table + overflow subtables (fast path)
-};
-
-/**
- * Set the process-wide default decode implementation (the
- * uhm_cli --decode=tree|table escape hatch). Thread-safe; intended to
- * be set once at startup, before simulation threads exist.
- */
-void setHuffmanDecodeKind(HuffmanDecodeKind kind);
-
-/** The current process-wide default decode implementation. */
-HuffmanDecodeKind huffmanDecodeKind();
-
-/**
- * RAII override of the process-wide decode kind (tests, benches).
- * Not safe while other threads are decoding.
- */
-class ScopedHuffmanDecodeKind
-{
-  public:
-    explicit ScopedHuffmanDecodeKind(HuffmanDecodeKind kind)
-        : saved_(huffmanDecodeKind())
-    {
-        setHuffmanDecodeKind(kind);
-    }
-    ~ScopedHuffmanDecodeKind() { setHuffmanDecodeKind(saved_); }
-
-    ScopedHuffmanDecodeKind(const ScopedHuffmanDecodeKind &) = delete;
-    ScopedHuffmanDecodeKind &
-    operator=(const ScopedHuffmanDecodeKind &) = delete;
-
-  private:
-    HuffmanDecodeKind saved_;
-};
 
 /**
  * A canonical prefix code over the symbol alphabet [0, n).
@@ -113,45 +68,16 @@ class HuffmanCode
     void encode(BitWriter &bw, uint64_t symbol) const;
 
     /**
-     * Decode one symbol from the reader via the process-wide default
-     * implementation (huffmanDecodeKind()).
+     * Decode one symbol through the canonical lookup table: one peek
+     * into the root table, at most one more into an overflow subtable,
+     * one consume. Inline: this is the innermost operation of every
+     * Huffman decoder.
      * @param tree_steps if non-null, incremented once per tree edge
-     *                   the simulated machine traverses — always the
-     *                   codeword length, whichever host path ran
+     *                   the simulated machine traverses (the codeword
+     *                   length)
      */
     uint64_t
     decode(BitReader &br, uint64_t *tree_steps = nullptr) const
-    {
-        return decode(br, tree_steps, huffmanDecodeKind());
-    }
-
-    /**
-     * Decode one symbol via an explicit implementation choice. Decoders
-     * that decode several symbols per instruction read the process-wide
-     * kind once and pass it down, keeping the atomic load out of the
-     * symbol loop.
-     */
-    uint64_t
-    decode(BitReader &br, uint64_t *tree_steps,
-           HuffmanDecodeKind kind) const
-    {
-        return kind == HuffmanDecodeKind::Table ?
-            decodeTable(br, tree_steps) : decodeTree(br, tree_steps);
-    }
-
-    /** Decode one symbol by walking the explicit decode tree. */
-    uint64_t decodeTree(BitReader &br,
-                        uint64_t *tree_steps = nullptr) const;
-
-    /**
-     * Decode one symbol through the canonical lookup table: one peek
-     * into the root table, at most one more into an overflow subtable,
-     * one consume. Bit-exact with decodeTree(), including the
-     * tree_steps count. Inline: this is the innermost operation of the
-     * decode fast path.
-     */
-    uint64_t
-    decodeTable(BitReader &br, uint64_t *tree_steps = nullptr) const
     {
         uint32_t slot = root_[br.peek(rootBits_)];
         if (slot & slotOverflow) {
@@ -173,6 +99,13 @@ class HuffmanCode
             *tree_steps += len;
         return slot >> slotPayloadShift;
     }
+
+    /**
+     * Decode one symbol by walking the explicit decode tree, one bit
+     * per edge: the reference semantics decode() is tested against.
+     */
+    uint64_t decodeTree(BitReader &br,
+                        uint64_t *tree_steps = nullptr) const;
 
     /** Codeword length of @p symbol in bits. */
     unsigned lengthOf(uint64_t symbol) const;
@@ -202,19 +135,6 @@ class HuffmanCode
 
     /** Longest codeword length in bits (0 before build). */
     unsigned maxCodeLength() const { return maxLen_; }
-
-    /** Root-table index width in bits (<= maxRootBits). */
-    unsigned rootBits() const { return rootBits_; }
-
-    /**
-     * Total lookup-table entries (root + overflow) — the host-side
-     * footprint of the fast path, reported by bench_decode.
-     */
-    size_t
-    decodeTableEntries() const
-    {
-        return root_.size() + overflow_.size();
-    }
 
   private:
     /** Widest root lookup the table decoder will build. */

@@ -518,9 +518,9 @@ Machine::dtbStep()
 // One fast loop per organization family. Every charge a loop batches
 // into a Pending is the exact sum its step function would have applied
 // instruction by instruction, and anything it cannot run from a lowered
-// image — misses, cold sites, active trace recording, unfastable
-// shapes — falls back to exactly one step (convStep or dtbStep), so
-// cold-path accounting has a single implementation.
+// image — misses, cold sites, active trace recording, pushes that
+// would overflow the stack — falls back to exactly one step (convStep
+// or dtbStep), so cold-path accounting has a single implementation.
 // Runs with events on step every instruction: events are stamped
 // mid-instruction, which batched attribution does not reproduce.
 // tests/dispatch_test.cc holds stepped and fast runs byte-identical.
@@ -591,8 +591,8 @@ Machine::promoteFastSeq(uint64_t pc, uint32_t idx, const FastSeq &fs)
 // loop and runs the main slot's lowering (fetched at tauD). Tiered adds
 // the hotness profile and trace dispatch on a committed hit, and keeps
 // to dtbStep while the recorder is active (every step must pass
-// through it; recording windows are short). Only a main-DTB miss, an
-// unfastable shape or an active recording takes dtbStep.
+// through it; recording windows are short). Only a main-DTB miss, a
+// stack overflow or an active recording takes dtbStep.
 template <MachineKind K>
 void
 Machine::runDtbFast()
@@ -716,8 +716,7 @@ Machine::runDtbFast()
         if constexpr (TwoLevel) {
             if (idx != UINT32_MAX) {
                 fs = ensureSeqLowered(*l1buf, fastL1Slots_, idx, tau1);
-                if (!fs->fastable ||
-                    sp + fs->numPushes > stack_words) {
+                if (sp + fs->numPushes > stack_words) {
                     fs = nullptr;
                 } else {
                     l1buf->hitAt(idx);
@@ -742,8 +741,7 @@ Machine::runDtbFast()
                     // instruction copied — and run it from the main
                     // DTB at tauD.
                     fs = ensureSeqLowered(*dtb, fastSlots_, idx, tau_d);
-                    if (!fs->fastable ||
-                        sp + fs->numPushes > stack_words) {
+                    if (sp + fs->numPushes > stack_words) {
                         fs = nullptr;
                     } else {
                         l1buf->countMiss();
@@ -759,7 +757,7 @@ Machine::runDtbFast()
             }
         } else if (idx != UINT32_MAX) {
             fs = ensureSeqLowered(*dtb, fastSlots_, idx, tau_d);
-            if (!fs->fastable || sp + fs->numPushes > stack_words) {
+            if (sp + fs->numPushes > stack_words) {
                 fs = nullptr;
             } else {
                 dtb->hitAt(idx);
@@ -767,7 +765,7 @@ Machine::runDtbFast()
             }
         }
         if (!fs) {
-            // True DTB miss (translation), an unfastable shape or an
+            // True DTB miss (translation), a stack overflow or an
             // active recording: one full dtbStep (the lookups count
             // their hits and misses exactly as always), then re-prime
             // the inline cache from its outcome so the chain re-forms.

@@ -229,12 +229,11 @@ FlatRoutines::forLayout(const MachineLayout &layout)
     return flat;
 }
 
-bool
+void
 lowerFastSeq(const std::vector<ShortInstr> &code,
              const FlatRoutines &flat, uint64_t tau_d, uint64_t tau1,
              FastSeq &out)
 {
-    out.fastable = false;
     out.stackNext = false;
     out.routineEntry = -1;
     out.nextImm = 0;
@@ -242,30 +241,33 @@ lowerFastSeq(const std::vector<ShortInstr> &code,
     out.mainIcTag = ~0ull;
     out.numPushes = 0;
 
-    // Canonical translation shape: PUSH#* [CALL] INTERP.
+    // Every translation is PUSH#* [CALL] INTERP by construction
+    // (lowerStaging), with at most maxPushes pushes (stageInstruction).
     size_t i = 0;
     while (i < code.size() && code[i].op == SOp::PUSH &&
            code[i].mode == SMode::Imm) {
-        if (out.numPushes == FastSeq::maxPushes)
-            return false;
+        uhm_assert(out.numPushes < FastSeq::maxPushes,
+                   "translation stages more than %u pushes",
+                   FastSeq::maxPushes);
         out.pushes[out.numPushes++] = code[i].operand;
         ++i;
     }
     if (i < code.size() && code[i].op == SOp::CALL) {
         int64_t id = code[i].operand;
-        if (id < 0 || static_cast<size_t>(id) >= flat.entry.size())
-            return false;
+        uhm_assert(id >= 0 && static_cast<size_t>(id) < flat.entry.size(),
+                   "translation calls unknown routine %lld",
+                   static_cast<long long>(id));
         out.routineEntry = flat.entry[static_cast<size_t>(id)];
         ++i;
     }
-    if (i + 1 != code.size() || code[i].op != SOp::INTERP)
-        return false;
+    uhm_assert(i + 1 == code.size() && code[i].op == SOp::INTERP &&
+                   (code[i].mode == SMode::Stack ||
+                    code[i].mode == SMode::Imm),
+               "translation is not PUSH#* [CALL] INTERP");
     if (code[i].mode == SMode::Stack)
         out.stackNext = true;
-    else if (code[i].mode == SMode::Imm)
-        out.nextImm = static_cast<uint64_t>(code[i].operand);
     else
-        return false;
+        out.nextImm = static_cast<uint64_t>(code[i].operand);
 
     out.shortCount = static_cast<uint32_t>(code.size());
     out.dispatchAdd = tau_d * out.shortCount +
@@ -273,8 +275,6 @@ lowerFastSeq(const std::vector<ShortInstr> &code,
     out.stageAdd = static_cast<uint64_t>(out.numPushes) * tau1;
     out.level1Add = out.numPushes +
         (out.stackNext ? 1u : 0u);
-    out.fastable = true;
-    return true;
 }
 
 void

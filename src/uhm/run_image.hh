@@ -132,17 +132,14 @@ struct FlatRoutines
  */
 struct FastSeq
 {
-    /** Most staging pushes any DIR instruction makes (BRZL/BRNZL); a
-     *  sequence with more leading immediates is left unfastable. */
+    /** Most staging pushes any DIR instruction makes (PUSHL2,
+     *  BRZL/BRNZL). */
     static constexpr uint32_t maxPushes = 4;
 
     /** EntryMeta::gen of the DTB entry this lowering matches. gen 0 is
      *  unreachable for a resident entry (insert resets at least once),
      *  so a default-constructed FastSeq never validates. */
     uint32_t gen = 0;
-    /** The sequence has the canonical PUSH#* [CALL] INTERP shape and
-     *  may run on the fast path. */
-    bool fastable = false;
     /** The successor is popped from the operand stack (INTERP-Stack). */
     bool stackNext = false;
     /** Short instructions executed (up to and including the INTERP). */
@@ -176,13 +173,12 @@ struct FastSeq
 };
 
 /**
- * Lower @p code into @p out. @return out.fastable: false when the
- * sequence is not of the canonical shape (the caller then takes its
- * step for it — accounting stays identical either way).
- * @p tau_d / @p tau1 are the IU2 fetch and level-1 access times the
- * static charges are computed with.
+ * Lower @p code into @p out. Every translation lowers: it is
+ * PUSH#* [CALL] INTERP with at most FastSeq::maxPushes pushes by
+ * construction (lowerStaging). @p tau_d / @p tau1 are the IU2 fetch
+ * and level-1 access times the static charges are computed with.
  */
-bool lowerFastSeq(const std::vector<ShortInstr> &code,
+void lowerFastSeq(const std::vector<ShortInstr> &code,
                   const FlatRoutines &flat, uint64_t tau_d,
                   uint64_t tau1, FastSeq &out);
 

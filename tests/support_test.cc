@@ -86,6 +86,46 @@ TEST(Flags, RejectsValuesOutsideTheRange)
     }
 }
 
+TEST(Flags, ParsesSignedIntegerLists)
+{
+    EXPECT_EQ(parseIntListFlag("--input", ""), std::vector<int64_t>{});
+    EXPECT_EQ(parseIntListFlag("--input", "27"), std::vector<int64_t>{27});
+    EXPECT_EQ(parseIntListFlag("--input",
+                               "-3,0,007,9223372036854775807,"
+                               "-9223372036854775808"),
+              (std::vector<int64_t>{-3, 0, 7, INT64_MAX, INT64_MIN}));
+}
+
+TEST(Flags, IntegerListRejectsWhatStollWouldTruncate)
+{
+    for (const char *text : {"27x", "abc", "1,,2", "1,", ",1", "-", "--1",
+                             "+1", " 1", "1 ", "0x10",
+                             "9223372036854775808"}) {
+        EXPECT_THROW(parseIntListFlag("--input", text), FatalError)
+            << "'" << text << "'";
+    }
+    try {
+        parseIntListFlag("--input", "3,27x");
+        FAIL() << "27x was accepted";
+    } catch (const FatalError &e) {
+        EXPECT_STREQ(e.what(), "--input must be a comma-separated list of "
+                               "integers, not '3,27x'");
+    }
+}
+
+TEST(Flags, ParsesPositiveNumbers)
+{
+    EXPECT_EQ(parsePositiveFlag("--watch", "1"), 1.0);
+    EXPECT_EQ(parsePositiveFlag("--watch", "0.25"), 0.25);
+    EXPECT_EQ(parsePositiveFlag("--watch", ".5"), 0.5);
+    EXPECT_EQ(parsePositiveFlag("--watch", "2e-1"), 0.2);
+    for (const char *text : {"", "0", "0.0", "-1", "+1", " 1", "1 ", "1x",
+                             ".", "e1", "0x10", "inf", "nan", "1e999"}) {
+        EXPECT_THROW(parsePositiveFlag("--watch", text), FatalError)
+            << "'" << text << "'";
+    }
+}
+
 // ---- hash ------------------------------------------------------------------
 
 TEST(Hash, Fnv1aKnownValues)
@@ -526,6 +566,66 @@ INSTANTIATE_TEST_SUITE_P(
                       std::make_tuple(size_t{5}, 3u),
                       std::make_tuple(size_t{5}, 4u),
                       std::make_tuple(size_t{6}, 3u)));
+
+/**
+ * The table decoder, decode(), is bit-exact with the reference tree
+ * walk, decodeTree(): same symbols, same tree-edge counts and same
+ * cursor after every symbol, at every bit alignment. The codes cover
+ * an unrestricted build, codewords far past the 11-bit root window,
+ * two length limits (one within the root window), B1700-style
+ * quantized lengths up to 12 bits (the longest decode through an
+ * overflow subtable, as in quantized images) and a one-symbol
+ * alphabet.
+ */
+TEST(Huffman, TableDecodeMatchesTreeWalk)
+{
+    std::vector<uint64_t> doubling(24);
+    for (size_t i = 0; i < doubling.size(); ++i)
+        doubling[i] = uint64_t{1} << i;
+    const std::vector<std::pair<const char *, HuffmanCode>> codes = {
+        {"unrestricted", HuffmanCode::build(randomFreqs(300, 41, true))},
+        {"doubling", HuffmanCode::build(doubling)},
+        {"limit16", HuffmanCode::build(randomFreqs(500, 43, true), 16)},
+        {"limit8", HuffmanCode::build(randomFreqs(40, 47, false), 8)},
+        {"quantized",
+         HuffmanCode::buildQuantized(randomFreqs(300, 53, true),
+                                     {2, 4, 6, 8, 12})},
+        {"one-symbol", HuffmanCode::build({5})},
+    };
+    EXPECT_EQ(codes[1].second.maxCodeLength(), 23u);
+    EXPECT_EQ(codes[4].second.maxCodeLength(), 12u);
+
+    Rng rng(2201);
+    for (const auto &[name, hc] : codes) {
+        for (int trial = 0; trial < 16; ++trial) {
+            // Random padding puts the stream at every alignment.
+            unsigned pad = static_cast<unsigned>(rng.below(64));
+            BitWriter bw;
+            bw.write(rng.next() & ((uint64_t{1} << pad) - 1), pad);
+            std::vector<uint64_t> symbols(200);
+            for (uint64_t &sym : symbols) {
+                sym = rng.below(hc.alphabetSize());
+                hc.encode(bw, sym);
+            }
+
+            BitReader table(bw.bytes(), bw.bitSize());
+            BitReader tree(bw.bytes(), bw.bitSize());
+            table.seek(pad);
+            tree.seek(pad);
+            uint64_t table_steps = 0, tree_steps = 0;
+            for (size_t i = 0; i < symbols.size(); ++i) {
+                SCOPED_TRACE(::testing::Message()
+                             << name << " trial " << trial << " pad "
+                             << pad << " symbol " << i);
+                ASSERT_EQ(hc.decode(table, &table_steps), symbols[i]);
+                ASSERT_EQ(hc.decodeTree(tree, &tree_steps), symbols[i]);
+                ASSERT_EQ(table_steps, tree_steps);
+                ASSERT_EQ(table.pos(), tree.pos());
+            }
+            EXPECT_TRUE(table.atEnd());
+        }
+    }
+}
 
 TEST(Huffman, DecodeTreeNodesGrowWithAlphabet)
 {

@@ -14,7 +14,6 @@
 #include <vector>
 
 #include "bench_common.hh"
-#include "support/huffman.hh"
 
 namespace uhm::bench
 {
@@ -60,32 +59,6 @@ TEST(Sweep, SerialAndParallelReportsAreByteIdentical)
     EXPECT_EQ(serial.jobs(), 1u);
     EXPECT_EQ(parallel.jobs(), 8u);
     EXPECT_EQ(one.jsonl, eight.jsonl);
-}
-
-/**
- * The decode fast path (table decoder + per-image memos) must be
- * invisible in the report: a --jobs=8 sweep run with the fast path
- * produces the same JSONL bytes as a --jobs=1 run forced onto the
- * reference tree walk. Simulated counters depend only on the image,
- * never on which host decode path ran.
- */
-TEST(Sweep, DecodeFastPathDoesNotChangeReports)
-{
-    std::vector<SweepPoint> points = testBatch();
-
-    SweepReport fast, reference;
-    {
-        ScopedHuffmanDecodeKind kind(HuffmanDecodeKind::Table);
-        SweepRunner parallel(8);
-        fast = runSweep(parallel, points);
-    }
-    {
-        ScopedHuffmanDecodeKind kind(HuffmanDecodeKind::Tree);
-        SweepRunner serial(1);
-        reference = runSweep(serial, points);
-    }
-    EXPECT_EQ(fast.jsonl, reference.jsonl);
-    EXPECT_EQ(fast.counters.values(), reference.counters.values());
 }
 
 TEST(Sweep, SerialAndParallelMergedCountersAgree)
