@@ -30,6 +30,7 @@
 
 #include "bench_common.hh"
 #include "core/translator.hh"
+#include "support/flags.hh"
 #include "support/json.hh"
 #include "support/logging.hh"
 
@@ -38,6 +39,10 @@ using namespace uhm::bench;
 
 namespace
 {
+
+/** Largest --iters: enough for any timing, small enough that a typo
+ *  cannot keep the bench running for days. */
+constexpr uint64_t maxIters = 1'000'000;
 
 /** Keep results observable so the decode loops cannot be elided. */
 volatile uint64_t g_sink = 0;
@@ -247,8 +252,9 @@ try {
         if (arg.rfind("--out=", 0) == 0)
             out_path = arg.substr(std::strlen("--out="));
         else if (arg.rfind("--iters=", 0) == 0)
-            iters = static_cast<unsigned>(
-                std::stoul(arg.substr(std::strlen("--iters="))));
+            iters = static_cast<unsigned>(parseUintFlag(
+                "--iters", arg.substr(std::strlen("--iters=")), 1,
+                maxIters));
         else
             fatal("unknown option '%s'", arg.c_str());
     }

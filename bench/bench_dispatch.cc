@@ -6,10 +6,12 @@
  * grid workload, one row per machine kind (conventional, cached, dtb,
  * dtb2, tiered), and reports host nanoseconds per simulated DIR
  * instruction. The untimed first pass doubles as warm-up and as the
- * source of the simulated totals.
+ * source of the simulated totals; the timed passes take the kinds in
+ * turn.
  *
- * Emits a human-readable table on stdout and a JSON document (schema
- * in docs/BENCHMARKS.md) to --out=<file>, default BENCH_dispatch.json.
+ * Emits a human-readable table on stdout, closed by the dtb2/dtb and
+ * cached/conventional ratios, and a JSON document (schema in
+ * docs/BENCHMARKS.md) to --out=<file>, default BENCH_dispatch.json.
  * The "sim" section is deterministic (simulated cycles and instruction
  * counts); CI recomputes it and diffs against the committed file. The
  * wall-clock metrics are machine-dependent; compare runs with
@@ -27,6 +29,7 @@
 #include <vector>
 
 #include "bench_common.hh"
+#include "support/flags.hh"
 #include "support/json.hh"
 #include "support/logging.hh"
 
@@ -35,6 +38,10 @@ using namespace uhm::bench;
 
 namespace
 {
+
+/** Largest --iters: enough for any timing, small enough that a typo
+ *  cannot keep the bench running for days. */
+constexpr uint64_t maxIters = 1'000'000;
 
 /** Keep run results observable so the timed loops cannot be elided. */
 volatile uint64_t g_sink = 0;
@@ -115,38 +122,39 @@ struct KindRow
     uint64_t dirInstrs = 0;   ///< per corpus pass
     uint64_t simCycles = 0;   ///< per corpus pass
     double nsPerInstr = 0;
+    /** One machine per corpus point, reused across passes — beginRun
+     *  resets all simulated state, so every pass re-simulates the
+     *  whole run (cold DTB included) and passes are identical by
+     *  construction. */
+    std::vector<std::unique_ptr<Machine>> machines;
+    double ns = 0; ///< host time of the timed passes so far
 };
 
+/** Build @p kind's machines and run the untimed warm-up pass, which
+ *  also yields the simulated totals. */
 KindRow
-timeKind(MachineKind kind, const std::vector<CorpusPoint> &corpus,
-         unsigned iters)
+prepareKind(MachineKind kind, const std::vector<CorpusPoint> &corpus)
 {
     KindRow row;
     row.kind = machineKindName(kind);
-
-    // One machine per point, reused across reps — beginRun resets all
-    // simulated state, so every rep re-simulates the whole run (cold
-    // DTB included) and reps are identical by construction.
-    std::vector<std::unique_ptr<Machine>> machines;
     MachineConfig cfg = makeConfig(kind);
-    for (const CorpusPoint &pt : corpus)
-        machines.push_back(std::make_unique<Machine>(*pt.image, cfg));
-
-    // Warm-up pass; it also yields the simulated totals.
-    for (size_t i = 0; i < corpus.size(); ++i) {
-        RunResult r = machines[i]->run(corpus[i].input);
+    for (const CorpusPoint &pt : corpus) {
+        row.machines.push_back(std::make_unique<Machine>(*pt.image, cfg));
+        RunResult r = row.machines.back()->run(pt.input);
         row.dirInstrs += r.dirInstrs;
         row.simCycles += r.cycles;
     }
-
-    double t0 = nowNs();
-    for (unsigned it = 0; it < iters; ++it)
-        for (size_t i = 0; i < corpus.size(); ++i)
-            g_sink = g_sink + machines[i]->run(corpus[i].input).cycles;
-    double t1 = nowNs();
-    row.nsPerInstr =
-        (t1 - t0) / (static_cast<double>(row.dirInstrs) * iters);
     return row;
+}
+
+/** One timed pass of @p row's machines over @p corpus. */
+void
+timePass(KindRow &row, const std::vector<CorpusPoint> &corpus)
+{
+    double t0 = nowNs();
+    for (size_t i = 0; i < corpus.size(); ++i)
+        g_sink = g_sink + row.machines[i]->run(corpus[i].input).cycles;
+    row.ns += nowNs() - t0;
 }
 
 } // anonymous namespace
@@ -161,8 +169,9 @@ try {
         if (arg.rfind("--out=", 0) == 0)
             out_path = arg.substr(std::strlen("--out="));
         else if (arg.rfind("--iters=", 0) == 0)
-            iters = static_cast<unsigned>(
-                std::stoul(arg.substr(std::strlen("--iters="))));
+            iters = static_cast<unsigned>(parseUintFlag(
+                "--iters", arg.substr(std::strlen("--iters=")), 1,
+                maxIters));
         else
             fatal("unknown option '%s'", arg.c_str());
     }
@@ -178,20 +187,35 @@ try {
     std::printf("%-14s %12s %10s\n", "kind", "dir instrs", "ns/instr");
 
     std::vector<KindRow> rows;
+    for (MachineKind kind : kinds)
+        rows.push_back(prepareKind(kind, corpus));
+    // The kinds take turns, one pass each, so a change in the host's
+    // speed during the run lands on every kind alike and the ratios
+    // printed below compare like with like.
+    for (unsigned it = 0; it < iters; ++it)
+        for (KindRow &r : rows)
+            timePass(r, corpus);
     double total_ns = 0;
     uint64_t total_instrs = 0;
-    for (MachineKind kind : kinds) {
-        rows.push_back(timeKind(kind, corpus, iters));
-        const KindRow &r = rows.back();
+    for (KindRow &r : rows) {
+        r.nsPerInstr =
+            r.ns / (static_cast<double>(r.dirInstrs) * iters);
         std::printf("%-14s %12llu %10.2f\n", r.kind,
                     static_cast<unsigned long long>(r.dirInstrs),
                     r.nsPerInstr);
-        total_ns += r.nsPerInstr * static_cast<double>(r.dirInstrs);
+        total_ns += r.ns / iters;
         total_instrs += r.dirInstrs;
     }
     double corpus_ns = total_ns / static_cast<double>(total_instrs);
     std::printf("\ncorpus-wide    %12llu %10.2f\n",
                 static_cast<unsigned long long>(total_instrs), corpus_ns);
+    // The host gaps the organizations in front of a second memory
+    // level open, each within one run (ROADMAP item 7). Rows follow
+    // `kinds`: conventional, cached, dtb, dtb2, tiered.
+    std::printf("\ndtb2/dtb            %6.2f\n"
+                "cached/conventional %6.2f\n",
+                rows[3].nsPerInstr / rows[2].nsPerInstr,
+                rows[1].nsPerInstr / rows[0].nsPerInstr);
 
     JsonWriter jw;
     jw.beginObject();

@@ -44,6 +44,7 @@
 
 #include "bench_common.hh"
 #include "sched/scheduler.hh"
+#include "support/flags.hh"
 #include "support/json.hh"
 #include "support/logging.hh"
 
@@ -52,6 +53,9 @@ using namespace uhm::bench;
 
 namespace
 {
+
+/** Largest --max-tenants: the largest tenant count the grid has. */
+constexpr uint64_t maxTenants = 1024;
 
 /**
  * Tenant i's guest program: a small synthetic loop nest whose shape
@@ -203,16 +207,19 @@ main(int argc, char **argv)
 try {
     std::string out_path = "BENCH_multitenant.json";
     uint64_t seed = 1978;
-    size_t max_tenants = 1024;
+    size_t max_tenants = maxTenants;
     for (int i = 1; i < argc; ++i) {
         std::string arg = argv[i];
         if (arg.rfind("--out=", 0) == 0)
             out_path = arg.substr(std::strlen("--out="));
         else if (arg.rfind("--seed=", 0) == 0)
-            seed = std::stoull(arg.substr(std::strlen("--seed=")));
+            seed = parseUintFlag("--seed",
+                                 arg.substr(std::strlen("--seed=")), 0,
+                                 UINT64_MAX);
         else if (arg.rfind("--max-tenants=", 0) == 0)
-            max_tenants =
-                std::stoull(arg.substr(std::strlen("--max-tenants=")));
+            max_tenants = parseUintFlag(
+                "--max-tenants", arg.substr(std::strlen("--max-tenants=")),
+                1, maxTenants);
         else if (arg.rfind("--jobs=", 0) == 0)
             continue; // consumed by jobsFromArgs below
         else

@@ -45,8 +45,10 @@
 #include "obs/window.hh"
 #include "serve/client.hh"
 #include "serve/server.hh"
+#include "support/flags.hh"
 #include "support/json.hh"
 #include "support/logging.hh"
+#include "support/pool.hh"
 #include "support/rng.hh"
 #include "workload/samples.hh"
 
@@ -54,6 +56,10 @@ using namespace uhm;
 
 namespace
 {
+
+/** Largest --requests per mix: latency samples and the queue bound
+ *  (4 x requests) are allocated up front. */
+constexpr uint64_t maxRequests = 1'000'000;
 
 double
 nowMs()
@@ -282,10 +288,12 @@ try {
         if (arg.rfind("--out=", 0) == 0)
             out_path = arg.substr(6);
         else if (arg.rfind("--requests=", 0) == 0)
-            requests = std::stoull(arg.substr(11));
+            requests = parseUintFlag("--requests", arg.substr(11), 1,
+                                     maxRequests);
         else if (arg.rfind("--connections=", 0) == 0)
-            connections =
-                static_cast<unsigned>(std::stoul(arg.substr(14)));
+            // One client thread and connection each.
+            connections = static_cast<unsigned>(
+                parseUintFlag("--connections", arg.substr(14), 1, maxJobs));
         else
             fatal("unknown option '%s'", arg.c_str());
     }

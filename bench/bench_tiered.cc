@@ -26,6 +26,7 @@
 #include <vector>
 
 #include "bench_common.hh"
+#include "support/flags.hh"
 #include "support/json.hh"
 #include "support/logging.hh"
 
@@ -112,7 +113,9 @@ try {
         if (arg.rfind("--out=", 0) == 0)
             out_path = arg.substr(std::strlen("--out="));
         else if (arg.rfind("--seed=", 0) == 0)
-            seed = std::stoull(arg.substr(std::strlen("--seed=")));
+            seed = parseUintFlag("--seed",
+                                 arg.substr(std::strlen("--seed=")), 0,
+                                 UINT64_MAX);
         else if (arg.rfind("--jobs=", 0) == 0)
             continue; // consumed by jobsFromArgs below
         else

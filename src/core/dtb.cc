@@ -124,89 +124,6 @@ Dtb::setOccupancy() const
     return occupancy;
 }
 
-Dtb::InsertOutcome
-Dtb::insert(uint64_t dir_addr, const std::vector<ShortInstr> &code,
-            uint64_t now)
-{
-    // Most translations fit one unit; skip the divide for them.
-    const uint64_t unit = config_.unitShortInstrs;
-    unsigned units_needed = code.size() <= unit ? 1 :
-        static_cast<unsigned>((code.size() + unit - 1) / unit);
-    unsigned overflow_needed = units_needed - 1;
-
-    InsertOutcome out;
-    out.unitsNeeded = units_needed;
-
-    if (overflow_needed > 0 && !config_.allowOverflow) {
-        ++rejects_;
-        return out;
-    }
-
-    uint64_t set = setOf(dir_addr);
-    Entry *set_entries = &entries_[set * assoc_];
-
-    // Prefer an invalid way; otherwise the replacement array's victim.
-    unsigned way = assoc_;
-    for (unsigned w = 0; w < assoc_; ++w) {
-        if (set_entries[w].meta.valid)
-            ++out.setOccupancy;
-        else if (way == assoc_)
-            way = w;
-    }
-    Entry *victim = nullptr;
-    if (way == assoc_) {
-        way = repl_.victim(assoc_, [&](unsigned w) {
-            return set_entries[w].meta.stamp;
-        });
-        victim = &set_entries[way];
-    }
-
-    // Reserve overflow increments before evicting anything. The blocks
-    // a valid victim would release count toward the supply, but if the
-    // area still cannot cover the translation, the resident — possibly
-    // hot — victim must survive. (Evicting first and rejecting after
-    // destroyed a retained translation for nothing.)
-    uint64_t victim_release =
-        victim && victim->meta.valid && victim->meta.units > 1 ?
-        victim->meta.units - 1 : 0;
-    if (overflow_needed > overflowFree_ + victim_release) {
-        ++rejects_;
-        return out;
-    }
-
-    if (victim) {
-        out.evicted = victim->meta.valid;
-        out.victimTag = victim->meta.tag;
-        out.victimAsid = victim->meta.asid;
-        out.victimUses = victim->meta.useCount;
-        if (now > victim->meta.insertCycle)
-            out.victimResidency = now - victim->meta.insertCycle;
-        evict(*victim);
-        ++evictions_;
-    }
-    overflowFree_ -= overflow_needed;
-    overflowBlocks_ += overflow_needed;
-
-    Entry &e = set_entries[way];
-    e.meta.reset();
-    e.meta.tag = dir_addr;
-    e.meta.asid = asid_;
-    e.meta.valid = true;
-    e.meta.units = units_needed;
-    e.meta.insertCycle = now;
-    // Copy into the slot's existing buffer (a first-level buffer
-    // refills its slots on every promotion); an element loop, since
-    // translations are a handful of instructions.
-    e.code.resize(code.size());
-    for (size_t i = 0; i < code.size(); ++i)
-        e.code[i] = code[i];
-    repl_.fill(e.meta.stamp);
-    ++inserts_;
-    out.retained = true;
-    out.entryIdx = static_cast<uint32_t>(set * assoc_ + way);
-    return out;
-}
-
 void
 Dtb::registerCounters(obs::Registry &registry,
                       const std::string &prefix) const

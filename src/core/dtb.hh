@@ -142,9 +142,76 @@ class Dtb
      * lifetimes. Callers without a cycle source pass 0 (the default);
      * residency figures are then 0 rather than wrong.
      */
-    InsertOutcome insert(uint64_t dir_addr,
-                         const std::vector<ShortInstr> &code,
-                         uint64_t now = 0);
+    InsertOutcome
+    insert(uint64_t dir_addr, const std::vector<ShortInstr> &code,
+           uint64_t now = 0)
+    {
+        // Most translations fit one unit; skip the divide for them.
+        const uint64_t unit = config_.unitShortInstrs;
+        unsigned units_needed = code.size() <= unit ? 1 :
+            static_cast<unsigned>((code.size() + unit - 1) / unit);
+        unsigned overflow_needed = units_needed - 1;
+
+        InsertOutcome out;
+        out.unitsNeeded = units_needed;
+
+        if (overflow_needed > 0 && !config_.allowOverflow) {
+            ++rejects_;
+            return out;
+        }
+
+        uint64_t set = setOf(dir_addr);
+        Entry *set_entries = &entries_[set * assoc_];
+
+        // Prefer an invalid way; otherwise the replacement array's
+        // victim.
+        unsigned way = repl_.fillWay(
+            assoc_, [&](unsigned w) { return set_entries[w].meta.valid; },
+            [&](unsigned w) { return set_entries[w].meta.stamp; },
+            out.setOccupancy);
+        Entry &e = set_entries[way];
+        bool evict = e.meta.valid;
+
+        // Reserve overflow increments before evicting anything. The
+        // blocks a valid victim would release count toward the supply,
+        // but if the area still cannot cover the translation, the
+        // resident — possibly hot — victim must survive. (Evicting
+        // first and rejecting after destroyed a retained translation
+        // for nothing.)
+        uint64_t victim_release = evict ? e.meta.units - 1 : 0;
+        if (overflow_needed > overflowFree_ + victim_release) {
+            ++rejects_;
+            return out;
+        }
+
+        if (evict) {
+            out.evicted = true;
+            out.victimTag = e.meta.tag;
+            out.victimAsid = e.meta.asid;
+            out.victimUses = e.meta.useCount;
+            if (now > e.meta.insertCycle)
+                out.victimResidency = now - e.meta.insertCycle;
+            ++evictions_;
+        }
+        overflowFree_ += victim_release;
+        overflowFree_ -= overflow_needed;
+        overflowBlocks_ += overflow_needed;
+
+        e.meta.reset();
+        e.meta.tag = dir_addr;
+        e.meta.asid = asid_;
+        e.meta.valid = true;
+        e.meta.units = units_needed;
+        e.meta.insertCycle = now;
+        // Into the slot's existing buffer: a first-level buffer refills
+        // its slots on every promotion.
+        e.code.assign(code.begin(), code.end());
+        repl_.fill(e.meta.stamp);
+        ++inserts_;
+        out.retained = true;
+        out.entryIdx = static_cast<uint32_t>(set * assoc_ + way);
+        return out;
+    }
 
     /** Invalidate every entry (e.g. program image replaced). */
     void invalidateAll();

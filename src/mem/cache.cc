@@ -31,60 +31,34 @@ SetAssocCache::SetAssocCache(const CacheConfig &config)
     pow2_ = std::has_single_bit(config.lineBytes) &&
         std::has_single_bit(numSets_);
     lineShift_ = static_cast<unsigned>(std::countr_zero(config.lineBytes));
-    setShift_ = static_cast<unsigned>(std::countr_zero(numSets_));
+    if (numSets_ * assoc_ > UINT32_MAX)
+        fatal("cache has too many lines (%llu)",
+              static_cast<unsigned long long>(numSets_ * assoc_));
 
     lines_.assign(numSets_ * assoc_, Line{});
 }
 
-bool
-SetAssocCache::access(uint64_t byte_addr)
+uint32_t
+SetAssocCache::fill(uint64_t base, uint64_t line_addr)
 {
-    uint64_t line_addr, set, tag;
-    if (pow2_) {
-        // The Cached organization probes once per fetched image word;
-        // power-of-two geometries (the default) skip the divides.
-        line_addr = byte_addr >> lineShift_;
-        set = line_addr & (numSets_ - 1);
-        tag = line_addr >> setShift_;
-    } else {
-        line_addr = byte_addr / config_.lineBytes;
-        set = line_addr % numSets_;
-        tag = line_addr / numSets_;
-    }
-
-    Line *set_lines = &lines_[set * assoc_];
-    for (unsigned way = 0; way < assoc_; ++way) {
-        if (set_lines[way].valid && set_lines[way].tag == tag) {
-            repl_.touch(set_lines[way].stamp);
-            ++hits_;
-            return true;
-        }
-    }
-
-    // Miss: prefer an invalid way, else evict the policy's victim.
-    unsigned victim = assoc_;
-    for (unsigned way = 0; way < assoc_; ++way) {
-        if (!set_lines[way].valid) {
-            victim = way;
-            break;
-        }
-    }
-    if (victim == assoc_)
-        victim = repl_.victim(
-            assoc_, [&](unsigned w) { return set_lines[w].stamp; });
-
-    set_lines[victim].tag = tag;
-    set_lines[victim].valid = true;
-    repl_.fill(set_lines[victim].stamp);
+    // Prefer an invalid way, else evict the policy's victim.
+    Line *set_lines = &lines_[base];
+    unsigned occupancy = 0;
+    unsigned way = repl_.fillWay(
+        assoc_,
+        [&](unsigned w) { return set_lines[w].addr != invalidAddr; },
+        [&](unsigned w) { return set_lines[w].stamp; }, occupancy);
+    set_lines[way].addr = line_addr;
+    repl_.fill(set_lines[way].stamp);
     ++misses_;
-    return false;
+    return static_cast<uint32_t>(base + way);
 }
 
 void
 SetAssocCache::flush()
 {
     for (Line &line : lines_)
-        line.valid = false;
+        line.addr = invalidAddr;
 }
 
 } // namespace uhm

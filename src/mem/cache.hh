@@ -45,9 +45,39 @@ class SetAssocCache
 
     /**
      * Access the byte at @p byte_addr; install its line on a miss.
+     * @p hint names a line to try before the set is scanned: a caller
+     * that probes the same byte again keeps the line index this call
+     * leaves there (the line that now holds the byte), so a repeat hit
+     * is one compare. Any index below numSets() * assoc() is a valid
+     * hint, because a line matches by its whole line address; a stale
+     * hint only costs the scan. Counting, stamps and victims are those
+     * of the plain scan.
      * @return true on hit
      */
-    bool access(uint64_t byte_addr);
+    bool
+    access(uint64_t byte_addr, uint32_t &hint)
+    {
+        uint64_t line_addr = lineOf(byte_addr);
+        if (lines_[hint].addr == line_addr)
+            return hitLine(hint);
+        uint64_t base = setOf(line_addr) * assoc_;
+        for (unsigned way = 0; way < assoc_; ++way) {
+            if (lines_[base + way].addr == line_addr) {
+                hint = static_cast<uint32_t>(base + way);
+                return hitLine(hint);
+            }
+        }
+        hint = fill(base, line_addr);
+        return false;
+    }
+
+    /** access() without a remembered line. */
+    bool
+    access(uint64_t byte_addr)
+    {
+        uint32_t hint = 0;
+        return access(byte_addr, hint);
+    }
 
     /** Invalidate everything. */
     void flush();
@@ -91,22 +121,55 @@ class SetAssocCache
     }
 
   private:
+    /** Line::addr of an invalid line. Only a byte address of 2^64-1
+     *  with 1-byte lines would reach it; fetches probe 8-byte-aligned
+     *  image words. */
+    static constexpr uint64_t invalidAddr = ~0ull;
+
     struct Line
     {
-        uint64_t tag = 0;
+        /** Line address (byte address / lineBytes) held, or
+         *  invalidAddr. The whole address, not just the tag above the
+         *  set bits, so a hint from any set never matches falsely. */
+        uint64_t addr = invalidAddr;
         /** Replacement use stamp (mem/replacement.hh). */
         uint64_t stamp = 0;
-        bool valid = false;
     };
+
+    uint64_t
+    lineOf(uint64_t byte_addr) const
+    {
+        // The Cached organization probes once per fetched image word;
+        // power-of-two geometries (the default) skip the divides.
+        return pow2_ ? byte_addr >> lineShift_ :
+            byte_addr / config_.lineBytes;
+    }
+
+    uint64_t
+    setOf(uint64_t line_addr) const
+    {
+        return pow2_ ? line_addr & (numSets_ - 1) : line_addr % numSets_;
+    }
+
+    bool
+    hitLine(uint32_t line)
+    {
+        repl_.touch(lines_[line].stamp);
+        ++hits_;
+        return true;
+    }
+
+    /** The miss path: install @p line_addr in the set whose first line
+     *  is @p base, count the miss, and return the line index. */
+    uint32_t fill(uint64_t base, uint64_t line_addr);
 
     CacheConfig config_;
     uint64_t numSets_;
     unsigned assoc_;
     /** lineBytes and numSets_ are powers of two: access() shifts by
-     *  lineShift_/setShift_ instead of dividing. */
+     *  lineShift_ and masks instead of dividing. */
     bool pow2_;
     unsigned lineShift_;
-    unsigned setShift_;
     Rng rng_;
     UseClock repl_;
     /** lines_[set * assoc_ + way]. */

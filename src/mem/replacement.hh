@@ -17,10 +17,10 @@
  * used end, which is what a fresh highest stamp does, and a way never
  * filled sits at the victim end in way order, which is what stamp 0
  * with ties to the lowest way does. Invalidation changes neither.
- * Every user also prefers an invalid way and consults victim() only
- * when the whole set is valid — every way then carries the stamp of
- * its last fill or hit — so flushes and invalidations never need to
- * touch a stamp.
+ * Every insertion prefers an invalid way and reads stamps only when
+ * the whole set is valid — every way then carries the stamp of its
+ * last fill or hit — so flushes and invalidations never need to touch
+ * a stamp (UseClock::fillWay).
  */
 
 #ifndef UHM_MEM_REPLACEMENT_HH
@@ -80,25 +80,35 @@ class UseClock
     void fill(uint64_t &stamp) { stamp = ++clock_; }
 
     /**
-     * The way of a @p ways-way set to evict next; @p stamp_of(w) is
-     * way w's stamp. Random draws rng->below(ways) instead.
+     * The way of a @p ways-way set an insertion fills: the first
+     * invalid way, else the victim — the lowest stamp, ties to the
+     * lowest way, under LRU and FIFO, and a rng->below(ways) draw
+     * under Random, made only when the set is full. One pass with no
+     * data-dependent branch: an invalid way keys 0 and a valid way
+     * keys its stamp (every fill stamps ++clock >= 1), so the lowest
+     * key is that choice. @p valid_of(w) and @p stamp_of(w) read way
+     * w; @p occupancy receives the number of valid ways.
      */
-    template <typename StampOf>
+    template <typename ValidOf, typename StampOf>
     unsigned
-    victim(unsigned ways, StampOf stamp_of)
+    fillWay(unsigned ways, ValidOf valid_of, StampOf stamp_of,
+            unsigned &occupancy)
     {
-        if (policy_ == ReplPolicy::Random)
-            return static_cast<unsigned>(rng_->below(ways));
-        unsigned oldest = 0;
-        uint64_t oldest_stamp = stamp_of(0u);
-        for (unsigned w = 1; w < ways; ++w) {
-            uint64_t s = stamp_of(w);
-            if (s < oldest_stamp) {
-                oldest = w;
-                oldest_stamp = s;
-            }
+        unsigned way = 0;
+        unsigned valid = 0;
+        uint64_t lowest = UINT64_MAX;
+        for (unsigned w = 0; w < ways; ++w) {
+            bool v = valid_of(w);
+            uint64_t key = stamp_of(w) & (0 - static_cast<uint64_t>(v));
+            valid += v;
+            bool lower = key < lowest;
+            way = lower ? w : way;
+            lowest = lower ? key : lowest;
         }
-        return oldest;
+        occupancy = valid;
+        if (valid == ways && policy_ == ReplPolicy::Random)
+            way = static_cast<unsigned>(rng_->below(ways));
+        return way;
     }
 
   private:

@@ -136,22 +136,14 @@ TraceCache::insert(Trace trace)
         }
     }
     if (way == assoc_) {
-        for (unsigned w = 0; w < assoc_; ++w) {
-            if (!set_entries[w].meta.valid) {
-                way = w;
-                break;
-            }
-        }
+        unsigned occupancy = 0;
+        way = repl_.fillWay(
+            assoc_, [&](unsigned w) { return set_entries[w].meta.valid; },
+            [&](unsigned w) { return set_entries[w].meta.stamp; },
+            occupancy);
     }
-    Entry *victim = nullptr;
-    if (way == assoc_) {
-        way = repl_.victim(assoc_, [&](unsigned w) {
-            return set_entries[w].meta.stamp;
-        });
-        victim = &set_entries[way];
-    } else if (set_entries[way].meta.valid) {
-        victim = &set_entries[way];
-    }
+    Entry *victim =
+        set_entries[way].meta.valid ? &set_entries[way] : nullptr;
 
     // Check the unit budget before destroying anything: the victim's
     // units count toward the supply, but if the budget still cannot

@@ -1131,7 +1131,12 @@ Machine::runConventionalFast()
         if (capture)
             addressTrace_.push_back(pc);
 
-        {
+        if (fc && fc->succ) {
+            // The static successor, linked on an earlier pass: pc is
+            // its nextImm, and its lowering needs no lookup.
+            fc = fc->succ;
+        } else {
+            FastConv *from = fc;
             const DecodeResult &res = decodeMemo_->decodeAt(pc);
             fc = &convFast_[res.index];
             if (!fc->valid) {
@@ -1167,14 +1172,22 @@ Machine::runConventionalFast()
                     (st.next == NextKind::Stack ? 1u : 0u);
                 fc->valid = true;
             }
+            if (from && static_cast<NextKind>(from->next) ==
+                    NextKind::Imm)
+                from->succ = fc;
         }
         ++opcodeCounts_[fc->opIdx];
         {
             uint64_t fetch = fc->fetchAdd;
             if constexpr (Cached) {
-                uint64_t word = fc->fetchWord;
-                for (uint32_t k = 0; k < fc->fetchRefs; ++k, ++word)
-                    fetch += icache->access(word * 8) ? tau_d : tau2;
+                uint64_t byte = fc->fetchWord * 8;
+                fetch += icache->access(byte, fc->icHint[0]) ? tau_d
+                    : tau2;
+                for (uint32_t k = 1; k < fc->fetchRefs; ++k) {
+                    byte += 8;
+                    fetch += icache->access(byte, fc->icHint[1]) ? tau_d
+                        : tau2;
+                }
             }
             uint64_t add = fetch + fc->decodeCycles + fc->stageAdd +
                 fc->dispatchAdd;

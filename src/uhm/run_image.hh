@@ -233,13 +233,22 @@ void lowerFastTrace(const tier::Trace &trace, const FlatRoutines &flat,
 /**
  * One conventional-path DIR instruction lowered for the fast loop:
  * static fetch/decode charges plus the staged pushes and successor.
- * The image is immutable, so a lowered instruction never invalidates.
+ * The image is immutable, so a lowered instruction never invalidates,
+ * and neither does the link to its static successor's lowering.
  * Under the Cached organization the fetch charge is not static — each
- * word's icache probe decides it — so only the word range is kept.
+ * word's icache probe decides it — so only the word range is kept,
+ * plus where those words hit last time.
  */
 struct FastConv
 {
     bool valid = false;
+    /** The lowering of the static successor (next == Imm), once the
+     *  loop has resolved it; the loop follows it instead of looking
+     *  nextImm up. Null until then, and for every other successor. */
+    FastConv *succ = nullptr;
+    /** Icache line hints (SetAssocCache::access): where the first
+     *  fetch word hit last time, and where a later word did. */
+    std::array<uint32_t, 2> icHint{};
     /** Opcode index (opcodeCounts_ bump). */
     uint16_t opIdx = 0;
     /** References one fetch performs: level-2 references

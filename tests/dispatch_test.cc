@@ -302,26 +302,71 @@ TEST(InlineCache, TinyIcacheAndFirstLevelBufferChurn)
     scfg.semworkWeight = 5;
     scfg.seed = 29;
     DirProgram prog = workload::generateSynthetic(scfg);
+    // Every policy of both buffers: FIFO ignores the hint path's
+    // touches, and Random draws its victim only when a set is full.
+    for (ReplPolicy policy :
+         {ReplPolicy::LRU, ReplPolicy::FIFO, ReplPolicy::Random}) {
+        for (EncodingScheme scheme :
+             {EncodingScheme::Huffman, EncodingScheme::Expanded}) {
+            std::string tag = std::string(replPolicyName(policy)) + "/" +
+                encodingName(scheme);
+            MachineConfig cached;
+            cached.kind = MachineKind::Cached;
+            cached.icache.capacityBytes = 64;
+            cached.icache.assoc = 2;
+            cached.icache.policy = policy;
+            compareModes(prog, scheme, cached, {}, "tiny-icache/" + tag);
+            // Non-power-of-two sets and lines: the divide path.
+            cached.icache.capacityBytes = 72;
+            cached.icache.lineBytes = 12;
+            compareModes(prog, scheme, cached, {},
+                         "tiny-icache-3-sets/" + tag);
+
+            MachineConfig dtb2;
+            dtb2.kind = MachineKind::Dtb2;
+            dtb2.dtbL1.capacityBytes = 64;
+            dtb2.dtbL1.assoc = 2;
+            dtb2.dtbL1.policy = policy;
+            compareModes(prog, scheme, dtb2, {}, "tiny-l1/" + tag);
+            dtb2.dtb.capacityBytes = 256;
+            dtb2.dtb.assoc = 2;
+            compareModes(prog, scheme, dtb2, {}, "tiny-l1-tiny-dtb/" + tag);
+        }
+    }
+}
+
+TEST(InlineCache, ConventionalSlicesAndRerunsStayIdentical)
+{
+    // Small slice budgets end the fast loop between an instruction and
+    // the successor it links to, and a rerun on the same machine
+    // starts from beginRun's fresh lowerings: neither may change a
+    // charge. Cached runs a tiny icache, so hinted probes miss, refill
+    // and go stale across the slice boundaries too.
+    DirProgram prog = hlr::compileSource(
+        "program t; var i, s; begin i := 300; s := 0; "
+        "while i > 0 do s := s + 3; i := i - 1; od; write s; end.");
     for (EncodingScheme scheme :
          {EncodingScheme::Huffman, EncodingScheme::Expanded}) {
-        MachineConfig cached;
-        cached.kind = MachineKind::Cached;
-        cached.icache.capacityBytes = 64;
-        cached.icache.assoc = 2;
-        compareModes(prog, scheme, cached, {},
-                     std::string("tiny-icache/") + encodingName(scheme));
-
-        MachineConfig dtb2;
-        dtb2.kind = MachineKind::Dtb2;
-        dtb2.dtbL1.capacityBytes = 64;
-        dtb2.dtbL1.assoc = 2;
-        compareModes(prog, scheme, dtb2, {},
-                     std::string("tiny-l1/") + encodingName(scheme));
-        dtb2.dtb.capacityBytes = 256;
-        dtb2.dtb.assoc = 2;
-        compareModes(prog, scheme, dtb2, {},
-                     std::string("tiny-l1-tiny-dtb/") +
-                         encodingName(scheme));
+        auto img = encodeDir(prog, scheme);
+        for (MachineKind kind :
+             {MachineKind::Conventional, MachineKind::Cached}) {
+            MachineConfig cfg;
+            cfg.kind = kind;
+            cfg.icache.capacityBytes = 64;
+            cfg.icache.assoc = 2;
+            std::string what = std::string(machineKindName(kind)) + "/" +
+                encodingName(scheme);
+            RunResult whole = Machine(*img, stepped(cfg)).run({});
+            Machine fast(*img, cfg);
+            for (uint64_t slice : {1u, 7u, 50u, 333u}) {
+                fast.beginRun({});
+                while (!fast.finished())
+                    fast.runSlice(slice);
+                expectIdentical(whole, fast.finishRun(),
+                                what + "/slice " + std::to_string(slice));
+            }
+            expectIdentical(whole, fast.run({}), what + "/rerun");
+        }
     }
 }
 
