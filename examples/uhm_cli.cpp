@@ -43,6 +43,7 @@
  *   --tier-threshold=<n>   backedges before a trace records (tiered, 8)
  *   --trace-cap=<n>        max DIR instrs per trace (tiered, 64)
  *   --trace-bytes=<n>      trace-cache capacity (tiered, 8192)
+ *   Both capacities are at most 1048576 bytes (exit 1 above).
  *   The three tier flags are rejected (exit 1) when --machine is not
  *   tiered — a misspelled machine kind must not silently ignore them.
  *   --tenants=<n>          time-slice n copies of the program (0 = off)
@@ -178,7 +179,7 @@ constexpr const char *commonOptionsHelp =
     "                         a trace records (tiered only, default 8)\n"
     "  --trace-cap=<n>        max DIR instrs per trace (tiered, 64)\n"
     "  --trace-bytes=<n>      trace-cache capacity in bytes (tiered,\n"
-    "                         default 8192)\n";
+    "                         default 8192, at most 1048576)\n";
 
 void
 printMainHelp(std::FILE *out = stdout)
@@ -194,7 +195,8 @@ printMainHelp(std::FILE *out = stdout)
     std::fputs(commonOptionsHelp, out);
     std::fputs(
         "  --input=<ints>         comma-separated read-statement input\n"
-        "  --dtb-bytes=<n>        DTB buffer capacity (default 4096)\n"
+        "  --dtb-bytes=<n>        DTB buffer capacity (default 4096,\n"
+        "                         at most 1048576)\n"
         "  --assoc=<n>            DTB/cache ways, 0 = full (default 4)\n"
         "  --tenants=<n>          time-slice n copies of the program\n"
         "                         over one shared DTB (0 = off)\n"

@@ -5,11 +5,16 @@
 namespace uhm
 {
 
-Dtb::Dtb(const DtbConfig &config)
-    : config_(config), rng_(config.seed), repl_(config.policy, &rng_)
+namespace
+{
+
+/** Allocation units the buffer array holds: primary plus overflow. */
+uint64_t
+totalUnits(const DtbConfig &config)
 {
     // Geometry comes from user configuration (CLI flags, wire fields):
     // an impossible one is a user error, not a simulator bug.
+    checkBufferBytes("DTB", config.capacityBytes);
     if (config.unitShortInstrs < 1)
         fatal("DTB unit of allocation is empty");
     // Round the unit size *up* to whole bytes: flooring would undersize
@@ -18,121 +23,78 @@ Dtb::Dtb(const DtbConfig &config)
     uint64_t unit_bits =
         uint64_t{config.unitShortInstrs} * shortInstrBits;
     uint64_t unit_bytes = (unit_bits + 7) / 8;
-    uhm_assert(unit_bytes * 8 >= unit_bits,
-               "unit of allocation cannot hold its instructions");
     uint64_t total_units = config.capacityBytes / unit_bytes;
     if (total_units < 1)
         fatal("DTB of %llu bytes is smaller than one %llu-byte unit",
               static_cast<unsigned long long>(config.capacityBytes),
               static_cast<unsigned long long>(unit_bytes));
-    uhm_assert(total_units * unit_bytes <= config.capacityBytes,
-               "allocation units exceed buffer-array capacity");
+    return total_units;
+}
 
-    overflowTotal_ = config.allowOverflow ?
+/** Units reserved as the overflow area. */
+uint64_t
+overflowUnits(const DtbConfig &config)
+{
+    return config.allowOverflow ?
         static_cast<uint64_t>(
-            static_cast<double>(total_units) * config.overflowFraction) :
+            static_cast<double>(totalUnits(config)) *
+            config.overflowFraction) :
         0;
-    numEntries_ = total_units - overflowTotal_;
-    if (numEntries_ < 1)
+}
+
+/** The address array: one entry per primary unit. */
+AssocGeometry
+geometryOf(const DtbConfig &config)
+{
+    AssocGeometry g;
+    g.entries = totalUnits(config) - overflowUnits(config);
+    if (g.entries < 1)
         fatal("DTB overflow reserve leaves no primary units");
-    overflowFree_ = overflowTotal_;
-
-    assoc_ = config.assoc == 0 ? static_cast<unsigned>(numEntries_) :
+    g.assoc = config.assoc == 0 ? static_cast<unsigned>(g.entries) :
         config.assoc;
-    if (assoc_ > numEntries_)
-        fatal("DTB associativity %u exceeds its %llu entries", assoc_,
-              static_cast<unsigned long long>(numEntries_));
-    numSets_ = numEntries_ / assoc_;
-    uhm_assert(numSets_ >= 1, "no sets");
-    if (numSets_ > UINT32_MAX)
-        fatal("DTB has too many sets (%llu)",
-              static_cast<unsigned long long>(numSets_));
-    setModM_ = UINT64_MAX / numSets_ + 1;
-    // Trim entries that do not fill a whole set.
-    numEntries_ = numSets_ * assoc_;
-
-    numPartitions_ = config.numPartitions <= 1 ? 1 :
-        config.numPartitions;
-    if (numPartitions_ > numSets_)
+    if (g.assoc > g.entries)
+        fatal("DTB associativity %u exceeds its %llu entries", g.assoc,
+              static_cast<unsigned long long>(g.entries));
+    uint64_t sets = g.entries / g.assoc;
+    g.partitions = config.numPartitions;
+    if (g.partitions > sets)
         fatal("%llu DTB partitions exceed its %llu sets",
-              static_cast<unsigned long long>(numPartitions_),
-              static_cast<unsigned long long>(numSets_));
-    setsPerPartition_ = numSets_ / numPartitions_;
-
-    entries_.assign(numEntries_, Entry{});
+              static_cast<unsigned long long>(g.partitions),
+              static_cast<unsigned long long>(sets));
+    return g;
 }
 
-Dtb::LookupResult
-Dtb::lookup(uint64_t dir_addr)
-{
-    uint64_t set = setOf(dir_addr);
-    Entry *set_entries = &entries_[set * assoc_];
-    for (unsigned way = 0; way < assoc_; ++way) {
-        Entry &e = set_entries[way];
-        if (e.meta.valid && e.meta.tag == dir_addr &&
-            e.meta.asid == asid_) {
-            repl_.touch(e.meta.stamp);
-            ++hits_;
-            ++e.meta.useCount;
-            return {true, &e.code, e.meta.units, &e.meta,
-                    static_cast<uint32_t>(set * assoc_ + way)};
-        }
-    }
-    ++misses_;
-    return {};
-}
+} // anonymous namespace
 
-Dtb::Entry *
-Dtb::findEntry(uint64_t dir_addr)
-{
-    uint64_t set = setOf(dir_addr);
-    Entry *set_entries = &entries_[set * assoc_];
-    for (unsigned way = 0; way < assoc_; ++way) {
-        Entry &e = set_entries[way];
-        if (e.meta.valid && e.meta.tag == dir_addr &&
-            e.meta.asid == asid_)
-            return &e;
-    }
-    return nullptr;
-}
+Dtb::Dtb(const DtbConfig &config)
+    : AssocArray(geometryOf(config), config.policy, config.seed),
+      config_(config), overflowTotal_(overflowUnits(config)),
+      overflowFree_(overflowTotal_)
+{}
 
 bool
 Dtb::markTraceAnchor(uint64_t dir_addr)
 {
-    Entry *e = findEntry(dir_addr);
-    if (!e)
+    uint32_t idx = probeIdx(dir_addr);
+    if (idx == npos)
         return false;
-    e->meta.anchorsTrace = true;
+    metaAt(idx).anchorsTrace = true;
     return true;
 }
 
 void
 Dtb::clearTraceAnchor(uint64_t dir_addr)
 {
-    if (Entry *e = findEntry(dir_addr))
-        e->meta.anchorsTrace = false;
-}
-
-std::vector<uint32_t>
-Dtb::setOccupancy() const
-{
-    std::vector<uint32_t> occupancy(numSets_, 0);
-    for (uint64_t i = 0; i < numEntries_; ++i) {
-        if (entries_[i].meta.valid)
-            ++occupancy[i / assoc_];
-    }
-    return occupancy;
+    uint32_t idx = probeIdx(dir_addr);
+    if (idx != npos)
+        metaAt(idx).anchorsTrace = false;
 }
 
 void
 Dtb::registerCounters(obs::Registry &registry,
                       const std::string &prefix) const
 {
-    registry.add(obs::joinName(prefix, "hits"), hits_);
-    registry.add(obs::joinName(prefix, "misses"), misses_);
-    registry.add(obs::joinName(prefix, "inserts"), inserts_);
-    registry.add(obs::joinName(prefix, "evictions"), evictions_);
-    registry.add(obs::joinName(prefix, "rejects"), rejects_);
+    AssocArray::registerCounters(registry, prefix);
     registry.add(obs::joinName(prefix, "overflow_blocks"),
                  overflowBlocks_);
     registry.add(obs::joinName(prefix, "flushes"), flushes_);
@@ -144,18 +106,19 @@ std::vector<Dtb::FlushedEntry>
 Dtb::flush(uint64_t now)
 {
     std::vector<FlushedEntry> victims;
-    for (Entry &e : entries_) {
-        if (!e.meta.valid)
+    for (uint32_t idx = 0; idx < numEntries(); ++idx) {
+        const EntryMeta &m = metaAt(idx);
+        if (!m.valid)
             continue;
         FlushedEntry v;
-        v.tag = e.meta.tag;
-        v.asid = e.meta.asid;
-        if (now > e.meta.insertCycle)
-            v.residency = now - e.meta.insertCycle;
-        v.uses = e.meta.useCount;
-        v.anchoredTrace = e.meta.anchorsTrace;
+        v.tag = m.tag;
+        v.asid = m.asid;
+        if (now > m.insertCycle)
+            v.residency = now - m.insertCycle;
+        v.uses = m.useCount;
+        v.anchoredTrace = m.anchorsTrace;
         victims.push_back(v);
-        evict(e);
+        evict(idx);
         ++flushedEntries_;
     }
     ++flushes_;
@@ -166,14 +129,13 @@ std::vector<uint64_t>
 Dtb::residentResidencies(uint64_t now, int64_t asid_filter) const
 {
     std::vector<uint64_t> residencies;
-    for (const Entry &e : entries_) {
-        if (!e.meta.valid)
+    for (uint32_t idx = 0; idx < numEntries(); ++idx) {
+        const EntryMeta &m = metaAt(idx);
+        if (!m.valid)
             continue;
-        if (asid_filter >= 0 &&
-            e.meta.asid != static_cast<uint32_t>(asid_filter))
+        if (asid_filter >= 0 && m.asid != static_cast<uint32_t>(asid_filter))
             continue;
-        residencies.push_back(
-            now > e.meta.insertCycle ? now - e.meta.insertCycle : 0);
+        residencies.push_back(now > m.insertCycle ? now - m.insertCycle : 0);
     }
     return residencies;
 }
@@ -181,40 +143,27 @@ Dtb::residentResidencies(uint64_t now, int64_t asid_filter) const
 void
 Dtb::resetStats()
 {
-    hits_.reset();
-    misses_.reset();
-    inserts_.reset();
-    evictions_.reset();
-    rejects_.reset();
+    AssocArray::resetStats();
     overflowBlocks_.reset();
     flushes_.reset();
     flushedEntries_.reset();
-    // Per-entry observability state restarts with the epoch: a
-    // residency or use figure measured after the reset must not carry
-    // lifetime from before it. Behavioral state (the translation, the
-    // backedge counter, the anchor flag) is untouched.
-    for (Entry &e : entries_) {
-        if (e.meta.valid) {
-            e.meta.useCount = 0;
-            e.meta.insertCycle = 0;
-        }
-    }
 }
 
 void
-Dtb::evict(Entry &entry)
+Dtb::evict(uint32_t idx)
 {
-    if (entry.meta.valid && entry.meta.units > 1)
-        overflowFree_ += entry.meta.units - 1;
-    entry.meta.reset();
-    entry.code.clear();
+    EntryMeta &m = metaAt(idx);
+    if (m.valid && m.units > 1)
+        overflowFree_ += m.units - 1;
+    m.reset();
+    payloadRef(idx).clear();
 }
 
 void
 Dtb::invalidateAll()
 {
-    for (Entry &e : entries_)
-        evict(e);
+    for (uint32_t idx = 0; idx < numEntries(); ++idx)
+        evict(idx);
 }
 
 } // namespace uhm

@@ -11,7 +11,11 @@
  * (per-set recency ordering, kept as a use stamp per entry:
  * mem/replacement.hh) and the buffer array itself, which holds
  * the PSDER short-format instructions and lives in the machine's
- * directly addressable memory.
+ * directly addressable memory. The first three are the shared
+ * AssocArray (core/assoc_array.hh), which the tier-2 trace cache sits
+ * on too: its one probe (probeIdx/icCheck) and one commit
+ * (hitAt/countMiss) are what every DTB lookup runs. The Dtb adds only
+ * its allocation policy, flushes, residency drains and trace anchors.
  *
  * Allocation follows section 5.1: a fixed unit of allocation, optionally
  * extended by "a variable allocation with fixed size increments" — when
@@ -27,12 +31,10 @@
 #include <cstdint>
 #include <vector>
 
-#include "core/entry_meta.hh"
-#include "mem/replacement.hh"
+#include "core/assoc_array.hh"
 #include "obs/counter.hh"
 #include "obs/registry.hh"
 #include "psder/short_isa.hh"
-#include "support/rng.hh"
 
 namespace uhm
 {
@@ -69,39 +71,29 @@ struct DtbConfig
 };
 
 /** The dynamic translation buffer. */
-class Dtb
+class Dtb : public AssocArray<std::vector<ShortInstr>>
 {
   public:
     explicit Dtb(const DtbConfig &config);
 
-    /** Result of presenting a DIR address to the associative array. */
-    struct LookupResult
-    {
-        bool hit = false;
-        /** The resident translation (hit only); valid until the next
-         *  lookup/insert. */
-        const std::vector<ShortInstr> *code = nullptr;
-        /** Buffer-array units the resident entry occupies (hit only). */
-        unsigned units = 0;
-        /**
-         * The entry's metadata block (hit only; valid until the next
-         * insert). Mutable so the tier's hotness profiler can bump the
-         * backedge counter it keeps there.
-         */
-        EntryMeta *meta = nullptr;
-        /**
-         * Index of the hit entry in the address array (hit only):
-         * set * assoc + way. The fast dispatch path stores it in a
-         * per-site inline cache and revalidates with icCheck().
-         */
-        uint32_t entryIdx = 0;
-    };
+    using AssocArray::asid;
+    using AssocArray::setAsid;
+    using AssocArray::setOf;
 
     /**
-     * Present @p dir_addr (a DIR bit address) to the DTB: hash to a set,
-     * search the tags, update recency. Counts a hit or a miss.
+     * Present @p dir_addr to the DTB and commit the outcome — one hit
+     * or one miss: the hit's entry index, or npos.
      */
-    LookupResult lookup(uint64_t dir_addr);
+    uint32_t
+    lookup(uint64_t dir_addr)
+    {
+        uint32_t idx = probeIdx(dir_addr);
+        if (idx == npos)
+            countMiss();
+        else
+            hitAt(idx);
+        return idx;
+    }
 
     /** What Dtb::insert did, for callers that trace or account. */
     struct InsertOutcome
@@ -160,17 +152,9 @@ class Dtb
             return out;
         }
 
-        uint64_t set = setOf(dir_addr);
-        Entry *set_entries = &entries_[set * assoc_];
-
-        // Prefer an invalid way; otherwise the replacement array's
-        // victim.
-        unsigned way = repl_.fillWay(
-            assoc_, [&](unsigned w) { return set_entries[w].meta.valid; },
-            [&](unsigned w) { return set_entries[w].meta.stamp; },
-            out.setOccupancy);
-        Entry &e = set_entries[way];
-        bool evict = e.meta.valid;
+        uint32_t idx = fillWay(dir_addr, out.setOccupancy);
+        const EntryMeta &victim = metaAt(idx);
+        bool evict = victim.valid;
 
         // Reserve overflow increments before evicting anything. The
         // blocks a valid victim would release count toward the supply,
@@ -178,7 +162,7 @@ class Dtb
         // resident — possibly hot — victim must survive. (Evicting
         // first and rejecting after destroyed a retained translation
         // for nothing.)
-        uint64_t victim_release = evict ? e.meta.units - 1 : 0;
+        uint64_t victim_release = evict ? victim.units - 1 : 0;
         if (overflow_needed > overflowFree_ + victim_release) {
             ++rejects_;
             return out;
@@ -186,45 +170,28 @@ class Dtb
 
         if (evict) {
             out.evicted = true;
-            out.victimTag = e.meta.tag;
-            out.victimAsid = e.meta.asid;
-            out.victimUses = e.meta.useCount;
-            if (now > e.meta.insertCycle)
-                out.victimResidency = now - e.meta.insertCycle;
+            out.victimTag = victim.tag;
+            out.victimAsid = victim.asid;
+            out.victimUses = victim.useCount;
+            if (now > victim.insertCycle)
+                out.victimResidency = now - victim.insertCycle;
             ++evictions_;
         }
         overflowFree_ += victim_release;
         overflowFree_ -= overflow_needed;
         overflowBlocks_ += overflow_needed;
 
-        e.meta.reset();
-        e.meta.tag = dir_addr;
-        e.meta.asid = asid_;
-        e.meta.valid = true;
-        e.meta.units = units_needed;
-        e.meta.insertCycle = now;
+        fill(idx, dir_addr, units_needed, now);
         // Into the slot's existing buffer: a first-level buffer refills
         // its slots on every promotion.
-        e.code.assign(code.begin(), code.end());
-        repl_.fill(e.meta.stamp);
-        ++inserts_;
+        payloadRef(idx).assign(code.begin(), code.end());
         out.retained = true;
-        out.entryIdx = static_cast<uint32_t>(set * assoc_ + way);
+        out.entryIdx = idx;
         return out;
     }
 
     /** Invalidate every entry (e.g. program image replaced). */
     void invalidateAll();
-
-    /**
-     * Select the address space subsequent lookups, inserts and anchor
-     * operations run in. Entries of other ASIDs stay resident (and, in
-     * shared-set mode, remain eviction candidates) but never match.
-     */
-    void setAsid(uint32_t asid) { asid_ = asid; }
-
-    /** The current address-space ID. */
-    uint32_t asid() const { return asid_; }
 
     /** One entry destroyed by flush(), for residency/anchor accounting. */
     struct FlushedEntry
@@ -273,142 +240,6 @@ class Dtb
     /** Clear the trace-anchor flag of @p dir_addr, if resident. */
     void clearTraceAnchor(uint64_t dir_addr);
 
-    /**
-     * The set index @p dir_addr hashes to: a multiplicative hash of the
-     * DIR bit address ("the DIR instruction address is hashed to select
-     * a unique set"). In partitioned mode the hash lands inside the
-     * current tenant's contiguous region (the trailing
-     * numSets_ % numPartitions_ sets go unused — the partitions stay
-     * equal-sized). Inline: every probe on the dispatch path starts
-     * here.
-     */
-    uint64_t
-    setOf(uint64_t dir_addr) const
-    {
-        uint64_t h = (dir_addr * 0x9e3779b97f4a7c15ull) >> 32;
-        if (numPartitions_ == 1) {
-            // h % numSets_ without a divide (Lemire's direct remainder,
-            // exact for 32-bit h and divisor).
-            return static_cast<uint64_t>(
-                (static_cast<unsigned __int128>(setModM_ * h) *
-                 numSets_) >> 64);
-        }
-        return (asid_ % numPartitions_) * setsPerPartition_ +
-            h % setsPerPartition_;
-    }
-
-    // ---- inline-cache fast-hit interface ---------------------------------
-    //
-    // A dispatch-loop call site that resolved @p dir_addr through
-    // lookup() once may cache the returned entryIdx and on later visits
-    // skip the hash and way scan: icCheck() revalidates the cached
-    // index with zero accounting side effects, and hitAt() then applies
-    // exactly the accounting the hit branch of lookup() would have
-    // (recency touch, hit count, use count). Any entry replacement
-    // invalidates the cached index naturally — the tag or ASID no
-    // longer matches — and EntryMeta::gen invalidates derived state.
-
-    /**
-     * Would a lookup of @p dir_addr hit entry @p idx right now? Pure
-     * predicate: no hit/miss counting, no recency update.
-     */
-    bool
-    icCheck(uint32_t idx, uint64_t dir_addr) const
-    {
-        const Entry &e = entries_[idx];
-        return e.meta.valid && e.meta.tag == dir_addr &&
-            e.meta.asid == asid_;
-    }
-
-    /**
-     * Entry index a lookup() of @p dir_addr would hit right now, or
-     * UINT32_MAX on a miss. Pure probe: no hit/miss counting, no
-     * recency update — the caller commits a hit with hitAt(), or lets
-     * the regular miss path count the miss.
-     */
-    uint32_t
-    probeIdx(uint64_t dir_addr) const
-    {
-        uint64_t set = setOf(dir_addr);
-        const Entry *set_entries = &entries_[set * assoc_];
-        for (unsigned way = 0; way < assoc_; ++way) {
-            const Entry &e = set_entries[way];
-            if (e.meta.valid && e.meta.tag == dir_addr &&
-                e.meta.asid == asid_)
-                return static_cast<uint32_t>(set * assoc_ + way);
-        }
-        return UINT32_MAX;
-    }
-
-    /**
-     * Apply the hit-path accounting of lookup() to entry @p idx (which
-     * the caller just validated with icCheck): recency touch, one hit,
-     * one use. Byte-identical counter and replacement state to a full
-     * lookup() that hit.
-     */
-    void
-    hitAt(uint32_t idx)
-    {
-        EntryMeta &meta = entries_[idx].meta;
-        repl_.touch(meta.stamp);
-        ++hits_;
-        ++meta.useCount;
-    }
-
-    /**
-     * Count the miss a lookup() of an address that probeIdx() just
-     * reported absent would have counted. A miss touches nothing else,
-     * so this is byte-identical to that lookup().
-     */
-    void countMiss() { ++misses_; }
-
-    /** Metadata block of entry @p idx (IC-validated callers only). */
-    EntryMeta &metaAt(uint32_t idx) { return entries_[idx].meta; }
-    const EntryMeta &
-    metaAt(uint32_t idx) const
-    {
-        return entries_[idx].meta;
-    }
-
-    /** Resident translation of entry @p idx (IC-validated callers). */
-    const std::vector<ShortInstr> &
-    codeAt(uint32_t idx) const
-    {
-        return entries_[idx].code;
-    }
-
-    uint64_t hits() const { return hits_.value(); }
-    uint64_t misses() const { return misses_.value(); }
-    uint64_t inserts() const { return inserts_.value(); }
-    uint64_t evictions() const { return evictions_.value(); }
-    uint64_t rejects() const { return rejects_.value(); }
-
-    /** Hit ratio so far (the paper's h_D); 1.0 before any access. */
-    double
-    hitRatio() const
-    {
-        uint64_t total = hits_.value() + misses_.value();
-        return total == 0 ? 1.0 :
-            static_cast<double>(hits_.value()) /
-            static_cast<double>(total);
-    }
-
-    /** Number of primary entries (address-array size). */
-    uint64_t numEntries() const { return numEntries_; }
-
-    /** Number of sets. */
-    uint64_t numSets() const { return numSets_; }
-
-    /** Ways per set. */
-    unsigned assoc() const { return assoc_; }
-
-    /**
-     * Valid entries per set, numSets() elements in set order. A fresh
-     * snapshot per call — meant for the interval sampler and tests, not
-     * for the dispatch path.
-     */
-    std::vector<uint32_t> setOccupancy() const;
-
     /** Overflow blocks currently free. */
     uint64_t overflowFree() const { return overflowFree_; }
 
@@ -430,59 +261,22 @@ class Dtb
 
     const DtbConfig &config() const { return config_; }
 
-    /**
-     * Reset all counters AND the per-entry observability state (use
-     * counts and insert-cycle stamps) so residency/use figures measured
-     * after the reset carry nothing from the previous epoch. Resident
-     * translations — and the behavioral state the tier reads
-     * (backedge counters, anchor flags) — are retained.
-     */
+    /** Start a stats epoch (AssocArray::resetStats) for every counter
+     *  the DTB publishes. */
     void resetStats();
 
   private:
-    struct Entry
-    {
-        /** Shared bookkeeping block (core/entry_meta.hh). */
-        EntryMeta meta;
-        /** The PSDER translation (primary unit + linked increments). */
-        std::vector<ShortInstr> code;
-    };
-
-    /** Release @p entry's overflow increments and invalidate it. */
-    void evict(Entry &entry);
-
-    /** The resident entry tagged @p dir_addr, or null. No accounting. */
-    Entry *findEntry(uint64_t dir_addr);
+    /** Release entry @p idx's overflow increments and invalidate it. */
+    void evict(uint32_t idx);
 
     DtbConfig config_;
-    uint64_t numEntries_;
-    uint64_t numSets_;
-    /** ceil(2^64 / numSets_): the multiplier setOf() reduces by. */
-    uint64_t setModM_;
-    unsigned assoc_;
     uint64_t overflowTotal_;
     uint64_t overflowFree_;
-    /** Active partitions (0 or 1 = shared set space). */
-    uint64_t numPartitions_;
-    /** Sets per partition (numSets_ when unpartitioned). */
-    uint64_t setsPerPartition_;
-    /** Current address-space ID (0 for single-tenant machines). */
-    uint32_t asid_ = 0;
-    Rng rng_;
-    /** The replacement array, as EntryMeta::stamp per entry. */
-    UseClock repl_;
-    /** entries_[set * assoc_ + way]. */
-    std::vector<Entry> entries_;
-    obs::Counter hits_;
-    obs::Counter misses_;
-    obs::Counter inserts_;
-    obs::Counter evictions_;
-    obs::Counter rejects_;
     /** Overflow increments handed out over the DTB's lifetime. */
     obs::Counter overflowBlocks_;
     /** Whole-buffer flushes (tenant switches in flush mode). */
     obs::Counter flushes_;
-    /** Entries destroyed by flushes (distinct from evictions_). */
+    /** Entries destroyed by flushes (distinct from evictions). */
     obs::Counter flushedEntries_;
 };
 

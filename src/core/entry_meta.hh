@@ -3,11 +3,11 @@
  * Per-entry metadata shared by the translation-holding caches.
  *
  * The DTB (core/dtb.hh) and the tier-2 trace cache
- * (tier/trace_cache.hh) both maintain a set-associative array of
- * translations keyed by DIR bit address. The bookkeeping block of one
- * entry — the tag, validity, the allocation-unit footprint and the
- * hotness/promotion state the adaptive tier reads — is identical in
- * both, so it lives here once instead of as two hand-rolled copies.
+ * (tier/trace_cache.hh) sit on one associative array of translations
+ * keyed by DIR bit address (core/assoc_array.hh). This is the
+ * bookkeeping block of one of its entries: the tag, validity, the
+ * allocation-unit footprint and the hotness/promotion state the
+ * adaptive tier reads.
  *
  * The replacement array lives here too, as one use stamp per entry
  * (EntryMeta::stamp, driven by mem/replacement.hh's UseClock): a hit
@@ -83,9 +83,12 @@ struct EntryMeta
      * images and inline caches (uhm/run_image.hh) — compare their
      * recorded generation against this one and relower on mismatch.
      * Never cleared: a fresh generation must differ from every stale
-     * copy. Simulated behavior and cycle accounting never read it.
+     * copy, so it is 64 bits wide — a 32-bit one wraps after 2^32
+     * resets of one slot, and a wrapped generation both revalidates
+     * stale lowerings and reaches 0, which default-constructed ones
+     * carry. Simulated behavior and cycle accounting never read it.
      */
-    uint32_t gen = 0;
+    uint64_t gen = 0;
 
     /** Return to the empty state (eviction). */
     void

@@ -11,7 +11,7 @@ simulateDtbTrace(const std::vector<uint64_t> &trace,
     Dtb dtb(config);
     TraceSimResult result;
     for (uint64_t addr : trace) {
-        if (dtb.lookup(addr).hit) {
+        if (dtb.lookup(addr) != Dtb::npos) {
             ++result.hits;
             continue;
         }

@@ -120,8 +120,6 @@ class DynamicTranslator
         if (!valid_[idx]) {
             memo_[idx] = translateCold(dir_bit_addr);
             valid_[idx] = 1;
-        } else {
-            ++memoHits_;
         }
         return memo_[idx];
     }
@@ -140,16 +138,12 @@ class DynamicTranslator
         return tr;
     }
 
-    /** Translations replayed from the memo so far. */
-    uint64_t memoHits() const { return memoHits_; }
-
     const EncodedDir &image() const { return *image_; }
 
   private:
     const EncodedDir *image_;
     std::vector<uint8_t> valid_;
     std::vector<Translation> memo_;
-    uint64_t memoHits_ = 0;
 };
 
 } // namespace uhm

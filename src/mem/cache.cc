@@ -12,6 +12,7 @@ SetAssocCache::SetAssocCache(const CacheConfig &config)
 {
     // Geometry comes from user configuration (CLI flags, wire fields):
     // an impossible one is a user error, not a simulator bug.
+    checkBufferBytes("cache", config.capacityBytes);
     if (config.lineBytes < 1)
         fatal("cache line size must be positive");
     if (config.capacityBytes < config.lineBytes)

@@ -54,6 +54,26 @@ replPolicyName(ReplPolicy policy)
     return "?";
 }
 
+/**
+ * Largest buffer capacity, in bytes, a set-associative structure
+ * accepts: the DTB, the first-level DTB, the icache and the trace
+ * cache. Capacities come from outside (CLI flags, wire fields) and are
+ * allocated before anything runs, so without a bound one request could
+ * ask the host for tens of gigabytes. 1 MiB is the largest any
+ * committed bench configures (bench_fig1_repr_space).
+ */
+inline constexpr uint64_t maxBufferBytes = uint64_t{1} << 20;
+
+/** Reject a @p what capacity of @p bytes above maxBufferBytes. */
+inline void
+checkBufferBytes(const char *what, uint64_t bytes)
+{
+    if (bytes > maxBufferBytes)
+        fatal("%s of %llu bytes exceeds the %llu-byte limit", what,
+              static_cast<unsigned long long>(bytes),
+              static_cast<unsigned long long>(maxBufferBytes));
+}
+
 /** The use clock of one set-associative structure. */
 class UseClock
 {

@@ -1,8 +1,5 @@
 #include "obs/merge.hh"
 
-#include <queue>
-
-#include "obs/registry.hh"
 #include "support/json.hh"
 
 namespace uhm::obs
@@ -21,12 +18,6 @@ MergedCounters::accumulate(const std::map<std::string, uint64_t> &snapshot)
 {
     mergeCounterSnapshots(values_, snapshot);
     ++shards_;
-}
-
-void
-MergedCounters::accumulate(const Registry &registry)
-{
-    accumulate(registry.snapshot());
 }
 
 uint64_t
@@ -78,44 +69,6 @@ MergedHistograms::writeJson(JsonWriter &jw) const
         kv.second.writeJson(jw);
     }
     jw.endObject();
-}
-
-std::vector<Event>
-mergeEventStreams(const std::vector<std::vector<Event>> &shards)
-{
-    // Cursor into one shard; ordering key is (cycle, shard index) so
-    // the merge is total and stable.
-    struct Cursor
-    {
-        size_t shard;
-        size_t pos;
-        uint64_t cycle;
-    };
-    auto later = [](const Cursor &a, const Cursor &b) {
-        return a.cycle != b.cycle ? a.cycle > b.cycle : a.shard > b.shard;
-    };
-    std::priority_queue<Cursor, std::vector<Cursor>, decltype(later)>
-        heads(later);
-
-    size_t total = 0;
-    for (size_t s = 0; s < shards.size(); ++s) {
-        total += shards[s].size();
-        if (!shards[s].empty())
-            heads.push({s, 0, shards[s][0].cycle});
-    }
-
-    std::vector<Event> merged;
-    merged.reserve(total);
-    while (!heads.empty()) {
-        Cursor cur = heads.top();
-        heads.pop();
-        merged.push_back(shards[cur.shard][cur.pos]);
-        if (cur.pos + 1 < shards[cur.shard].size()) {
-            heads.push({cur.shard, cur.pos + 1,
-                        shards[cur.shard][cur.pos + 1].cycle});
-        }
-    }
-    return merged;
 }
 
 } // namespace uhm::obs

@@ -6,8 +6,8 @@
  * therefore its own obs::Registry and obs::Tracer — nothing in the hot
  * path is shared, so there is nothing to contend on. The cost of that
  * isolation is aggregation: after the sweep, the per-point counter
- * snapshots and event streams must be folded into one view, and that
- * fold must be bit-identical regardless of thread count or completion
+ * and histogram snapshots must be folded into one view, and that fold
+ * must be bit-identical regardless of thread count or completion
  * order.
  *
  * The rules that guarantee it (also in docs/INTERNALS.md):
@@ -19,9 +19,7 @@
  *     which is index-addressed;
  *  3. counter merging is per-name addition over name-ordered maps, so
  *     the merged map's iteration order is the sorted-name order no
- *     matter how the inputs arrived;
- *  4. event-stream merging is a stable k-way merge on the cycle stamp
- *     with ties broken by shard index, then in-shard order.
+ *     matter how the inputs arrived.
  */
 
 #ifndef UHM_OBS_MERGE_HH
@@ -30,10 +28,8 @@
 #include <cstdint>
 #include <map>
 #include <string>
-#include <vector>
 
 #include "obs/histogram.hh"
-#include "obs/trace.hh"
 
 namespace uhm
 {
@@ -42,8 +38,6 @@ class JsonWriter;
 
 namespace uhm::obs
 {
-
-class Registry;
 
 /** Add every counter of @p from into @p into (absent names appear). */
 void mergeCounterSnapshots(std::map<std::string, uint64_t> &into,
@@ -59,9 +53,6 @@ class MergedCounters
   public:
     /** Fold one end-of-run snapshot into the aggregate. */
     void accumulate(const std::map<std::string, uint64_t> &snapshot);
-
-    /** Fold a live registry's current values into the aggregate. */
-    void accumulate(const Registry &registry);
 
     /** Snapshots folded in so far. */
     uint64_t shards() const { return shards_; }
@@ -121,15 +112,6 @@ class MergedHistograms
     std::map<std::string, HistogramSnapshot> values_;
     uint64_t shards_ = 0;
 };
-
-/**
- * Stable k-way merge of per-shard event streams into one stream
- * ordered by cycle stamp; equal stamps keep shard-index order, and
- * events within one shard keep their recorded order. The result is a
- * function of the shard *contents*, not of scheduling.
- */
-std::vector<Event>
-mergeEventStreams(const std::vector<std::vector<Event>> &shards);
 
 } // namespace uhm::obs
 

@@ -24,9 +24,9 @@
  *    "machine": "conventional"|"cached"|"dtb"|"dtb2"|"tiered",
  *    "encoding": "expanded"|"packed"|"contextual"|"huffman"|
  *                "pair-huffman"|"quantized",
- *    "dtb_bytes": <uint>, "assoc": <uint>,
+ *    "dtb_bytes": <uint>, "assoc": <uint>,  // bytes at most 1048576
  *    "tier_threshold": <uint>, "trace_cap": <uint>,
- *    "trace_bytes": <uint>,        // tiered machines only, like the CLI
+ *    "trace_bytes": <uint>,        // tiered only, like the CLI; <= 1 MiB
  *    "sample_interval": <uint>,
  *    "profile": <bool>,            // run: attach the profile payload
  *    "disasm": <bool>,             // compile: attach the disassembly

@@ -229,13 +229,17 @@ TierEngine::invalidateTrace(uint64_t head)
     return cache_.invalidate(head);
 }
 
-const Trace *
+uint32_t
 TierEngine::lookupTrace(uint64_t head)
 {
-    const Trace *trace = cache_.lookup(head);
-    if (!trace)
-        dtb_->clearTraceAnchor(head);
-    return trace;
+    uint32_t idx = cache_.probeIdx(head);
+    if (idx != TraceCache::npos) {
+        cache_.hitAt(idx);
+        return idx;
+    }
+    cache_.countMiss();
+    dtb_->clearTraceAnchor(head);
+    return idx;
 }
 
 void

@@ -103,9 +103,6 @@ class TierEngine
     /** A recording is active. */
     bool recording() const { return recording_; }
 
-    /** Head of the active recording (recording() only). */
-    uint64_t recordingHead() const { return head_; }
-
     /**
      * Should a recording start at @p head, whose resident DTB entry's
      * metadata is @p meta? True when the backedge counter is at or
@@ -146,11 +143,12 @@ class TierEngine
                                      uint64_t now = 0);
 
     /**
-     * The resident trace anchored at @p head, counting a trace-cache
-     * hit or miss. A miss clears the (stale) anchor flag so the head
+     * Trace-cache index of the resident trace anchored at @p head, or
+     * TraceCache::npos, counting a trace-cache hit or miss (one probe,
+     * one commit). A miss clears the (stale) anchor flag so the head
      * falls back to ordinary execution until re-recorded.
      */
-    const Trace *lookupTrace(uint64_t head);
+    uint32_t lookupTrace(uint64_t head);
 
     /**
      * Invalidate the trace anchored at @p head without touching the
@@ -164,9 +162,6 @@ class TierEngine
     const TraceCache &cache() const { return cache_; }
     const TierConfig &config() const { return config_; }
 
-    uint64_t tracesRecorded() const { return recorded_.value(); }
-    uint64_t tracesInstalled() const { return installed_.value(); }
-    uint64_t tracesAborted() const { return aborted_.value(); }
     /** Total short instructions the tier-2 translator emitted. */
     uint64_t compiledShortInstrs() const { return compiledShorts_.value(); }
 

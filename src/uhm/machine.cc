@@ -425,16 +425,15 @@ Machine::dtbStep()
         }
     }
 
-    std::vector<ShortInstr> local;
     const std::vector<ShortInstr> *code = nullptr;
     uint64_t fetch_cost = config_.timing.tauD;
 
     // First-level translation buffer (Dtb2): a tau1-speed lookup.
     if (dtbL1_) {
         breakdown_.dispatch += config_.timing.tau1;
-        Dtb::LookupResult l1 = dtbL1_->lookup(pc_);
-        if (l1.hit) {
-            code = l1.code;
+        uint32_t l1 = dtbL1_->lookup(pc_);
+        if (l1 != Dtb::npos) {
+            code = &dtbL1_->payloadAt(l1);
             fetch_cost = config_.timing.tau1;
         }
     }
@@ -443,44 +442,43 @@ Machine::dtbStep()
         // INTERP presents the DIR address to the associative address
         // array (one DTB-array access).
         breakdown_.dispatch += config_.timing.tauD;
-        Dtb::LookupResult lr = dtb_->lookup(pc_);
-        if (!lr.hit) {
+        uint32_t idx = dtb_->lookup(pc_);
+        if (idx == Dtb::npos) {
             code = &missFlow();
             if (dtbL1_)
                 dtbL1_->insert(pc_, *code);
         } else {
-            hit_idx = lr.entryIdx;
-            code = lr.code;
+            hit_idx = idx;
+            code = &dtb_->payloadAt(idx);
             emitEvent(obs::EventKind::DtbHit, pc_);
             if (dtbL1_) {
                 // Promote into the first-level buffer: one tau1 store
                 // per short instruction copied.
                 breakdown_.dispatch += code->size() * config_.timing.tau1;
-                local = *code;
-                dtbL1_->insert(pc_, local);
-                emitEvent(obs::EventKind::Promote, pc_, local.size());
-                code = &local;
+                dtbL1_->insert(pc_, *code);
+                emitEvent(obs::EventKind::Promote, pc_, code->size());
             }
             if (tier_) {
                 // Hotness profile: a backward transfer into a resident
                 // entry is a backedge (loops close with one).
+                EntryMeta &meta = dtb_->metaAt(idx);
                 bool backedge = pc_ <= prevPc_;
                 if (backedge)
-                    ++lr.meta->backedgeCount;
-                if (lr.meta->anchorsTrace && !tier_->recording()) {
+                    ++meta.backedgeCount;
+                if (meta.anchorsTrace && !tier_->recording()) {
                     // Trace dispatch: one trace-cache access plus the
                     // dispatch overhead, paid once per entry rather
                     // than once per instruction. runTrace counts the
                     // head itself.
                     breakdown_.dispatch += config_.timing.tauD +
                         config_.tier.dispatchCycles;
-                    if (const tier::Trace *trace =
-                            tier_->lookupTrace(pc_)) {
+                    uint32_t tidx = tier_->lookupTrace(pc_);
+                    if (tidx != tier::TraceCache::npos) {
                         ++traceEnters_;
                         emitEvent(obs::EventKind::TraceEnter, pc_,
-                                  trace->dirCount);
+                                  tier_->cache().payloadAt(tidx).dirCount);
                         uint64_t iters_before = traceIterations_.value();
-                        uint64_t next = runTrace(pc_, *trace);
+                        uint64_t next = runTrace(tidx);
                         emitEvent(obs::EventKind::TraceExit, next,
                                   traceIterations_.value() -
                                       iters_before);
@@ -493,7 +491,7 @@ Machine::dtbStep()
                     // Stale anchor (cleared by lookupTrace): fall back
                     // to the ordinary tier-1 path.
                 }
-                if (backedge && tier_->wantsRecording(*lr.meta, pc_)) {
+                if (backedge && tier_->wantsRecording(meta, pc_)) {
                     tier_->beginRecording(pc_);
                     emitEvent(obs::EventKind::TraceRecord, pc_);
                 }
@@ -551,12 +549,12 @@ Machine::ensureSeqLowered(const Dtb &buf, std::vector<FastSeq> &slots,
                           uint32_t idx, uint64_t fetch_cost)
 {
     FastSeq &fs = slots[idx];
-    uint32_t gen = buf.metaAt(idx).gen;
+    uint64_t gen = buf.metaAt(idx).gen;
     if (fs.gen != gen) {
         // The entry's contents changed since this slot was lowered
         // (insert, evict or flush all bump the generation): relower,
         // which also clears the slot's inline cache.
-        lowerFastSeq(buf.codeAt(idx), *flat_, fetch_cost,
+        lowerFastSeq(buf.payloadAt(idx), *flat_, fetch_cost,
                      config_.timing.tau1, fs);
         fs.gen = gen;
     }
@@ -566,7 +564,7 @@ Machine::ensureSeqLowered(const Dtb &buf, std::vector<FastSeq> &slots,
 uint32_t
 Machine::promoteFastSeq(uint64_t pc, uint32_t idx, const FastSeq &fs)
 {
-    Dtb::InsertOutcome ins = dtbL1_->insert(pc, dtb_->codeAt(idx));
+    Dtb::InsertOutcome ins = dtbL1_->insert(pc, dtb_->payloadAt(idx));
     if (!ins.retained)
         return UINT32_MAX;
     // The copy's lowering is the main entry's, fetched at tau1 instead
@@ -804,11 +802,12 @@ Machine::runDtbFast()
                     lookup + tau_d + config_.tier.dispatchCycles;
                 d_disp += add;
                 cyc += add;
-                if (const tier::Trace *trace = tier_->lookupTrace(pc)) {
+                uint32_t tidx = tier_->lookupTrace(pc);
+                if (tidx != tier::TraceCache::npos) {
                     ++traceEnters_;
                     // Trace boundaries are drain points.
                     VM_BAIL();
-                    next = runTrace(pc, *trace);
+                    next = runTrace(tidx);
                     site = nullptr;
                     if (next == haltBitAddr)
                         halted_ = true;
@@ -894,17 +893,15 @@ Machine::runDtbFast()
 }
 
 uint64_t
-Machine::runTrace(uint64_t head, const tier::Trace &trace)
+Machine::runTrace(uint32_t idx)
 {
-    uint32_t tidx = 0;
-    uint32_t tgen = 0;
-    bool resident = tier_->cache().refOf(head, tidx, tgen);
-    uhm_assert(resident, "trace dispatched without a cache entry");
-    FastTrace &ft = fastTraces_[tidx];
-    if (ft.gen != tgen) {
-        lowerFastTrace(trace, *flat_, config_.timing.tauD,
+    const tier::TraceCache &cache = tier_->cache();
+    FastTrace &ft = fastTraces_[idx];
+    uint64_t gen = cache.metaAt(idx).gen;
+    if (ft.gen != gen) {
+        lowerFastTrace(cache.payloadAt(idx), *flat_, config_.timing.tauD,
                        config_.timing.tau1, ft);
-        ft.gen = tgen;
+        ft.gen = gen;
     }
 
     const uint32_t *vm_code = flat_->code.data();

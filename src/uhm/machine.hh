@@ -335,9 +335,6 @@ class Machine
     /** DIR instructions interpreted so far in the current run. */
     uint64_t dirInstrsSoFar() const { return dirInstrs_.value(); }
 
-    /** Cycle breakdown so far (live view; for scheduler phase sums). */
-    const CycleBreakdown &breakdownSoFar() const { return breakdown_; }
-
     /** The DTB (Dtb/Dtb2/Tiered kinds; null otherwise). */
     const Dtb *dtb() const { return dtb_; }
 
@@ -448,16 +445,16 @@ class Machine
     void runConventionalFast();
 
     /**
-     * Execute the tier-2 trace @p trace anchored at @p head (a
-     * lookupTrace hit) from its lowered image until a guard side-exits
-     * or a non-looping trace runs out of steps; returns the exit
-     * address. Counts every covered DIR instruction exactly as the
+     * Execute the tier-2 trace at trace-cache entry @p idx (the index
+     * a lookupTrace hit committed) from its lowered image until a
+     * guard side-exits or a non-looping trace runs out of steps;
+     * returns the exit address. Counts every covered DIR instruction exactly as the
      * tier-1 step would (dirInstrs, address trace), charges tauD per
      * body short instruction and TierConfig::dispatchCycles per
      * loop-back, and drains all of it before returning. The fast loop
      * and dtbStep both dispatch traces through it.
      */
-    uint64_t runTrace(uint64_t head, const tier::Trace &trace);
+    uint64_t runTrace(uint32_t idx);
 
     /** Perform the staging actions and semantics of one instruction. */
     void executeStaged(const Staging &staging);

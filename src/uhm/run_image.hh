@@ -137,11 +137,10 @@ struct FastSeq
     static constexpr uint32_t maxPushes = 4;
 
     /** EntryMeta::gen of the DTB entry this lowering matches. gen 0 is
-     *  unreachable for a resident entry (insert resets at least once),
-     *  so a default-constructed FastSeq never validates. */
-    uint32_t gen = 0;
-    /** The successor is popped from the operand stack (INTERP-Stack). */
-    bool stackNext = false;
+     *  unreachable for a resident entry (insert resets at least once,
+     *  and a 64-bit generation never wraps back to it), so a
+     *  default-constructed FastSeq never validates. */
+    uint64_t gen = 0;
     /** Short instructions executed (up to and including the INTERP). */
     uint32_t shortCount = 0;
     /** Flat entry of the CALLed routine; -1 = none (or empty). */
@@ -157,6 +156,8 @@ struct FastSeq
     uint64_t stageAdd = 0;
     /** Level-1 memory accesses (pushes + successor pop). */
     uint32_t level1Add = 0;
+    /** The successor is popped from the operand stack (INTERP-Stack). */
+    bool stackNext = false;
     /** Inline cache: last successor DIR address resolved at this
      *  INTERP site, and the DTB entry index it hit. icTag ~0 never
      *  matches a pc (halt is handled before the next lookup). */
@@ -213,7 +214,7 @@ struct FastTraceStep
 struct FastTrace
 {
     /** EntryMeta::gen of the trace-cache entry this lowering matches. */
-    uint32_t gen = 0;
+    uint64_t gen = 0;
     bool loops = false;
     uint64_t exitAddr = 0;
     /** prevPc_ when a non-looping trace runs off its last step. */

@@ -14,6 +14,7 @@
 #include "psder/staging.hh"
 #include "support/logging.hh"
 #include "uhm/machine.hh"
+#include "uhm/run_image.hh"
 #include "workload/samples.hh"
 #include "workload/synthetic.hh"
 
@@ -47,12 +48,11 @@ smallDtb()
 TEST(Dtb, MissThenHitAfterInsert)
 {
     Dtb dtb(smallDtb());
-    EXPECT_FALSE(dtb.lookup(100).hit);
+    EXPECT_EQ(dtb.lookup(100), Dtb::npos);
     EXPECT_TRUE(dtb.insert(100, fakeCode(3, 7)).retained);
-    Dtb::LookupResult lr = dtb.lookup(100);
-    ASSERT_TRUE(lr.hit);
-    ASSERT_NE(lr.code, nullptr);
-    EXPECT_EQ(*lr.code, fakeCode(3, 7));
+    uint32_t idx = dtb.lookup(100);
+    ASSERT_NE(idx, Dtb::npos);
+    EXPECT_EQ(dtb.payloadAt(idx), fakeCode(3, 7));
     EXPECT_EQ(dtb.hits(), 1u);
     EXPECT_EQ(dtb.misses(), 1u);
 }
@@ -62,9 +62,9 @@ TEST(Dtb, DistinctAddressesDoNotAlias)
     Dtb dtb(smallDtb());
     dtb.insert(1, fakeCode(2, 10));
     dtb.insert(2, fakeCode(2, 20));
-    EXPECT_EQ(*dtb.lookup(1).code, fakeCode(2, 10));
-    EXPECT_EQ(*dtb.lookup(2).code, fakeCode(2, 20));
-    EXPECT_FALSE(dtb.lookup(3).hit);
+    EXPECT_EQ(dtb.payloadAt(dtb.lookup(1)), fakeCode(2, 10));
+    EXPECT_EQ(dtb.payloadAt(dtb.lookup(2)), fakeCode(2, 20));
+    EXPECT_EQ(dtb.lookup(3), Dtb::npos);
 }
 
 TEST(Dtb, GeometryFollowsConfig)
@@ -113,11 +113,11 @@ TEST(Dtb, LruEvictionWithinFullyAssociativeSet)
     for (uint64_t a = 0; a < 4; ++a)
         dtb.insert(a, fakeCode(2, int64_t(a)));
     // Touch 0 so 1 is the LRU entry.
-    EXPECT_TRUE(dtb.lookup(0).hit);
+    EXPECT_NE(dtb.lookup(0), Dtb::npos);
     dtb.insert(99, fakeCode(2, 99));
-    EXPECT_TRUE(dtb.lookup(0).hit);
-    EXPECT_FALSE(dtb.lookup(1).hit); // evicted
-    EXPECT_TRUE(dtb.lookup(99).hit);
+    EXPECT_NE(dtb.lookup(0), Dtb::npos);
+    EXPECT_EQ(dtb.lookup(1), Dtb::npos); // evicted
+    EXPECT_NE(dtb.lookup(99), Dtb::npos);
     EXPECT_GE(dtb.evictions(), 1u);
 }
 
@@ -126,6 +126,27 @@ TEST(Dtb, SetMappingIsStable)
     Dtb dtb(smallDtb());
     EXPECT_EQ(dtb.setOf(1234), dtb.setOf(1234));
     EXPECT_LT(dtb.setOf(1234), dtb.numSets());
+}
+
+TEST(Dtb, GenerationDoesNotWrapAt32Bits)
+{
+    DtbConfig cfg;
+    cfg.capacityBytes = 8; // one 4-instruction unit: one entry
+    cfg.assoc = 1;
+    cfg.unitShortInstrs = 4;
+    cfg.allowOverflow = false;
+    Dtb dtb(cfg);
+    ASSERT_EQ(dtb.numEntries(), 1u);
+    Dtb::InsertOutcome first = dtb.insert(1, fakeCode(2, 1));
+    ASSERT_TRUE(first.retained);
+    // As if the slot had been refilled 2^32 - 1 times.
+    dtb.metaAt(first.entryIdx).gen = UINT32_MAX;
+    Dtb::InsertOutcome again = dtb.insert(2, fakeCode(2, 2));
+    ASSERT_TRUE(again.evicted);
+    ASSERT_EQ(again.entryIdx, first.entryIdx);
+    EXPECT_EQ(dtb.metaAt(again.entryIdx).gen, uint64_t{1} << 32);
+    // A default-constructed lowering never validates against it.
+    EXPECT_NE(dtb.metaAt(again.entryIdx).gen, FastSeq{}.gen);
 }
 
 // ---- allocation units and the overflow area --------------------------------
@@ -137,9 +158,9 @@ TEST(Dtb, LongTranslationConsumesOverflowBlocks)
     // 10 instrs at unit 4 -> 3 units -> 2 overflow blocks.
     EXPECT_TRUE(dtb.insert(5, fakeCode(10, 1)).retained);
     EXPECT_EQ(dtb.overflowFree(), free_before - 2);
-    Dtb::LookupResult lr = dtb.lookup(5);
-    ASSERT_TRUE(lr.hit);
-    EXPECT_EQ(lr.units, 3u);
+    uint32_t idx = dtb.lookup(5);
+    ASSERT_NE(idx, Dtb::npos);
+    EXPECT_EQ(dtb.metaAt(idx).units, 3u);
 }
 
 TEST(Dtb, EvictionReleasesOverflowBlocks)
@@ -162,7 +183,7 @@ TEST(Dtb, EvictionReleasesOverflowBlocks)
     // Next insert evicts entry 1 (LRU) and frees its blocks.
     EXPECT_TRUE(dtb.insert(5, fakeCode(2, 5)).retained);
     EXPECT_EQ(dtb.overflowFree(), 4u);
-    EXPECT_FALSE(dtb.lookup(1).hit);
+    EXPECT_EQ(dtb.lookup(1), Dtb::npos);
 }
 
 TEST(Dtb, OverflowExhaustionRejectsButDoesNotBreak)
@@ -178,7 +199,7 @@ TEST(Dtb, OverflowExhaustionRejectsButDoesNotBreak)
     EXPECT_TRUE(dtb.insert(1, fakeCode(12, 1)).retained);  // takes both blocks
     EXPECT_FALSE(dtb.insert(2, fakeCode(12, 2)).retained); // rejected
     EXPECT_GE(dtb.rejects(), 1u);
-    EXPECT_FALSE(dtb.lookup(2).hit);
+    EXPECT_EQ(dtb.lookup(2), Dtb::npos);
     // Short translations still insert fine.
     EXPECT_TRUE(dtb.insert(3, fakeCode(3, 3)).retained);
 }
@@ -217,8 +238,8 @@ TEST(Dtb, RejectedInsertPreservesResidentVictim)
 
     // Every resident entry — the would-be victim included — still hits.
     for (uint64_t a = 1; a <= 6; ++a)
-        EXPECT_TRUE(dtb.lookup(a).hit) << "entry " << a;
-    EXPECT_FALSE(dtb.lookup(7).hit);
+        EXPECT_NE(dtb.lookup(a), Dtb::npos) << "entry " << a;
+    EXPECT_EQ(dtb.lookup(7), Dtb::npos);
 }
 
 TEST(Dtb, EvictionCountsVictimBlocksTowardOverflow)
@@ -241,7 +262,7 @@ TEST(Dtb, EvictionCountsVictimBlocksTowardOverflow)
     for (uint64_t a = 2; a <= 4; ++a)
         ASSERT_TRUE(dtb.insert(a, fakeCode(2, int64_t(a))).retained);
     for (uint64_t a = 2; a <= 4; ++a)
-        ASSERT_TRUE(dtb.lookup(a).hit);
+        ASSERT_NE(dtb.lookup(a), Dtb::npos);
     ASSERT_EQ(dtb.overflowFree(), 0u);
 
     // E needs 2 overflow blocks; none are free, but evicting A releases
@@ -251,8 +272,8 @@ TEST(Dtb, EvictionCountsVictimBlocksTowardOverflow)
     EXPECT_TRUE(out.evicted);
     EXPECT_EQ(out.victimTag, 1u);
     EXPECT_EQ(out.unitsNeeded, 3u);
-    EXPECT_FALSE(dtb.lookup(1).hit);
-    EXPECT_TRUE(dtb.lookup(5).hit);
+    EXPECT_EQ(dtb.lookup(1), Dtb::npos);
+    EXPECT_NE(dtb.lookup(5), Dtb::npos);
     EXPECT_EQ(dtb.overflowFree(), 2u);
 }
 
@@ -271,8 +292,8 @@ TEST(Dtb, InvalidateAllEmptiesBufferAndRestoresOverflow)
     dtb.insert(1, fakeCode(10, 1));
     dtb.insert(2, fakeCode(2, 2));
     dtb.invalidateAll();
-    EXPECT_FALSE(dtb.lookup(1).hit);
-    EXPECT_FALSE(dtb.lookup(2).hit);
+    EXPECT_EQ(dtb.lookup(1), Dtb::npos);
+    EXPECT_EQ(dtb.lookup(2), Dtb::npos);
     EXPECT_EQ(dtb.overflowFree(), dtb.overflowTotal());
 }
 
@@ -342,9 +363,9 @@ TEST_F(TranslatorFixture, TranslationsRoundTripThroughDtb)
         uint64_t addr = image_->bitAddrOf(i);
         Translation tr = translator.translate(addr);
         ASSERT_TRUE(dtb.insert(addr, tr.code).retained);
-        Dtb::LookupResult lr = dtb.lookup(addr);
-        ASSERT_TRUE(lr.hit);
-        EXPECT_EQ(*lr.code, tr.code);
+        uint32_t idx = dtb.lookup(addr);
+        ASSERT_NE(idx, Dtb::npos);
+        EXPECT_EQ(dtb.payloadAt(idx), tr.code);
     }
 }
 

@@ -151,18 +151,11 @@ TEST(ObsMerge, CounterSnapshotsSumPerName)
     EXPECT_EQ(a.at("icache.hits"), 7u);
 }
 
-TEST(ObsMerge, MergedCountersAccumulateRegistries)
+TEST(ObsMerge, MergedCountersAccumulateSnapshots)
 {
-    obs::Counter hits1, hits2;
-    hits1 += 10;
-    hits2 += 32;
-    obs::Registry r1, r2;
-    r1.add("dtb.hits", hits1);
-    r2.add("dtb.hits", hits2);
-
     obs::MergedCounters merged;
-    merged.accumulate(r1);
-    merged.accumulate(r2);
+    merged.accumulate({{"dtb.hits", 10}});
+    merged.accumulate({{"dtb.hits", 32}});
     EXPECT_EQ(merged.shards(), 2u);
     EXPECT_EQ(merged.get("dtb.hits"), 42u);
     EXPECT_EQ(merged.get("dtb.misses"), 0u);
@@ -183,83 +176,6 @@ TEST(ObsMerge, MergeOrderIndependentForCounters)
     backward.accumulate(y);
     backward.accumulate(x);
     EXPECT_EQ(forward.values(), backward.values());
-}
-
-TEST(ObsMerge, EventStreamsMergeByCycleThenShard)
-{
-    using obs::Event;
-    using obs::EventKind;
-    std::vector<std::vector<Event>> shards(3);
-    shards[0] = {{10, 100, 0, EventKind::DtbMiss},
-                 {30, 101, 0, EventKind::DtbHit}};
-    shards[1] = {{10, 200, 0, EventKind::Fetch},
-                 {20, 201, 0, EventKind::Decode}};
-    shards[2] = {};
-
-    std::vector<Event> merged = obs::mergeEventStreams(shards);
-    ASSERT_EQ(merged.size(), 4u);
-    // Cycle 10 tie: shard 0 before shard 1.
-    EXPECT_EQ(merged[0].addr, 100u);
-    EXPECT_EQ(merged[1].addr, 200u);
-    EXPECT_EQ(merged[2].addr, 201u);
-    EXPECT_EQ(merged[3].addr, 101u);
-}
-
-TEST(ObsMerge, EventMergePreservesInShardOrderOnEqualCycles)
-{
-    using obs::Event;
-    using obs::EventKind;
-    std::vector<std::vector<Event>> shards(1);
-    for (uint64_t i = 0; i < 5; ++i)
-        shards[0].push_back({7, i, 0, EventKind::Fetch});
-    std::vector<Event> merged = obs::mergeEventStreams(shards);
-    ASSERT_EQ(merged.size(), 5u);
-    for (uint64_t i = 0; i < 5; ++i)
-        EXPECT_EQ(merged[i].addr, i);
-}
-
-TEST(ObsMerge, EventMergeMatchesBruteForceReference)
-{
-    using obs::Event;
-    using obs::EventKind;
-    // Adversarial shards: many equal cycle stamps across shards, some
-    // empty shards, non-uniform lengths. Deterministic LCG so the case
-    // is reproducible.
-    uint64_t state = 1978;
-    auto next = [&state] {
-        state = state * 6364136223846793005u + 1442695040888963407u;
-        return state >> 33;
-    };
-    std::vector<std::vector<Event>> shards(7);
-    for (size_t sh = 0; sh < shards.size(); ++sh) {
-        size_t n = sh == 3 ? 0 : 20 + next() % 30;
-        uint64_t cycle = 0;
-        for (size_t i = 0; i < n; ++i) {
-            cycle += next() % 3; // frequent ties, in and across shards
-            // addr encodes (shard, in-shard index) so the expected
-            // order is checkable from the merged stream alone.
-            shards[sh].push_back(Event{cycle, sh * 1000 + i, 0,
-                                       EventKind::Fetch});
-        }
-    }
-
-    // Reference: flatten in shard order, then stable-sort by cycle.
-    // Stability turns "shard order in, shard order out" into exactly
-    // the documented tie-break (shard index, then in-shard order).
-    std::vector<Event> expected;
-    for (const auto &shard : shards)
-        expected.insert(expected.end(), shard.begin(), shard.end());
-    std::stable_sort(expected.begin(), expected.end(),
-                     [](const Event &a, const Event &b) {
-                         return a.cycle < b.cycle;
-                     });
-
-    std::vector<Event> merged = obs::mergeEventStreams(shards);
-    ASSERT_EQ(merged.size(), expected.size());
-    for (size_t i = 0; i < merged.size(); ++i) {
-        EXPECT_EQ(merged[i].cycle, expected[i].cycle);
-        EXPECT_EQ(merged[i].addr, expected[i].addr);
-    }
 }
 
 TEST(ObsMerge, MergedHistogramsAccumulateSnapshots)
@@ -296,8 +212,6 @@ TEST(ObsMerge, MergedHistogramsAccumulateSnapshots)
 
 TEST(ObsMerge, EmptyInputsMergeToEmpty)
 {
-    EXPECT_TRUE(obs::mergeEventStreams({}).empty());
-    EXPECT_TRUE(obs::mergeEventStreams({{}, {}}).empty());
     obs::MergedCounters merged;
     EXPECT_EQ(merged.shards(), 0u);
     EXPECT_TRUE(merged.values().empty());

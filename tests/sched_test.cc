@@ -94,15 +94,15 @@ TEST(DtbAsid, EntriesMatchOnlyTheirAddressSpace)
     Dtb dtb(DtbConfig{});
     dtb.setAsid(0);
     dtb.insert(100, tinyCode());
-    EXPECT_TRUE(dtb.lookup(100).hit);
+    EXPECT_NE(dtb.lookup(100), Dtb::npos);
 
     dtb.setAsid(1);
-    EXPECT_FALSE(dtb.lookup(100).hit); // other tenant's entry
+    EXPECT_EQ(dtb.lookup(100), Dtb::npos); // other tenant's entry
     dtb.insert(100, tinyCode());       // same tag, own space
-    EXPECT_TRUE(dtb.lookup(100).hit);
+    EXPECT_NE(dtb.lookup(100), Dtb::npos);
 
     dtb.setAsid(0);
-    EXPECT_TRUE(dtb.lookup(100).hit); // original survives, still matches
+    EXPECT_NE(dtb.lookup(100), Dtb::npos); // original survives, still matches
 }
 
 TEST(DtbAsid, PartitionedSetSpacesAreDisjoint)
@@ -147,8 +147,8 @@ TEST(DtbFlush, ReportsEveryVictimAndEmptiesTheBuffer)
         }
     }
     EXPECT_TRUE(saw_anchor);
-    EXPECT_FALSE(dtb.lookup(100).hit);
-    EXPECT_FALSE(dtb.lookup(200).hit);
+    EXPECT_EQ(dtb.lookup(100), Dtb::npos);
+    EXPECT_EQ(dtb.lookup(200), Dtb::npos);
     // Flush accounting is distinct from capacity-eviction accounting.
     EXPECT_EQ(dtb.flushes(), 1u);
     EXPECT_EQ(dtb.flushedEntries(), 2u);
@@ -260,7 +260,7 @@ TEST(ResetStats, DtbCountersClearButResidencySurvives)
     EXPECT_EQ(dtb.flushedEntries(), 0u);
     EXPECT_EQ(dtb.inserts(), 0u);
     // The translation itself is behavioral state, not statistics.
-    EXPECT_TRUE(dtb.lookup(100).hit);
+    EXPECT_NE(dtb.lookup(100), Dtb::npos);
 }
 
 // ---- the tenant scheduler --------------------------------------------------

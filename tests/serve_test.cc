@@ -353,7 +353,14 @@ TEST(ServeDaemon, ImpossibleGeometryIsABadRequest)
           R"({"verb":"run","program":"fib","dtb_bytes":1})",
           R"({"verb":"run","program":"fib","machine":"tiered",)"
           R"("trace_bytes":1})",
-          R"({"verb":"run","program":"fib","assoc":4294967296})"}) {
+          R"({"verb":"run","program":"fib","assoc":4294967296})",
+          // One byte over the 1 MiB buffer cap, for the DTB, the
+          // icache and the trace cache: refused before allocating.
+          R"({"verb":"run","program":"fib","dtb_bytes":1048577})",
+          R"({"verb":"run","program":"fib","machine":"cached",)"
+          R"("dtb_bytes":1048577})",
+          R"({"verb":"run","program":"fib","machine":"tiered",)"
+          R"("trace_bytes":1048577})"}) {
         SCOPED_TRACE(line);
         serve::Response r = client.call(line);
         EXPECT_FALSE(r.ok);
