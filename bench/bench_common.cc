@@ -1,5 +1,6 @@
 #include "bench_common.hh"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -225,6 +226,46 @@ sweepSampleLines(const SweepPoint &point, const RunResult &r)
 }
 
 } // anonymous namespace
+
+DirProgram
+resolveProgram(const std::string &name, uint64_t seed,
+               std::vector<int64_t> &input, const ProgramLoader &load)
+{
+    if (name == "synthetic")
+        return gridWorkload(2, seed);
+    const std::vector<workload::SampleProgram> &corpus =
+        workload::samplePrograms();
+    if (load && std::none_of(corpus.begin(), corpus.end(),
+                             [&](const workload::SampleProgram &s) {
+                                 return s.name == name;
+                             }))
+        return load(name, input);
+    const workload::SampleProgram &sample = workload::sampleByName(name);
+    input = sample.input;
+    return hlr::compileSource(sample.source);
+}
+
+std::vector<SweepPoint>
+sweepPoints(const std::vector<std::string> &programs,
+            const MachineSettings &settings, uint64_t seed,
+            const ProgramLoader &load)
+{
+    std::vector<std::string> names = programs;
+    if (names.empty()) {
+        for (const workload::SampleProgram &sample :
+             workload::samplePrograms())
+            names.push_back(sample.name);
+    }
+    std::vector<SweepPoint> points(names.size());
+    for (size_t i = 0; i < names.size(); ++i) {
+        points[i].label = names[i];
+        points[i].program =
+            resolveProgram(names[i], seed, points[i].input, load);
+        points[i].scheme = settings.scheme;
+        points[i].config = settings.toConfig();
+    }
+    return points;
+}
 
 SweepReport
 runSweep(SweepRunner &runner, const std::vector<SweepPoint> &points)

@@ -19,6 +19,7 @@
 #define UHM_BENCH_BENCH_COMMON_HH
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <type_traits>
 #include <vector>
@@ -28,6 +29,7 @@
 #include "obs/merge.hh"
 #include "support/pool.hh"
 #include "uhm/machine.hh"
+#include "uhm/settings.hh"
 #include "workload/samples.hh"
 #include "workload/synthetic.hh"
 
@@ -188,7 +190,7 @@ std::vector<RunResult> runConfigs(
     const std::vector<int64_t> &input = {});
 
 // ---------------------------------------------------------------------
-// Multi-program batch sweeps (uhm_cli sweep, tests/sweep_test.cc).
+// Multi-program batch sweeps (uhm_cli sweep, the daemon's sweep verb).
 // ---------------------------------------------------------------------
 
 /** One point of a multi-program batch sweep. */
@@ -221,6 +223,30 @@ struct SweepReport
     /** The raw per-point results, in point order. */
     std::vector<RunResult> results;
 };
+
+/** Loads a program by a name that is not in the corpus (uhm_cli: a
+ *  file path), filling its default input. */
+using ProgramLoader = std::function<DirProgram(
+    const std::string &name, std::vector<int64_t> &input)>;
+
+/**
+ * The program @p name names, its default input in @p input: a corpus
+ * sample, or "synthetic" = gridWorkload(2, @p seed). Any other name
+ * goes to @p load — an unknown sample when there is no loader.
+ */
+DirProgram resolveProgram(const std::string &name, uint64_t seed,
+                          std::vector<int64_t> &input,
+                          const ProgramLoader &load = nullptr);
+
+/**
+ * The points of a batch sweep, one per resolveProgram() of @p programs
+ * in order (empty = the whole sample corpus), each on
+ * @p settings.toConfig() and @p settings.scheme.
+ */
+std::vector<SweepPoint> sweepPoints(
+    const std::vector<std::string> &programs,
+    const MachineSettings &settings, uint64_t seed,
+    const ProgramLoader &load = nullptr);
 
 /** Run every point on the runner's workers and merge the evidence. */
 SweepReport runSweep(SweepRunner &runner,

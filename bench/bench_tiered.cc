@@ -36,32 +36,6 @@ using namespace uhm::bench;
 namespace
 {
 
-/** One corpus entry: a compiled program plus its input. */
-struct CorpusEntry
-{
-    std::string name;
-    DirProgram program;
-    std::vector<int64_t> input;
-};
-
-std::vector<CorpusEntry>
-buildCorpus(uint64_t seed)
-{
-    std::vector<CorpusEntry> corpus;
-    for (const auto &sample : workload::samplePrograms()) {
-        CorpusEntry e;
-        e.name = sample.name;
-        e.program = hlr::compileSource(sample.source);
-        e.input = sample.input;
-        corpus.push_back(std::move(e));
-    }
-    CorpusEntry synth;
-    synth.name = "synthetic";
-    synth.program = gridWorkload(2, seed);
-    corpus.push_back(std::move(synth));
-    return corpus;
-}
-
 /** Corpus-aggregate of one machine configuration. */
 struct AggRow
 {
@@ -122,7 +96,10 @@ try {
             fatal("unknown option '%s'", arg.c_str());
     }
 
-    std::vector<CorpusEntry> corpus = buildCorpus(seed);
+    std::vector<std::string> corpus;
+    for (const auto &sample : workload::samplePrograms())
+        corpus.push_back(sample.name);
+    corpus.push_back("synthetic");
 
     // The grid: hotness thresholds x trace-cache capacities. The
     // baselines (T1/T2/T3 organizations) share the corpus and the
@@ -140,18 +117,17 @@ try {
     // simulation fans out over the runner at once; aggregation below
     // walks the result vector in grid order, keeping the report
     // byte-identical for any job count.
-    std::vector<MachineConfig> configs;
+    std::vector<MachineSettings> configs;
     std::vector<std::string> configNames;
     for (MachineKind kind : baselineKinds) {
-        configs.push_back(makeConfig(kind));
+        configs.push_back(MachineSettings{.kind = kind});
         configNames.push_back(machineKindName(kind));
     }
     for (uint32_t threshold : thresholds) {
         for (uint64_t bytes : traceBytes) {
-            MachineConfig cfg = makeConfig(MachineKind::Tiered);
-            cfg.tier.hotThreshold = threshold;
-            cfg.traceCache.capacityBytes = bytes;
-            configs.push_back(cfg);
+            configs.push_back(MachineSettings{.kind = MachineKind::Tiered,
+                                              .tierThreshold = threshold,
+                                              .traceBytes = bytes});
             configNames.push_back(
                 "tiered t=" + std::to_string(threshold) +
                 " tc=" + std::to_string(bytes));
@@ -159,15 +135,9 @@ try {
     }
 
     std::vector<SweepPoint> points;
-    for (const MachineConfig &cfg : configs) {
-        for (const CorpusEntry &e : corpus) {
-            SweepPoint point;
-            point.label = e.name;
-            point.program = e.program;
-            point.config = cfg;
-            point.input = e.input;
+    for (const MachineSettings &settings : configs) {
+        for (SweepPoint &point : sweepPoints(corpus, settings, seed))
             points.push_back(std::move(point));
-        }
     }
 
     SweepRunner runner(jobsFromArgs(argc, argv));

@@ -25,57 +25,15 @@
  * sample corpus; the pseudo-program "synthetic" adds the phased-loop
  * grid workload, generated from --seed.
  *
- * Sweep options:
- *   --jobs=<n>             worker threads, at most 256 (default: all
- *                          cores)
- *   --seed=<n>             seed for the "synthetic" workload (1978)
- *   --machine=/--encoding= as below, applied to every point
- *   --tier-threshold=/--trace-cap=/--trace-bytes= as below
- *   --out=<file>           write the JSONL report to <file> (stdout)
- *
- * Options:
- *   --machine=<conventional|cached|dtb|dtb2|tiered>  (default dtb)
- *   --encoding=<expanded|packed|contextual|huffman|pair-huffman|
- *               quantized>                      (default huffman)
- *   --input=<comma-separated ints>              (read-statement input)
- *   --dtb-bytes=<n>        DTB buffer capacity  (default 4096)
- *   --assoc=<n>            DTB/cache ways, 0 = full (default 4)
- *   --tier-threshold=<n>   backedges before a trace records (tiered, 8)
- *   --trace-cap=<n>        max DIR instrs per trace (tiered, 64)
- *   --trace-bytes=<n>      trace-cache capacity (tiered, 8192)
- *   Both capacities are at most 1048576 bytes (exit 1 above).
- *   The three tier flags are rejected (exit 1) when --machine is not
- *   tiered — a misspelled machine kind must not silently ignore them.
- *   --tenants=<n>          time-slice n copies of the program (0 = off)
- *   --sched=<rr|prio|feedback>  tenant scheduling policy (default rr)
- *   --quantum-cycles=<n>   nominal slice length in cycles (5000)
- *   --switch-mode=<flush|tag>   shared-DTB handling on a tenant
- *                          switch (default tag)
- *   --partitions=<n>       partition the shared DTB's sets among
- *                          tenants (0/1 = fully shared)
- *   --raise                raise the DIR's semantic level (fuse opcodes)
- *   --disasm               print the DIR disassembly and exit
- *   --emit-asm=<file>      write round-trippable DIR assembly and exit
- *   --emit-bin=<file>      write the binary DIR form and exit
- *   --stats                print the cycle breakdown and the registry
- *                          counter snapshot ("# name = value") after
- *                          the run
- *   --trace                print the INTERP hit/miss trace (DTB kinds),
- *                          rendered from the typed event ring: the
- *                          first 200 lookups, or the ring's tail when
- *                          the run overflows it
- *   --profile[=<file>]     emit a JSONL profile report (phases,
- *                          counters, histograms, ratios) to <file>, or
- *                          to stderr when no file is given; combined
- *                          with --trace the report also carries typed
- *                          event lines. Format: docs/INTERNALS.md
- *   --timeline=<file>      record the typed event trace and write a
- *                          Chrome-trace-event JSON timeline (loadable
- *                          in Perfetto / chrome://tracing; see
- *                          scripts/trace_report.py) to <file>
- *   --sample-interval=<n>  snapshot DTB / trace-cache occupancy and
- *                          hit-rate deltas every <n> cycles into the
- *                          profile report and timeline (0 = off)
+ * `uhm_cli --help` and `uhm_cli sweep --help` list the options
+ * (printMainHelp, printSweepHelp). Both subcommands take the eight
+ * machine settings — --machine, --encoding, --dtb-bytes, --assoc, the
+ * tiered-only --tier-threshold/--trace-cap/--trace-bytes and
+ * --sample-interval — through one parser, uhm::takeSettingsFlags
+ * (src/uhm/settings.hh); a sweep gives every point the same machine.
+ * --trace renders the INTERP trace from the typed event ring: its first
+ * 200 lookups, or the ring's tail when the run overflows it.
+ * --profile's JSONL format is in docs/INTERNALS.md.
  *
  * The program argument may be a sample name, a Contour source file, a
  * DIR assembly file (.dira) or a DIR binary (.dirb).
@@ -108,6 +66,7 @@
 #include "support/pool.hh"
 #include "uhm/machine.hh"
 #include "uhm/profile.hh"
+#include "uhm/settings.hh"
 #include "workload/samples.hh"
 
 namespace
@@ -116,19 +75,8 @@ namespace
 struct Options
 {
     std::string program = "qsort";
-    uhm::MachineKind kind = uhm::MachineKind::Dtb;
-    uhm::EncodingScheme scheme = uhm::EncodingScheme::Huffman;
+    uhm::MachineSettings machine;
     std::vector<int64_t> input;
-    uint64_t dtbBytes = 4096;
-    unsigned assoc = 4;
-    uint32_t tierThreshold = 8;
-    size_t traceCap = 64;
-    uint64_t traceBytes = 8192;
-    /**
-     * First tier-only flag seen on the command line, empty when none:
-     * tier flags on a non-tiered machine are an error, not a no-op.
-     */
-    std::string tierFlagSeen;
     /** Tenant count; 0 = classic single-program run. */
     unsigned tenants = 0;
     uhm::sched::Policy schedPolicy = uhm::sched::Policy::RoundRobin;
@@ -147,39 +95,27 @@ struct Options
     std::string profilePath = "-";
     /** Chrome-trace timeline destination; empty = no timeline. */
     std::string timelinePath;
-    /** Occupancy-sampler interval in cycles; 0 = off. */
-    uint64_t sampleInterval = 0;
     std::string emitAsm;
     std::string emitBin;
 };
 
-uhm::MachineKind
-parseMachine(const std::string &name)
-{
-    if (name == "conventional")
-        return uhm::MachineKind::Conventional;
-    if (name == "cached")
-        return uhm::MachineKind::Cached;
-    if (name == "dtb")
-        return uhm::MachineKind::Dtb;
-    if (name == "dtb2")
-        return uhm::MachineKind::Dtb2;
-    if (name == "tiered")
-        return uhm::MachineKind::Tiered;
-    uhm::fatal("unknown machine kind '%s'", name.c_str());
-}
-
-/** Shared help text for the options both subcommands accept. */
+/** Help text for the machine settings both subcommands accept. */
 constexpr const char *commonOptionsHelp =
     "  --machine=<conventional|cached|dtb|dtb2|tiered>\n"
     "                         machine organization (default dtb)\n"
     "  --encoding=<expanded|packed|contextual|huffman|pair-huffman|\n"
     "              quantized> DIR encoding (default huffman)\n"
+    "  --dtb-bytes=<n>        DTB/icache capacity (default 4096,\n"
+    "                         at most 1048576)\n"
+    "  --assoc=<n>            DTB/icache ways, 0 = full (default 4,\n"
+    "                         at most 1024)\n"
     "  --tier-threshold=<n>   backedges into a resident DTB entry before\n"
     "                         a trace records (tiered only, default 8)\n"
     "  --trace-cap=<n>        max DIR instrs per trace (tiered, 64)\n"
     "  --trace-bytes=<n>      trace-cache capacity in bytes (tiered,\n"
-    "                         default 8192, at most 1048576)\n";
+    "                         default 8192, at most 1048576)\n"
+    "  --sample-interval=<n>  sample DTB/trace-cache occupancy\n"
+    "                         every <n> cycles (0 = off)\n";
 
 void
 printMainHelp(std::FILE *out = stdout)
@@ -195,9 +131,6 @@ printMainHelp(std::FILE *out = stdout)
     std::fputs(commonOptionsHelp, out);
     std::fputs(
         "  --input=<ints>         comma-separated read-statement input\n"
-        "  --dtb-bytes=<n>        DTB buffer capacity (default 4096,\n"
-        "                         at most 1048576)\n"
-        "  --assoc=<n>            DTB/cache ways, 0 = full (default 4)\n"
         "  --tenants=<n>          time-slice n copies of the program\n"
         "                         over one shared DTB (0 = off)\n"
         "  --sched=<rr|prio|feedback>  tenant policy (default rr)\n"
@@ -217,8 +150,6 @@ printMainHelp(std::FILE *out = stdout)
         "  --profile[=<file>]     emit a JSONL profile report\n"
         "  --timeline=<file>      write a Chrome-trace timeline (load\n"
         "                         in Perfetto or chrome://tracing)\n"
-        "  --sample-interval=<n>  sample DTB/trace-cache occupancy\n"
-        "                         every <n> cycles (0 = off)\n"
         "\n"
         "example: uhm_cli run --machine=tiered --timeline=out.json "
         "loops\n",
@@ -240,32 +171,11 @@ printSweepHelp(std::FILE *out = stdout)
         "  --jobs=<n>             worker threads, at most 256 (default:\n"
         "                         all cores)\n"
         "  --seed=<n>             seed for the \"synthetic\" workload\n"
-        "  --sample-interval=<n>  sample DTB/trace-cache occupancy\n"
-        "                         every <n> cycles per point (0 = off)\n"
         "  --out=<file>           write the report to <file> (stdout)\n"
         "\n"
         "example: uhm_cli sweep --machine=tiered --jobs=8 "
         "--out=tiered.jsonl\n",
         out);
-}
-
-uhm::EncodingScheme
-parseEncoding(const std::string &name)
-{
-    for (uhm::EncodingScheme scheme : uhm::allEncodingSchemes()) {
-        if (name == uhm::encodingName(scheme))
-            return scheme;
-    }
-    uhm::fatal("unknown encoding '%s'", name.c_str());
-}
-
-/** @p text of flag @p flag as a uint32_t (range-checked, never wraps:
- *  --assoc=4294967296 would otherwise mean "fully associative"). */
-uint32_t
-parseUint32(const char *flag, const std::string &text)
-{
-    return static_cast<uint32_t>(
-        uhm::parseUintFlag(flag, text, 0, UINT32_MAX));
 }
 
 /** @p text of flag @p flag as a uint64_t: no sign, no trailing
@@ -280,40 +190,18 @@ Options
 parseArgs(int argc, char **argv)
 {
     Options opts;
-    for (int i = 1; i < argc; ++i) {
-        std::string arg = argv[i];
+    std::vector<std::string> args(argv + 1, argv + argc);
+    opts.machine = uhm::takeSettingsFlags(args);
+    for (const std::string &arg : args) {
         auto value = [&](const char *prefix) -> std::string {
             return arg.substr(std::strlen(prefix));
         };
-        if (arg.rfind("--machine=", 0) == 0)
-            opts.kind = parseMachine(value("--machine="));
-        else if (arg.rfind("--encoding=", 0) == 0)
-            opts.scheme = parseEncoding(value("--encoding="));
-        else if (arg.rfind("--input=", 0) == 0)
+        if (arg.rfind("--input=", 0) == 0)
             opts.input = uhm::parseIntListFlag("--input",
                                                value("--input="));
-        else if (arg.rfind("--dtb-bytes=", 0) == 0)
-            opts.dtbBytes = parseUint64("--dtb-bytes",
-                                        value("--dtb-bytes="));
-        else if (arg.rfind("--assoc=", 0) == 0)
-            opts.assoc = parseUint32("--assoc", value("--assoc="));
-        else if (arg.rfind("--tier-threshold=", 0) == 0) {
-            opts.tierThreshold = parseUint32(
-                "--tier-threshold", value("--tier-threshold="));
-            opts.tierFlagSeen = "--tier-threshold";
-        }
-        else if (arg.rfind("--trace-cap=", 0) == 0) {
-            opts.traceCap = parseUint64("--trace-cap",
-                                        value("--trace-cap="));
-            opts.tierFlagSeen = "--trace-cap";
-        }
-        else if (arg.rfind("--trace-bytes=", 0) == 0) {
-            opts.traceBytes = parseUint64("--trace-bytes",
-                                          value("--trace-bytes="));
-            opts.tierFlagSeen = "--trace-bytes";
-        }
         else if (arg.rfind("--tenants=", 0) == 0)
-            opts.tenants = parseUint32("--tenants", value("--tenants="));
+            opts.tenants = static_cast<unsigned>(uhm::parseUintFlag(
+                "--tenants", value("--tenants="), 0, UINT32_MAX));
         else if (arg.rfind("--sched=", 0) == 0) {
             if (!uhm::sched::parsePolicy(value("--sched="),
                                          opts.schedPolicy))
@@ -363,9 +251,6 @@ parseArgs(int argc, char **argv)
         }
         else if (arg.rfind("--timeline=", 0) == 0)
             opts.timelinePath = value("--timeline=");
-        else if (arg.rfind("--sample-interval=", 0) == 0)
-            opts.sampleInterval = parseUint64(
-                "--sample-interval", value("--sample-interval="));
         else if (!arg.empty() && arg[0] == '-') {
             // Usage goes to stderr here: stdout must stay clean (and
             // empty) on a failed invocation so pipelines never mistake
@@ -379,27 +264,18 @@ parseArgs(int argc, char **argv)
     return opts;
 }
 
-/** True if @p name ends with @p suffix. */
-bool
-endsWith(const std::string &name, const std::string &suffix)
-{
-    return name.size() >= suffix.size() &&
-           name.compare(name.size() - suffix.size(), suffix.size(),
-                        suffix) == 0;
-}
-
 /** Resolve the program argument to a DirProgram, whatever its form. */
 uhm::DirProgram
 loadProgram(const std::string &arg, std::vector<int64_t> &default_input)
 {
-    if (endsWith(arg, ".dirb"))
+    if (arg.ends_with(".dirb"))
         return uhm::loadDirProgram(arg);
 
     std::ifstream file(arg);
     if (file) {
         std::ostringstream os;
         os << file.rdbuf();
-        if (endsWith(arg, ".dira"))
+        if (arg.ends_with(".dira"))
             return uhm::parseDirAssembly(os.str());
         return uhm::hlr::compileSource(os.str());
     }
@@ -417,17 +293,12 @@ runSweepCommand(int argc, char **argv)
 {
     unsigned jobs = 0;
     uint64_t seed = 1978;
-    uint64_t sample_interval = 0;
-    uhm::MachineKind kind = uhm::MachineKind::Dtb;
-    uhm::EncodingScheme scheme = uhm::EncodingScheme::Huffman;
-    uhm::tier::TierConfig tier_cfg;
-    uhm::tier::TraceCacheConfig trace_cache_cfg;
-    std::string tier_flag_seen;
     std::string out_path;
     std::vector<std::string> programs;
+    std::vector<std::string> args(argv + 2, argv + argc);
+    const uhm::MachineSettings settings = uhm::takeSettingsFlags(args);
 
-    for (int i = 2; i < argc; ++i) {
-        std::string arg = argv[i];
+    for (const std::string &arg : args) {
         auto value = [&](const char *prefix) -> std::string {
             return arg.substr(std::strlen(prefix));
         };
@@ -436,32 +307,10 @@ runSweepCommand(int argc, char **argv)
                 "--jobs", value("--jobs="), 0, uhm::maxJobs));
         else if (arg.rfind("--seed=", 0) == 0)
             seed = parseUint64("--seed", value("--seed="));
-        else if (arg.rfind("--machine=", 0) == 0)
-            kind = parseMachine(value("--machine="));
-        else if (arg.rfind("--encoding=", 0) == 0)
-            scheme = parseEncoding(value("--encoding="));
-        else if (arg.rfind("--tier-threshold=", 0) == 0) {
-            tier_cfg.hotThreshold = parseUint32(
-                "--tier-threshold", value("--tier-threshold="));
-            tier_flag_seen = "--tier-threshold";
-        }
-        else if (arg.rfind("--trace-cap=", 0) == 0) {
-            tier_cfg.traceCap = parseUint64("--trace-cap",
-                                            value("--trace-cap="));
-            tier_flag_seen = "--trace-cap";
-        }
-        else if (arg.rfind("--trace-bytes=", 0) == 0) {
-            trace_cache_cfg.capacityBytes = parseUint64(
-                "--trace-bytes", value("--trace-bytes="));
-            tier_flag_seen = "--trace-bytes";
-        }
         else if (arg == "--help" || arg == "-h") {
             printSweepHelp();
             return 0;
         }
-        else if (arg.rfind("--sample-interval=", 0) == 0)
-            sample_interval = parseUint64(
-                "--sample-interval", value("--sample-interval="));
         else if (arg.rfind("--out=", 0) == 0)
             out_path = value("--out=");
         else if (!arg.empty() && arg[0] == '-') {
@@ -471,40 +320,16 @@ runSweepCommand(int argc, char **argv)
         else
             programs.push_back(arg);
     }
-    if (!tier_flag_seen.empty() && kind != uhm::MachineKind::Tiered)
-        uhm::fatal("%s only applies to --machine=tiered (got '%s')",
-                   tier_flag_seen.c_str(), uhm::machineKindName(kind));
-    if (programs.empty()) {
-        for (const auto &sample : uhm::workload::samplePrograms())
-            programs.push_back(sample.name);
-    }
-
-    std::vector<uhm::bench::SweepPoint> points;
-    for (const std::string &name : programs) {
-        uhm::bench::SweepPoint point;
-        point.label = name;
-        if (name == "synthetic") {
-            point.program = uhm::bench::gridWorkload(2, seed);
-        } else {
-            point.program = loadProgram(name, point.input);
-        }
-        point.scheme = scheme;
-        point.config.kind = kind;
-        point.config.tier = tier_cfg;
-        point.config.traceCache = trace_cache_cfg;
-        point.config.sampleIntervalCycles = sample_interval;
-        points.push_back(std::move(point));
-    }
-
     uhm::bench::SweepRunner runner(jobs);
-    uhm::bench::SweepReport report =
-        uhm::bench::runSweep(runner, points);
+    const uhm::bench::SweepReport report = uhm::bench::runSweep(
+        runner,
+        uhm::bench::sweepPoints(programs, settings, seed, loadProgram));
 
     uhm::obs::writeTextTo(report.jsonl,
                           out_path.empty() ? "-" : out_path, stdout);
     std::fprintf(stderr, "# sweep: %zu points on %u workers, %llu DIR "
                  "instrs simulated\n",
-                 points.size(), runner.jobs(),
+                 report.results.size(), runner.jobs(),
                  static_cast<unsigned long long>(
                      report.counters.get("machine.dir_instrs")));
     return 0;
@@ -530,17 +355,16 @@ runMultiTenant(const Options &opts, const uhm::DirProgram &prog,
                uhm::MachineConfig cfg)
 {
     namespace sched = uhm::sched;
-    if (opts.kind != uhm::MachineKind::Dtb &&
-        opts.kind != uhm::MachineKind::Tiered)
-        uhm::fatal("--tenants requires --machine=dtb or tiered "
-                   "(got '%s')", uhm::machineKindName(opts.kind));
+    // The scheduler itself refuses a kind that does not dispatch
+    // through a DTB.
+    const uhm::MachineKind kind = opts.machine.kind;
     if (opts.profile)
         uhm::fatal("--profile is per-machine; with --tenants use "
                    "--timeline and --stats");
     if (opts.trace)
         uhm::fatal("--trace is per-machine and not supported with "
                    "--tenants");
-    if (opts.sampleInterval > 0)
+    if (opts.machine.sampleInterval > 0)
         uhm::fatal("--sample-interval is per-machine and not supported "
                    "with --tenants");
 
@@ -551,7 +375,7 @@ runMultiTenant(const Options &opts, const uhm::DirProgram &prog,
     sc.policy = opts.schedPolicy;
     sc.switchMode = opts.switchMode;
     sc.quantumCycles = opts.quantumCycles;
-    sc.scheme = opts.scheme;
+    sc.scheme = opts.machine.scheme;
     sc.machine = cfg;
     sc.profileEvents = !opts.timelinePath.empty();
     if (sc.profileEvents)
@@ -583,8 +407,9 @@ runMultiTenant(const Options &opts, const uhm::DirProgram &prog,
                  "# %s / %s: %zu tenants, policy %s, %s switches, "
                  "quantum %llu; %llu cycles total, %llu switches, "
                  "%llu flushes\n",
-                 uhm::machineKindName(opts.kind),
-                 uhm::encodingName(opts.scheme), sr.tenants.size(),
+                 uhm::machineKindName(kind),
+                 uhm::encodingName(opts.machine.scheme),
+                 sr.tenants.size(),
                  sched::policyName(sc.policy),
                  sched::switchModeName(sc.switchMode),
                  static_cast<unsigned long long>(sc.quantumCycles),
@@ -611,10 +436,9 @@ runMultiTenant(const Options &opts, const uhm::DirProgram &prog,
     if (!opts.timelinePath.empty()) {
         uhm::obs::ProfileData p;
         p.meta.emplace_back("program", opts.program);
-        p.meta.emplace_back("machine",
-                            uhm::machineKindName(opts.kind));
+        p.meta.emplace_back("machine", uhm::machineKindName(kind));
         p.meta.emplace_back("encoding",
-                            uhm::encodingName(opts.scheme));
+                            uhm::encodingName(opts.machine.scheme));
         p.meta.emplace_back("tenants",
                             std::to_string(sr.tenants.size()));
         p.meta.emplace_back("policy", sched::policyName(sc.policy));
@@ -674,24 +498,13 @@ try {
         return 0;
     }
 
-    if (!opts.tierFlagSeen.empty() &&
-        opts.kind != uhm::MachineKind::Tiered)
-        uhm::fatal("%s only applies to --machine=tiered (got '%s')",
-                   opts.tierFlagSeen.c_str(),
-                   uhm::machineKindName(opts.kind));
     if (!opts.schedFlagSeen.empty() && opts.tenants == 0)
         uhm::fatal("%s requires --tenants", opts.schedFlagSeen.c_str());
 
-    auto image = uhm::encodeDir(prog, opts.scheme);
-    uhm::MachineConfig cfg;
-    cfg.kind = opts.kind;
-    cfg.dtb.capacityBytes = opts.dtbBytes;
-    cfg.dtb.assoc = opts.assoc;
-    cfg.icache.capacityBytes = opts.dtbBytes;
-    cfg.icache.assoc = opts.assoc;
-    cfg.tier.hotThreshold = opts.tierThreshold;
-    cfg.tier.traceCap = opts.traceCap;
-    cfg.traceCache.capacityBytes = opts.traceBytes;
+    const uhm::MachineKind kind = opts.machine.kind;
+    const uhm::EncodingScheme scheme = opts.machine.scheme;
+    auto image = uhm::encodeDir(prog, scheme);
+    uhm::MachineConfig cfg = opts.machine.toConfig();
     // The bounded typed-event ring rides along only when the user asked
     // for tracing: --trace renders the DTB kinds' INTERP trace from it,
     // and --profile --trace reports it as event lines. The
@@ -701,13 +514,11 @@ try {
     // enables it too — with a much deeper ring, since a truncated
     // timeline is a lot less useful than a truncated event list.
     cfg.profileEvents =
-        (opts.trace &&
-         (opts.profile || !uhm::decodesEveryInstr(opts.kind))) ||
+        (opts.trace && (opts.profile || !uhm::decodesEveryInstr(kind))) ||
         !opts.timelinePath.empty();
     if (!opts.timelinePath.empty())
         cfg.profileEventCapacity =
             std::max<size_t>(cfg.profileEventCapacity, size_t{1} << 20);
-    cfg.sampleIntervalCycles = opts.sampleInterval;
 
     if (opts.tenants > 0)
         return runMultiTenant(opts, prog, cfg);
@@ -721,19 +532,16 @@ try {
     std::fprintf(stderr,
                  "# %s / %s: %llu DIR instrs, %llu cycles "
                  "(%.2f cycles/instr), image %llu bits\n",
-                 uhm::machineKindName(opts.kind),
-                 uhm::encodingName(opts.scheme),
+                 uhm::machineKindName(kind), uhm::encodingName(scheme),
                  static_cast<unsigned long long>(r.dirInstrs),
                  static_cast<unsigned long long>(r.cycles),
                  r.avgInterpTime(),
                  static_cast<unsigned long long>(image->bitSize()));
-    if (opts.kind == uhm::MachineKind::Dtb ||
-        opts.kind == uhm::MachineKind::Dtb2 ||
-        opts.kind == uhm::MachineKind::Tiered) {
+    if (!uhm::decodesEveryInstr(kind)) {
         std::fprintf(stderr, "# dtb hit ratio %.4f", r.dtbHitRatio);
-        if (opts.kind == uhm::MachineKind::Dtb2)
+        if (kind == uhm::MachineKind::Dtb2)
             std::fprintf(stderr, ", L1 hit ratio %.4f", r.dtbL1HitRatio);
-        if (opts.kind == uhm::MachineKind::Tiered)
+        if (kind == uhm::MachineKind::Tiered)
             std::fprintf(stderr,
                          ", trace coverage %.4f, trace hit ratio %.4f",
                          r.traceCoverage, r.traceHitRatio);
@@ -766,8 +574,8 @@ try {
     }
     uhm::ProfileMeta meta;
     meta.program = opts.program;
-    meta.machine = uhm::machineKindName(opts.kind);
-    meta.encoding = uhm::encodingName(opts.scheme);
+    meta.machine = uhm::machineKindName(kind);
+    meta.encoding = uhm::encodingName(scheme);
     meta.imageBits = image->bitSize();
     if (opts.profile || !opts.timelinePath.empty()) {
         uhm::obs::ProfileData profile = uhm::buildProfile(meta, r);

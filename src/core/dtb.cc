@@ -14,7 +14,7 @@ totalUnits(const DtbConfig &config)
 {
     // Geometry comes from user configuration (CLI flags, wire fields):
     // an impossible one is a user error, not a simulator bug.
-    checkBufferBytes("DTB", config.capacityBytes);
+    checkLimit("DTB", config.capacityBytes, maxBufferBytes, "byte");
     if (config.unitShortInstrs < 1)
         fatal("DTB unit of allocation is empty");
     // Round the unit size *up* to whole bytes: flooring would undersize
@@ -55,6 +55,7 @@ geometryOf(const DtbConfig &config)
     if (g.assoc > g.entries)
         fatal("DTB associativity %u exceeds its %llu entries", g.assoc,
               static_cast<unsigned long long>(g.entries));
+    checkLimit("DTB", g.assoc, maxWays, "way");
     uint64_t sets = g.entries / g.assoc;
     g.partitions = config.numPartitions;
     if (g.partitions > sets)

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "support/flags.hh"
 #include "support/logging.hh"
 
 namespace uhm
@@ -41,6 +42,12 @@ allEncodingSchemes()
         EncodingScheme::Quantized,
     };
     return all;
+}
+
+bool
+parseEncodingScheme(const std::string &name, EncodingScheme &out)
+{
+    return parseByName(name, allEncodingSchemes(), encodingName, out);
 }
 
 void

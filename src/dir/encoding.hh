@@ -65,6 +65,9 @@ constexpr size_t numEncodingSchemes =
 /** Human-readable scheme name. */
 const char *encodingName(EncodingScheme scheme);
 
+/** The scheme encodingName() names @p name; @return false if none. */
+bool parseEncodingScheme(const std::string &name, EncodingScheme &out);
+
 /** All schemes, for parameterized tests and sweeps. */
 const std::vector<EncodingScheme> &allEncodingSchemes();
 

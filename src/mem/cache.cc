@@ -12,7 +12,7 @@ SetAssocCache::SetAssocCache(const CacheConfig &config)
 {
     // Geometry comes from user configuration (CLI flags, wire fields):
     // an impossible one is a user error, not a simulator bug.
-    checkBufferBytes("cache", config.capacityBytes);
+    checkLimit("cache", config.capacityBytes, maxBufferBytes, "byte");
     if (config.lineBytes < 1)
         fatal("cache line size must be positive");
     if (config.capacityBytes < config.lineBytes)
@@ -27,6 +27,7 @@ SetAssocCache::SetAssocCache(const CacheConfig &config)
     if (assoc_ > num_lines)
         fatal("cache associativity %u exceeds its %llu lines", assoc_,
               static_cast<unsigned long long>(num_lines));
+    checkLimit("cache", assoc_, maxWays, "way");
     numSets_ = num_lines / assoc_;
     uhm_assert(numSets_ >= 1, "no sets");
     pow2_ = std::has_single_bit(config.lineBytes) &&

@@ -64,14 +64,24 @@ replPolicyName(ReplPolicy policy)
  */
 inline constexpr uint64_t maxBufferBytes = uint64_t{1} << 20;
 
-/** Reject a @p what capacity of @p bytes above maxBufferBytes. */
+/**
+ * Most ways per set the same structures accept. A probe scans its
+ * whole set, so 98,304 ways (a full DTB at maxBufferBytes) make every
+ * miss thousands of times dearer. The widest committed geometry has
+ * 768.
+ */
+inline constexpr uint64_t maxWays = 1024;
+
+/** Reject @p count of a @p unit above @p limit: "DTB of 98304 ways
+ *  exceeds the 1024-way limit". */
 inline void
-checkBufferBytes(const char *what, uint64_t bytes)
+checkLimit(const char *what, uint64_t count, uint64_t limit,
+           const char *unit)
 {
-    if (bytes > maxBufferBytes)
-        fatal("%s of %llu bytes exceeds the %llu-byte limit", what,
-              static_cast<unsigned long long>(bytes),
-              static_cast<unsigned long long>(maxBufferBytes));
+    if (count > limit)
+        fatal("%s of %llu %ss exceeds the %llu-%s limit", what,
+              static_cast<unsigned long long>(count), unit,
+              static_cast<unsigned long long>(limit), unit);
 }
 
 /** The use clock of one set-associative structure. */

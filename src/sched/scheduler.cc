@@ -4,6 +4,7 @@
 #include <cstdio>
 
 #include "obs/registry.hh"
+#include "support/flags.hh"
 #include "support/logging.hh"
 
 namespace uhm::sched
@@ -37,16 +38,9 @@ policyName(Policy policy)
 bool
 parsePolicy(const std::string &name, Policy &out)
 {
-    if (name == "rr") {
-        out = Policy::RoundRobin;
-    } else if (name == "prio") {
-        out = Policy::Priority;
-    } else if (name == "feedback") {
-        out = Policy::MissFeedback;
-    } else {
-        return false;
-    }
-    return true;
+    static constexpr Policy policies[] = {
+        Policy::RoundRobin, Policy::Priority, Policy::MissFeedback};
+    return parseByName(name, policies, policyName, out);
 }
 
 const char *
@@ -62,14 +56,9 @@ switchModeName(SwitchMode mode)
 bool
 parseSwitchMode(const std::string &name, SwitchMode &out)
 {
-    if (name == "flush") {
-        out = SwitchMode::FlushOnSwitch;
-    } else if (name == "tag") {
-        out = SwitchMode::TagAndShare;
-    } else {
-        return false;
-    }
-    return true;
+    static constexpr SwitchMode modes[] = {SwitchMode::FlushOnSwitch,
+                                           SwitchMode::TagAndShare};
+    return parseByName(name, modes, switchModeName, out);
 }
 
 uint64_t

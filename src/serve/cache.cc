@@ -6,7 +6,6 @@
 #include "hlr/compiler.hh"
 #include "support/hash.hh"
 #include "support/logging.hh"
-#include "workload/samples.hh"
 
 namespace uhm::serve
 {
@@ -40,21 +39,13 @@ SessionCache::build(const Request &req, const std::string &key)
     auto session = std::make_shared<Session>();
     session->key = key;
     session->keyHash = fnv1a(key.data(), key.size());
-    if (!req.source.empty()) {
-        session->label = req.program;
-        session->program = hlr::compileSource(req.source);
-    } else if (req.program == "synthetic") {
-        session->label = "synthetic";
-        // The same generator call uhm_cli's sweep subcommand makes, so
-        // a served synthetic run diffs clean against a cold sweep.
-        session->program = bench::gridWorkload(2, req.seed);
-    } else {
-        const workload::SampleProgram &sample =
-            workload::sampleByName(req.program);
-        session->label = sample.name;
-        session->defaultInput = sample.input;
-        session->program = hlr::compileSource(sample.source);
-    }
+    session->label = req.program;
+    // The sweep harness's resolution, so a served run of a sample or of
+    // "synthetic" diffs clean against a cold sweep.
+    session->program = req.source.empty() ?
+        bench::resolveProgram(req.program, req.seed,
+                              session->defaultInput) :
+        hlr::compileSource(req.source);
     session->image = encodeDir(session->program, req.machine.scheme);
     session->machine = std::make_unique<Machine>(
         *session->image, req.machine.toConfig());

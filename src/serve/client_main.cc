@@ -233,8 +233,9 @@ printResponse(const Options &opts, const uhm::serve::Response &r)
         if (!out)
             uhm::fatal("cannot open '%s'", opts.outPath.c_str());
         out << r.payload;
-    } else if (opts.verb == "sweep" || opts.verb == "stats" ||
-               opts.verb == "metrics") {
+    } else if (const std::string verb = r.doc.find("verb")->string;
+               verb == "sweep" || verb == "stats" || verb == "metrics") {
+        // The answered verb, not --verb, which --json leaves at "run".
         std::fputs(r.payload.c_str(), stdout);
     } else {
         std::fputs(r.payload.c_str(), stderr);

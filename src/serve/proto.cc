@@ -2,8 +2,11 @@
 
 #include <cctype>
 #include <cstdio>
+#include <limits>
 
+#include "support/flags.hh"
 #include "support/json.hh"
+#include "support/logging.hh"
 
 namespace uhm::serve
 {
@@ -280,36 +283,198 @@ class JsonParser
 };
 
 // ---------------------------------------------------------------------
-// Request-field helpers.
+// Request fields: the verbs that read each one, and how it is read.
 // ---------------------------------------------------------------------
 
-bool
-parseMachineKind(const std::string &name, MachineKind &out)
+constexpr Verb allVerbs[] = {
+    Verb::Ping,    Verb::Compile, Verb::Encode,   Verb::Run,
+    Verb::Profile, Verb::Sweep,   Verb::Stats,    Verb::Shutdown,
+    Verb::Metrics,
+};
+
+/** @p verb's bit in a set of verbs. */
+constexpr uint32_t
+verbBit(Verb verb)
 {
-    static constexpr MachineKind kinds[] = {
-        MachineKind::Conventional, MachineKind::Cached,
-        MachineKind::Dtb,          MachineKind::Dtb2,
-        MachineKind::Tiered,
-    };
-    for (MachineKind kind : kinds) {
-        if (name == machineKindName(kind)) {
-            out = kind;
-            return true;
-        }
-    }
-    return false;
+    return uint32_t{1} << static_cast<unsigned>(verb);
+}
+
+constexpr uint32_t anyVerb = (verbBit(Verb::Metrics) << 1) - 1;
+constexpr uint32_t runVerbs = verbBit(Verb::Run) | verbBit(Verb::Profile);
+constexpr uint32_t programVerbs =
+    verbBit(Verb::Compile) | verbBit(Verb::Encode) | runVerbs;
+constexpr uint32_t settingsVerbs = programVerbs | verbBit(Verb::Sweep);
+
+// Each reader stores a field's value and returns "", or returns what is
+// wrong with the value.
+
+std::string
+readString(const JsonValue &v, std::string &into)
+{
+    if (v.kind != JsonValue::Kind::String)
+        return "must be a string";
+    into = v.string;
+    return "";
+}
+
+/** A value too wide for @p into must not wrap: assoc 2^32 would mean
+ *  "fully associative". */
+template <typename T>
+std::string
+readUint(const JsonValue &v, T &into)
+{
+    if (v.kind != JsonValue::Kind::Int || v.integer < 0)
+        return "must be a non-negative integer";
+    if (static_cast<uint64_t>(v.integer) > std::numeric_limits<T>::max())
+        return "must be at most " +
+            std::to_string(std::numeric_limits<T>::max());
+    into = static_cast<T>(v.integer);
+    return "";
+}
+
+std::string
+readBool(const JsonValue &v, bool &into)
+{
+    if (v.kind != JsonValue::Kind::Bool)
+        return "must be a boolean";
+    into = v.boolean;
+    return "";
+}
+
+/** A string that @p parse maps to one of @p what. */
+template <typename T>
+std::string
+readName(const JsonValue &v, bool (*parse)(const std::string &, T &),
+         const char *what, T &into)
+{
+    if (v.kind == JsonValue::Kind::String && parse(v.string, into))
+        return "";
+    return std::string("must name ") + what +
+        (v.kind == JsonValue::Kind::String ? ", not '" + v.string + "'"
+                                            : "");
 }
 
 bool
-parseEncodingScheme(const std::string &name, EncodingScheme &out)
+parseFormat(const std::string &name, std::string &into)
 {
-    for (EncodingScheme scheme : allEncodingSchemes()) {
-        if (name == encodingName(scheme)) {
-            out = scheme;
-            return true;
-        }
+    into = name;
+    return name == "json" || name == "prometheus";
+}
+
+/** An array of @p kind elements, each read as its @p member. */
+template <typename T>
+std::string
+readArray(const JsonValue &v, JsonValue::Kind kind, T JsonValue::*member,
+          const char *what, std::vector<T> &into)
+{
+    into.clear();
+    for (const JsonValue &element : v.array) {
+        if (element.kind != kind)
+            break;
+        into.push_back(element.*member);
     }
-    return false;
+    if (v.kind == JsonValue::Kind::Array && into.size() == v.array.size())
+        return "";
+    return std::string("must be an array of ") + what;
+}
+
+/**
+ * One request field: the verbs that read it, exactly as the server's
+ * handlers do (server.cc), and its reader. A field the verb does not
+ * read is a bad_request.
+ */
+struct Field
+{
+    const char *name;
+    uint32_t verbs;
+    std::string (*read)(const JsonValue &v, Request &r);
+    /** Tier-only machine setting (checkTierOnly). */
+    bool tierOnly = false;
+};
+
+const Field fields[] = {
+    {"id", anyVerb, [](auto &v, auto &r) { return readUint(v, r.id); }},
+    {"verb", anyVerb,
+     [](auto &v, auto &r) {
+         return readName(v, parseVerb, "a verb", r.verb);
+     }},
+    {"program", programVerbs,
+     [](auto &v, auto &r) { return readString(v, r.program); }},
+    {"source", programVerbs,
+     [](auto &v, auto &r) { return readString(v, r.source); }},
+    {"seed", settingsVerbs,
+     [](auto &v, auto &r) { return readUint(v, r.seed); }},
+    {"input", runVerbs,
+     [](auto &v, auto &r) {
+         r.inputGiven = true;
+         return readArray(v, JsonValue::Kind::Int, &JsonValue::integer,
+                          "integers", r.input);
+     }},
+    {"programs", verbBit(Verb::Sweep),
+     [](auto &v, auto &r) {
+         return readArray(v, JsonValue::Kind::String, &JsonValue::string,
+                          "names", r.programs);
+     }},
+    {"machine", settingsVerbs,
+     [](auto &v, auto &r) {
+         return readName(v, parseMachineKind, "a machine kind",
+                         r.machine.kind);
+     }},
+    {"encoding", settingsVerbs,
+     [](auto &v, auto &r) {
+         return readName(v, parseEncodingScheme, "an encoding",
+                         r.machine.scheme);
+     }},
+    {"dtb_bytes", settingsVerbs,
+     [](auto &v, auto &r) { return readUint(v, r.machine.dtbBytes); }},
+    {"assoc", settingsVerbs,
+     [](auto &v, auto &r) { return readUint(v, r.machine.assoc); }},
+    {"tier_threshold", settingsVerbs,
+     [](auto &v, auto &r) { return readUint(v, r.machine.tierThreshold); },
+     true},
+    {"trace_cap", settingsVerbs,
+     [](auto &v, auto &r) { return readUint(v, r.machine.traceCap); },
+     true},
+    {"trace_bytes", settingsVerbs,
+     [](auto &v, auto &r) { return readUint(v, r.machine.traceBytes); },
+     true},
+    {"sample_interval", settingsVerbs,
+     [](auto &v, auto &r) {
+         return readUint(v, r.machine.sampleInterval);
+     }},
+    {"disasm", verbBit(Verb::Compile) | verbBit(Verb::Encode),
+     [](auto &v, auto &r) { return readBool(v, r.disasm); }},
+    {"profile", runVerbs,
+     [](auto &v, auto &r) { return readBool(v, r.profile); }},
+    {"reset", verbBit(Verb::Stats),
+     [](auto &v, auto &r) { return readBool(v, r.resetStats); }},
+    {"format", verbBit(Verb::Metrics),
+     [](auto &v, auto &r) {
+         return readName(v, parseFormat, "\"json\" or \"prometheus\"",
+                         r.format);
+     }},
+};
+
+const Field *
+findField(const std::string &name)
+{
+    for (const Field &field : fields) {
+        if (name == field.name)
+            return &field;
+    }
+    return nullptr;
+}
+
+/** The verbs in @p verbs, by name: "run, profile". */
+std::string
+verbNames(uint32_t verbs)
+{
+    std::string names;
+    for (Verb verb : allVerbs) {
+        if ((verbs & verbBit(verb)) != 0)
+            names += (names.empty() ? "" : ", ") + std::string(verbName(verb));
+    }
+    return names;
 }
 
 } // anonymous namespace
@@ -334,37 +499,6 @@ parseJson(const std::string &text, JsonValue &out, std::string &err)
     return parser.parseDocument(out);
 }
 
-MachineConfig
-MachineSettings::toConfig() const
-{
-    MachineConfig cfg;
-    cfg.kind = kind;
-    cfg.dtb.capacityBytes = dtbBytes;
-    cfg.dtb.assoc = assoc;
-    cfg.icache.capacityBytes = dtbBytes;
-    cfg.icache.assoc = assoc;
-    cfg.tier.hotThreshold = tierThreshold;
-    cfg.tier.traceCap = traceCap;
-    cfg.traceCache.capacityBytes = traceBytes;
-    cfg.sampleIntervalCycles = sampleInterval;
-    return cfg;
-}
-
-std::string
-MachineSettings::fingerprint() const
-{
-    char buf[192];
-    std::snprintf(buf, sizeof(buf),
-                  "m=%s;e=%s;dtb=%llu;assoc=%u;tt=%u;tc=%zu;"
-                  "tb=%llu;si=%llu",
-                  machineKindName(kind), encodingName(scheme),
-                  static_cast<unsigned long long>(dtbBytes), assoc,
-                  tierThreshold, traceCap,
-                  static_cast<unsigned long long>(traceBytes),
-                  static_cast<unsigned long long>(sampleInterval));
-    return buf;
-}
-
 const char *
 verbName(Verb verb)
 {
@@ -385,18 +519,7 @@ verbName(Verb verb)
 bool
 parseVerb(const std::string &name, Verb &out)
 {
-    static constexpr Verb verbs[] = {
-        Verb::Ping, Verb::Compile, Verb::Encode,   Verb::Run,
-        Verb::Profile, Verb::Sweep, Verb::Stats, Verb::Shutdown,
-        Verb::Metrics,
-    };
-    for (Verb verb : verbs) {
-        if (name == verbName(verb)) {
-            out = verb;
-            return true;
-        }
-    }
-    return false;
+    return parseByName(name, allVerbs, verbName, out);
 }
 
 bool
@@ -410,187 +533,38 @@ parseRequest(const std::string &line, Request &out, std::string &err)
         err = "request must be a JSON object";
         return false;
     }
-
-    auto wantString = [&err](const JsonValue &v, const char *field,
-                             std::string &into) {
-        if (v.kind != JsonValue::Kind::String) {
-            err = std::string("'") + field + "' must be a string";
-            return false;
-        }
-        into = v.string;
-        return true;
-    };
-    auto wantUint = [&err](const JsonValue &v, const char *field,
-                           uint64_t &into) {
-        if (v.kind != JsonValue::Kind::Int || v.integer < 0) {
-            err = std::string("'") + field +
-                "' must be a non-negative integer";
-            return false;
-        }
-        into = static_cast<uint64_t>(v.integer);
-        return true;
-    };
-    // For fields narrower than the wire integer: a value that does not
-    // fit must not silently wrap (assoc 2^32 would mean "fully
-    // associative").
-    auto wantUint32 = [&](const JsonValue &v, const char *field,
-                          uint64_t &into) {
-        if (!wantUint(v, field, into))
-            return false;
-        if (into > UINT32_MAX) {
-            err = std::string("'") + field + "' must be at most " +
-                std::to_string(UINT32_MAX);
-            return false;
-        }
-        return true;
-    };
-    auto wantBool = [&err](const JsonValue &v, const char *field,
-                           bool &into) {
-        if (v.kind != JsonValue::Kind::Bool) {
-            err = std::string("'") + field + "' must be a boolean";
-            return false;
-        }
-        into = v.boolean;
-        return true;
-    };
-
-    bool sawVerb = false;
-    for (const auto &kv : doc.object) {
-        const std::string &key = kv.first;
-        const JsonValue &v = kv.second;
-        if (key == "id") {
-            if (!wantUint(v, "id", out.id))
-                return false;
-        } else if (key == "verb") {
-            std::string name;
-            if (!wantString(v, "verb", name))
-                return false;
-            if (!parseVerb(name, out.verb)) {
-                err = "unknown verb '" + name + "'";
-                return false;
-            }
-            sawVerb = true;
-        } else if (key == "program") {
-            if (!wantString(v, "program", out.program))
-                return false;
-        } else if (key == "source") {
-            if (!wantString(v, "source", out.source))
-                return false;
-        } else if (key == "seed") {
-            if (!wantUint(v, "seed", out.seed))
-                return false;
-        } else if (key == "input") {
-            if (v.kind != JsonValue::Kind::Array) {
-                err = "'input' must be an array of integers";
-                return false;
-            }
-            out.input.clear();
-            for (const JsonValue &element : v.array) {
-                if (element.kind != JsonValue::Kind::Int) {
-                    err = "'input' must be an array of integers";
-                    return false;
-                }
-                out.input.push_back(element.integer);
-            }
-            out.inputGiven = true;
-        } else if (key == "machine") {
-            std::string name;
-            if (!wantString(v, "machine", name))
-                return false;
-            if (!parseMachineKind(name, out.machine.kind)) {
-                err = "unknown machine kind '" + name + "'";
-                return false;
-            }
-        } else if (key == "encoding") {
-            std::string name;
-            if (!wantString(v, "encoding", name))
-                return false;
-            if (!parseEncodingScheme(name, out.machine.scheme)) {
-                err = "unknown encoding '" + name + "'";
-                return false;
-            }
-        } else if (key == "dtb_bytes") {
-            if (!wantUint(v, "dtb_bytes", out.machine.dtbBytes))
-                return false;
-        } else if (key == "assoc") {
-            uint64_t n = 0;
-            if (!wantUint32(v, "assoc", n))
-                return false;
-            out.machine.assoc = static_cast<unsigned>(n);
-        } else if (key == "tier_threshold") {
-            uint64_t n = 0;
-            if (!wantUint32(v, "tier_threshold", n))
-                return false;
-            out.machine.tierThreshold = static_cast<uint32_t>(n);
-            out.tierFieldSeen = "tier_threshold";
-        } else if (key == "trace_cap") {
-            uint64_t n = 0;
-            if (!wantUint(v, "trace_cap", n))
-                return false;
-            out.machine.traceCap = n;
-            out.tierFieldSeen = "trace_cap";
-        } else if (key == "trace_bytes") {
-            if (!wantUint(v, "trace_bytes", out.machine.traceBytes))
-                return false;
-            out.tierFieldSeen = "trace_bytes";
-        } else if (key == "sample_interval") {
-            if (!wantUint(v, "sample_interval",
-                          out.machine.sampleInterval))
-                return false;
-        } else if (key == "profile") {
-            if (!wantBool(v, "profile", out.profile))
-                return false;
-        } else if (key == "disasm") {
-            if (!wantBool(v, "disasm", out.disasm))
-                return false;
-        } else if (key == "reset") {
-            if (!wantBool(v, "reset", out.resetStats))
-                return false;
-        } else if (key == "format") {
-            if (!wantString(v, "format", out.format))
-                return false;
-            if (out.format != "json" && out.format != "prometheus") {
-                err = "'format' must be \"json\" or \"prometheus\" "
-                      "(got '" + out.format + "')";
-                return false;
-            }
-            out.formatGiven = true;
-        } else if (key == "programs") {
-            if (v.kind != JsonValue::Kind::Array) {
-                err = "'programs' must be an array of names";
-                return false;
-            }
-            out.programs.clear();
-            for (const JsonValue &element : v.array) {
-                if (element.kind != JsonValue::Kind::String) {
-                    err = "'programs' must be an array of names";
-                    return false;
-                }
-                out.programs.push_back(element.string);
-            }
-        } else {
+    std::string tier_field;
+    for (const auto &[key, value] : doc.object) {
+        const Field *field = findField(key);
+        if (field == nullptr) {
             err = "unknown field '" + key + "'";
             return false;
         }
+        const std::string bad = field->read(value, out);
+        if (!bad.empty()) {
+            err = "'" + key + "' " + bad;
+            return false;
+        }
+        if (field->tierOnly)
+            tier_field = key;
     }
-    if (!sawVerb) {
+    if (doc.find("verb") == nullptr) {
         err = "missing 'verb'";
         return false;
     }
-    // Tier fields on a non-tiered machine are an error, not a no-op —
-    // exactly the uhm_cli contract for the corresponding flags.
-    if (!out.tierFieldSeen.empty() &&
-        out.machine.kind != MachineKind::Tiered) {
-        err = "'" + out.tierFieldSeen +
-            "' only applies to \"machine\":\"tiered\" (got '" +
-            machineKindName(out.machine.kind) + "')";
-        return false;
+    for (const auto &kv : doc.object) {
+        const Field *field = findField(kv.first);
+        if ((field->verbs & verbBit(out.verb)) == 0) {
+            err = "'" + kv.first + "' is not read by verb " +
+                verbName(out.verb) + " (only by " +
+                verbNames(field->verbs) + ")";
+            return false;
+        }
     }
-    // A payload format on a verb that has no formattable payload is a
-    // typo'd request, not a preference — same contract as tier fields.
-    if (out.formatGiven && out.verb != Verb::Metrics) {
-        err = "'format' only applies to \"verb\":\"metrics\" (got '" +
-            std::string(verbName(out.verb)) + "')";
+    try {
+        checkTierOnly(out.machine, tier_field);
+    } catch (const FatalError &e) {
+        err = e.what();
         return false;
     }
     if (out.verb == Verb::Profile)

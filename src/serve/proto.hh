@@ -11,28 +11,42 @@
  * connection; responses carry the request's `id` and are written in
  * completion order, each as one atomic block.
  *
- * Request grammar (all fields optional unless noted; unknown fields
- * are rejected so a typo cannot silently change a run):
+ * Request grammar ("verb" is required, every other field optional):
  *
  *   {"verb": "ping" | "compile" | "encode" | "run" | "profile" |
- *            "sweep" | "stats" | "shutdown" | "metrics", // required
+ *            "sweep" | "stats" | "shutdown" | "metrics",
  *    "id": <uint>,                 // echoed in the response (default 0)
  *    "program": <sample name | "synthetic">,
  *    "source": <inline Contour source, overrides "program">,
  *    "seed": <uint>,               // "synthetic" generator seed (1978)
  *    "input": [<int>, ...],        // read-statement input
+ *    "programs": [<name>, ...],    // sweep points (default: the corpus)
  *    "machine": "conventional"|"cached"|"dtb"|"dtb2"|"tiered",
  *    "encoding": "expanded"|"packed"|"contextual"|"huffman"|
  *                "pair-huffman"|"quantized",
- *    "dtb_bytes": <uint>, "assoc": <uint>,  // bytes at most 1048576
+ *    "dtb_bytes": <uint>, "assoc": <uint>,  // DTB and icache
  *    "tier_threshold": <uint>, "trace_cap": <uint>,
- *    "trace_bytes": <uint>,        // tiered only, like the CLI; <= 1 MiB
+ *    "trace_bytes": <uint>,        // tiered machine only
  *    "sample_interval": <uint>,
- *    "profile": <bool>,            // run: attach the profile payload
- *    "disasm": <bool>,             // compile: attach the disassembly
- *    "programs": [<name>, ...],    // sweep points (default: the corpus)
- *    "reset": <bool>,              // stats: zero the counters after
+ *    "disasm": <bool>,             // attach the disassembly
+ *    "profile": <bool>,            // attach the profile payload
+ *    "reset": <bool>,              // zero the counters after
  *    "format": "json"|"prometheus"} // metrics payload format
+ *
+ * Every verb reads "id" and "verb"; besides them each reads only
+ *
+ *   compile, encode   program source seed disasm + the eight settings
+ *   run, profile      program source seed input profile + the settings
+ *   sweep             programs seed + the settings (for every point)
+ *   stats             reset
+ *   metrics           format
+ *
+ * where the eight settings are machine through sample_interval
+ * (uhm/settings.hh). Any other field is a bad_request, an unknown one
+ * or one the verb does not read alike: a sweep sent an "input" must not
+ * answer as if it had none. So is a buffer of more than maxBufferBytes
+ * (1 MiB) or maxWays ways (1024; "assoc":0 puts every entry in one
+ * set; mem/replacement.hh), refused before anything is allocated.
  *
  * The metrics verb returns the rolling-window + lifetime aggregates
  * (src/obs/window.hh) as one JSON line ("format":"json", the default)
@@ -79,7 +93,7 @@
 #include <string>
 #include <vector>
 
-#include "uhm/machine.hh"
+#include "uhm/settings.hh"
 
 namespace uhm::serve
 {
@@ -120,42 +134,8 @@ struct JsonValue
 bool parseJson(const std::string &text, JsonValue &out,
                std::string &err);
 
-// ---------------------------------------------------------------------
-// Machine settings: the request fields that select a machine config.
-// ---------------------------------------------------------------------
-
-/**
- * The knobs a request (or the uhm_cli command line) may set on the
- * simulated machine, plus the one mapping from them to a
- * MachineConfig. uhm_cli's single-run path and the server build their
- * configs through this struct so a served run cannot drift from a cold
- * CLI run of the same request.
- */
-struct MachineSettings
-{
-    MachineKind kind = MachineKind::Dtb;
-    EncodingScheme scheme = EncodingScheme::Huffman;
-    uint64_t dtbBytes = 4096;
-    unsigned assoc = 4;
-    uint32_t tierThreshold = 8;
-    size_t traceCap = 64;
-    uint64_t traceBytes = 8192;
-    uint64_t sampleInterval = 0;
-
-    /**
-     * The MachineConfig uhm_cli would build for these settings (the
-     * icache mirrors the DTB sizing knobs, exactly as the CLI does).
-     * Event-tracing fields stay at their defaults; callers layer those
-     * on top.
-     */
-    MachineConfig toConfig() const;
-
-    /**
-     * Stable fingerprint of everything that affects a session's
-     * compiled/warm state — the config half of a session-cache key.
-     */
-    std::string fingerprint() const;
-};
+/** The eight machine settings a request carries (uhm/settings.hh). */
+using uhm::MachineSettings;
 
 // ---------------------------------------------------------------------
 // Requests.
@@ -195,9 +175,6 @@ struct Request
     /** True when the request carried an explicit "input". */
     bool inputGiven = false;
     MachineSettings machine;
-    /** First tier-only field seen (tier flags on a non-tiered machine
-     *  are a bad_request, matching the CLI). Empty = none. */
-    std::string tierFieldSeen;
     bool profile = false;
     bool disasm = false;
     bool resetStats = false;
@@ -205,15 +182,13 @@ struct Request
     std::vector<std::string> programs;
     /** Metrics payload format ("json" or "prometheus"). */
     std::string format = "json";
-    /** True when the request carried an explicit "format" (only legal
-     *  on the metrics verb, like tier fields on a tiered machine). */
-    bool formatGiven = false;
 };
 
 /**
  * Decode one request line. @return false with a human-readable
  * diagnostic in @p err on malformed JSON, an unknown verb, an unknown
- * field, or a field of the wrong type.
+ * field, a field the verb does not read, a field of the wrong type, or
+ * tier settings on a non-tiered machine.
  */
 bool parseRequest(const std::string &line, Request &out,
                   std::string &err);

@@ -12,13 +12,11 @@
 
 #include "bench_common.hh"
 #include "dir/serialize.hh"
-#include "hlr/compiler.hh"
 #include "obs/emit.hh"
 #include "support/hash.hh"
 #include "support/json.hh"
 #include "support/logging.hh"
 #include "uhm/profile.hh"
-#include "workload/samples.hh"
 
 namespace uhm::serve
 {
@@ -315,39 +313,10 @@ Server::startRequest(std::shared_ptr<Pending> p)
             // One sweep request = one pool task; the report is built
             // by a single-worker runner so its bytes match
             // `uhm_cli sweep` for any server parallelism.
-            std::vector<std::string> programs = p->req.programs;
-            if (programs.empty()) {
-                for (const auto &sample : workload::samplePrograms())
-                    programs.push_back(sample.name);
-            }
-            std::vector<bench::SweepPoint> points;
-            for (const std::string &name : programs) {
-                bench::SweepPoint point;
-                point.label = name;
-                if (name == "synthetic") {
-                    point.program =
-                        bench::gridWorkload(2, p->req.seed);
-                } else {
-                    const workload::SampleProgram &sample =
-                        workload::sampleByName(name);
-                    point.input = sample.input;
-                    point.program = hlr::compileSource(sample.source);
-                }
-                point.scheme = p->req.machine.scheme;
-                // Exactly the fields `uhm_cli sweep` sets (it leaves
-                // the DTB geometry at its defaults).
-                point.config.kind = p->req.machine.kind;
-                point.config.tier.hotThreshold =
-                    p->req.machine.tierThreshold;
-                point.config.tier.traceCap = p->req.machine.traceCap;
-                point.config.traceCache.capacityBytes =
-                    p->req.machine.traceBytes;
-                point.config.sampleIntervalCycles =
-                    p->req.machine.sampleInterval;
-                points.push_back(std::move(point));
-            }
             bench::SweepRunner runner(1);
-            bench::SweepReport report = bench::runSweep(runner, points);
+            bench::SweepReport report = bench::runSweep(
+                runner, bench::sweepPoints(p->req.programs,
+                                           p->req.machine, p->req.seed));
             finishRequest(p, ResponseInfo{}, report.jsonl);
             return;
           }

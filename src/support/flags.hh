@@ -39,6 +39,24 @@ std::vector<int64_t> parseIntListFlag(const char *flag,
  */
 double parsePositiveFlag(const char *flag, const std::string &text);
 
+/**
+ * The inverse of a printable-name function: the one of @p values that
+ * @p name_of names @p name, into @p out. @return false when none is.
+ */
+template <typename T, typename Values>
+bool
+parseByName(const std::string &name, const Values &values,
+            const char *(*name_of)(T), T &out)
+{
+    for (T value : values) {
+        if (name == name_of(value)) {
+            out = value;
+            return true;
+        }
+    }
+    return false;
+}
+
 } // namespace uhm
 
 #endif // UHM_SUPPORT_FLAGS_HH

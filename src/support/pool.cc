@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <exception>
 #include <utility>
 
 #include "support/logging.hh"
@@ -127,9 +128,27 @@ void
 parallelFor(ThreadPool &pool, size_t n,
             const std::function<void(size_t)> &fn)
 {
-    for (size_t i = 0; i < n; ++i)
-        pool.submit([&fn, i] { fn(i); });
+    // A throw escaping a worker would end the process: keep the lowest
+    // index's, the one a serial loop raises, and rethrow it here.
+    std::mutex mutex;
+    size_t failed = n;
+    std::exception_ptr error;
+    for (size_t i = 0; i < n; ++i) {
+        pool.submit([&, i] {
+            try {
+                fn(i);
+            } catch (...) {
+                std::lock_guard<std::mutex> lock(mutex);
+                if (i < failed) {
+                    failed = i;
+                    error = std::current_exception();
+                }
+            }
+        });
+    }
     pool.wait();
+    if (error)
+        std::rethrow_exception(error);
 }
 
 } // namespace uhm

@@ -99,7 +99,9 @@ class ThreadPool
 /**
  * Run fn(i) for every i in [0, n) on @p pool's workers and block until
  * all n calls have returned. Indices are claimed in no particular
- * order; fn must confine its writes to index-owned state.
+ * order; fn must confine its writes to index-owned state. If calls
+ * throw, the exception of the lowest such i is rethrown here, after
+ * all n have returned, and the pool stays usable.
  */
 void parallelFor(ThreadPool &pool, size_t n,
                  const std::function<void(size_t)> &fn);

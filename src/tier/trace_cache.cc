@@ -14,7 +14,8 @@ totalUnits(const TraceCacheConfig &config)
 {
     // Geometry comes from user configuration (CLI flags, wire fields):
     // an impossible one is a user error, not a simulator bug.
-    checkBufferBytes("trace cache", config.capacityBytes);
+    checkLimit("trace cache", config.capacityBytes, maxBufferBytes,
+               "byte");
     if (config.unitShortInstrs < 1)
         fatal("trace-cache unit of allocation is empty");
     // Round the unit size up to whole bytes (same argument as the DTB:
@@ -43,6 +44,7 @@ geometryOf(const TraceCacheConfig &config)
     g.entries = totalUnits(config);
     g.assoc = config.assoc == 0 || config.assoc > g.entries ?
         static_cast<unsigned>(g.entries) : config.assoc;
+    checkLimit("trace cache", g.assoc, maxWays, "way");
     return g;
 }
 

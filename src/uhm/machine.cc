@@ -2,6 +2,7 @@
 
 #include <cstdlib>
 
+#include "support/flags.hh"
 #include "support/logging.hh"
 #include "support/wrap.hh"
 
@@ -19,6 +20,15 @@ machineKindName(MachineKind kind)
       case MachineKind::Tiered:       return "tiered";
     }
     return "?";
+}
+
+bool
+parseMachineKind(const std::string &name, MachineKind &out)
+{
+    static constexpr MachineKind kinds[] = {
+        MachineKind::Conventional, MachineKind::Cached, MachineKind::Dtb,
+        MachineKind::Dtb2, MachineKind::Tiered};
+    return parseByName(name, kinds, machineKindName, out);
 }
 
 Machine::Machine(const EncodedDir &image, const MachineConfig &config,

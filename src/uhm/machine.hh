@@ -86,6 +86,9 @@ enum class MachineKind : uint8_t
 /** Printable name of a machine kind. */
 const char *machineKindName(MachineKind kind);
 
+/** The kind machineKindName() names @p name; @return false if none. */
+bool parseMachineKind(const std::string &name, MachineKind &out);
+
 /** Conventional and Cached decode every executed instruction; the DTB
  *  family decodes only on a translation miss. */
 inline bool

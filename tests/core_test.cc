@@ -91,6 +91,26 @@ TEST(Dtb, BadGeometryIsFatal)
     EXPECT_THROW(Dtb{cfg}, FatalError);
 }
 
+TEST(Dtb, WaysAboveTheLimitAreFatal)
+{
+    // 8192 bytes with no overflow area = 1024 entries of 8 bytes: one
+    // fully associative set at the limit is built; one more entry, or
+    // 1025 ways of a larger buffer, is refused before allocating.
+    DtbConfig cfg = smallDtb();
+    cfg.allowOverflow = false;
+    cfg.capacityBytes = 8192;
+    cfg.assoc = 0;
+    EXPECT_EQ(Dtb{cfg}.assoc(), maxWays);
+    cfg.capacityBytes = 8200;
+    EXPECT_THROW(Dtb{cfg}, FatalError);
+    cfg.capacityBytes = maxBufferBytes;
+    EXPECT_THROW(Dtb{cfg}, FatalError);
+    cfg.assoc = 1025;
+    EXPECT_THROW(Dtb{cfg}, FatalError);
+    cfg.assoc = 1024;
+    EXPECT_EQ(Dtb{cfg}.assoc(), 1024u);
+}
+
 TEST(Dtb, FullyAssociativeSingleSet)
 {
     DtbConfig cfg = smallDtb();

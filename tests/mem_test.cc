@@ -393,6 +393,21 @@ TEST(Cache, BadGeometryIsFatal)
     EXPECT_THROW(SetAssocCache{cfg}, FatalError);
 }
 
+TEST(Cache, WaysAboveTheLimitAreFatal)
+{
+    // 1024 lines of 8 bytes in one set is the widest cache built.
+    CacheConfig cfg;
+    cfg.capacityBytes = 8192;
+    cfg.assoc = 0;
+    EXPECT_EQ(SetAssocCache{cfg}.assoc(), maxWays);
+    cfg.capacityBytes = 8200;
+    EXPECT_THROW(SetAssocCache{cfg}, FatalError);
+    cfg.capacityBytes = maxBufferBytes;
+    EXPECT_THROW(SetAssocCache{cfg}, FatalError);
+    cfg.assoc = 1025;
+    EXPECT_THROW(SetAssocCache{cfg}, FatalError);
+}
+
 class CacheAssocSweep : public ::testing::TestWithParam<unsigned>
 {};
 

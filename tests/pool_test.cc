@@ -12,6 +12,7 @@
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -69,6 +70,33 @@ TEST(ThreadPool, ReusableAcrossWaves)
         pool.wait();
         EXPECT_EQ(sum.load(), (wave + 1) * 20);
     }
+}
+
+TEST(ThreadPool, ParallelForRethrowsTheLowestFailingIndex)
+{
+    // A throwing call must not terminate the process: every index
+    // still runs, the lowest failing index's exception reaches the
+    // caller whatever order the workers failed in, and the pool stays
+    // usable.
+    ThreadPool pool(4);
+    for (int round = 0; round < 20; ++round) {
+        std::vector<std::atomic<int>> ran(64);
+        try {
+            parallelFor(pool, ran.size(), [&ran](size_t i) {
+                ran[i].fetch_add(1);
+                if (i % 8 == 5)
+                    throw std::runtime_error(std::to_string(i));
+            });
+            ADD_FAILURE() << "parallelFor swallowed the exceptions";
+        } catch (const std::runtime_error &e) {
+            EXPECT_STREQ(e.what(), "5");
+        }
+        for (const std::atomic<int> &n : ran)
+            EXPECT_EQ(n.load(), 1);
+    }
+    std::atomic<int> sum{0};
+    parallelFor(pool, 10, [&sum](size_t) { sum.fetch_add(1); });
+    EXPECT_EQ(sum.load(), 10);
 }
 
 TEST(ThreadPool, WaitWithNothingSubmittedReturnsImmediately)

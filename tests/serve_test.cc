@@ -23,6 +23,7 @@
 #include "serve/proto.hh"
 #include "serve/server.hh"
 #include "support/hash.hh"
+#include "support/logging.hh"
 #include "uhm/profile.hh"
 #include "workload/samples.hh"
 
@@ -144,6 +145,101 @@ TEST(ServeProto, ParsesRequestsStrictly)
         R"("tier_threshold":4294967296})",
         req, err));
     EXPECT_NE(err.find("tier_threshold"), std::string::npos);
+}
+
+TEST(ServeProto, FieldsTheVerbDoesNotReadAreRejected)
+{
+    serve::Request req;
+    std::string err;
+    // Each verb with every field it reads (a tiered machine, so the
+    // tier fields count) is accepted.
+    const std::string settings =
+        R"("machine":"tiered","encoding":"packed","dtb_bytes":512,)"
+        R"("assoc":2,"tier_threshold":4,"trace_cap":32,)"
+        R"("trace_bytes":1024,"sample_interval":100)";
+    for (const std::string &line :
+         {R"({"id":1,"verb":"compile","program":"fib","source":"x",)"
+          R"("seed":3,"disasm":true,)" + settings + "}",
+          R"({"id":1,"verb":"encode","program":"fib","source":"x",)"
+          R"("seed":3,"disasm":true,)" + settings + "}",
+          R"({"id":1,"verb":"run","program":"fib","source":"x",)"
+          R"("seed":3,"input":[5],"profile":true,)" + settings + "}",
+          R"({"id":1,"verb":"profile","program":"fib","source":"x",)"
+          R"("seed":3,"input":[5],"profile":true,)" + settings + "}",
+          R"({"id":1,"verb":"sweep","programs":["fib"],"seed":3,)" +
+              settings + "}",
+          std::string(R"({"id":1,"verb":"stats","reset":true})"),
+          std::string(R"({"id":1,"verb":"metrics","format":"json"})"),
+          std::string(R"({"id":1,"verb":"ping"})"),
+          std::string(R"({"id":1,"verb":"shutdown"})")}) {
+        SCOPED_TRACE(line);
+        EXPECT_TRUE(serve::parseRequest(line, req, err)) << err;
+    }
+
+    // A field outside its verbs is a bad request naming the field, the
+    // verb and the verbs that do read it — wherever the verb stands.
+    struct Case
+    {
+        const char *line;
+        const char *field;
+    };
+    for (const Case &c :
+         {Case{R"({"verb":"sweep","programs":["fib"],"source":"x"})",
+               "source"},
+          Case{R"({"verb":"sweep","programs":["fib"],"input":[5]})",
+               "input"},
+          Case{R"({"verb":"sweep","programs":["fib"],"disasm":true})",
+               "disasm"},
+          Case{R"({"input":[5],"verb":"sweep"})", "input"},
+          Case{R"({"verb":"compile","program":"fib","input":[5]})",
+               "input"},
+          Case{R"({"verb":"run","program":"fib","programs":["fib"]})",
+               "programs"},
+          Case{R"({"verb":"run","program":"fib","disasm":true})",
+               "disasm"},
+          Case{R"({"verb":"ping","program":"fib"})", "program"},
+          Case{R"({"verb":"shutdown","machine":"dtb"})", "machine"},
+          Case{R"({"verb":"stats","format":"json"})", "format"},
+          Case{R"({"verb":"metrics","reset":true})", "reset"}}) {
+        SCOPED_TRACE(c.line);
+        EXPECT_FALSE(serve::parseRequest(c.line, req, err));
+        EXPECT_EQ(err.rfind(std::string("'") + c.field +
+                                "' is not read by verb ",
+                            0),
+                  0u)
+            << err;
+    }
+    EXPECT_FALSE(serve::parseRequest(
+        R"({"verb":"sweep","input":[5]})", req, err));
+    EXPECT_EQ(err, "'input' is not read by verb sweep (only by run, "
+                   "profile)");
+}
+
+TEST(ServeProto, TierFieldsFailThroughTheSettingsRule)
+{
+    // The wire applies the same rule as uhm_cli run and sweep, naming
+    // the field it was given.
+    for (const char *verb : {"compile", "run", "sweep"}) {
+        for (const char *field :
+             {"tier_threshold", "trace_cap", "trace_bytes"}) {
+            const std::string line = std::string(R"({"verb":")") + verb +
+                R"(","machine":"cached",")" + field + R"(":16})";
+            SCOPED_TRACE(line);
+            serve::Request req;
+            std::string err;
+            EXPECT_FALSE(serve::parseRequest(line, req, err));
+            MachineSettings cached;
+            cached.kind = MachineKind::Cached;
+            std::string rule;
+            try {
+                checkTierOnly(cached, field);
+            } catch (const FatalError &e) {
+                rule = e.what();
+            }
+            EXPECT_EQ(err, rule);
+            EXPECT_NE(err.find(field), std::string::npos);
+        }
+    }
 }
 
 TEST(ServeProto, FingerprintSeparatesConfigs)
@@ -360,7 +456,17 @@ TEST(ServeDaemon, ImpossibleGeometryIsABadRequest)
           R"({"verb":"run","program":"fib","machine":"cached",)"
           R"("dtb_bytes":1048577})",
           R"({"verb":"run","program":"fib","machine":"tiered",)"
-          R"("trace_bytes":1048577})"}) {
+          R"("trace_bytes":1048577})",
+          // Ways above maxWays (1024): a fully associative buffer at
+          // the byte cap, and 1025 ways, on the DTB and the icache.
+          R"({"verb":"run","program":"fib","dtb_bytes":1048576,)"
+          R"("assoc":0})",
+          R"({"verb":"run","program":"fib","dtb_bytes":1048576,)"
+          R"("assoc":1025})",
+          R"({"verb":"run","program":"fib","machine":"cached",)"
+          R"("dtb_bytes":1048576,"assoc":0})",
+          R"({"verb":"run","program":"fib","machine":"cached",)"
+          R"("dtb_bytes":1048576,"assoc":1025})"}) {
         SCOPED_TRACE(line);
         serve::Response r = client.call(line);
         EXPECT_FALSE(r.ok);
@@ -404,29 +510,73 @@ TEST(ServeDaemon, SweepMatchesTheHarnessByteForByte)
     serve::Server server(cfg);
     server.start();
 
+    // The reference report of three points on one DTB geometry, with
+    // every point's config set here by hand.
+    auto reference = [](uint64_t dtb_bytes, unsigned assoc) {
+        std::vector<bench::SweepPoint> points;
+        for (const std::string name : {"collatz", "fib", "synthetic"}) {
+            bench::SweepPoint point;
+            point.label = name;
+            if (name == "synthetic") {
+                point.program = bench::gridWorkload(2, 1978);
+            } else {
+                const workload::SampleProgram &sample =
+                    workload::sampleByName(name);
+                point.input = sample.input;
+                point.program = hlr::compileSource(sample.source);
+            }
+            point.config.dtb.capacityBytes = dtb_bytes;
+            point.config.dtb.assoc = assoc;
+            point.config.icache.capacityBytes = dtb_bytes;
+            point.config.icache.assoc = assoc;
+            points.push_back(std::move(point));
+        }
+        bench::SweepRunner runner(2);
+        return bench::runSweep(runner, points).jsonl;
+    };
+
     serve::Client client(cfg.socketPath);
     serve::Response r = client.call(
         R"({"id":1,"verb":"sweep","programs":["collatz","fib",)"
         R"("synthetic"]})");
     ASSERT_TRUE(r.ok) << r.message;
+    EXPECT_EQ(r.payload, reference(4096, 4));
 
-    // The reference report, built exactly as `uhm_cli sweep` does.
-    std::vector<bench::SweepPoint> points;
-    for (const std::string name : {"collatz", "fib", "synthetic"}) {
-        bench::SweepPoint point;
-        point.label = name;
-        if (name == "synthetic") {
-            point.program = bench::gridWorkload(2, 1978);
-        } else {
-            const workload::SampleProgram &sample =
-                workload::sampleByName(name);
-            point.input = sample.input;
-            point.program = hlr::compileSource(sample.source);
-        }
-        points.push_back(std::move(point));
+    // The sweep honours the DTB geometry it is sent.
+    serve::Response small = client.call(
+        R"({"id":2,"verb":"sweep","programs":["collatz","fib",)"
+        R"("synthetic"],"machine":"dtb","dtb_bytes":512,"assoc":1})");
+    ASSERT_TRUE(small.ok) << small.message;
+    EXPECT_EQ(small.payload, reference(512, 1));
+    EXPECT_NE(small.payload, r.payload);
+
+    server.stop();
+}
+
+TEST(ServeDaemon, SweepWithAnImpossibleGeometryIsABadRequest)
+{
+    // Every sweep point builds its machine on a harness worker; the
+    // geometry error must come back as a bad_request, not end the
+    // daemon.
+    serve::ServerConfig cfg;
+    cfg.socketPath = testSocketPath();
+    cfg.workers = 2;
+    serve::Server server(cfg);
+    server.start();
+
+    serve::Client client(cfg.socketPath);
+    for (const char *line :
+         {R"({"verb":"sweep","programs":["fib"],"dtb_bytes":1048577})",
+          R"({"verb":"sweep","programs":["fib","collatz"],)"
+          R"("dtb_bytes":1048576,"assoc":0})",
+          R"({"verb":"sweep","programs":["fib"],"machine":"tiered",)"
+          R"("trace_bytes":1048577})"}) {
+        SCOPED_TRACE(line);
+        serve::Response r = client.call(line);
+        EXPECT_FALSE(r.ok);
+        EXPECT_EQ(r.error, "bad_request") << r.message;
+        EXPECT_TRUE(client.call(R"({"verb":"ping"})").ok);
     }
-    bench::SweepRunner runner(2);
-    EXPECT_EQ(r.payload, bench::runSweep(runner, points).jsonl);
 
     server.stop();
 }

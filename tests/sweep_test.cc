@@ -183,5 +183,51 @@ TEST(Sweep, GridHelpersAreJobCountInvariant)
     }
 }
 
+TEST(SweepPoints, EveryPointGetsTheSettingsConfig)
+{
+    MachineSettings settings;
+    settings.kind = MachineKind::Cached;
+    settings.scheme = EncodingScheme::Packed;
+    settings.dtbBytes = 512;
+    settings.assoc = 1;
+    settings.sampleInterval = 100;
+    std::vector<std::string> loaded;
+    const ProgramLoader load = [&](const std::string &name,
+                                   std::vector<int64_t> &input) {
+        loaded.push_back(name);
+        input = {7};
+        return hlr::compileSource("program one; begin write 1; end.");
+    };
+    const std::vector<SweepPoint> points =
+        sweepPoints({"fib", "synthetic", "my.ctr"}, settings, 42, load);
+    ASSERT_EQ(points.size(), 3u);
+    // Only a name outside the corpus reaches the loader.
+    EXPECT_EQ(loaded, std::vector<std::string>{"my.ctr"});
+    EXPECT_EQ(points[0].input, workload::sampleByName("fib").input);
+    EXPECT_EQ(points[1].program.size(), gridWorkload(2, 42).size());
+    EXPECT_EQ(points[2].input, std::vector<int64_t>{7});
+    const MachineConfig want = settings.toConfig();
+    for (const SweepPoint &point : points) {
+        EXPECT_EQ(point.scheme, EncodingScheme::Packed);
+        EXPECT_EQ(point.config.kind, want.kind);
+        EXPECT_EQ(point.config.dtb.capacityBytes, 512u);
+        EXPECT_EQ(point.config.dtb.assoc, 1u);
+        EXPECT_EQ(point.config.icache.capacityBytes, 512u);
+        EXPECT_EQ(point.config.icache.assoc, 1u);
+        EXPECT_EQ(point.config.sampleIntervalCycles, 100u);
+    }
+}
+
+TEST(SweepPoints, NoNamesMeansTheCorpusAndNoLoaderMeansSamplesOnly)
+{
+    const std::vector<SweepPoint> points =
+        sweepPoints({}, MachineSettings{}, 1978);
+    ASSERT_EQ(points.size(), workload::samplePrograms().size());
+    for (size_t i = 0; i < points.size(); ++i)
+        EXPECT_EQ(points[i].label, workload::samplePrograms()[i].name);
+    EXPECT_THROW(sweepPoints({"no-such-sample"}, MachineSettings{}, 1978),
+                 FatalError);
+}
+
 } // anonymous namespace
 } // namespace uhm::bench

@@ -112,6 +112,15 @@ TEST(TraceCache, BadGeometryIsFatal)
     EXPECT_THROW(TraceCache{cfg}, FatalError);
 }
 
+TEST(TraceCache, WaysAboveTheLimitAreFatal)
+{
+    EXPECT_EQ(TraceCache{tinyCache(1024)}.assoc(), maxWays);
+    EXPECT_THROW(TraceCache{tinyCache(1025)}, FatalError);
+    TraceCacheConfig cfg = tinyCache(1);
+    cfg.capacityBytes = maxBufferBytes;
+    EXPECT_THROW(TraceCache{cfg}, FatalError);
+}
+
 TEST(TraceCache, SameHeadReinsertReplaces)
 {
     TraceCache cache(tinyCache(4));
