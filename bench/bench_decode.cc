@@ -157,6 +157,18 @@ struct TranslateRow
     double speedup() const { return coldNsPerInstr / memoNsPerInstr; }
 };
 
+/** The translate path without the memo: decode, stage and lower
+ *  @p addr into @p code, as a translator's first miss on it does. */
+size_t
+translateCold(const EncodedDir &image, uint64_t addr,
+              std::vector<ShortInstr> &code)
+{
+    DecodeResult res = image.decodeAt(addr);
+    code.clear();
+    lowerStaging(stageInstruction(res.instr, image, res.index), code);
+    return code.size();
+}
+
 /**
  * Time the repeated-miss translate path: every pass presents every pc
  * to the translator, as a DTB under miss pressure would. The cold
@@ -175,6 +187,7 @@ timeTranslate(const std::vector<DirProgram> &programs, unsigned iters)
     for (const auto &image : images)
         translators.emplace_back(*image);
 
+    std::vector<ShortInstr> scratch;
     auto pass = [&](bool memoized) {
         uint64_t sum = 0;
         for (size_t t = 0; t < translators.size(); ++t) {
@@ -183,7 +196,7 @@ timeTranslate(const std::vector<DirProgram> &programs, unsigned iters)
                 uint64_t addr = image.bitAddrOf(i);
                 sum += memoized ?
                     translators[t].translate(addr).code.size() :
-                    translators[t].translateCold(addr).code.size();
+                    translateCold(image, addr, scratch);
             }
         }
         return sum;

@@ -185,11 +185,11 @@ class AssocArray
     registerCounters(obs::Registry &registry,
                      const std::string &prefix) const
     {
-        registry.add(obs::joinName(prefix, "hits"), hits_);
-        registry.add(obs::joinName(prefix, "misses"), misses_);
-        registry.add(obs::joinName(prefix, "inserts"), inserts_);
-        registry.add(obs::joinName(prefix, "evictions"), evictions_);
-        registry.add(obs::joinName(prefix, "rejects"), rejects_);
+        registry.add(prefix, "hits", hits_);
+        registry.add(prefix, "misses", misses_);
+        registry.add(prefix, "inserts", inserts_);
+        registry.add(prefix, "evictions", evictions_);
+        registry.add(prefix, "rejects", rejects_);
     }
 
     /**

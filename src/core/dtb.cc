@@ -96,11 +96,9 @@ Dtb::registerCounters(obs::Registry &registry,
                       const std::string &prefix) const
 {
     AssocArray::registerCounters(registry, prefix);
-    registry.add(obs::joinName(prefix, "overflow_blocks"),
-                 overflowBlocks_);
-    registry.add(obs::joinName(prefix, "flushes"), flushes_);
-    registry.add(obs::joinName(prefix, "flushed_entries"),
-                 flushedEntries_);
+    registry.add(prefix, "overflow_blocks", overflowBlocks_);
+    registry.add(prefix, "flushes", flushes_);
+    registry.add(prefix, "flushed_entries", flushedEntries_);
 }
 
 std::vector<Dtb::FlushedEntry>
@@ -126,19 +124,18 @@ Dtb::flush(uint64_t now)
     return victims;
 }
 
-std::vector<uint64_t>
-Dtb::residentResidencies(uint64_t now, int64_t asid_filter) const
+void
+Dtb::recordResidencies(uint64_t now, int64_t asid_filter,
+                       obs::Histogram &into) const
 {
-    std::vector<uint64_t> residencies;
     for (uint32_t idx = 0; idx < numEntries(); ++idx) {
         const EntryMeta &m = metaAt(idx);
         if (!m.valid)
             continue;
         if (asid_filter >= 0 && m.asid != static_cast<uint32_t>(asid_filter))
             continue;
-        residencies.push_back(now > m.insertCycle ? now - m.insertCycle : 0);
+        into.record(now > m.insertCycle ? now - m.insertCycle : 0);
     }
-    return residencies;
 }
 
 void

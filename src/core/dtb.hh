@@ -29,6 +29,7 @@
 #define UHM_CORE_DTB_HH
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "core/assoc_array.hh"
@@ -135,7 +136,7 @@ class Dtb : public AssocArray<std::vector<ShortInstr>>
      * residency figures are then 0 rather than wrong.
      */
     InsertOutcome
-    insert(uint64_t dir_addr, const std::vector<ShortInstr> &code,
+    insert(uint64_t dir_addr, std::span<const ShortInstr> code,
            uint64_t now = 0)
     {
         // Most translations fit one unit; skip the divide for them.
@@ -220,14 +221,14 @@ class Dtb : public AssocArray<std::vector<ShortInstr>>
     std::vector<FlushedEntry> flush(uint64_t now);
 
     /**
-     * Residency (now - insertCycle) of every entry still resident, in
-     * entry order — what a halt-time drain feeds the residency
-     * histogram so never-evicted translations are observed too.
-     * @p asid_filter restricts to one ASID; -1 means all. Read-only.
+     * Record the residency (now - insertCycle) of every entry still
+     * resident into @p into, in entry order — the halt-time drain of
+     * the residency histogram, so never-evicted translations are
+     * observed too. @p asid_filter restricts to one ASID; -1 means
+     * all. Read-only on the DTB.
      */
-    std::vector<uint64_t> residentResidencies(uint64_t now,
-                                              int64_t asid_filter = -1)
-        const;
+    void recordResidencies(uint64_t now, int64_t asid_filter,
+                           obs::Histogram &into) const;
 
     /**
      * Flag the resident entry for @p dir_addr as anchoring a tier-2

@@ -18,6 +18,7 @@
 #define UHM_CORE_TRANSLATOR_HH
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "dir/encoding.hh"
@@ -29,8 +30,8 @@ namespace uhm
 /** One translated DIR instruction. */
 struct Translation
 {
-    /** The PSDER short-format sequence. */
-    std::vector<ShortInstr> code;
+    /** The PSDER short-format sequence, held by the translator. */
+    std::span<const ShortInstr> code;
     /** Decode work performed (feeds the paper's d on the miss path). */
     DecodeCost decodeCost;
     /** Encoded length of the DIR instruction in bits (fetch charge). */
@@ -94,15 +95,32 @@ class DecodeMemo
     uint64_t misses_ = 0;
 };
 
-/** Translates DIR instructions to PSDER on DTB misses. */
+/**
+ * Translates DIR instructions to PSDER on DTB misses.
+ *
+ * A translation is a pure function of (image, pc), so each is made
+ * once per translator and memoized by instruction index. Every
+ * translation's code goes into one pool reserved for the longest
+ * possible lowering of every instruction, so translating allocates
+ * nothing and a Translation's code stays put for the translator's
+ * life.
+ */
 class DynamicTranslator
 {
   public:
     /** @param image the static representation (must outlive this). */
     explicit DynamicTranslator(const EncodedDir &image)
-        : image_(&image), valid_(image.numInstrs(), 0),
-          memo_(image.numInstrs())
-    {}
+        : image_(&image), memo_(image.numInstrs())
+    {
+        pool_.reserve(image.numInstrs() * Staging::maxShortInstrs);
+    }
+
+    // Memoized translations point into pool_: a copy would point into
+    // the original's, a move keeps the buffer.
+    DynamicTranslator(const DynamicTranslator &) = delete;
+    DynamicTranslator &operator=(const DynamicTranslator &) = delete;
+    DynamicTranslator(DynamicTranslator &&) = default;
+    DynamicTranslator &operator=(DynamicTranslator &&) = default;
 
     /**
      * Translate the DIR instruction at @p dir_bit_addr.
@@ -116,25 +134,19 @@ class DynamicTranslator
     const Translation &
     translate(uint64_t dir_bit_addr)
     {
-        size_t idx = image_->indexOfBitAddr(dir_bit_addr);
-        if (!valid_[idx]) {
-            memo_[idx] = translateCold(dir_bit_addr);
-            valid_[idx] = 1;
+        Translation &tr = memo_[image_->indexOfBitAddr(dir_bit_addr)];
+        if (tr.code.empty()) {
+            DecodeResult res = image_->decodeAt(dir_bit_addr);
+            const size_t begin = pool_.size();
+            lowerStaging(stageInstruction(res.instr, *image_, res.index),
+                         pool_);
+            uhm_assert(pool_.size() - begin <= Staging::maxShortInstrs,
+                       "translation outgrew its pool share");
+            tr.code = {pool_.data() + begin, pool_.size() - begin};
+            tr.decodeCost = res.cost;
+            tr.bits = res.nextBitAddr - dir_bit_addr;
+            tr.genSteps = tr.code.size();
         }
-        return memo_[idx];
-    }
-
-    /** The unmemoized translation path (benchmarks, tests). */
-    Translation
-    translateCold(uint64_t dir_bit_addr) const
-    {
-        DecodeResult res = image_->decodeAt(dir_bit_addr);
-        Staging st = stageInstruction(res.instr, *image_, res.index);
-        Translation tr;
-        tr.code = lowerStaging(st);
-        tr.decodeCost = res.cost;
-        tr.bits = res.nextBitAddr - dir_bit_addr;
-        tr.genSteps = tr.code.size();
         return tr;
     }
 
@@ -142,8 +154,11 @@ class DynamicTranslator
 
   private:
     const EncodedDir *image_;
-    std::vector<uint8_t> valid_;
+    /** By instruction index; empty code = not translated yet (every
+     *  translation ends in an INTERP). */
     std::vector<Translation> memo_;
+    /** Every translation's code; never reallocated. */
+    std::vector<ShortInstr> pool_;
 };
 
 } // namespace uhm

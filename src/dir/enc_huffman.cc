@@ -33,6 +33,8 @@ class HuffmanDir : public EncodedDir
         // codewords; decode-tree leaves carry the token -> opcode map.
         std::vector<uint64_t> all_freqs = opcodeFrequencies(program);
         std::vector<uint64_t> freqs;
+        freqs.reserve(numOps);
+        opOfToken_.reserve(numOps);
         for (size_t op = 0; op < numOps; ++op) {
             if (all_freqs[op] > 0) {
                 opOfToken_.push_back(static_cast<uint8_t>(op));
@@ -42,15 +44,25 @@ class HuffmanDir : public EncodedDir
         }
         opCode_ = HuffmanCode::build(freqs);
 
+        // One allocation each for the address list and the image: the
+        // image is at most every field at its code's longest length.
+        size_t max_bits = 0;
+        for (const DirInstruction &ins : program.instrs) {
+            max_bits += opCode_.maxCodeLength();
+            for (OperandKind kind : operandsOf(ins.op))
+                max_bits +=
+                    tokens_[static_cast<size_t>(kind)].code.maxCodeLength();
+        }
         BitWriter bw;
+        bw.reserve(max_bits);
+        bitAddrs_.reserve(program.instrs.size());
         for (const DirInstruction &ins : program.instrs) {
             bitAddrs_.push_back(bw.bitSize());
             opCode_.encode(bw, tokenOfOp_[static_cast<size_t>(ins.op)]);
-            const OpInfo &info = opInfo(ins.op);
-            for (size_t k = 0; k < info.operands.size(); ++k) {
-                const TokenTable &tt =
-                    tokens_[static_cast<size_t>(info.operands[k])];
-                tt.code.encode(bw, tt.tokenOf.at(ins.operands[k]));
+            const OperandKinds &kinds = operandsOf(ins.op);
+            for (size_t k = 0; k < kinds.size(); ++k) {
+                const TokenTable &tt = tokens_[static_cast<size_t>(kinds[k])];
+                tt.code.encode(bw, tt.token(ins.operands[k]));
             }
         }
         bitSize_ = bw.bitSize();

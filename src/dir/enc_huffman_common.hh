@@ -12,12 +12,14 @@
 #ifndef UHM_DIR_ENC_HUFFMAN_COMMON_HH
 #define UHM_DIR_ENC_HUFFMAN_COMMON_HH
 
+#include <algorithm>
 #include <cstdint>
-#include <map>
+#include <utility>
 #include <vector>
 
 #include "dir/program.hh"
 #include "support/huffman.hh"
+#include "support/logging.hh"
 
 namespace uhm
 {
@@ -27,12 +29,25 @@ struct TokenTable
 {
     /** token -> operand value. */
     std::vector<int64_t> values;
-    /** operand value -> token. */
-    std::map<int64_t, uint32_t> tokenOf;
+    /** (operand value, token), sorted by value: token()'s index. */
+    std::vector<std::pair<int64_t, uint32_t>> byValue;
     /** Prefix code over tokens. */
     HuffmanCode code;
     /** True if this kind occurs in the program. */
     bool used = false;
+
+    /** The token of operand value @p v, which must be in the table. */
+    uint32_t
+    token(int64_t v) const
+    {
+        auto it = std::lower_bound(
+            byValue.begin(), byValue.end(), v,
+            [](const auto &e, int64_t x) { return e.first < x; });
+        uhm_assert(it != byValue.end() && it->first == v,
+                   "operand value %lld has no token",
+                   static_cast<long long>(v));
+        return it->second;
+    }
 
     /** Bits of resident metadata (value table + decode tree). */
     uint64_t

@@ -77,7 +77,7 @@ class PairHuffmanDir : public EncodedDir
             for (size_t k = 0; k < info.operands.size(); ++k) {
                 const TokenTable &tt =
                     tokens_[static_cast<size_t>(info.operands[k])];
-                tt.code.encode(bw, tt.tokenOf.at(ins.operands[k]));
+                tt.code.encode(bw, tt.token(ins.operands[k]));
             }
         }
         bitSize_ = bw.bitSize();

@@ -94,7 +94,7 @@ class QuantizedDir : public EncodedDir
                 const OpInfo &info = opInfo(ins.op);
                 for (size_t k = 0; k < info.operands.size(); ++k) {
                     if (static_cast<size_t>(info.operands[k]) == ki)
-                        ++freqs[tt.tokenOf.at(ins.operands[k])];
+                        ++freqs[tt.token(ins.operands[k])];
                 }
             }
             tokenCodes_[ki] = buildCode(freqs);
@@ -122,7 +122,7 @@ class QuantizedDir : public EncodedDir
             for (size_t k = 0; k < info.operands.size(); ++k) {
                 size_t ki = static_cast<size_t>(info.operands[k]);
                 tokenCodes_[ki].code.encode(
-                    bw, tokens_[ki].tokenOf.at(ins.operands[k]));
+                    bw, tokens_[ki].token(ins.operands[k]));
             }
         }
         bitSize_ = bw.bitSize();

@@ -7,23 +7,96 @@
  * hierarchical — the properties the compiler's binding step removes when
  * lowering to the DIR.
  *
- * Nodes are tagged structs (a Kind enum plus a child vector) rather than
+ * Nodes are tagged structs (a Kind enum plus child lists) rather than
  * a class-per-node hierarchy; the grammar is small enough that a single
  * shape keeps the parser, the compiler and the direct interpreter short.
+ *
+ * Every node, list and name of one parse lives in the AstProgram's
+ * arena: a parse makes a handful of large allocations instead of one
+ * per node, and the tree is freed in one go. Nodes are trivially
+ * destructible; lists are spans and names are views into the arena.
  */
 
 #ifndef UHM_HLR_AST_HH
 #define UHM_HLR_AST_HH
 
+#include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <memory>
+#include <new>
+#include <span>
 #include <string>
+#include <string_view>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "hlr/token.hh"
 
 namespace uhm::hlr
 {
+
+/**
+ * Bump allocator owning every node of one parse. Chunks double in
+ * size, so a parse of n bytes of nodes makes O(log n) allocations;
+ * nothing is freed before the arena.
+ */
+class AstArena
+{
+  public:
+    AstArena() = default;
+    // A moved-from arena is empty: its bump cursor must not point into
+    // chunks another arena now owns.
+    AstArena(AstArena &&other) noexcept { *this = std::move(other); }
+    AstArena &
+    operator=(AstArena &&other) noexcept
+    {
+        chunks_ = std::move(other.chunks_);
+        next_ = std::exchange(other.next_, nullptr);
+        left_ = std::exchange(other.left_, 0);
+        chunkBytes_ = other.chunkBytes_;
+        return *this;
+    }
+
+    /** A value-initialized @p T in the arena. */
+    template <typename T>
+    T *
+    make()
+    {
+        static_assert(std::is_trivially_destructible_v<T>);
+        return new (allocate(sizeof(T), alignof(T))) T{};
+    }
+
+    /** A copy of @p items in the arena. */
+    template <typename T>
+    std::span<const T>
+    copy(std::span<const T> items)
+    {
+        static_assert(std::is_trivially_copyable_v<T>);
+        if (items.empty())
+            return {};
+        void *p = allocate(items.size_bytes(), alignof(T));
+        std::memcpy(p, items.data(), items.size_bytes());
+        return {static_cast<const T *>(p), items.size()};
+    }
+
+    /** A copy of @p text in the arena. */
+    std::string_view
+    copy(std::string_view text)
+    {
+        auto chars = copy(std::span<const char>(text));
+        return {chars.data(), chars.size()};
+    }
+
+  private:
+    void *allocate(size_t bytes, size_t align);
+
+    std::vector<std::unique_ptr<std::byte[]>> chunks_;
+    std::byte *next_ = nullptr;
+    size_t left_ = 0;
+    size_t chunkBytes_ = 4096;
+};
 
 /** Binary and unary operators (shared tag space). */
 enum class AstOp : uint8_t
@@ -34,6 +107,15 @@ enum class AstOp : uint8_t
     Neg, Not,
     None
 };
+
+struct Expr;
+struct Stmt;
+
+/** A node's children, held by the arena. */
+using ExprPtr = const Expr *;
+using StmtPtr = const Stmt *;
+using ExprList = std::span<const ExprPtr>;
+using StmtList = std::span<const StmtPtr>;
 
 /** Expression node. */
 struct Expr
@@ -48,15 +130,13 @@ struct Expr
         Binary,   ///< op, kids[0], kids[1]
     };
 
-    Kind kind;
+    Kind kind = Kind::Number;
     SourceLoc loc;
     int64_t value = 0;
-    std::string name;
+    std::string_view name;
     AstOp op = AstOp::None;
-    std::vector<std::unique_ptr<Expr>> kids;
+    ExprList kids;
 };
-
-using ExprPtr = std::unique_ptr<Expr>;
 
 struct Block;
 
@@ -76,20 +156,18 @@ struct Stmt
         Repeat,    ///< repeat body until exprs[0]
     };
 
-    Kind kind;
+    Kind kind = Kind::Assign;
     SourceLoc loc;
-    std::string name;
-    std::vector<ExprPtr> exprs;
-    std::vector<std::unique_ptr<Stmt>> body;
-    std::vector<std::unique_ptr<Stmt>> elseBody;
+    std::string_view name;
+    ExprList exprs;
+    StmtList body;
+    StmtList elseBody;
 };
-
-using StmtPtr = std::unique_ptr<Stmt>;
 
 /** A named compile-time constant. */
 struct ConstDecl
 {
-    std::string name;
+    std::string_view name;
     int64_t value = 0;
     SourceLoc loc;
 };
@@ -97,7 +175,7 @@ struct ConstDecl
 /** A declared variable: scalar (arraySize 0) or array. */
 struct VarDecl
 {
-    std::string name;
+    std::string_view name;
     /** 0 for a scalar; otherwise the number of elements. */
     uint32_t arraySize = 0;
     SourceLoc loc;
@@ -106,27 +184,28 @@ struct VarDecl
 /** A procedure or function declaration. */
 struct ProcDecl
 {
-    std::string name;
-    std::vector<std::string> params;
+    std::string_view name;
+    std::span<const std::string_view> params;
     bool isFunc = false;
-    std::unique_ptr<Block> block;
+    const Block *block = nullptr;
     SourceLoc loc;
 };
 
 /** A block: declarations followed by a statement list. */
 struct Block
 {
-    std::vector<ConstDecl> consts;
-    std::vector<VarDecl> vars;
-    std::vector<ProcDecl> procs;
-    std::vector<StmtPtr> body;
+    std::span<const ConstDecl> consts;
+    std::span<const VarDecl> vars;
+    std::span<const ProcDecl> procs;
+    StmtList body;
 };
 
-/** A whole parsed program. */
+/** A whole parsed program, with the arena that holds it. */
 struct AstProgram
 {
-    std::string name;
+    std::string_view name;
     Block main;
+    AstArena arena;
 };
 
 /** Pretty-print an expression (round-trip tests). */

@@ -1,7 +1,8 @@
 #include "hlr/compiler.hh"
 
-#include <map>
 #include <sstream>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "hlr/lexer.hh"
@@ -43,13 +44,19 @@ class Compiler
     {
         prog_.name = ast.name;
 
+        // Enough for the sample programs without growing.
+        prog_.instrs.reserve(256);
+        prog_.contourOf.reserve(256);
+        prog_.contours.reserve(16);
+        symbols_.reserve(64);
+
         // Globals: the main block's variables live at depth 0.
-        std::map<std::string, Symbol> global_scope;
+        openScope();
         uint32_t next_slot = 0;
         for (const ConstDecl &decl : ast.main.consts)
-            declareConst(global_scope, decl);
+            declareConst(decl);
         for (const VarDecl &var : ast.main.vars)
-            declareVar(global_scope, var, 0, next_slot);
+            declareVar(var, 0, next_slot);
         prog_.numGlobals = next_slot;
 
         // Main contour (id 0): depth 1, no locals of its own.
@@ -59,14 +66,12 @@ class Compiler
         main_ctr.slotsAtDepth = {prog_.numGlobals, 0};
         prog_.contours.push_back(main_ctr);
 
-        scopes_.push_back(std::move(global_scope));
         chain_ = {prog_.numGlobals, 0};
 
         // Register and compile the main block's procedures, then main
         // itself.
-        std::map<std::string, Symbol> main_scope;
-        registerProcs(main_scope, ast.main, 1);
-        scopes_.push_back(std::move(main_scope));
+        openScope();
+        registerProcs(ast.main, 1);
         compileProcs(ast.main, 1);
 
         currentContour_ = 0;
@@ -77,8 +82,8 @@ class Compiler
         for (const StmtPtr &stmt : ast.main.body)
             compileStmt(*stmt);
         emit({Op::HALT});
-        scopes_.pop_back();
-        scopes_.pop_back();
+        closeScope();
+        closeScope();
 
         if (!errors_.empty()) {
             std::ostringstream os;
@@ -100,22 +105,55 @@ class Compiler
         errors_.push_back(loc.toString() + ": " + msg);
     }
 
+    /** @p name in quotes, for messages. */
+    static std::string
+    quoted(std::string_view name)
+    {
+        std::string q = "'";
+        q.append(name).push_back('\'');
+        return q;
+    }
+
+    // ---- scopes ---------------------------------------------------------
+
+    /** Open a scope nested in every open one. */
+    void openScope() { scopeStarts_.push_back(symbols_.size()); }
+
+    /** Close the innermost scope, forgetting its symbols. */
+    void
+    closeScope()
+    {
+        symbols_.resize(scopeStarts_.back());
+        scopeStarts_.pop_back();
+    }
+
+    /** Declare @p name in the innermost scope; a redeclaration there is
+     *  an error and keeps the first declaration. */
+    void
+    declare(std::string_view name, const Symbol &sym, SourceLoc loc)
+    {
+        for (size_t i = scopeStarts_.back(); i < symbols_.size(); ++i) {
+            if (symbols_[i].first == name) {
+                error(loc, "redeclaration of " + quoted(name));
+                return;
+            }
+        }
+        symbols_.emplace_back(name, sym);
+    }
+
     // ---- declarations ---------------------------------------------------
 
     void
-    declareConst(std::map<std::string, Symbol> &scope,
-                 const ConstDecl &decl)
+    declareConst(const ConstDecl &decl)
     {
         Symbol sym;
         sym.kind = Symbol::Kind::Const;
         sym.constValue = decl.value;
-        if (!scope.emplace(decl.name, sym).second)
-            error(decl.loc, "redeclaration of '" + decl.name + "'");
+        declare(decl.name, sym, decl.loc);
     }
 
     void
-    declareVar(std::map<std::string, Symbol> &scope, const VarDecl &var,
-               unsigned depth, uint32_t &next_slot)
+    declareVar(const VarDecl &var, unsigned depth, uint32_t &next_slot)
     {
         Symbol sym;
         sym.kind = var.arraySize > 0 ? Symbol::Kind::Array :
@@ -124,19 +162,18 @@ class Compiler
         sym.slot = next_slot;
         sym.arraySize = var.arraySize;
         next_slot += var.arraySize > 0 ? var.arraySize : 1;
-        if (!scope.emplace(var.name, sym).second)
-            error(var.loc, "redeclaration of '" + var.name + "'");
+        declare(var.name, sym, var.loc);
     }
 
     /**
      * Register every procedure declared in @p block (at contour depth
-     * @p depth) into @p scope, assigning procedure indices and building
+     * @p depth) into the innermost scope, assigning procedure indices
+     * and building
      * contour-table entries. Registration precedes body compilation so
      * sibling procedures may call each other.
      */
     void
-    registerProcs(std::map<std::string, Symbol> &scope,
-                  const Block &block, unsigned depth)
+    registerProcs(const Block &block, unsigned depth)
     {
         for (const ProcDecl &proc : block.procs) {
             Symbol sym;
@@ -144,8 +181,7 @@ class Compiler
             sym.procIdx = static_cast<uint32_t>(prog_.contours.size() - 1);
             sym.nparams = static_cast<uint32_t>(proc.params.size());
             sym.isFunc = proc.isFunc;
-            if (!scope.emplace(proc.name, sym).second)
-                error(proc.loc, "redeclaration of '" + proc.name + "'");
+            declare(proc.name, sym, proc.loc);
 
             Contour ctr;
             ctr.name = proc.name;
@@ -167,15 +203,12 @@ class Compiler
     void
     compileProcs(const Block &block, unsigned depth)
     {
-        for (const ProcDecl &proc : block.procs) {
-            const Symbol &sym = scopes_.back().at(proc.name);
-            compileProcBody(proc, sym, depth + 1);
-        }
+        for (const ProcDecl &proc : block.procs)
+            compileProcBody(proc, *lookup(proc.name), depth + 1);
     }
 
     void
-    compileProcBody(const ProcDecl &proc, const Symbol &sym,
-                    unsigned depth)
+    compileProcBody(const ProcDecl &proc, Symbol sym, unsigned depth)
     {
         uint32_t ctr_id = sym.procIdx + 1;
         // NOTE: prog_.contours grows while inner procedures register,
@@ -183,30 +216,27 @@ class Compiler
         uint32_t nlocals = prog_.contours[ctr_id].nlocals;
 
         // Local scope: constants, then parameters, then variables.
-        std::map<std::string, Symbol> scope;
+        openScope();
         uint32_t next_slot = 0;
         for (const ConstDecl &decl : proc.block->consts)
-            declareConst(scope, decl);
-        for (const std::string &param : proc.params) {
+            declareConst(decl);
+        for (std::string_view param : proc.params) {
             VarDecl pv;
             pv.name = param;
             pv.loc = proc.loc;
-            declareVar(scope, pv, depth, next_slot);
+            declareVar(pv, depth, next_slot);
         }
         for (const VarDecl &var : proc.block->vars)
-            declareVar(scope, var, depth, next_slot);
+            declareVar(var, depth, next_slot);
         uhm_assert(next_slot == nlocals, "nlocals mismatch in '%s'",
-                   proc.name.c_str());
+                   std::string(proc.name).c_str());
 
         chain_.push_back(nlocals);
         prog_.contours[ctr_id].slotsAtDepth = chain_;
 
         // Inner procedures first.
-        std::map<std::string, Symbol> inner_scope;
-        registerProcs(inner_scope, *proc.block, depth);
-
-        scopes_.push_back(std::move(scope));
-        scopes_.push_back(std::move(inner_scope));
+        openScope();
+        registerProcs(*proc.block, depth);
         compileProcs(*proc.block, depth);
 
         uint32_t saved_contour = currentContour_;
@@ -229,47 +259,47 @@ class Compiler
         currentContour_ = saved_contour;
         inFunc_ = saved_in_func;
         inMain_ = saved_in_main;
-        scopes_.pop_back();
-        scopes_.pop_back();
+        closeScope();
+        closeScope();
         chain_.pop_back();
     }
 
     // ---- name lookup ----------------------------------------------------
 
     const Symbol *
-    lookup(const std::string &name)
+    lookup(std::string_view name)
     {
-        for (auto it = scopes_.rbegin(); it != scopes_.rend(); ++it) {
-            auto found = it->find(name);
-            if (found != it->end())
-                return &found->second;
+        // Innermost first: an inner declaration shadows an outer one.
+        for (auto it = symbols_.rbegin(); it != symbols_.rend(); ++it) {
+            if (it->first == name)
+                return &it->second;
         }
         return nullptr;
     }
 
     const Symbol *
-    lookupVar(const std::string &name, SourceLoc loc, bool want_array)
+    lookupVar(std::string_view name, SourceLoc loc, bool want_array)
     {
         const Symbol *sym = lookup(name);
         if (!sym) {
-            error(loc, "undeclared name '" + name + "'");
+            error(loc, "undeclared name " + quoted(name));
             return nullptr;
         }
         if (sym->kind == Symbol::Kind::Proc) {
-            error(loc, "'" + name + "' is a procedure, not a variable");
+            error(loc, quoted(name) + " is a procedure, not a variable");
             return nullptr;
         }
         if (sym->kind == Symbol::Kind::Const) {
-            error(loc, "constant '" + name + "' cannot be assigned or "
-                  "read into");
+            error(loc, "constant " + quoted(name) + " cannot be assigned "
+                  "or read into");
             return nullptr;
         }
         if (want_array && sym->kind != Symbol::Kind::Array) {
-            error(loc, "'" + name + "' is not an array");
+            error(loc, quoted(name) + " is not an array");
             return nullptr;
         }
         if (!want_array && sym->kind == Symbol::Kind::Array) {
-            error(loc, "array '" + name + "' needs an index here");
+            error(loc, "array " + quoted(name) + " needs an index here");
             return nullptr;
         }
         return sym;
@@ -374,7 +404,7 @@ class Compiler
           case Stmt::Kind::Call: {
             const Symbol *sym = lookup(stmt.name);
             if (!sym || sym->kind != Symbol::Kind::Proc) {
-                error(stmt.loc, "'" + stmt.name + "' is not a procedure");
+                error(stmt.loc, quoted(stmt.name) + " is not a procedure");
                 return;
             }
             compileCall(*sym, stmt.exprs, stmt.loc, stmt.name);
@@ -429,11 +459,11 @@ class Compiler
     }
 
     void
-    compileCall(const Symbol &sym, const std::vector<ExprPtr> &args,
-                SourceLoc loc, const std::string &name)
+    compileCall(const Symbol &sym, ExprList args, SourceLoc loc,
+                std::string_view name)
     {
         if (args.size() != sym.nparams) {
-            error(loc, "'" + name + "' expects " +
+            error(loc, quoted(name) + " expects " +
                   std::to_string(sym.nparams) + " argument(s), got " +
                   std::to_string(args.size()));
         }
@@ -505,12 +535,12 @@ class Compiler
           case Expr::Kind::Call: {
             const Symbol *sym = lookup(expr.name);
             if (!sym || sym->kind != Symbol::Kind::Proc) {
-                error(expr.loc, "'" + expr.name + "' is not a procedure");
+                error(expr.loc, quoted(expr.name) + " is not a procedure");
                 return;
             }
             if (!sym->isFunc) {
-                error(expr.loc, "'" + expr.name +
-                      "' does not return a value");
+                error(expr.loc,
+                      quoted(expr.name) + " does not return a value");
                 return;
             }
             compileCall(*sym, expr.kids, expr.loc, expr.name);
@@ -559,7 +589,10 @@ class Compiler
     }
 
     DirProgram prog_;
-    std::vector<std::map<std::string, Symbol>> scopes_;
+    /** Every visible symbol, innermost scope last. */
+    std::vector<std::pair<std::string_view, Symbol>> symbols_;
+    /** Where each open scope's symbols start in symbols_. */
+    std::vector<size_t> scopeStarts_;
     /** slotsAtDepth chain of the contour being compiled. */
     std::vector<uint32_t> chain_;
     std::vector<std::string> errors_;

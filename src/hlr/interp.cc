@@ -24,7 +24,7 @@ struct Value
 /** One name binding inside an activation record. */
 struct Binding
 {
-    std::string name;
+    std::string_view name;
     Value value;
     /** True for 'const' bindings (immutable, not readable-into). */
     bool isConst = false;
@@ -33,7 +33,7 @@ struct Binding
 /** A procedure visible inside an activation record. */
 struct ProcBinding
 {
-    std::string name;
+    std::string_view name;
     const ProcDecl *decl;
     /** Activation record that lexically encloses the declaration. */
     size_t defActivation;
@@ -113,7 +113,7 @@ class HlrInterp
      * counting comparisons.
      */
     Value *
-    findVar(const std::string &name, size_t act)
+    findVar(std::string_view name, size_t act)
     {
         for (size_t a = act; a != SIZE_MAX;
              a = activations_[a].staticParent) {
@@ -127,7 +127,7 @@ class HlrInterp
     }
 
     const ProcBinding *
-    findProc(const std::string &name, size_t act)
+    findProc(std::string_view name, size_t act)
     {
         for (size_t a = act; a != SIZE_MAX;
              a = activations_[a].staticParent) {
@@ -141,18 +141,18 @@ class HlrInterp
     }
 
     Value &
-    requireVar(const std::string &name, size_t act, SourceLoc loc)
+    requireVar(std::string_view name, size_t act, SourceLoc loc)
     {
         Value *v = findVar(name, act);
         if (!v)
             fatal("%s: undeclared name '%s'", loc.toString().c_str(),
-                  name.c_str());
+                  std::string(name).c_str());
         return *v;
     }
 
     /** As requireVar, but rejects 'const' bindings (write targets). */
     Value &
-    requireMutable(const std::string &name, size_t act, SourceLoc loc)
+    requireMutable(std::string_view name, size_t act, SourceLoc loc)
     {
         for (size_t a = act; a != SIZE_MAX;
              a = activations_[a].staticParent) {
@@ -162,13 +162,13 @@ class HlrInterp
                     if (b.isConst)
                         fatal("%s: constant '%s' cannot be assigned "
                               "or read into", loc.toString().c_str(),
-                              name.c_str());
+                              std::string(name).c_str());
                     return b.value;
                 }
             }
         }
         fatal("%s: undeclared name '%s'", loc.toString().c_str(),
-              name.c_str());
+              std::string(name).c_str());
     }
 
     void
@@ -180,20 +180,20 @@ class HlrInterp
     }
 
     int64_t
-    callProc(const std::string &name, const std::vector<ExprPtr> &args,
-             size_t act, SourceLoc loc, bool want_value)
+    callProc(std::string_view name, ExprList args, size_t act,
+             SourceLoc loc, bool want_value)
     {
         const ProcBinding *pb = findProc(name, act);
         if (!pb)
             fatal("%s: undeclared procedure '%s'",
-                  loc.toString().c_str(), name.c_str());
+                  loc.toString().c_str(), std::string(name).c_str());
         const ProcDecl &decl = *pb->decl;
         if (want_value && !decl.isFunc)
             fatal("%s: '%s' does not return a value",
-                  loc.toString().c_str(), name.c_str());
+                  loc.toString().c_str(), std::string(name).c_str());
         if (args.size() != decl.params.size())
             fatal("%s: '%s' expects %zu argument(s), got %zu",
-                  loc.toString().c_str(), name.c_str(),
+                  loc.toString().c_str(), std::string(name).c_str(),
                   decl.params.size(), args.size());
 
         std::vector<int64_t> arg_values;
@@ -242,14 +242,16 @@ class HlrInterp
             if (stmt.exprs.size() > 1) {
                 if (!var.isArray)
                     fatal("%s: '%s' is not an array",
-                          stmt.loc.toString().c_str(), stmt.name.c_str());
+                          stmt.loc.toString().c_str(),
+                          std::string(stmt.name).c_str());
                 int64_t idx = evalExpr(*stmt.exprs[1], act);
                 boundsCheck(var, idx, stmt.loc);
                 var.array[idx] = v;
             } else {
                 if (var.isArray)
                     fatal("%s: array '%s' needs an index",
-                          stmt.loc.toString().c_str(), stmt.name.c_str());
+                          stmt.loc.toString().c_str(),
+                          std::string(stmt.name).c_str());
                 var.scalar = v;
             }
             return std::nullopt;
@@ -280,7 +282,7 @@ class HlrInterp
                 if (var.isArray)
                     fatal("%s: array '%s' cannot be a loop variable",
                           stmt.loc.toString().c_str(),
-                          stmt.name.c_str());
+                          std::string(stmt.name).c_str());
                 var.scalar = from;
             }
             for (;;) {
@@ -364,7 +366,8 @@ class HlrInterp
             Value &v = requireVar(expr.name, act, expr.loc);
             if (v.isArray)
                 fatal("%s: array '%s' needs an index",
-                      expr.loc.toString().c_str(), expr.name.c_str());
+                      expr.loc.toString().c_str(),
+                      std::string(expr.name).c_str());
             return v.scalar;
           }
           case Expr::Kind::Index: {

@@ -1,7 +1,8 @@
 #include "hlr/lexer.hh"
 
-#include <cctype>
-#include <map>
+#include <algorithm>
+#include <array>
+#include <utility>
 
 #include "support/logging.hh"
 
@@ -66,30 +67,66 @@ tokName(Tok kind)
 namespace
 {
 
-const std::map<std::string, Tok> &
-keywords()
+/** Character classes, one table load per character (the C locale's
+ *  isspace/isdigit, and isalpha plus '_' for words). */
+enum CharClass : uint8_t
 {
-    static const std::map<std::string, Tok> kw = {
-        {"program", Tok::KwProgram}, {"var", Tok::KwVar},
-        {"const", Tok::KwConst},     {"for", Tok::KwFor},
-        {"to", Tok::KwTo},           {"repeat", Tok::KwRepeat},
-        {"until", Tok::KwUntil},
-        {"proc", Tok::KwProc},       {"func", Tok::KwFunc},
-        {"begin", Tok::KwBegin},     {"end", Tok::KwEnd},
-        {"if", Tok::KwIf},           {"then", Tok::KwThen},
-        {"else", Tok::KwElse},       {"fi", Tok::KwFi},
-        {"while", Tok::KwWhile},     {"do", Tok::KwDo},
-        {"od", Tok::KwOd},           {"call", Tok::KwCall},
-        {"write", Tok::KwWrite},     {"read", Tok::KwRead},
-        {"return", Tok::KwReturn},   {"and", Tok::KwAnd},
-        {"or", Tok::KwOr},           {"not", Tok::KwNot},
+    classSpace = 1,
+    classDigit = 2,
+    classWord = 4,
+};
+
+constexpr std::array<uint8_t, 256> charClasses = [] {
+    std::array<uint8_t, 256> t{};
+    for (unsigned char c : {' ', '\t', '\n', '\v', '\f', '\r'})
+        t[c] = classSpace;
+    for (int c = '0'; c <= '9'; ++c)
+        t[c] = classDigit;
+    for (int c = 'a'; c <= 'z'; ++c)
+        t[c] = t[c - 'a' + 'A'] = classWord;
+    t['_'] = classWord;
+    return t;
+}();
+
+/** True when @p c is in any of @p classes. */
+bool
+isClass(char c, uint8_t classes)
+{
+    return (charClasses[static_cast<unsigned char>(c)] & classes) != 0;
+}
+
+/** The keyword spelled @p word, or Tok::Ident when none is. */
+Tok
+keywordOf(std::string_view word)
+{
+    static constexpr std::pair<std::string_view, Tok> keywords[] = {
+        {"and", Tok::KwAnd},       {"begin", Tok::KwBegin},
+        {"call", Tok::KwCall},     {"const", Tok::KwConst},
+        {"do", Tok::KwDo},         {"else", Tok::KwElse},
+        {"end", Tok::KwEnd},       {"fi", Tok::KwFi},
+        {"for", Tok::KwFor},       {"func", Tok::KwFunc},
+        {"if", Tok::KwIf},         {"not", Tok::KwNot},
+        {"od", Tok::KwOd},         {"or", Tok::KwOr},
+        {"proc", Tok::KwProc},     {"program", Tok::KwProgram},
+        {"read", Tok::KwRead},     {"repeat", Tok::KwRepeat},
+        {"return", Tok::KwReturn}, {"then", Tok::KwThen},
+        {"to", Tok::KwTo},         {"until", Tok::KwUntil},
+        {"var", Tok::KwVar},       {"while", Tok::KwWhile},
+        {"write", Tok::KwWrite},
     };
-    return kw;
+    static_assert(std::ranges::is_sorted(keywords, {},
+                                         &std::pair<std::string_view,
+                                                    Tok>::first));
+    auto it = std::ranges::lower_bound(keywords, word, {},
+                                       &std::pair<std::string_view,
+                                                  Tok>::first);
+    return it != std::end(keywords) && it->first == word ? it->second :
+        Tok::Ident;
 }
 
 } // anonymous namespace
 
-Lexer::Lexer(std::string source) : src_(std::move(source)) {}
+Lexer::Lexer(std::string_view source) : src_(source) {}
 
 char
 Lexer::peek() const
@@ -102,10 +139,8 @@ Lexer::advance()
 {
     char c = src_[pos_++];
     if (c == '\n') {
-        ++loc_.line;
-        loc_.col = 1;
-    } else {
-        ++loc_.col;
+        ++line_;
+        lineStart_ = pos_;
     }
     return c;
 }
@@ -114,12 +149,12 @@ std::vector<Token>
 Lexer::lexAll()
 {
     std::vector<Token> tokens;
-    for (;;) {
-        Token t = next();
-        tokens.push_back(t);
-        if (t.kind == Tok::EndOfFile)
-            break;
-    }
+    // About one token per four source bytes: one allocation for most
+    // programs, and growth covers the rest.
+    tokens.reserve(src_.size() / 4 + 1);
+    do {
+        tokens.push_back(next());
+    } while (tokens.back().kind != Tok::EndOfFile);
     return tokens;
 }
 
@@ -128,18 +163,19 @@ Lexer::next()
 {
     // Skip whitespace and '#' comments.
     for (;;) {
-        while (!atEnd() && std::isspace(static_cast<unsigned char>(peek())))
+        while (!atEnd() && isClass(peek(), classSpace))
             advance();
         if (!atEnd() && peek() == '#') {
-            while (!atEnd() && peek() != '\n')
-                advance();
+            // The comment's newline is left to the whitespace loop.
+            const size_t end = src_.find('\n', pos_);
+            pos_ = end == std::string_view::npos ? src_.size() : end;
             continue;
         }
         break;
     }
 
     Token t;
-    t.loc = loc_;
+    t.loc = {line_, static_cast<int>(pos_ - lineStart_) + 1};
     if (atEnd()) {
         t.kind = Tok::EndOfFile;
         return t;
@@ -147,10 +183,10 @@ Lexer::next()
 
     char c = advance();
 
-    if (std::isdigit(static_cast<unsigned char>(c))) {
+    if (isClass(c, classDigit)) {
         int64_t v = c - '0';
         while (!atEnd() &&
-               std::isdigit(static_cast<unsigned char>(peek()))) {
+               isClass(peek(), classDigit)) {
             int64_t digit = advance() - '0';
             if (v > (INT64_MAX - digit) / 10) {
                 fatal("%s: integer literal overflows",
@@ -163,20 +199,14 @@ Lexer::next()
         return t;
     }
 
-    if (std::isalpha(static_cast<unsigned char>(c)) || c == '_') {
-        std::string word(1, c);
-        while (!atEnd() &&
-               (std::isalnum(static_cast<unsigned char>(peek())) ||
-                peek() == '_')) {
-            word.push_back(advance());
-        }
-        auto it = keywords().find(word);
-        if (it != keywords().end()) {
-            t.kind = it->second;
-        } else {
-            t.kind = Tok::Ident;
-            t.text = std::move(word);
-        }
+    if (isClass(c, classWord)) {
+        const size_t start = pos_ - 1;
+        while (!atEnd() && isClass(peek(), classWord | classDigit))
+            advance();
+        const std::string_view word = src_.substr(start, pos_ - start);
+        t.kind = keywordOf(word);
+        if (t.kind == Tok::Ident)
+            t.text = word;
         return t;
     }
 

@@ -6,7 +6,7 @@
 #ifndef UHM_HLR_LEXER_HH
 #define UHM_HLR_LEXER_HH
 
-#include <string>
+#include <string_view>
 #include <vector>
 
 #include "hlr/token.hh"
@@ -21,7 +21,8 @@ namespace uhm::hlr
 class Lexer
 {
   public:
-    explicit Lexer(std::string source);
+    /** @param source the text to lex; must outlive the lexer. */
+    explicit Lexer(std::string_view source);
 
     /** Lex the whole input; the last token is always EndOfFile. */
     std::vector<Token> lexAll();
@@ -32,9 +33,12 @@ class Lexer
     char advance();
     bool atEnd() const { return pos_ >= src_.size(); }
 
-    std::string src_;
+    std::string_view src_;
     size_t pos_ = 0;
-    SourceLoc loc_;
+    /** Line of the cursor, and where that line starts: a token's
+     *  column is its distance from the line start. */
+    int line_ = 1;
+    size_t lineStart_ = 0;
 };
 
 } // namespace uhm::hlr

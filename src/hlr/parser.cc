@@ -8,24 +8,47 @@
 namespace uhm::hlr
 {
 
+void *
+AstArena::allocate(size_t bytes, size_t align)
+{
+    size_t pad = (align - reinterpret_cast<uintptr_t>(next_) % align) %
+        align;
+    if (pad + bytes > left_) {
+        while (chunkBytes_ < bytes + align)
+            chunkBytes_ *= 2;
+        chunks_.push_back(
+            std::make_unique_for_overwrite<std::byte[]>(chunkBytes_));
+        next_ = chunks_.back().get();
+        left_ = chunkBytes_;
+        chunkBytes_ *= 2;
+        pad = (align - reinterpret_cast<uintptr_t>(next_) % align) % align;
+    }
+    void *p = next_ + pad;
+    next_ += pad + bytes;
+    left_ -= pad + bytes;
+    return p;
+}
+
 Parser::Parser(std::vector<Token> tokens) : tokens_(std::move(tokens))
 {
     uhm_assert(!tokens_.empty() &&
                tokens_.back().kind == Tok::EndOfFile,
                "token stream must end with EndOfFile");
+    // Room for the deepest lists a program of this size is likely to
+    // hold open at once, so the stacks rarely grow.
+    const size_t room = tokens_.size() / 8 + 8;
+    exprs_.reserve(room);
+    stmts_.reserve(room);
+    consts_.reserve(8);
+    vars_.reserve(room / 2);
+    procs_.reserve(8);
+    params_.reserve(8);
 }
 
 const Token &
-Parser::peekAhead() const
-{
-    size_t i = pos_ + 1;
-    return tokens_[std::min(i, tokens_.size() - 1)];
-}
-
-Token
 Parser::advance()
 {
-    Token t = tokens_[pos_];
+    const Token &t = tokens_[pos_];
     if (pos_ + 1 < tokens_.size())
         ++pos_;
     return t;
@@ -40,7 +63,7 @@ Parser::match(Tok kind)
     return true;
 }
 
-Token
+const Token &
 Parser::expect(Tok kind, const char *context)
 {
     if (!check(kind)) {
@@ -51,16 +74,27 @@ Parser::expect(Tok kind, const char *context)
     return advance();
 }
 
+template <typename T>
+std::span<const T>
+Parser::closeList(std::vector<T> &stack, size_t start)
+{
+    std::span<const T> list = arena_.copy(
+        std::span<const T>(stack.data() + start, stack.size() - start));
+    stack.resize(start);
+    return list;
+}
+
 AstProgram
 Parser::parseProgram()
 {
     AstProgram prog;
     expect(Tok::KwProgram, "at start of program");
-    prog.name = expect(Tok::Ident, "as program name").text;
+    prog.name = arena_.copy(expect(Tok::Ident, "as program name").text);
     expect(Tok::Semi, "after program name");
     prog.main = parseBlock();
     expect(Tok::Dot, "at end of program");
     expect(Tok::EndOfFile, "after final '.'");
+    prog.arena = std::move(arena_);
     return prog;
 }
 
@@ -75,19 +109,25 @@ Parser::parseExprOnly()
 Block
 Parser::parseBlock()
 {
-    Block block;
+    const size_t consts = consts_.size(), vars = vars_.size(),
+                 procs = procs_.size();
     for (;;) {
         if (match(Tok::KwVar)) {
-            parseVarDecls(block);
+            parseVarDecls();
         } else if (match(Tok::KwConst)) {
-            parseConstDecls(block);
+            parseConstDecls();
         } else if (check(Tok::KwProc) || check(Tok::KwFunc)) {
             bool is_func = advance().kind == Tok::KwFunc;
-            block.procs.push_back(parseProcDecl(is_func));
+            ProcDecl proc = parseProcDecl(is_func);
+            procs_.push_back(proc);
         } else {
             break;
         }
     }
+    Block block;
+    block.consts = closeList(consts_, consts);
+    block.vars = closeList(vars_, vars);
+    block.procs = closeList(procs_, procs);
     expect(Tok::KwBegin, "at start of block body");
     block.body = parseStmts();
     expect(Tok::KwEnd, "at end of block body");
@@ -95,15 +135,15 @@ Parser::parseBlock()
 }
 
 void
-Parser::parseVarDecls(Block &block)
+Parser::parseVarDecls()
 {
     do {
         VarDecl var;
-        Token name = expect(Tok::Ident, "as variable name");
-        var.name = name.text;
+        const Token &name = expect(Tok::Ident, "as variable name");
+        var.name = arena_.copy(name.text);
         var.loc = name.loc;
         if (match(Tok::LBracket)) {
-            Token size = expect(Tok::Number, "as array size");
+            const Token &size = expect(Tok::Number, "as array size");
             if (size.value <= 0) {
                 fatal("%s: array size must be positive",
                       size.loc.toString().c_str());
@@ -111,24 +151,24 @@ Parser::parseVarDecls(Block &block)
             var.arraySize = static_cast<uint32_t>(size.value);
             expect(Tok::RBracket, "after array size");
         }
-        block.vars.push_back(std::move(var));
+        vars_.push_back(var);
     } while (match(Tok::Comma));
     expect(Tok::Semi, "after variable declarations");
 }
 
 void
-Parser::parseConstDecls(Block &block)
+Parser::parseConstDecls()
 {
     do {
         ConstDecl decl;
-        Token name = expect(Tok::Ident, "as constant name");
-        decl.name = name.text;
+        const Token &name = expect(Tok::Ident, "as constant name");
+        decl.name = arena_.copy(name.text);
         decl.loc = name.loc;
         expect(Tok::Eq, "in constant declaration");
         bool negative = match(Tok::Minus);
-        Token value = expect(Tok::Number, "as constant value");
+        const Token &value = expect(Tok::Number, "as constant value");
         decl.value = negative ? -value.value : value.value;
-        block.consts.push_back(std::move(decl));
+        consts_.push_back(decl);
     } while (match(Tok::Comma));
     expect(Tok::Semi, "after constant declarations");
 }
@@ -138,102 +178,112 @@ Parser::parseProcDecl(bool is_func)
 {
     ProcDecl proc;
     proc.isFunc = is_func;
-    Token name = expect(Tok::Ident, "as procedure name");
-    proc.name = name.text;
+    const Token &name = expect(Tok::Ident, "as procedure name");
+    proc.name = arena_.copy(name.text);
     proc.loc = name.loc;
     expect(Tok::LParen, "after procedure name");
+    const size_t params = params_.size();
     if (!check(Tok::RParen)) {
         do {
-            proc.params.push_back(
-                expect(Tok::Ident, "as parameter name").text);
+            params_.push_back(arena_.copy(
+                expect(Tok::Ident, "as parameter name").text));
         } while (match(Tok::Comma));
     }
+    proc.params = closeList(params_, params);
     expect(Tok::RParen, "after parameter list");
     expect(Tok::Semi, "after procedure header");
-    proc.block = std::make_unique<Block>(parseBlock());
+    Block *block = arena_.make<Block>();
+    *block = parseBlock();
+    proc.block = block;
     expect(Tok::Semi, "after procedure body");
     return proc;
 }
 
-std::vector<StmtPtr>
+StmtList
 Parser::parseStmts()
 {
-    std::vector<StmtPtr> stmts;
+    const size_t start = stmts_.size();
     while (!check(Tok::KwEnd) && !check(Tok::KwFi) && !check(Tok::KwOd) &&
            !check(Tok::KwElse) && !check(Tok::KwUntil) &&
            !check(Tok::EndOfFile)) {
-        stmts.push_back(parseStmt());
+        StmtPtr stmt = parseStmt();
+        stmts_.push_back(stmt);
         expect(Tok::Semi, "after statement");
     }
-    return stmts;
+    return closeList(stmts_, start);
 }
 
 StmtPtr
 Parser::parseStmt()
 {
-    auto stmt = std::make_unique<Stmt>();
+    Stmt *stmt = arena_.make<Stmt>();
     stmt->loc = peek().loc;
+    // Most statements carry one or two expressions: gather them here.
+    const size_t exprs = exprs_.size();
+    auto push = [&](ExprPtr e) { exprs_.push_back(e); };
 
     switch (peek().kind) {
       case Tok::Ident: {
         stmt->kind = Stmt::Kind::Assign;
-        stmt->name = advance().text;
-        ExprPtr index;
+        stmt->name = arena_.copy(advance().text);
+        ExprPtr index = nullptr;
         if (match(Tok::LBracket)) {
             index = parseExpr();
             expect(Tok::RBracket, "after array index");
         }
         expect(Tok::Assign, "in assignment");
-        stmt->exprs.push_back(parseExpr());
+        push(parseExpr());
         if (index)
-            stmt->exprs.push_back(std::move(index));
-        return stmt;
+            push(index);
+        break;
       }
       case Tok::KwIf: {
         advance();
         stmt->kind = Stmt::Kind::If;
-        stmt->exprs.push_back(parseExpr());
+        push(parseExpr());
         expect(Tok::KwThen, "in if statement");
         stmt->body = parseStmts();
         if (match(Tok::KwElse))
             stmt->elseBody = parseStmts();
         expect(Tok::KwFi, "at end of if statement");
-        return stmt;
+        break;
       }
       case Tok::KwWhile: {
         advance();
         stmt->kind = Stmt::Kind::While;
-        stmt->exprs.push_back(parseExpr());
+        push(parseExpr());
         expect(Tok::KwDo, "in while statement");
         stmt->body = parseStmts();
         expect(Tok::KwOd, "at end of while statement");
-        return stmt;
+        break;
       }
       case Tok::KwFor: {
         advance();
         stmt->kind = Stmt::Kind::For;
-        stmt->name = expect(Tok::Ident, "as loop variable").text;
+        stmt->name =
+            arena_.copy(expect(Tok::Ident, "as loop variable").text);
         expect(Tok::Assign, "in for statement");
-        stmt->exprs.push_back(parseExpr());
+        push(parseExpr());
         expect(Tok::KwTo, "in for statement");
-        stmt->exprs.push_back(parseExpr());
+        push(parseExpr());
         expect(Tok::KwDo, "in for statement");
         stmt->body = parseStmts();
         expect(Tok::KwOd, "at end of for statement");
-        return stmt;
+        break;
       }
       case Tok::KwRepeat: {
         advance();
         stmt->kind = Stmt::Kind::Repeat;
         stmt->body = parseStmts();
         expect(Tok::KwUntil, "at end of repeat statement");
-        stmt->exprs.push_back(parseExpr());
-        return stmt;
+        push(parseExpr());
+        break;
       }
       case Tok::KwCall: {
         advance();
         stmt->kind = Stmt::Kind::Call;
-        stmt->name = expect(Tok::Ident, "as procedure name").text;
+        stmt->name =
+            arena_.copy(expect(Tok::Ident, "as procedure name").text);
         expect(Tok::LParen, "in call statement");
         stmt->exprs = parseArgs();
         expect(Tok::RParen, "after call arguments");
@@ -242,42 +292,45 @@ Parser::parseStmt()
       case Tok::KwWrite: {
         advance();
         stmt->kind = Stmt::Kind::Write;
-        stmt->exprs.push_back(parseExpr());
-        return stmt;
+        push(parseExpr());
+        break;
       }
       case Tok::KwRead: {
         advance();
         stmt->kind = Stmt::Kind::Read;
-        stmt->name = expect(Tok::Ident, "as read target").text;
+        stmt->name = arena_.copy(expect(Tok::Ident, "as read target").text);
         if (match(Tok::LBracket)) {
-            stmt->exprs.push_back(parseExpr());
+            push(parseExpr());
             expect(Tok::RBracket, "after array index");
         }
-        return stmt;
+        break;
       }
       case Tok::KwReturn: {
         advance();
         stmt->kind = Stmt::Kind::Return;
         if (!check(Tok::Semi))
-            stmt->exprs.push_back(parseExpr());
-        return stmt;
+            push(parseExpr());
+        break;
       }
       default:
         fatal("%s: expected a statement, found %s",
               peek().loc.toString().c_str(), tokName(peek().kind));
     }
+    stmt->exprs = closeList(exprs_, exprs);
+    return stmt;
 }
 
-std::vector<ExprPtr>
+ExprList
 Parser::parseArgs()
 {
-    std::vector<ExprPtr> args;
-    if (check(Tok::RParen))
-        return args;
-    do {
-        args.push_back(parseExpr());
-    } while (match(Tok::Comma));
-    return args;
+    const size_t start = exprs_.size();
+    if (!check(Tok::RParen)) {
+        do {
+            ExprPtr arg = parseExpr();
+            exprs_.push_back(arg);
+        } while (match(Tok::Comma));
+    }
+    return closeList(exprs_, start);
 }
 
 ExprPtr
@@ -286,22 +339,17 @@ Parser::parseExpr()
     return parseOr();
 }
 
-namespace
-{
-
 ExprPtr
-makeBinary(AstOp op, ExprPtr lhs, ExprPtr rhs, SourceLoc loc)
+Parser::makeBinary(AstOp op, ExprPtr lhs, ExprPtr rhs, SourceLoc loc)
 {
-    auto e = std::make_unique<Expr>();
+    Expr *e = arena_.make<Expr>();
     e->kind = Expr::Kind::Binary;
     e->op = op;
     e->loc = loc;
-    e->kids.push_back(std::move(lhs));
-    e->kids.push_back(std::move(rhs));
+    const ExprPtr kids[] = {lhs, rhs};
+    e->kids = arena_.copy(ExprList(kids));
     return e;
 }
-
-} // anonymous namespace
 
 ExprPtr
 Parser::parseOr()
@@ -309,7 +357,7 @@ Parser::parseOr()
     ExprPtr e = parseAnd();
     while (check(Tok::KwOr)) {
         SourceLoc loc = advance().loc;
-        e = makeBinary(AstOp::Or, std::move(e), parseAnd(), loc);
+        e = makeBinary(AstOp::Or, e, parseAnd(), loc);
     }
     return e;
 }
@@ -320,7 +368,7 @@ Parser::parseAnd()
     ExprPtr e = parseRel();
     while (check(Tok::KwAnd)) {
         SourceLoc loc = advance().loc;
-        e = makeBinary(AstOp::And, std::move(e), parseRel(), loc);
+        e = makeBinary(AstOp::And, e, parseRel(), loc);
     }
     return e;
 }
@@ -340,7 +388,7 @@ Parser::parseRel()
       default: return e;
     }
     SourceLoc loc = advance().loc;
-    return makeBinary(op, std::move(e), parseAdd(), loc);
+    return makeBinary(op, e, parseAdd(), loc);
 }
 
 ExprPtr
@@ -356,7 +404,7 @@ Parser::parseAdd()
         else
             break;
         SourceLoc loc = advance().loc;
-        e = makeBinary(op, std::move(e), parseMul(), loc);
+        e = makeBinary(op, e, parseMul(), loc);
     }
     return e;
 }
@@ -376,7 +424,7 @@ Parser::parseMul()
         else
             break;
         SourceLoc loc = advance().loc;
-        e = makeBinary(op, std::move(e), parseUnary(), loc);
+        e = makeBinary(op, e, parseUnary(), loc);
     }
     return e;
 }
@@ -385,12 +433,13 @@ ExprPtr
 Parser::parseUnary()
 {
     if (check(Tok::Minus) || check(Tok::KwNot)) {
-        Token t = advance();
-        auto e = std::make_unique<Expr>();
+        const Token &t = advance();
+        Expr *e = arena_.make<Expr>();
         e->kind = Expr::Kind::Unary;
         e->op = t.kind == Tok::Minus ? AstOp::Neg : AstOp::Not;
         e->loc = t.loc;
-        e->kids.push_back(parseUnary());
+        const ExprPtr operand[] = {parseUnary()};
+        e->kids = arena_.copy(ExprList(operand));
         return e;
     }
     return parsePrimary();
@@ -399,24 +448,27 @@ Parser::parseUnary()
 ExprPtr
 Parser::parsePrimary()
 {
-    auto e = std::make_unique<Expr>();
-    e->loc = peek().loc;
-
+    const SourceLoc loc = peek().loc;
     if (check(Tok::Number)) {
+        Expr *e = arena_.make<Expr>();
+        e->loc = loc;
         e->kind = Expr::Kind::Number;
         e->value = advance().value;
         return e;
     }
     if (match(Tok::LParen)) {
-        e = parseExpr();
+        ExprPtr e = parseExpr();
         expect(Tok::RParen, "after parenthesized expression");
         return e;
     }
     if (check(Tok::Ident)) {
-        e->name = advance().text;
+        Expr *e = arena_.make<Expr>();
+        e->loc = loc;
+        e->name = arena_.copy(advance().text);
         if (match(Tok::LBracket)) {
             e->kind = Expr::Kind::Index;
-            e->kids.push_back(parseExpr());
+            const ExprPtr index[] = {parseExpr()};
+            e->kids = arena_.copy(ExprList(index));
             expect(Tok::RBracket, "after array index");
         } else if (match(Tok::LParen)) {
             e->kind = Expr::Kind::Call;

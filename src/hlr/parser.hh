@@ -48,27 +48,32 @@ class Parser
   public:
     explicit Parser(std::vector<Token> tokens);
 
-    /** Parse a whole program. */
+    /** Parse a whole program; it takes over the parser's arena. */
     AstProgram parseProgram();
 
-    /** Parse a standalone expression (testing hook). */
+    /** Parse a standalone expression (testing hook); the tree lives
+     *  as long as the parser. */
     ExprPtr parseExprOnly();
 
   private:
     const Token &peek() const { return tokens_[pos_]; }
-    const Token &peekAhead() const;
-    Token advance();
+    const Token &advance();
     bool check(Tok kind) const { return peek().kind == kind; }
     bool match(Tok kind);
-    Token expect(Tok kind, const char *context);
+    const Token &expect(Tok kind, const char *context);
+
+    /** Move the items pushed on @p stack since @p start into the
+     *  arena, as one list. */
+    template <typename T>
+    std::span<const T> closeList(std::vector<T> &stack, size_t start);
 
     Block parseBlock();
-    void parseVarDecls(Block &block);
-    void parseConstDecls(Block &block);
+    void parseVarDecls();
+    void parseConstDecls();
     ProcDecl parseProcDecl(bool is_func);
-    std::vector<StmtPtr> parseStmts();
+    StmtList parseStmts();
     StmtPtr parseStmt();
-    std::vector<ExprPtr> parseArgs();
+    ExprList parseArgs();
 
     ExprPtr parseExpr();
     ExprPtr parseOr();
@@ -78,9 +83,19 @@ class Parser
     ExprPtr parseMul();
     ExprPtr parseUnary();
     ExprPtr parsePrimary();
+    ExprPtr makeBinary(AstOp op, ExprPtr lhs, ExprPtr rhs, SourceLoc loc);
 
     std::vector<Token> tokens_;
     size_t pos_ = 0;
+    AstArena arena_;
+    // Lists under construction, one stack per element type: a nested
+    // list opens and closes above its parent's pending items.
+    std::vector<ExprPtr> exprs_;
+    std::vector<StmtPtr> stmts_;
+    std::vector<ConstDecl> consts_;
+    std::vector<VarDecl> vars_;
+    std::vector<ProcDecl> procs_;
+    std::vector<std::string_view> params_;
 };
 
 /** Convenience: lex and parse @p source. */

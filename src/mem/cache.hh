@@ -100,8 +100,8 @@ class SetAssocCache
     registerCounters(obs::Registry &registry,
                      const std::string &prefix) const
     {
-        registry.add(obs::joinName(prefix, "hits"), hits_);
-        registry.add(obs::joinName(prefix, "misses"), misses_);
+        registry.add(prefix, "hits", hits_);
+        registry.add(prefix, "misses", misses_);
     }
 
     /** Number of sets. */

@@ -115,10 +115,8 @@ class MainMemory
     registerCounters(obs::Registry &registry,
                      const std::string &prefix) const
     {
-        registry.add(obs::joinName(prefix, "level1_accesses"),
-                     level1Accesses_);
-        registry.add(obs::joinName(prefix, "level2_accesses"),
-                     level2Accesses_);
+        registry.add(prefix, "level1_accesses", level1Accesses_);
+        registry.add(prefix, "level2_accesses", level2Accesses_);
     }
 
     /** Reset cycle and access counters (not contents). */

@@ -1,5 +1,7 @@
 #include "obs/histogram.hh"
 
+#include <algorithm>
+
 #include "support/json.hh"
 
 namespace uhm::obs
@@ -72,6 +74,8 @@ Histogram::snapshot() const
     snap.sum = sum_;
     snap.min = min_;
     snap.max = max_;
+    snap.buckets.reserve(static_cast<size_t>(
+        numBuckets - std::count(buckets_.begin(), buckets_.end(), 0)));
     for (unsigned b = 0; b < numBuckets; ++b) {
         if (buckets_[b] != 0)
             snap.buckets.emplace_back(b, buckets_[b]);

@@ -9,15 +9,21 @@
  * read one uniform, machine-readable view of where the events went.
  * The registry holds non-owning pointers: reading it is always a live
  * snapshot, and registration happens once at construction time, never
- * on a hot path.
+ * on a hot path. A registry is one sorted vector of entries, each
+ * holding its name inline next to its pointer: registering a machine's
+ * twenty or so counters is one allocation and no string is built on
+ * the heap.
  */
 
 #ifndef UHM_OBS_REGISTRY_HH
 #define UHM_OBS_REGISTRY_HH
 
+#include <array>
 #include <cstdint>
 #include <map>
 #include <string>
+#include <string_view>
+#include <vector>
 
 #include "obs/counter.hh"
 #include "obs/histogram.hh"
@@ -42,13 +48,17 @@ class Registry
      * registry. Registering two counters under one name is an internal
      * error (panics).
      */
-    void add(const std::string &name, const Counter &counter);
+    void add(std::string_view name, const Counter &counter);
+
+    /** Publish @p counter under joinName(@p prefix, @p leaf). */
+    void add(std::string_view prefix, std::string_view leaf,
+             const Counter &counter);
 
     /** Current value of the counter named @p name; 0 if absent. */
-    uint64_t get(const std::string &name) const;
+    uint64_t get(std::string_view name) const;
 
     /** True if a counter is registered under @p name. */
-    bool contains(const std::string &name) const;
+    bool contains(std::string_view name) const;
 
     /** Number of registered counters. */
     size_t size() const { return counters_.size(); }
@@ -60,7 +70,7 @@ class Registry
      * Sum of every counter whose name starts with "<prefix>." (or
      * equals @p prefix): totals for a whole component.
      */
-    uint64_t total(const std::string &prefix) const;
+    uint64_t total(std::string_view prefix) const;
 
     /** Emit one flat JSON object: {"dtb.hits": 12, ...}. */
     void writeJson(JsonWriter &jw) const;
@@ -73,14 +83,13 @@ class Registry
      * are separate sections of the report, but share the dotted
      * naming scheme.
      */
-    void addHistogram(const std::string &name,
-                      const Histogram &histogram);
+    void addHistogram(std::string_view name, const Histogram &histogram);
 
     /** True if a histogram is registered under @p name. */
-    bool containsHistogram(const std::string &name) const;
+    bool containsHistogram(std::string_view name) const;
 
     /** The registered histogram, or null. */
-    const Histogram *histogram(const std::string &name) const;
+    const Histogram *histogram(std::string_view name) const;
 
     /** Number of registered histograms. */
     size_t numHistograms() const { return histograms_.size(); }
@@ -88,9 +97,21 @@ class Registry
     /** Materialize every histogram's value, sorted by name. */
     std::map<std::string, HistogramSnapshot> histogramSnapshot() const;
 
+    /** One registered object and its name, stored inline. */
+    template <typename T>
+    struct Entry
+    {
+        std::array<char, 47> text;
+        uint8_t size;
+        const T *object;
+
+        std::string_view name() const { return {text.data(), size}; }
+    };
+
   private:
-    std::map<std::string, const Counter *> counters_;
-    std::map<std::string, const Histogram *> histograms_;
+    /** Sorted by name. */
+    std::vector<Entry<Counter>> counters_;
+    std::vector<Entry<Histogram>> histograms_;
 };
 
 } // namespace uhm::obs

@@ -1,9 +1,24 @@
 #include "psder/staging.hh"
 
+#include <algorithm>
+
 #include "support/logging.hh"
 
 namespace uhm
 {
+
+namespace
+{
+
+/** Stage @p values as @p st's pushes. */
+void
+setPushes(Staging &st, std::initializer_list<int64_t> values)
+{
+    std::copy(values.begin(), values.end(), st.pushes.begin());
+    st.numPushes = static_cast<uint32_t>(values.size());
+}
+
+} // anonymous namespace
 
 Staging
 stageInstruction(const DirInstruction &instr, const EncodedDir &image,
@@ -25,7 +40,7 @@ stageInstruction(const DirInstruction &instr, const EncodedDir &image,
     switch (instr.op) {
       case Op::PUSHC:
         // The literal itself is staged; no semantic routine.
-        st.pushes = {instr.operands[0]};
+        setPushes(st, {instr.operands[0]});
         st.routine = -1;
         st.nextImm = fallthru();
         return st;
@@ -33,41 +48,41 @@ stageInstruction(const DirInstruction &instr, const EncodedDir &image,
       case Op::PUSHL:
       case Op::STOREL:
       case Op::ADDR:
-        st.pushes = {instr.operands[0], instr.operands[1]};
+        setPushes(st, {instr.operands[0], instr.operands[1]});
         st.nextImm = fallthru();
         return st;
 
       case Op::ENTER:
       case Op::SETL:
       case Op::INCL:
-        st.pushes = {instr.operands[0], instr.operands[1],
-                     instr.operands[2]};
+        setPushes(st, {instr.operands[0], instr.operands[1],
+                     instr.operands[2]});
         st.nextImm = fallthru();
         return st;
 
       case Op::WRITEL:
-        st.pushes = {instr.operands[0], instr.operands[1]};
+        setPushes(st, {instr.operands[0], instr.operands[1]});
         st.nextImm = fallthru();
         return st;
 
       case Op::PUSHL2:
-        st.pushes = {instr.operands[0], instr.operands[1],
-                     instr.operands[2], instr.operands[3]};
+        setPushes(st, {instr.operands[0], instr.operands[1],
+                     instr.operands[2], instr.operands[3]});
         st.nextImm = fallthru();
         return st;
 
       case Op::BRZL:
       case Op::BRNZL:
-        st.pushes = {
+        setPushes(st, {
             instr.operands[0], instr.operands[1],
             static_cast<int64_t>(target_addr(instr.operands[2])),
             static_cast<int64_t>(fallthru()),
-        };
+        });
         st.next = NextKind::Stack;
         return st;
 
       case Op::SEMWORK:
-        st.pushes = {instr.operands[0]};
+        setPushes(st, {instr.operands[0]});
         st.nextImm = fallthru();
         return st;
 
@@ -78,10 +93,10 @@ stageInstruction(const DirInstruction &instr, const EncodedDir &image,
 
       case Op::JZ:
       case Op::JNZ:
-        st.pushes = {
+        setPushes(st, {
             static_cast<int64_t>(target_addr(instr.operands[0])),
             static_cast<int64_t>(fallthru()),
-        };
+        });
         st.next = NextKind::Stack;
         return st;
 
@@ -89,16 +104,16 @@ stageInstruction(const DirInstruction &instr, const EncodedDir &image,
         const Contour &callee =
             image.program().procContour(
                 static_cast<size_t>(instr.operands[0]));
-        st.pushes = {
+        setPushes(st, {
             static_cast<int64_t>(image.bitAddrOf(callee.entry)),
             static_cast<int64_t>(fallthru()),
-        };
+        });
         st.next = NextKind::Stack;
         return st;
       }
 
       case Op::RET:
-        st.pushes = {instr.operands[0], instr.operands[1]};
+        setPushes(st, {instr.operands[0], instr.operands[1]});
         st.next = NextKind::Stack;
         return st;
 
@@ -120,29 +135,26 @@ stageInstruction(const DirInstruction &instr, const EncodedDir &image,
     }
 }
 
-std::vector<ShortInstr>
-lowerStaging(const Staging &staging)
+void
+lowerStaging(const Staging &staging, std::vector<ShortInstr> &out)
 {
-    std::vector<ShortInstr> seq;
-    seq.reserve(staging.pushes.size() + 2);
-    for (int64_t v : staging.pushes)
-        seq.push_back({SOp::PUSH, SMode::Imm, v});
+    for (int64_t v : staging.pushList())
+        out.push_back({SOp::PUSH, SMode::Imm, v});
     if (staging.routine >= 0)
-        seq.push_back({SOp::CALL, SMode::Imm, staging.routine});
+        out.push_back({SOp::CALL, SMode::Imm, staging.routine});
     switch (staging.next) {
       case NextKind::Imm:
-        seq.push_back({SOp::INTERP, SMode::Imm,
+        out.push_back({SOp::INTERP, SMode::Imm,
                        static_cast<int64_t>(staging.nextImm)});
         break;
       case NextKind::Stack:
-        seq.push_back({SOp::INTERP, SMode::Stack, 0});
+        out.push_back({SOp::INTERP, SMode::Stack, 0});
         break;
       case NextKind::Halt:
-        seq.push_back({SOp::INTERP, SMode::Imm,
+        out.push_back({SOp::INTERP, SMode::Imm,
                        static_cast<int64_t>(haltBitAddr)});
         break;
     }
-    return seq;
 }
 
 } // namespace uhm

@@ -23,7 +23,9 @@
 #ifndef UHM_PSDER_STAGING_HH
 #define UHM_PSDER_STAGING_HH
 
+#include <array>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "dir/encoding.hh"
@@ -44,13 +46,26 @@ enum class NextKind : uint8_t
 /** The canonical lowering of one DIR instruction. */
 struct Staging
 {
-    /** Values to push, in order. */
-    std::vector<int64_t> pushes;
+    /** Most values any DIR instruction stages (PUSHL2, BRZL/BRNZL). */
+    static constexpr size_t maxPushes = 4;
+    /** Longest lowering: every push, a CALL and the INTERP. */
+    static constexpr size_t maxShortInstrs = maxPushes + 2;
+
+    /** Values to push, in order: the first numPushes. */
+    std::array<int64_t, maxPushes> pushes{};
+    uint32_t numPushes = 0;
     /** Semantic routine id, or -1 when the opcode has none. */
     int64_t routine = -1;
     NextKind next = NextKind::Imm;
     /** Successor bit-address (next == Imm only). */
     uint64_t nextImm = 0;
+
+    /** The staged values, in push order. */
+    std::span<const int64_t>
+    pushList() const
+    {
+        return {pushes.data(), numPushes};
+    }
 };
 
 /**
@@ -63,12 +78,12 @@ Staging stageInstruction(const DirInstruction &instr,
 
 /**
  * Lower a staging to PSDER short-format instructions (what the dynamic
- * translator stores in the DTB). The sequence is
- * PUSH#* [CALL] INTERP — the paper's s1 short fetches per DIR
- * instruction. A Halt successor is encoded as INTERP #haltAddr with the
- * distinguished address below.
+ * translator stores in the DTB), appending them to @p out. The
+ * sequence is PUSH#* [CALL] INTERP — the paper's s1 short fetches per
+ * DIR instruction, at most Staging::maxShortInstrs. A Halt successor is
+ * encoded as INTERP #haltAddr with the distinguished address below.
  */
-std::vector<ShortInstr> lowerStaging(const Staging &staging);
+void lowerStaging(const Staging &staging, std::vector<ShortInstr> &out);
 
 /** Distinguished DIR address meaning "halt" in INTERP operands. */
 constexpr uint64_t haltBitAddr = ~0ull;

@@ -18,19 +18,17 @@ SessionCache::SessionCache(size_t max_sessions)
 std::string
 SessionCache::keyFor(const Request &req)
 {
-    std::string source_id;
-    if (!req.source.empty()) {
-        char buf[32];
-        std::snprintf(buf, sizeof(buf), "source:%016llx",
-                      static_cast<unsigned long long>(
-                          fnv1a(req.source.data(), req.source.size())));
-        source_id = buf;
-    } else if (req.program == "synthetic") {
-        source_id = "synthetic:" + std::to_string(req.seed);
-    } else {
-        source_id = "sample:" + req.program;
-    }
-    return source_id + "|" + req.machine.fingerprint();
+    // The settings half first: a fingerprint holds no '|', so the first
+    // one ends it. An inline source is keyed on its bytes, not a digest
+    // of them, so two sources that differ anywhere get two sessions.
+    std::string key = req.machine.fingerprint();
+    if (!req.source.empty())
+        key += "|source:" + req.source;
+    else if (req.program == "synthetic")
+        key += "|synthetic:" + std::to_string(req.seed);
+    else
+        key += "|sample:" + req.program;
+    return key;
 }
 
 std::shared_ptr<Session>

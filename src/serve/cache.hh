@@ -10,9 +10,11 @@
  * so re-running a warm session is byte-identical to a cold one; the
  * cache only skips the compile/encode/construct work, never the reset.
  *
- * Keying: source identity × MachineSettings::fingerprint(). The run
- * input is deliberately NOT part of the key — beginRun() takes the
- * input per run, so one warm session serves every input.
+ * Keying: MachineSettings::fingerprint() × what to run — a sample's
+ * name, the synthetic seed, or an inline source's full text (never a
+ * hash of it, which two sources could share). The run input is
+ * deliberately NOT part of the key — beginRun() takes the input per
+ * run, so one warm session serves every input.
  *
  * Eviction: bounded LRU over *idle* sessions. A session that is
  * executing a request is busy and pinned — an eviction that would

@@ -3,7 +3,9 @@
  * uhm_client: command-line client for a running uhm_serve daemon.
  *
  * Mirrors uhm_cli's output conventions so served results diff cleanly
- * against cold CLI runs: run output values go to stdout one per line,
+ * against cold CLI runs. It takes uhm_cli's eight machine-setting
+ * flags through the same parser (uhm::takeSettingsFlags) and sends
+ * each one that is off its default as its wire field: run output values go to stdout one per line,
  * the profile payload goes to --out= (default: stderr), a sweep/stats
  * payload goes to --out= (default: stdout).
  *
@@ -30,6 +32,7 @@
 #include "support/json.hh"
 #include "support/logging.hh"
 #include "support/pool.hh"
+#include "uhm/settings.hh"
 
 namespace
 {
@@ -40,7 +43,8 @@ struct Options
     std::string verb = "run";
     std::string program;
     std::vector<std::string> positional;
-    std::string machine, encoding;
+    /** The eight machine settings; those off their defaults are sent. */
+    uhm::MachineSettings settings;
     std::vector<int64_t> input;
     bool haveSeed = false;
     uint64_t seed = 0;
@@ -83,6 +87,12 @@ printHelp(std::FILE *out)
         "  --machine=KIND     conventional|cached|dtb|dtb2|tiered\n"
         "  --encoding=E       expanded|packed|contextual|huffman|"
         "pair-huffman|quantized\n"
+        "  --dtb-bytes=N      DTB/icache capacity (default 4096)\n"
+        "  --assoc=N          DTB/icache ways, 0 = full (default 4)\n"
+        "  --tier-threshold=N, --trace-cap=N, --trace-bytes=N\n"
+        "                     trace formation and trace cache "
+        "(tiered only)\n"
+        "  --sample-interval=N  occupancy sampling period in cycles\n"
         "  --input=a,b,c      read-statement input values\n"
         "  --seed=N           synthetic workload seed\n"
         "  --profile          attach the profile payload to a run\n"
@@ -101,8 +111,10 @@ Options
 parseArgs(int argc, char **argv)
 {
     Options opts;
-    for (int i = 1; i < argc; ++i) {
-        std::string arg = argv[i];
+    std::vector<std::string> args(argv + 1, argv + argc);
+    // The machine settings parse exactly as uhm_cli's do.
+    opts.settings = uhm::takeSettingsFlags(args);
+    for (const std::string &arg : args) {
         auto value = [&](const char *prefix) -> std::string {
             return arg.substr(std::strlen(prefix));
         };
@@ -110,10 +122,6 @@ parseArgs(int argc, char **argv)
             opts.socketPath = value("--socket=");
         else if (arg.rfind("--verb=", 0) == 0)
             opts.verb = value("--verb=");
-        else if (arg.rfind("--machine=", 0) == 0)
-            opts.machine = value("--machine=");
-        else if (arg.rfind("--encoding=", 0) == 0)
-            opts.encoding = value("--encoding=");
         else if (arg.rfind("--input=", 0) == 0)
             opts.input = uhm::parseIntListFlag("--input",
                                                value("--input="));
@@ -176,10 +184,24 @@ buildRequest(const Options &opts, uint64_t id)
             jw.value(name);
         jw.endArray();
     }
-    if (!opts.machine.empty())
-        jw.key("machine").value(opts.machine);
-    if (!opts.encoding.empty())
-        jw.key("encoding").value(opts.encoding);
+    // A setting left at its default is not sent: the daemon applies
+    // the same default, and verbs without a machine take none.
+    const uhm::MachineSettings &s = opts.settings;
+    const uhm::MachineSettings d;
+    if (s.kind != d.kind)
+        jw.key("machine").value(uhm::machineKindName(s.kind));
+    if (s.scheme != d.scheme)
+        jw.key("encoding").value(uhm::encodingName(s.scheme));
+    auto uintSetting = [&](const char *field, uint64_t v, uint64_t def) {
+        if (v != def)
+            jw.key(field).value(v);
+    };
+    uintSetting("dtb_bytes", s.dtbBytes, d.dtbBytes);
+    uintSetting("assoc", s.assoc, d.assoc);
+    uintSetting("tier_threshold", s.tierThreshold, d.tierThreshold);
+    uintSetting("trace_cap", s.traceCap, d.traceCap);
+    uintSetting("trace_bytes", s.traceBytes, d.traceBytes);
+    uintSetting("sample_interval", s.sampleInterval, d.sampleInterval);
     if (opts.haveSeed)
         jw.key("seed").value(opts.seed);
     if (!opts.input.empty()) {

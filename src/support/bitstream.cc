@@ -34,15 +34,20 @@ BitWriter::write(uint64_t value, unsigned width)
         uhm_assert((value >> width) == 0,
                    "value does not fit in %u bits", width);
 
-    for (unsigned i = width; i-- > 0;) {
-        size_t byte = bitSize_ >> 3;
-        unsigned bit = 7 - (bitSize_ & 7);
-        if (byte >= bytes_.size())
-            bytes_.push_back(0);
-        if ((value >> i) & 1)
-            bytes_[byte] |= static_cast<uint8_t>(1u << bit);
-        ++bitSize_;
-    }
+    if (width == 0)
+        return;
+    // The field spans the partial last byte (from bit offset `used`)
+    // and up to eight more: left-align it in a 128-bit word there and
+    // OR the word's leading bytes in.
+    const unsigned used = bitSize_ & 7;
+    const size_t byte = bitSize_ >> 3;
+    const unsigned span = used + width;
+    bitSize_ += width;
+    bytes_.resize((bitSize_ + 7) >> 3);
+    const unsigned __int128 field =
+        static_cast<unsigned __int128>(value) << (128 - span);
+    for (unsigned i = 0; i * 8 < span; ++i)
+        bytes_[byte + i] |= static_cast<uint8_t>(field >> (120 - 8 * i));
 }
 
 uint64_t

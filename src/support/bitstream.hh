@@ -37,6 +37,9 @@ class BitWriter
     /** Append a single bit. */
     void writeBit(bool bit) { write(bit ? 1 : 0, 1); }
 
+    /** Make room for a stream of @p bits bits in one allocation. */
+    void reserve(size_t bits) { bytes_.reserve((bits + 7) >> 3); }
+
     /** Current length of the stream in bits. */
     size_t bitSize() const { return bitSize_; }
 

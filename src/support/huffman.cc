@@ -1,9 +1,10 @@
 #include "support/huffman.hh"
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <cmath>
 #include <numeric>
-#include <queue>
 
 #include "support/logging.hh"
 
@@ -14,8 +15,13 @@ namespace
 {
 
 /**
- * Plain Huffman code lengths via the classic two-queue construction.
- * Frequencies of zero are bumped to one so every symbol is codeable.
+ * Plain Huffman code lengths via the two-queue construction: the
+ * leaves sorted by (weight, symbol) form one queue, and the merged
+ * nodes, created in nondecreasing weight order, form the other. Each
+ * merge takes the two smallest fronts by (weight, node index), where
+ * a merged node's index follows every leaf's, so ties resolve exactly
+ * as a min-heap keyed that way would. Frequencies of zero are bumped
+ * to one so every symbol is codeable.
  */
 std::vector<unsigned>
 huffmanLengths(const std::vector<uint64_t> &freqs)
@@ -24,41 +30,51 @@ huffmanLengths(const std::vector<uint64_t> &freqs)
     if (n == 1)
         return {1};
 
-    struct HeapItem
+    struct Node
     {
         uint64_t weight;
-        size_t node;
-        bool operator>(const HeapItem &o) const
-        {
-            // Tie-break on node index for determinism.
-            return weight != o.weight ? weight > o.weight : node > o.node;
-        }
+        /** Leaf symbol, or n + k for the k-th merged node. */
+        uint32_t id;
     };
-
-    // Nodes 0..n-1 are leaves; parents are appended after.
-    std::vector<int> parent(n, -1);
-    std::priority_queue<HeapItem, std::vector<HeapItem>,
-                        std::greater<HeapItem>> heap;
+    // [0, n): the leaf queue, sorted; [n, 2n-1): merged nodes in
+    // creation order. parent[] is indexed by node id.
+    std::vector<Node> nodes(2 * n - 1);
+    std::vector<uint32_t> parent(2 * n - 1);
     for (size_t i = 0; i < n; ++i)
-        heap.push({std::max<uint64_t>(freqs[i], 1), i});
+        nodes[i] = {std::max<uint64_t>(freqs[i], 1),
+                    static_cast<uint32_t>(i)};
+    std::sort(nodes.begin(), nodes.begin() + n,
+              [](const Node &a, const Node &b) {
+                  return a.weight != b.weight ? a.weight < b.weight :
+                      a.id < b.id;
+              });
 
-    while (heap.size() > 1) {
-        HeapItem a = heap.top(); heap.pop();
-        HeapItem b = heap.top(); heap.pop();
-        size_t p = parent.size();
-        parent.push_back(-1);
-        parent[a.node] = static_cast<int>(p);
-        parent[b.node] = static_cast<int>(p);
-        heap.push({a.weight + b.weight, p});
+    size_t leaf = 0, merged = n, made = n;
+    auto take = [&]() -> const Node & {
+        // Leaf ids are below every merged id: a leaf wins a weight tie.
+        if (merged == made ||
+            (leaf < n && nodes[leaf].weight <= nodes[merged].weight))
+            return nodes[leaf++];
+        return nodes[merged++];
+    };
+    while (made < 2 * n - 1) {
+        const Node &a = take();
+        const Node &b = take();
+        const uint32_t id = static_cast<uint32_t>(made);
+        parent[a.id] = id;
+        parent[b.id] = id;
+        nodes[made++] = {a.weight + b.weight, id};
     }
 
-    std::vector<unsigned> lengths(n, 0);
-    for (size_t i = 0; i < n; ++i) {
-        unsigned len = 0;
-        for (int v = parent[i]; v != -1; v = parent[v])
-            ++len;
-        lengths[i] = len;
-    }
+    // Depths from the root (the last node made) down, overwriting each
+    // merged node's parent link: a parent was made after its children,
+    // so its slot already holds its depth.
+    parent[2 * n - 2] = 0;
+    for (size_t id = 2 * n - 2; id-- > n;)
+        parent[id] = parent[parent[id]] + 1;
+    std::vector<unsigned> lengths(n);
+    for (size_t i = 0; i < n; ++i)
+        lengths[i] = parent[parent[i]] + 1;
     return lengths;
 }
 
@@ -153,38 +169,53 @@ HuffmanCode::fromLengths(std::vector<unsigned> lengths)
 {
     HuffmanCode hc;
     hc.lengths_ = std::move(lengths);
-    size_t n = hc.lengths_.size();
-    hc.codes_.assign(n, 0);
+    const size_t n = hc.lengths_.size();
+    hc.codes_.resize(n);
 
-    // Canonical assignment: shorter codes first, symbol order within a
-    // length.
+    // Canonical order: shorter codes first, symbol order within a
+    // length (a counting sort over the lengths).
+    std::array<uint32_t, 66> first{};
+    for (unsigned len : hc.lengths_) {
+        uhm_assert(len >= 1 && len <= 64, "bad code length %u", len);
+        ++first[len + 1];
+    }
+    for (size_t len = 1; len < first.size(); ++len)
+        first[len] += first[len - 1];
     std::vector<uint32_t> order(n);
-    std::iota(order.begin(), order.end(), 0);
-    std::stable_sort(order.begin(), order.end(),
-                     [&](uint32_t a, uint32_t b) {
-                         return hc.lengths_[a] != hc.lengths_[b] ?
-                             hc.lengths_[a] < hc.lengths_[b] : a < b;
-                     });
+    for (size_t sym = 0; sym < n; ++sym)
+        order[first[hc.lengths_[sym]]++] = static_cast<uint32_t>(sym);
 
+    // Canonical codes, in that order. The order is also the decode
+    // tree's left-to-right leaf order, so each codeword adds one tree
+    // node per bit past its longest common prefix with the previous
+    // codeword; the root is the one node no codeword adds.
+    hc.treeNodes_ = 1;
     uint64_t code = 0;
-    unsigned prev_len = hc.lengths_[order[0]];
+    unsigned last_len = hc.lengths_[order[0]];
     for (size_t i = 0; i < n; ++i) {
-        unsigned len = hc.lengths_[order[i]];
-        code <<= (len - prev_len);
-        hc.codes_[order[i]] = code;
-        ++code;
-        prev_len = len;
+        const uint32_t sym = order[i];
+        const unsigned len = hc.lengths_[sym];
+        uhm_assert(last_len == 64 || (code >> last_len) == 0,
+                   "lengths overfill the code space at symbol %u", sym);
+        // code is the previous codeword plus one: the bits the
+        // increment changed are where this codeword leaves its path.
+        const unsigned common = i == 0 ? 0 :
+            last_len - static_cast<unsigned>(
+                           std::bit_width(code ^ (code - 1)));
+        code <<= len - last_len;
+        hc.treeNodes_ += len - common;
+        hc.codes_[sym] = code++;
+        last_len = len;
     }
 
-    hc.buildTree();
-    hc.buildDecodeTable();
+    hc.buildDecodeTable(order);
     return hc;
 }
 
 void
-HuffmanCode::buildDecodeTable()
+HuffmanCode::buildDecodeTable(const std::vector<uint32_t> &order)
 {
-    maxLen_ = *std::max_element(lengths_.begin(), lengths_.end());
+    maxLen_ = lengths_[order.back()];
     uhm_assert(maxLen_ >= 1 && maxLen_ <= 64, "bad max length %u",
                maxLen_);
     uhm_assert(lengths_.size() <= slotPayloadMax,
@@ -217,13 +248,6 @@ HuffmanCode::buildDecodeTable()
     // visited in canonical (length-major) order, so all codewords of
     // one prefix are contiguous; a single pass sizing each subtable by
     // its longest member suffices.
-    std::vector<uint32_t> order(lengths_.size());
-    std::iota(order.begin(), order.end(), 0);
-    std::stable_sort(order.begin(), order.end(),
-                     [&](uint32_t a, uint32_t b) {
-                         return lengths_[a] != lengths_[b] ?
-                             lengths_[a] < lengths_[b] : a < b;
-                     });
 
     // Pass 1: widest suffix per prefix.
     std::vector<std::pair<uint64_t, unsigned>> prefixWidth;
@@ -272,31 +296,6 @@ HuffmanCode::buildDecodeTable()
                        "overflow slot clash at symbol %u", sym);
             overflow_[base + first + i] = slot;
         }
-    }
-}
-
-void
-HuffmanCode::buildTree()
-{
-    tree_.clear();
-    tree_.push_back(Node{});
-    for (size_t sym = 0; sym < lengths_.size(); ++sym) {
-        unsigned len = lengths_[sym];
-        uint64_t code = codes_[sym];
-        int node = 0;
-        for (unsigned i = len; i-- > 0;) {
-            int bit = static_cast<int>((code >> i) & 1);
-            if (tree_[node].child[bit] == -1) {
-                tree_[node].child[bit] = static_cast<int>(tree_.size());
-                tree_.push_back(Node{});
-            }
-            node = tree_[node].child[bit];
-            uhm_assert(tree_[node].symbol == -1,
-                       "prefix violation at symbol %zu", sym);
-        }
-        uhm_assert(tree_[node].child[0] == -1 && tree_[node].child[1] == -1,
-                   "prefix violation at symbol %zu", sym);
-        tree_[node].symbol = static_cast<int64_t>(sym);
     }
 }
 
@@ -371,20 +370,6 @@ HuffmanCode::encode(BitWriter &bw, uint64_t symbol) const
     bw.write(codes_[symbol], lengths_[symbol]);
 }
 
-uint64_t
-HuffmanCode::decodeTree(BitReader &br, uint64_t *tree_steps) const
-{
-    int node = 0;
-    while (tree_[node].symbol == -1) {
-        int bit = br.readBit() ? 1 : 0;
-        node = tree_[node].child[bit];
-        uhm_assert(node != -1, "decode fell off the tree");
-        if (tree_steps)
-            ++*tree_steps;
-    }
-    return static_cast<uint64_t>(tree_[node].symbol);
-}
-
 unsigned
 HuffmanCode::lengthOf(uint64_t symbol) const
 {
@@ -404,12 +389,6 @@ HuffmanCode::expectedLength(const std::vector<uint64_t> &freqs) const
     }
     return total == 0 ? 0.0 :
         static_cast<double>(bits) / static_cast<double>(total);
-}
-
-size_t
-HuffmanCode::decodeTreeNodes() const
-{
-    return tree_.size();
 }
 
 double

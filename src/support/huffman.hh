@@ -18,9 +18,9 @@
  * by a multi-bit BitReader::peek/consume pair. It reports the number of
  * decode-tree edges the *simulated* machine would traverse (the codeword
  * length), so every cycle count in the system is the paper's
- * one-edge-per-bit charge. The explicit decode tree is kept: its size is
- * the resident metadata the encoders report, and decodeTree(), one
- * BitReader bit per edge, is the reference the table is tested against.
+ * one-edge-per-bit charge. The explicit decode tree is never built on
+ * the host: its node count, the resident metadata the encoders report,
+ * follows from the canonical codewords alone.
  */
 
 #ifndef UHM_SUPPORT_HUFFMAN_HH
@@ -100,15 +100,11 @@ class HuffmanCode
         return slot >> slotPayloadShift;
     }
 
-    /**
-     * Decode one symbol by walking the explicit decode tree, one bit
-     * per edge: the reference semantics decode() is tested against.
-     */
-    uint64_t decodeTree(BitReader &br,
-                        uint64_t *tree_steps = nullptr) const;
-
     /** Codeword length of @p symbol in bits. */
     unsigned lengthOf(uint64_t symbol) const;
+
+    /** Canonical codeword of @p symbol (its lengthOf() low bits). */
+    uint64_t codeOf(uint64_t symbol) const { return codes_.at(symbol); }
 
     /** Alphabet size. */
     size_t alphabetSize() const { return lengths_.size(); }
@@ -123,12 +119,13 @@ class HuffmanCode
     double expectedLength(const std::vector<uint64_t> &freqs) const;
 
     /**
-     * Number of internal nodes in the decode tree — a proxy for the
-     * decode-table memory the interpreter must keep resident (the paper:
-     * "this also increases the amount of memory occupied by the
-     * interpreter").
+     * Number of nodes in the decode tree, leaves included — a proxy
+     * for the decode-table memory the interpreter must keep resident
+     * (the paper: "this also increases the amount of memory occupied
+     * by the interpreter"). Counted, not built: every node is a
+     * distinct prefix of some codeword (the root is the empty one).
      */
-    size_t decodeTreeNodes() const;
+    size_t decodeTreeNodes() const { return treeNodes_; }
 
     /** All codeword lengths (indexed by symbol). */
     const std::vector<unsigned> &lengths() const { return lengths_; }
@@ -142,23 +139,17 @@ class HuffmanCode
 
     static HuffmanCode fromLengths(std::vector<unsigned> lengths);
 
-    void buildTree();
-    void buildDecodeTable();
+    /** Fill the lookup tables; @p order lists the symbols in
+     *  canonical (length-major, then symbol) order. */
+    void buildDecodeTable(const std::vector<uint32_t> &order);
 
     /** Canonical codeword per symbol. */
     std::vector<uint64_t> codes_;
     /** Codeword length per symbol. */
     std::vector<unsigned> lengths_;
 
-    struct Node
-    {
-        /** Child node indices; -1 means absent. */
-        int child[2] = {-1, -1};
-        /** Decoded symbol for leaves, -1 for internal nodes. */
-        int64_t symbol = -1;
-    };
-    /** Explicit decode tree, node 0 is the root. */
-    std::vector<Node> tree_;
+    /** Nodes of the decode tree the codes define (decodeTreeNodes). */
+    size_t treeNodes_ = 0;
 
     /**
      * One lookup-table slot, packed into 32 bits so a decode touches a

@@ -16,7 +16,9 @@ namespace
 std::vector<ShortInstr>
 lowerBody(const Staging &staging)
 {
-    std::vector<ShortInstr> seq = lowerStaging(staging);
+    std::vector<ShortInstr> seq;
+    seq.reserve(Staging::maxShortInstrs);
+    lowerStaging(staging, seq);
     uhm_assert(!seq.empty() && seq.back().op == SOp::INTERP,
                "lowered staging did not end with INTERP");
     seq.pop_back();
@@ -209,7 +211,7 @@ TierEngine::compileAndInstall(bool loops, uint64_t exit_addr)
 
 TierEngine::InstallResult
 TierEngine::installTranslation(uint64_t dir_addr,
-                               const std::vector<ShortInstr> &code,
+                               std::span<const ShortInstr> code,
                                uint64_t now)
 {
     InstallResult r;
@@ -246,12 +248,11 @@ void
 TierEngine::registerCounters(obs::Registry &registry,
                              const std::string &prefix) const
 {
-    registry.add(obs::joinName(prefix, "traces_recorded"), recorded_);
-    registry.add(obs::joinName(prefix, "traces_installed"), installed_);
-    registry.add(obs::joinName(prefix, "traces_aborted"), aborted_);
-    registry.add(obs::joinName(prefix, "compiled_short_instrs"),
-                 compiledShorts_);
-    registry.add(obs::joinName(prefix, "fused_groups"), fusedGroups_);
+    registry.add(prefix, "traces_recorded", recorded_);
+    registry.add(prefix, "traces_installed", installed_);
+    registry.add(prefix, "traces_aborted", aborted_);
+    registry.add(prefix, "compiled_short_instrs", compiledShorts_);
+    registry.add(prefix, "fused_groups", fusedGroups_);
     cache_.registerCounters(registry, obs::joinName(prefix, "cache"));
 }
 

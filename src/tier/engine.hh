@@ -39,6 +39,7 @@
 
 #include <cstdint>
 #include <map>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -139,7 +140,7 @@ class TierEngine
      * caller has no cycle source.
      */
     InstallResult installTranslation(uint64_t dir_addr,
-                                     const std::vector<ShortInstr> &code,
+                                     std::span<const ShortInstr> code,
                                      uint64_t now = 0);
 
     /**

@@ -133,7 +133,7 @@ TraceCache::registerCounters(obs::Registry &registry,
                              const std::string &prefix) const
 {
     AssocArray::registerCounters(registry, prefix);
-    registry.add(obs::joinName(prefix, "invalidations"), invalidations_);
+    registry.add(prefix, "invalidations", invalidations_);
 }
 
 void

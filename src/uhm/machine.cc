@@ -241,7 +241,7 @@ Machine::chargeFetchCached(uint64_t bit_addr, uint64_t bits)
 void
 Machine::executeStaged(const Staging &staging)
 {
-    for (int64_t v : staging.pushes)
+    for (int64_t v : staging.pushList())
         pushStack(v, breakdown_.stage);
     if (staging.routine >= 0) {
         int32_t entry = flat_->entry[static_cast<size_t>(staging.routine)];
@@ -341,7 +341,7 @@ Machine::executeShort(const ShortInstr &si)
 }
 
 uint64_t
-Machine::executeShortSequence(const std::vector<ShortInstr> &code,
+Machine::executeShortSequence(std::span<const ShortInstr> code,
                               uint64_t fetch_cost)
 {
     for (const ShortInstr &si : code) {
@@ -359,7 +359,7 @@ Machine::executeShortSequence(const std::vector<ShortInstr> &code,
     panic("PSDER sequence did not end with INTERP");
 }
 
-const std::vector<ShortInstr> &
+std::span<const ShortInstr>
 Machine::missFlow()
 {
     // Figure 4: trap through DTRPOINT to the dynamic translator.
@@ -435,7 +435,9 @@ Machine::dtbStep()
         }
     }
 
-    const std::vector<ShortInstr> *code = nullptr;
+    // Empty until a buffer or the translator supplies it: every
+    // translation ends in an INTERP.
+    std::span<const ShortInstr> code;
     uint64_t fetch_cost = config_.timing.tauD;
 
     // First-level translation buffer (Dtb2): a tau1-speed lookup.
@@ -443,30 +445,30 @@ Machine::dtbStep()
         breakdown_.dispatch += config_.timing.tau1;
         uint32_t l1 = dtbL1_->lookup(pc_);
         if (l1 != Dtb::npos) {
-            code = &dtbL1_->payloadAt(l1);
+            code = dtbL1_->payloadAt(l1);
             fetch_cost = config_.timing.tau1;
         }
     }
 
-    if (!code) {
+    if (code.empty()) {
         // INTERP presents the DIR address to the associative address
         // array (one DTB-array access).
         breakdown_.dispatch += config_.timing.tauD;
         uint32_t idx = dtb_->lookup(pc_);
         if (idx == Dtb::npos) {
-            code = &missFlow();
+            code = missFlow();
             if (dtbL1_)
-                dtbL1_->insert(pc_, *code);
+                dtbL1_->insert(pc_, code);
         } else {
             hit_idx = idx;
-            code = &dtb_->payloadAt(idx);
+            code = dtb_->payloadAt(idx);
             emitEvent(obs::EventKind::DtbHit, pc_);
             if (dtbL1_) {
                 // Promote into the first-level buffer: one tau1 store
                 // per short instruction copied.
-                breakdown_.dispatch += code->size() * config_.timing.tau1;
-                dtbL1_->insert(pc_, *code);
-                emitEvent(obs::EventKind::Promote, pc_, code->size());
+                breakdown_.dispatch += code.size() * config_.timing.tau1;
+                dtbL1_->insert(pc_, code);
+                emitEvent(obs::EventKind::Promote, pc_, code.size());
             }
             if (tier_) {
                 // Hotness profile: a backward transfer into a resident
@@ -513,7 +515,7 @@ Machine::dtbStep()
     if (config_.captureAddressTrace)
         addressTrace_.push_back(pc_);
     prevPc_ = pc_;
-    uint64_t next = executeShortSequence(*code, fetch_cost);
+    uint64_t next = executeShortSequence(code, fetch_cost);
     if (next == haltBitAddr)
         halted_ = true;
     else
@@ -555,18 +557,18 @@ Machine::drainPending(Pending &p)
 }
 
 FastSeq *
-Machine::ensureSeqLowered(const Dtb &buf, std::vector<FastSeq> &slots,
+Machine::ensureSeqLowered(const Dtb &buf, FastSlots &slots,
                           uint32_t idx, uint64_t fetch_cost)
 {
-    FastSeq &fs = slots[idx];
+    FastSeq &fs = slots.seq[idx];
     uint64_t gen = buf.metaAt(idx).gen;
-    if (fs.gen != gen) {
+    if (slots.gen[idx] != gen) {
         // The entry's contents changed since this slot was lowered
         // (insert, evict or flush all bump the generation): relower,
         // which also clears the slot's inline cache.
         lowerFastSeq(buf.payloadAt(idx), *flat_, fetch_cost,
                      config_.timing.tau1, fs);
-        fs.gen = gen;
+        slots.gen[idx] = gen;
     }
     return &fs;
 }
@@ -582,9 +584,9 @@ Machine::promoteFastSeq(uint64_t pc, uint32_t idx, const FastSeq &fs)
     // although tau1 < tauD): install it now rather than re-parse the
     // copy on its first first-level hit. The inline caches carry over
     // too — same code, same successor.
-    FastSeq &copy = fastL1Slots_[ins.entryIdx];
+    FastSeq &copy = fastL1Slots_.seq[ins.entryIdx];
     copy = fs;
-    copy.gen = dtbL1_->metaAt(ins.entryIdx).gen;
+    fastL1Slots_.gen[ins.entryIdx] = dtbL1_->metaAt(ins.entryIdx).gen;
     copy.dispatchAdd = fs.dispatchAdd +
         fs.shortCount * (config_.timing.tau1 - config_.timing.tauD);
     return ins.entryIdx;
@@ -1167,15 +1169,16 @@ Machine::runConventionalFast()
                 }
                 fc->decodeCycles = config_.costs.decodeCycles(res.cost);
                 fc->pushes = st.pushes;
+                fc->numPushes = st.numPushes;
                 fc->routineEntry = st.routine >= 0 ?
                     flat_->entry[static_cast<size_t>(st.routine)] : -1;
                 fc->next = static_cast<uint8_t>(st.next);
                 fc->nextImm = st.nextImm;
-                fc->stageAdd = fc->pushes.size() * tau1;
+                fc->stageAdd = fc->numPushes * tau1;
                 fc->dispatchAdd =
                     st.next == NextKind::Stack ? tau1 : 0;
                 fc->level1Add =
-                    static_cast<uint32_t>(fc->pushes.size()) +
+                    fc->numPushes +
                     (st.next == NextKind::Stack ? 1u : 0u);
                 fc->valid = true;
             }
@@ -1207,14 +1210,14 @@ Machine::runConventionalFast()
         d_refs += fc->fetchRefs;
         l1 += fc->level1Add;
 
-        if (sp + fc->pushes.size() > stack_words) {
+        if (sp + fc->numPushes > stack_words) {
             VM_BAIL();
             fatal("operand stack overflow (%llu words)",
                   static_cast<unsigned long long>(stack_words));
         }
         {
             const int64_t *pv = fc->pushes.data();
-            size_t np = fc->pushes.size();
+            size_t np = fc->numPushes;
             for (size_t k = 0; k < np; ++k)
                 stk[sp + k] = pv[k];
             sp += np;
@@ -1335,7 +1338,8 @@ Machine::beginRun(std::vector<int64_t> input)
     else
         tracer_.disable();
     addressTrace_.clear();
-    opcodeCounts_.assign(numOps, 0);
+    if (decodesEveryInstr(config_.kind))
+        opcodeCounts_.assign(numOps, 0);
     mem_.resetStats();
     if (dtb_ && !sharedDtb_) {
         dtb_->invalidateAll();
@@ -1352,17 +1356,24 @@ Machine::beginRun(std::vector<int64_t> input)
     if (tier_)
         tier_->reset();
 
-    // Lowered run images. Sized once per run and never reallocated
-    // while it runs, so FastSeq pointers (the inline-cache sites) stay
-    // stable across the whole slice sequence.
+    // Lowered run images: filled by the first run and kept by every
+    // later one, never reallocated, so FastSeq pointers (the
+    // inline-cache sites) stay stable. No slot needs clearing: a
+    // buffer lowering is valid exactly while its entry's generation,
+    // and so its contents, is unchanged, and a conventional lowering
+    // depends only on the immutable image.
+    auto size = [](auto &slots, size_t n) {
+        if (slots.size() != n)
+            slots.assign(n, {}); // one copy loop, not n constructors
+    };
     if (dtb_)
-        fastSlots_.assign(dtb_->numEntries(), FastSeq{});
+        fastSlots_.resize(dtb_->numEntries());
     if (dtbL1_)
-        fastL1Slots_.assign(dtbL1_->numEntries(), FastSeq{});
+        fastL1Slots_.resize(dtbL1_->numEntries());
     if (tier_)
-        fastTraces_.assign(tier_->cache().numEntries(), FastTrace{});
+        size(fastTraces_, tier_->cache().numEntries());
     if (decodesEveryInstr(config_.kind))
-        convFast_.assign(image_->numInstrs(), FastConv{});
+        size(convFast_, image_->numInstrs());
     // The micro-op core addresses the operand stack through a raw
     // pointer; materialize its backing storage up front.
     mem_.ensure(layout.stackBase + layout.stackWords);
@@ -1430,10 +1441,9 @@ Machine::finishRun()
     // the histogram too (they are the long ones).
     if (dtb_) {
         uint64_t now = cycleBase_ + breakdown_.total();
-        for (uint64_t r : dtb_->residentResidencies(
-                 now, sharedDtb_ ?
-                     static_cast<int64_t>(dtb_->asid()) : -1))
-            dtbResidency_.record(r);
+        dtb_->recordResidencies(
+            now, sharedDtb_ ? static_cast<int64_t>(dtb_->asid()) : -1,
+            dtbResidency_);
     }
 
     RunResult result;

@@ -37,6 +37,7 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -407,7 +408,7 @@ class Machine
      * engine in Tiered). Returns the translation, which the caller
      * executes whether or not the insert retained it.
      */
-    const std::vector<ShortInstr> &missFlow();
+    std::span<const ShortInstr> missFlow();
 
     /** The memoized staging of a decoded conventional-path instruction. */
     const Staging &stagingAt(const DecodeResult &res);
@@ -428,7 +429,7 @@ class Machine
      * IU2 fetches charged at @p fetch_cost, if the entry's generation
      * moved on.
      */
-    FastSeq *ensureSeqLowered(const Dtb &buf, std::vector<FastSeq> &slots,
+    FastSeq *ensureSeqLowered(const Dtb &buf, FastSlots &slots,
                               uint32_t idx, uint64_t fetch_cost);
 
     /**
@@ -470,7 +471,7 @@ class Machine
      * @param fetch_cost cycles per short-instruction fetch (tauD from
      *                   the main DTB, tau1 from the first-level buffer)
      */
-    uint64_t executeShortSequence(const std::vector<ShortInstr> &code,
+    uint64_t executeShortSequence(std::span<const ShortInstr> code,
                                   uint64_t fetch_cost);
 
     /**
@@ -536,13 +537,11 @@ class Machine
     // "Execution engine").
     /** All semantic routines flattened; immutable, shared per layout. */
     std::shared_ptr<const FlatRoutines> flat_;
-    /** Lowered PSDER sequences + inline caches, by DTB entry index.
-     *  Sized at beginRun; never reallocated during a run, so FastSeq
-     *  pointers stay stable across iterations. */
-    std::vector<FastSeq> fastSlots_;
+    /** Lowered PSDER sequences + inline caches, by DTB entry index. */
+    FastSlots fastSlots_;
     /** Lowered first-level-buffer sequences, by dtbL1 entry index
-     *  (Dtb2; fetched at tau1). Same lifetime rules as fastSlots_. */
-    std::vector<FastSeq> fastL1Slots_;
+     *  (Dtb2; fetched at tau1). */
+    FastSlots fastL1Slots_;
     /** Lowered trace bodies, by trace-cache entry index. */
     std::vector<FastTrace> fastTraces_;
     /** Lowered conventional-path instructions, by image index. */

@@ -230,7 +230,7 @@ FlatRoutines::forLayout(const MachineLayout &layout)
 }
 
 void
-lowerFastSeq(const std::vector<ShortInstr> &code,
+lowerFastSeq(std::span<const ShortInstr> code,
              const FlatRoutines &flat, uint64_t tau_d, uint64_t tau1,
              FastSeq &out)
 {
@@ -238,8 +238,11 @@ lowerFastSeq(const std::vector<ShortInstr> &code,
     out.routineEntry = -1;
     out.nextImm = 0;
     out.icTag = ~0ull;
+    out.icIdx = 0;
     out.mainIcTag = ~0ull;
+    out.mainIcIdx = 0;
     out.numPushes = 0;
+    out.pushes.fill(0);
 
     // Every translation is PUSH#* [CALL] INTERP by construction
     // (lowerStaging), with at most maxPushes pushes (stageInstruction).

@@ -33,10 +33,12 @@
 #include <array>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "psder/routines.hh"
 #include "psder/short_isa.hh"
+#include "psder/staging.hh"
 #include "tier/trace.hh"
 
 namespace uhm
@@ -128,49 +130,68 @@ struct FlatRoutines
  * One DTB-resident PSDER sequence lowered for the fast hit path, plus
  * the per-site inline cache for its successor's DTB entry. Trivially
  * copyable: a Dtb2 promotion copies the main entry's lowering into the
- * first-level slot.
+ * first-level slot. No field has a default: lowerFastSeq sets every
+ * one, so slot storage can start uninitialized.
  */
 struct FastSeq
 {
-    /** Most staging pushes any DIR instruction makes (PUSHL2,
-     *  BRZL/BRNZL). */
-    static constexpr uint32_t maxPushes = 4;
+    static constexpr uint32_t maxPushes = Staging::maxPushes;
 
-    /** EntryMeta::gen of the DTB entry this lowering matches. gen 0 is
-     *  unreachable for a resident entry (insert resets at least once,
-     *  and a 64-bit generation never wraps back to it), so a
-     *  default-constructed FastSeq never validates. */
-    uint64_t gen = 0;
     /** Short instructions executed (up to and including the INTERP). */
-    uint32_t shortCount = 0;
+    uint32_t shortCount;
     /** Flat entry of the CALLed routine; -1 = none (or empty). */
-    int32_t routineEntry = -1;
+    int32_t routineEntry;
     /** Static successor DIR bit address (when !stackNext); may be
      *  haltBitAddr. */
-    uint64_t nextImm = 0;
+    uint64_t nextImm;
     /** Statically known per-execution charge deltas on the hit path
      *  (IU2 fetches at tauD + the INTERP-Stack pop), excluding the
      *  initial DTB lookup itself. */
-    uint64_t dispatchAdd = 0;
+    uint64_t dispatchAdd;
     /** Staging pushes: one level-1 store each. */
-    uint64_t stageAdd = 0;
+    uint64_t stageAdd;
     /** Level-1 memory accesses (pushes + successor pop). */
-    uint32_t level1Add = 0;
+    uint32_t level1Add;
     /** The successor is popped from the operand stack (INTERP-Stack). */
-    bool stackNext = false;
+    bool stackNext;
     /** Inline cache: last successor DIR address resolved at this
      *  INTERP site, and the DTB entry index it hit. icTag ~0 never
      *  matches a pc (halt is handled before the next lookup). */
-    uint64_t icTag = ~0ull;
-    uint32_t icIdx = 0;
+    uint64_t icTag;
+    uint32_t icIdx;
     /** Second inline cache, for the main DTB behind a first-level
      *  buffer (Dtb2): where the successor sat in the main DTB the last
      *  time it missed the first level. */
-    uint64_t mainIcTag = ~0ull;
-    uint32_t mainIcIdx = 0;
+    uint64_t mainIcTag;
+    uint32_t mainIcIdx;
     /** Immediate push values, in order: the first numPushes. */
-    uint32_t numPushes = 0;
-    std::array<int64_t, maxPushes> pushes{};
+    uint32_t numPushes;
+    std::array<int64_t, maxPushes> pushes;
+};
+
+/**
+ * The lowered sequences of one translation buffer, by entry index.
+ * gen[idx] is the EntryMeta::gen of the entry seq[idx] was lowered
+ * from; 0 means never lowered, and is unreachable for a resident entry
+ * (insert resets at least once, and a 64-bit generation never wraps
+ * back to it). Only a slot whose generation matches is read, so a run
+ * touches only the slots it lowers. Sized once and never reallocated:
+ * FastSeq pointers (the inline-cache sites) stay stable.
+ */
+struct FastSlots
+{
+    std::vector<uint64_t> gen;
+    std::unique_ptr<FastSeq[]> seq;
+
+    /** Hold @p n slots, all unlowered when the size changes. */
+    void
+    resize(size_t n)
+    {
+        if (gen.size() == n)
+            return;
+        gen.assign(n, 0);
+        seq = std::make_unique_for_overwrite<FastSeq[]>(n);
+    }
 };
 
 /**
@@ -179,7 +200,7 @@ struct FastSeq
  * construction (lowerStaging). @p tau_d / @p tau1 are the IU2 fetch
  * and level-1 access times the static charges are computed with.
  */
-void lowerFastSeq(const std::vector<ShortInstr> &code,
+void lowerFastSeq(std::span<const ShortInstr> code,
                   const FlatRoutines &flat, uint64_t tau_d,
                   uint64_t tau1, FastSeq &out);
 
@@ -269,7 +290,9 @@ struct FastConv
     /** Stack-successor pop charge (tau1 when next == Stack). */
     uint64_t dispatchAdd = 0;
     uint32_t level1Add = 0;
-    std::vector<int64_t> pushes;
+    /** Staged values, in order: the first numPushes. */
+    uint32_t numPushes = 0;
+    std::array<int64_t, Staging::maxPushes> pushes{};
 };
 
 /**

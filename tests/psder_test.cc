@@ -151,6 +151,15 @@ class StagingFixture : public ::testing::Test
         return stageInstruction(res.instr, *image_, res.index);
     }
 
+    /** lowerStaging's output for @p st alone. */
+    static std::vector<ShortInstr>
+    lowered(const Staging &st)
+    {
+        std::vector<ShortInstr> code;
+        lowerStaging(st, code);
+        return code;
+    }
+
     DirProgram prog_;
     std::unique_ptr<EncodedDir> image_;
 };
@@ -159,7 +168,7 @@ TEST_F(StagingFixture, EveryInstructionLowersToInterpTerminated)
 {
     for (size_t i = 0; i < prog_.size(); ++i) {
         Staging st = stageAt(i);
-        std::vector<ShortInstr> code = lowerStaging(st);
+        std::vector<ShortInstr> code = lowered(st);
         ASSERT_FALSE(code.empty());
         EXPECT_EQ(code.back().op, SOp::INTERP) << "instr " << i;
         // INTERP appears exactly once, at the end.
@@ -172,13 +181,13 @@ TEST_F(StagingFixture, PushCountMatchesStagedValues)
 {
     for (size_t i = 0; i < prog_.size(); ++i) {
         Staging st = stageAt(i);
-        std::vector<ShortInstr> code = lowerStaging(st);
+        std::vector<ShortInstr> code = lowered(st);
         size_t pushes = 0, calls = 0;
         for (const ShortInstr &si : code) {
             pushes += si.op == SOp::PUSH;
             calls += si.op == SOp::CALL;
         }
-        EXPECT_EQ(pushes, st.pushes.size());
+        EXPECT_EQ(pushes, st.numPushes);
         EXPECT_EQ(calls, st.routine >= 0 ? 1u : 0u);
     }
 }
@@ -201,7 +210,7 @@ TEST_F(StagingFixture, CallpPushesEntryAndReturnAddresses)
         if (prog_.instrs[i].op != Op::CALLP)
             continue;
         Staging st = stageAt(i);
-        ASSERT_EQ(st.pushes.size(), 2u);
+        ASSERT_EQ(st.numPushes, 2u);
         const Contour &callee = prog_.procContour(
             static_cast<size_t>(prog_.instrs[i].operands[0]));
         EXPECT_EQ(static_cast<uint64_t>(st.pushes[0]),
@@ -219,7 +228,7 @@ TEST_F(StagingFixture, HaltLowersToDistinguishedAddress)
             continue;
         Staging st = stageAt(i);
         EXPECT_EQ(st.next, NextKind::Halt);
-        std::vector<ShortInstr> code = lowerStaging(st);
+        std::vector<ShortInstr> code = lowered(st);
         ASSERT_EQ(code.size(), 1u);
         EXPECT_EQ(code[0].op, SOp::INTERP);
         EXPECT_EQ(static_cast<uint64_t>(code[0].operand), haltBitAddr);
@@ -232,7 +241,7 @@ TEST_F(StagingFixture, PushcStagesLiteralWithoutRoutine)
         if (prog_.instrs[i].op != Op::PUSHC)
             continue;
         Staging st = stageAt(i);
-        ASSERT_EQ(st.pushes.size(), 1u);
+        ASSERT_EQ(st.numPushes, 1u);
         EXPECT_EQ(st.pushes[0], prog_.instrs[i].operands[0]);
         EXPECT_EQ(st.routine, -1);
     }
@@ -244,7 +253,7 @@ TEST_F(StagingFixture, AverageShortSequenceNearPaperS1)
     // lowering averages in the same neighbourhood (2..5).
     size_t total = 0;
     for (size_t i = 0; i < prog_.size(); ++i)
-        total += lowerStaging(stageAt(i)).size();
+        total += lowered(stageAt(i)).size();
     double s1 = static_cast<double>(total) /
                 static_cast<double>(prog_.size());
     EXPECT_GE(s1, 2.0);
@@ -263,7 +272,7 @@ TEST(Staging, JumpNeedsNoRoutineOrPushes)
         saw_jmp = true;
         DecodeResult res = image->decodeAt(image->bitAddrOf(i));
         Staging st = stageInstruction(res.instr, *image, i);
-        EXPECT_TRUE(st.pushes.empty());
+        EXPECT_EQ(st.numPushes, 0u);
         EXPECT_EQ(st.routine, -1);
         EXPECT_EQ(st.next, NextKind::Imm);
         EXPECT_EQ(st.nextImm, image->bitAddrOf(

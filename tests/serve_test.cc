@@ -502,6 +502,52 @@ TEST(ServeCache, DiscardedSessionIsNeverReused)
     EXPECT_EQ(cache.size(), 1u);
 }
 
+/**
+ * Inline sources are keyed on their bytes: two sources one byte apart
+ * get two sessions, each running its own program, and the same source
+ * again is a hit on its own session.
+ */
+TEST(ServeCache, SourcesOneByteApartGetTwoSessions)
+{
+    const std::string a = "program p;\nbegin\n  write 1;\nend.\n# a\n";
+    std::string b = a;
+    b[b.size() - 2] = 'b'; // the comment: same program, other bytes
+    std::string c = a;
+    c[c.find('1')] = '2'; // the literal: another program
+    ASSERT_EQ(a.size(), b.size());
+
+    serve::SessionCache cache(4);
+    std::vector<std::shared_ptr<serve::Session>> sessions;
+    for (const std::string &source : {a, b, c}) {
+        serve::Request req;
+        req.verb = serve::Verb::Run;
+        req.program = "source";
+        req.source = source;
+        bool cached = true;
+        sessions.push_back(cache.acquire(req, cached));
+        EXPECT_FALSE(cached);
+        cache.release(sessions.back());
+        EXPECT_NE(serve::SessionCache::keyFor(req).find(source),
+                  std::string::npos);
+    }
+    EXPECT_EQ(cache.size(), 3u);
+    EXPECT_NE(sessions[0], sessions[1]);
+    EXPECT_EQ(sessions[2]->machine->run().output,
+              std::vector<int64_t>{2});
+    EXPECT_EQ(sessions[1]->machine->run().output,
+              std::vector<int64_t>{1});
+
+    serve::Request again;
+    again.verb = serve::Verb::Run;
+    again.program = "source";
+    again.source = b;
+    bool cached = false;
+    auto warm = cache.acquire(again, cached);
+    EXPECT_TRUE(cached);
+    EXPECT_EQ(warm, sessions[1]);
+    cache.release(warm);
+}
+
 TEST(ServeDaemon, SweepMatchesTheHarnessByteForByte)
 {
     serve::ServerConfig cfg;
@@ -592,11 +638,14 @@ TEST(ServeDaemon, OverloadIsRejectedExplicitly)
     server.start();
 
     // Pipeline four slow runs without reading a single response: the
-    // reader admits 1 and 2, then must reject 3 and 4 immediately.
+    // reader admits 1 and 2, then must reject 3 and 4 immediately. The
+    // first is tak, long enough that its run spans the admission of
+    // the other three even when the host preempts the reader.
     serve::Client client(cfg.socketPath);
     for (int id = 1; id <= 4; ++id)
         client.send(R"({"id":)" + std::to_string(id) +
-                    R"(,"verb":"run","program":"synthetic"})");
+                    R"(,"verb":"run","program":")" +
+                    (id == 1 ? "tak" : "synthetic") + R"("})");
 
     int ok = 0, overloaded = 0;
     for (int i = 0; i < 4; ++i) {
@@ -623,14 +672,17 @@ TEST(ServeDaemon, BusySessionIsPinnedAgainstEviction)
 {
     serve::ServerConfig cfg;
     cfg.socketPath = testSocketPath();
-    cfg.workers = 1;       // FIFO: the synthetic run starts first
+    cfg.workers = 1;       // FIFO: the tak run starts first
     cfg.maxSessions = 1;   // the second session must try to evict
     cfg.sliceCycles = 500; // many slices -> session 1 stays busy
     serve::Server server(cfg);
     server.start();
 
+    // tak runs long enough that the fib request is admitted, built and
+    // inserted while it is mid-run, even when the host preempts the
+    // reader.
     serve::Client client(cfg.socketPath);
-    client.send(R"({"id":1,"verb":"run","program":"synthetic"})");
+    client.send(R"({"id":1,"verb":"run","program":"tak"})");
     client.send(R"({"id":2,"verb":"run","program":"fib"})");
     serve::Response first = client.recv();
     serve::Response second = client.recv();
@@ -638,7 +690,7 @@ TEST(ServeDaemon, BusySessionIsPinnedAgainstEviction)
     EXPECT_TRUE(second.ok) << second.message;
 
     // Inserting the fib session exceeded the capacity while the
-    // synthetic session was mid-run: the eviction must have been
+    // tak session was mid-run: the eviction must have been
     // rejected (not torn), and both runs completed correctly.
     obs::ProfileData stats = server.statsProfile(false);
     EXPECT_GE(stats.counters.at("serve.cache.evict_rejected"), 1u);

@@ -7,7 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <queue>
+#include <stdexcept>
 
 #include "support/bitstream.hh"
 #include "support/flags.hh"
@@ -348,6 +351,114 @@ randomFreqs(size_t n, uint64_t seed, bool skewed)
     return freqs;
 }
 
+/**
+ * The Huffman construction as it was first written, kept as the
+ * reference the library is tested against: lengths from a binary heap
+ * keyed (weight, node index), canonical codes from a stable sort, an
+ * explicit decode tree and a bit-at-a-time writer and tree walker.
+ */
+class TreeReference
+{
+  public:
+    /** Plain Huffman lengths through a min-heap. */
+    static std::vector<unsigned>
+    heapLengths(const std::vector<uint64_t> &freqs)
+    {
+        const size_t n = freqs.size();
+        if (n == 1)
+            return {1};
+        using Item = std::pair<uint64_t, size_t>; // (weight, node)
+        std::priority_queue<Item, std::vector<Item>, std::greater<Item>>
+            heap;
+        std::vector<int> parent(n, -1);
+        for (size_t i = 0; i < n; ++i)
+            heap.push({std::max<uint64_t>(freqs[i], 1), i});
+        while (heap.size() > 1) {
+            Item a = heap.top();
+            heap.pop();
+            Item b = heap.top();
+            heap.pop();
+            const size_t p = parent.size();
+            parent.push_back(-1);
+            parent[a.second] = static_cast<int>(p);
+            parent[b.second] = static_cast<int>(p);
+            heap.push({a.first + b.first, p});
+        }
+        std::vector<unsigned> lengths(n, 0);
+        for (size_t i = 0; i < n; ++i)
+            for (int v = parent[i]; v != -1; v = parent[v])
+                ++lengths[i];
+        return lengths;
+    }
+
+    explicit TreeReference(const std::vector<unsigned> &lengths)
+        : lengths(lengths), codes(lengths.size())
+    {
+        std::vector<size_t> order(lengths.size());
+        for (size_t i = 0; i < order.size(); ++i)
+            order[i] = i;
+        std::stable_sort(order.begin(), order.end(),
+                         [&](size_t a, size_t b) {
+                             return lengths[a] < lengths[b];
+                         });
+        uint64_t code = 0;
+        unsigned prev = lengths[order[0]];
+        for (size_t sym : order) {
+            code <<= lengths[sym] - prev;
+            codes[sym] = code++;
+            prev = lengths[sym];
+        }
+        tree.push_back(Node{});
+        for (size_t sym = 0; sym < lengths.size(); ++sym) {
+            int node = 0;
+            for (unsigned i = lengths[sym]; i-- > 0;) {
+                const int bit = static_cast<int>((codes[sym] >> i) & 1);
+                if (tree[node].child[bit] == -1) {
+                    tree[node].child[bit] = static_cast<int>(tree.size());
+                    tree.push_back(Node{});
+                }
+                node = tree[node].child[bit];
+            }
+            tree[node].symbol = static_cast<int64_t>(sym);
+        }
+    }
+
+    /** Append @p sym's codeword one bit at a time. */
+    void
+    encode(std::vector<uint8_t> &bytes, size_t &bits, uint64_t sym) const
+    {
+        for (unsigned i = lengths[sym]; i-- > 0; ++bits) {
+            if (bits % 8 == 0)
+                bytes.push_back(0);
+            if ((codes[sym] >> i) & 1)
+                bytes.back() |= static_cast<uint8_t>(0x80 >> (bits % 8));
+        }
+    }
+
+    /** Walk the tree one bit per edge. */
+    uint64_t
+    decodeTree(BitReader &br, uint64_t *steps) const
+    {
+        int node = 0;
+        while (tree[node].symbol == -1) {
+            node = tree[node].child[br.readBit() ? 1 : 0];
+            if (node == -1)
+                throw std::runtime_error("decode fell off the tree");
+            ++*steps;
+        }
+        return static_cast<uint64_t>(tree[node].symbol);
+    }
+
+    struct Node
+    {
+        int child[2] = {-1, -1};
+        int64_t symbol = -1;
+    };
+    std::vector<unsigned> lengths;
+    std::vector<uint64_t> codes;
+    std::vector<Node> tree;
+};
+
 class HuffmanAlphabet : public ::testing::TestWithParam<size_t>
 {};
 
@@ -569,7 +680,7 @@ INSTANTIATE_TEST_SUITE_P(
 
 /**
  * The table decoder, decode(), is bit-exact with the reference tree
- * walk, decodeTree(): same symbols, same tree-edge counts and same
+ * walk: same symbols, same tree-edge counts and same
  * cursor after every symbol, at every bit alignment. The codes cover
  * an unrestricted build, codewords far past the 11-bit root window,
  * two length limits (one within the root window), B1700-style
@@ -597,6 +708,7 @@ TEST(Huffman, TableDecodeMatchesTreeWalk)
 
     Rng rng(2201);
     for (const auto &[name, hc] : codes) {
+        const TreeReference ref(hc.lengths());
         for (int trial = 0; trial < 16; ++trial) {
             // Random padding puts the stream at every alignment.
             unsigned pad = static_cast<unsigned>(rng.below(64));
@@ -618,13 +730,102 @@ TEST(Huffman, TableDecodeMatchesTreeWalk)
                              << name << " trial " << trial << " pad "
                              << pad << " symbol " << i);
                 ASSERT_EQ(hc.decode(table, &table_steps), symbols[i]);
-                ASSERT_EQ(hc.decodeTree(tree, &tree_steps), symbols[i]);
+                ASSERT_EQ(ref.decodeTree(tree, &tree_steps), symbols[i]);
                 ASSERT_EQ(table_steps, tree_steps);
                 ASSERT_EQ(table.pos(), tree.pos());
             }
             EXPECT_TRUE(table.atEnd());
         }
     }
+}
+
+/**
+ * The library's construction — two-queue lengths, counting-sort
+ * canonical codes, a tree counted rather than built, a field-at-a-time
+ * writer — is identical to the tree reference on seeded random
+ * frequency vectors: same lengths, codes, decodeTreeNodes() and encoded
+ * bytes, and the lookup tables decode every stream as the tree does.
+ * The vectors cover plain Huffman (ties, zeros, one symbol, long
+ * tails), package-merge limits and quantized codes.
+ */
+TEST(Huffman, MatchesTheTreeReference)
+{
+    Rng rng(1978);
+    for (int trial = 0; trial < 120; ++trial) {
+        const size_t n = trial < 4 ? trial + 1 : 1 + rng.below(400);
+        std::vector<uint64_t> freqs(n);
+        const int shape = trial % 4;
+        for (size_t i = 0; i < n; ++i) {
+            freqs[i] = shape == 0 ? rng.below(4) :               // ties
+                shape == 1 ? rng.below(100000) :                  // wide
+                shape == 2 ? (uint64_t{1} << rng.below(16)) :     // tails
+                (i % 7 == 0 ? 0 : 1 + rng.below(10));             // zeros
+        }
+        const unsigned limit = 9 + static_cast<unsigned>(rng.below(8));
+        const std::vector<std::pair<const char *, HuffmanCode>> codes = {
+            {"plain", HuffmanCode::build(freqs)},
+            {"limited", HuffmanCode::build(freqs, limit)},
+            {"quantized",
+             HuffmanCode::buildQuantized(freqs, {2, 5, 9, limit})},
+        };
+        EXPECT_EQ(codes[0].second.lengths(),
+                  TreeReference::heapLengths(freqs))
+            << "trial " << trial;
+        for (const auto &[name, hc] : codes) {
+            SCOPED_TRACE(::testing::Message()
+                         << name << " trial " << trial << " n " << n);
+            const TreeReference ref(hc.lengths());
+            for (size_t sym = 0; sym < n; ++sym)
+                ASSERT_EQ(hc.codeOf(sym), ref.codes[sym]) << sym;
+            EXPECT_EQ(hc.decodeTreeNodes(), ref.tree.size());
+
+            std::vector<uint64_t> symbols(300);
+            BitWriter bw;
+            std::vector<uint8_t> ref_bytes;
+            size_t ref_bits = 0;
+            for (uint64_t &sym : symbols) {
+                sym = rng.below(n);
+                hc.encode(bw, sym);
+                ref.encode(ref_bytes, ref_bits, sym);
+            }
+            ASSERT_EQ(bw.bitSize(), ref_bits);
+            ASSERT_EQ(bw.bytes(), ref_bytes);
+
+            BitReader table(bw.bytes(), bw.bitSize());
+            BitReader tree(bw.bytes(), bw.bitSize());
+            uint64_t table_steps = 0, tree_steps = 0;
+            for (uint64_t sym : symbols) {
+                ASSERT_EQ(hc.decode(table, &table_steps), sym);
+                ASSERT_EQ(ref.decodeTree(tree, &tree_steps), sym);
+                ASSERT_EQ(table.pos(), tree.pos());
+            }
+            EXPECT_EQ(table_steps, tree_steps);
+        }
+    }
+}
+
+/** Writing fields of every width at every alignment matches a
+ *  bit-at-a-time writer. */
+TEST(BitStream, FieldWriterMatchesBitWriter)
+{
+    Rng rng(77);
+    BitWriter bw;
+    std::vector<uint8_t> ref;
+    size_t bits = 0;
+    for (int i = 0; i < 2000; ++i) {
+        const unsigned width = static_cast<unsigned>(rng.below(65));
+        const uint64_t value = width == 64 ? rng.next() :
+            rng.next() & ((uint64_t{1} << width) - 1);
+        bw.write(value, width);
+        for (unsigned b = width; b-- > 0; ++bits) {
+            if (bits % 8 == 0)
+                ref.push_back(0);
+            if ((value >> b) & 1)
+                ref.back() |= static_cast<uint8_t>(0x80 >> (bits % 8));
+        }
+    }
+    EXPECT_EQ(bw.bitSize(), bits);
+    EXPECT_EQ(bw.bytes(), ref);
 }
 
 TEST(Huffman, DecodeTreeNodesGrowWithAlphabet)

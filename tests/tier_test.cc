@@ -467,7 +467,7 @@ TEST(DtbAnchors, MarkRequiresResidency)
 {
     Dtb dtb(DtbConfig{});
     EXPECT_FALSE(dtb.markTraceAnchor(64));
-    dtb.insert(64, {ShortInstr{}, ShortInstr{}});
+    dtb.insert(64, std::vector<ShortInstr>(2));
     EXPECT_TRUE(dtb.markTraceAnchor(64));
     uint32_t idx = dtb.lookup(64);
     ASSERT_NE(idx, Dtb::npos);
