@@ -6,12 +6,11 @@
  * uhm_cli's --profile/--timeline flags, the uhm_serve daemon's
  * response payloads and its shutdown timeline all emit the same two
  * documents — the JSONL profile report (obs::toJsonl) and the Chrome
- * trace timeline (obs::toChromeTrace). This module owns the
- * render-then-write step so the emitters cannot drift: every consumer
- * gets its bytes from renderProfileJsonl()/renderChromeTrace(), and
- * the file-or-stream sink convention ("-" = the caller's fallback
- * stream, anything else = a file, fatal on open failure) is implemented
- * once.
+ * trace timeline (obs::toChromeTrace). The file emitters stream both
+ * through one buffered file sink in bounded chunks, so a timeline of
+ * a million events never sits whole in memory, and implement the
+ * file-or-stream convention ("-" = the caller's fallback stream,
+ * anything else = a file, fatal on open failure) once.
  */
 
 #ifndef UHM_OBS_EMIT_HH
@@ -33,9 +32,6 @@ namespace uhm::obs
  */
 std::string renderProfileJsonl(const ProfileData &profile);
 
-/** The Chrome trace-event timeline document for @p profile. */
-std::string renderChromeTrace(const ProfileData &profile);
-
 /**
  * Write @p text to @p path; a path of "-" means @p dash_stream
  * instead. Fatal (exit-1 FatalError) when the file cannot be opened.
@@ -43,14 +39,15 @@ std::string renderChromeTrace(const ProfileData &profile);
 void writeTextTo(const std::string &text, const std::string &path,
                  std::FILE *dash_stream);
 
-/** renderProfileJsonl + writeTextTo. */
+/** renderProfileJsonl(@p profile), streamed as writeTextTo would. */
 void emitProfileJsonl(const ProfileData &profile,
                       const std::string &path,
                       std::FILE *dash_stream = stderr);
 
 /**
- * renderChromeTrace + writeTextTo + the "# timeline: N events -> path"
- * status note on stderr (the note is part of the CLI contract too).
+ * toChromeTrace(@p profile), streamed to @p path ("-" = stderr), then
+ * the "# timeline: N events -> path" status note on stderr (the note
+ * is part of the CLI contract too).
  */
 void emitChromeTrace(const ProfileData &profile,
                      const std::string &path);

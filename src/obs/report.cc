@@ -74,7 +74,7 @@ writeTraceSummary(JsonWriter &jw, const ProfileData &p)
 } // anonymous namespace
 
 std::string
-toJsonl(const ProfileData &profile)
+toJsonlHead(const ProfileData &profile)
 {
     std::string out;
     auto line = [&out](auto &&fill) {
@@ -97,8 +97,20 @@ toJsonl(const ProfileData &profile)
             writeSampleFields(jw, s);
         });
     }
-    out += eventsToJsonl(profile.events);
     return out;
+}
+
+void
+writeJsonl(const ProfileData &profile, const TextSink &sink)
+{
+    sink(toJsonlHead(profile));
+    writeEventsJsonl(profile.events, sink);
+}
+
+std::string
+toJsonl(const ProfileData &profile)
+{
+    return toJsonlHead(profile) + eventsToJsonl(profile.events);
 }
 
 void
@@ -138,13 +150,27 @@ std::string
 eventsToJsonl(const std::vector<Event> &events)
 {
     std::string out;
+    writeEventsJsonl(events,
+                     [&out](const std::string &text) { out += text; });
+    return out;
+}
+
+void
+writeEventsJsonl(const std::vector<Event> &events, const TextSink &sink)
+{
+    std::string chunk;
     for (const Event &e : events) {
         JsonWriter jw;
         writeEvent(jw, e);
-        out += jw.str();
-        out += '\n';
+        chunk += jw.str();
+        chunk += '\n';
+        if (chunk.size() >= sinkChunkBytes) {
+            sink(chunk);
+            chunk.clear();
+        }
     }
-    return out;
+    if (!chunk.empty())
+        sink(chunk);
 }
 
 void

@@ -10,7 +10,8 @@
  * counters, ratios, trace_summary, then events) or as a single JSON
  * object for embedding inside a larger export document. The JSONL form
  * is what `uhm_cli --profile` and the bench sidecars emit; its format
- * is documented in docs/INTERNALS.md.
+ * is documented in docs/INTERNALS.md. The event lines, which can run
+ * to millions, also stream to a sink in bounded chunks.
  */
 
 #ifndef UHM_OBS_REPORT_HH
@@ -24,11 +25,7 @@
 
 #include "obs/histogram.hh"
 #include "obs/trace.hh"
-
-namespace uhm
-{
-class JsonWriter;
-}
+#include "support/json.hh"
 
 namespace uhm::obs
 {
@@ -89,6 +86,15 @@ struct ProfileData
  */
 std::string toJsonl(const ProfileData &profile);
 
+/** toJsonl(@p profile) streamed to @p sink in bounded chunks. */
+void writeJsonl(const ProfileData &profile, const TextSink &sink);
+
+/**
+ * The lines of toJsonl(@p profile) before its event lines (meta
+ * through samples), so toJsonl = toJsonlHead + eventsToJsonl(events).
+ */
+std::string toJsonlHead(const ProfileData &profile);
+
 /**
  * Emit @p profile as one JSON object (no events, only their summary)
  * into an in-progress @p jw document.
@@ -97,6 +103,13 @@ void writeJson(JsonWriter &jw, const ProfileData &profile);
 
 /** Render @p events alone as JSONL event lines. */
 std::string eventsToJsonl(const std::vector<Event> &events);
+
+/**
+ * eventsToJsonl(@p events) streamed to @p sink in chunks of about
+ * sinkChunkBytes, never holding more than one chunk.
+ */
+void writeEventsJsonl(const std::vector<Event> &events,
+                      const TextSink &sink);
 
 /**
  * Emit one sample as a JSON object (sans the "type" discriminator —

@@ -84,10 +84,31 @@ writeBucketSpans(JsonWriter &jw, const ProfileData &profile)
     }
 }
 
-void
-writeSpanEvents(JsonWriter &jw, const std::vector<TimelineSpan> &spans)
+/**
+ * The span closed by @p e: from the previous event's stamp @p prev to
+ * e's own. A merged or corrupted stream could run backwards; the start
+ * is clamped so durations never underflow.
+ */
+TimelineSpan
+spanEndingAt(uint64_t prev, const Event &e)
 {
-    for (const TimelineSpan &span : spans) {
+    TimelineSpan span;
+    span.start = prev <= e.cycle ? prev : e.cycle;
+    span.end = e.cycle;
+    span.addr = e.addr;
+    span.arg = e.arg;
+    span.kind = e.kind;
+    return span;
+}
+
+/** One complete event per span, built on the fly from @p events. */
+void
+writeSpanEvents(JsonWriter &jw, const std::vector<Event> &events)
+{
+    uint64_t prev = events.empty() ? 0 : events.front().cycle;
+    for (const Event &e : events) {
+        const TimelineSpan span = spanEndingAt(prev, e);
+        prev = e.cycle;
         beginTraceEvent(jw, eventKindName(span.kind), "X", span.start,
                         eventKindTrackId(span.kind));
         jw.key("cat").value(eventKindTrack(span.kind));
@@ -315,29 +336,21 @@ buildTimelineSpans(const std::vector<Event> &events)
     spans.reserve(events.size());
     uint64_t prev = events.empty() ? 0 : events.front().cycle;
     for (const Event &e : events) {
-        TimelineSpan span;
-        // A merged or corrupted stream could run backwards; clamp so
-        // durations never underflow.
-        span.start = prev <= e.cycle ? prev : e.cycle;
-        span.end = e.cycle;
-        span.addr = e.addr;
-        span.arg = e.arg;
-        span.kind = e.kind;
-        spans.push_back(span);
+        spans.push_back(spanEndingAt(prev, e));
         prev = e.cycle;
     }
     return spans;
 }
 
-std::string
-toChromeTrace(const ProfileData &profile)
+void
+writeChromeTrace(const ProfileData &profile, const TextSink &sink)
 {
-    JsonWriter jw;
+    JsonWriter jw(sink);
     jw.beginObject();
     jw.key("traceEvents").beginArray();
     writeMetadataEvents(jw, profile);
     writeBucketSpans(jw, profile);
-    writeSpanEvents(jw, buildTimelineSpans(profile.events));
+    writeSpanEvents(jw, profile.events);
     writeServeRequestTrees(jw, profile.events);
     writeSampleCounters(jw, profile);
     jw.endArray();
@@ -350,7 +363,16 @@ toChromeTrace(const ProfileData &profile)
     jw.key("complete").value(profile.eventsDropped == 0);
     jw.endObject();
     jw.endObject();
-    return jw.str();
+    jw.flush();
+}
+
+std::string
+toChromeTrace(const ProfileData &profile)
+{
+    std::string out;
+    writeChromeTrace(profile,
+                     [&out](const std::string &text) { out += text; });
+    return out;
 }
 
 } // namespace uhm::obs

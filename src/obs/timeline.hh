@@ -94,6 +94,9 @@ buildTimelineSpans(const std::vector<Event> &events);
  */
 std::string toChromeTrace(const ProfileData &profile);
 
+/** toChromeTrace(@p profile) streamed to @p sink in bounded chunks. */
+void writeChromeTrace(const ProfileData &profile, const TextSink &sink);
+
 } // namespace uhm::obs
 
 #endif // UHM_OBS_TIMELINE_HH

@@ -1,5 +1,7 @@
 #include "obs/trace.hh"
 
+#include <algorithm>
+
 #include "support/logging.hh"
 
 namespace uhm::obs
@@ -43,7 +45,8 @@ void
 Tracer::enable(size_t capacity)
 {
     uhm_assert(capacity >= 1, "tracer ring needs at least one slot");
-    ring_.assign(capacity, Event{});
+    ring_.clear();
+    capacity_ = capacity;
     next_ = 0;
     seen_ = 0;
     enabled_ = true;
@@ -54,9 +57,18 @@ Tracer::disable()
 {
     ring_.clear();
     ring_.shrink_to_fit();
+    capacity_ = 0;
     next_ = 0;
     seen_ = 0;
     enabled_ = false;
+}
+
+void
+Tracer::grow()
+{
+    // 128 events = one 4 KiB page to start with.
+    ring_.reserve(std::min(capacity_,
+                           std::max<size_t>(2 * ring_.size(), 128)));
 }
 
 std::vector<Event>
@@ -82,6 +94,7 @@ Tracer::events() const
 void
 Tracer::clear()
 {
+    ring_.clear();
     next_ = 0;
     seen_ = 0;
 }

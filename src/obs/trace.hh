@@ -5,10 +5,13 @@
  * Counters say how often; the tracer says *when*. Each event is a fixed
  * 32-byte record — kind, the machine cycle at which it happened, the
  * DIR bit address involved and one kind-specific argument — recorded
- * into a preallocated ring. When the ring fills, the oldest events are
- * overwritten and counted as dropped, so tracing a long run costs a
- * bounded amount of memory and never reallocates on the hot path.
- * Recording into a disabled tracer is a single predictable branch.
+ * into a ring whose capacity is a ceiling, not an allocation: the ring
+ * grows as events arrive, so a tracer holds only what it recorded and
+ * enabling one costs nothing. When the ring reaches its capacity, the
+ * oldest events are overwritten and counted as dropped, so tracing a
+ * long run costs a bounded amount of memory and stops reallocating
+ * once full. Recording into a disabled tracer is a single predictable
+ * branch.
  */
 
 #ifndef UHM_OBS_TRACE_HH
@@ -106,7 +109,11 @@ class Tracer
     /** Default ring capacity (events). */
     static constexpr size_t defaultCapacity = 65536;
 
-    /** Start recording into a ring of @p capacity events. */
+    /**
+     * Start recording into a ring of at most @p capacity events. Drops
+     * what was recorded but allocates nothing: the ring grows on
+     * record() up to the capacity.
+     */
     void enable(size_t capacity = defaultCapacity);
 
     /** Stop recording and release the ring. */
@@ -115,7 +122,7 @@ class Tracer
     bool enabled() const { return enabled_; }
 
     /** Ring capacity in events (0 when disabled). */
-    size_t capacity() const { return ring_.size(); }
+    size_t capacity() const { return capacity_; }
 
     /** Record one event; a no-op (one branch) when disabled. */
     void
@@ -124,8 +131,17 @@ class Tracer
     {
         if (!enabled_)
             return;
-        ring_[next_] = Event{cycle, addr, arg, kind};
-        next_ = next_ + 1 == ring_.size() ? 0 : next_ + 1;
+        const Event e{cycle, addr, arg, kind};
+        if (ring_.size() < capacity_) {
+            // Still filling: the oldest event stays at slot 0, which
+            // is where overwriting starts once the ring is full.
+            if (ring_.size() == ring_.capacity())
+                grow();
+            ring_.push_back(e);
+        } else {
+            ring_[next_] = e;
+            next_ = next_ + 1 == capacity_ ? 0 : next_ + 1;
+        }
         ++seen_;
     }
 
@@ -136,17 +152,25 @@ class Tracer
     uint64_t
     dropped() const
     {
-        return seen_ > ring_.size() ? seen_ - ring_.size() : 0;
+        return seen_ > capacity_ ? seen_ - capacity_ : 0;
     }
 
     /** The retained events, oldest first. */
     std::vector<Event> events() const;
 
-    /** Drop all recorded events, keeping the ring and enablement. */
+    /** Drop all recorded events, keeping the capacity and enablement. */
     void clear();
 
   private:
+    /** Make room for the next event: double the storage, never past
+     *  the capacity. Off the hot path (once per doubling). */
+    void grow();
+
+    /** The retained events; slot order once full, record order before. */
     std::vector<Event> ring_;
+    /** Ceiling on ring_.size(). */
+    size_t capacity_ = 0;
+    /** The slot the next event overwrites once the ring is full. */
     size_t next_ = 0;
     uint64_t seen_ = 0;
     bool enabled_ = false;

@@ -46,7 +46,9 @@
  * or one the verb does not read alike: a sweep sent an "input" must not
  * answer as if it had none. So is a buffer of more than maxBufferBytes
  * (1 MiB) or maxWays ways (1024; "assoc":0 puts every entry in one
- * set; mem/replacement.hh), refused before anything is allocated.
+ * set; mem/replacement.hh), refused before anything is allocated, and
+ * a request line of more than maxRequestLineBytes (1 MiB), refused as
+ * soon as the reader holds that much of it; that connection is closed.
  *
  * The metrics verb returns the rolling-window + lifetime aggregates
  * (src/obs/window.hh) as one JSON line ("format":"json", the default)
@@ -88,6 +90,7 @@
 #ifndef UHM_SERVE_PROTO_HH
 #define UHM_SERVE_PROTO_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <map>
 #include <string>
@@ -97,6 +100,10 @@
 
 namespace uhm::serve
 {
+
+/** Longest request line the daemon reads (mem/replacement.hh's
+ *  maxBufferBytes bounds the buffers a request may ask for). */
+inline constexpr size_t maxRequestLineBytes = size_t{1} << 20;
 
 // ---------------------------------------------------------------------
 // A minimal JSON value + parser (the writer side reuses JsonWriter).

@@ -54,8 +54,9 @@ printHelp(std::FILE *out)
         "(default 50000)\n"
         "  --timeline=FILE      dump the serve-track Chrome trace on "
         "exit\n"
-        "  --timeline-events=N  serve-track event ring capacity, at "
-        "most 16777216 (default 1048576)\n"
+        "  --timeline-events=N  most serve-track events kept, at most "
+        "16777216 (default 1048576);\n"
+        "                       the ring grows as events arrive\n"
         "  --window=SECS        rolling metrics window width "
         "(default 60)\n"
         "  --stats              dump serve.* counters to stderr on "
@@ -130,14 +131,16 @@ try {
         std::this_thread::sleep_for(std::chrono::milliseconds(50));
     server.stop();
 
-    uhm::obs::ProfileData profile = server.statsProfile(false);
-    if (stats) {
-        for (const auto &kv : profile.counters)
-            std::fprintf(stderr, "# %s = %llu\n", kv.first.c_str(),
-                         static_cast<unsigned long long>(kv.second));
+    if (stats || !timeline_path.empty()) {
+        uhm::obs::ProfileData profile = server.statsProfile(false);
+        if (stats) {
+            for (const auto &kv : profile.counters)
+                std::fprintf(stderr, "# %s = %llu\n", kv.first.c_str(),
+                             static_cast<unsigned long long>(kv.second));
+        }
+        if (!timeline_path.empty())
+            uhm::obs::emitChromeTrace(profile, timeline_path);
     }
-    if (!timeline_path.empty())
-        uhm::obs::emitChromeTrace(profile, timeline_path);
     std::fprintf(stderr, "# uhm_serve: stopped\n");
     return 0;
 } catch (const std::exception &e) {

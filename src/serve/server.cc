@@ -12,7 +12,6 @@
 
 #include "bench_common.hh"
 #include "dir/serialize.hh"
-#include "obs/emit.hh"
 #include "support/hash.hh"
 #include "support/json.hh"
 #include "support/logging.hh"
@@ -53,9 +52,20 @@ Connection::~Connection()
 }
 
 void
-Connection::writeBlock(const std::string &text)
+Connection::writeBlock(const std::string &text,
+                       const std::vector<obs::Event> *events)
 {
     std::lock_guard<std::mutex> lock(writeMutex);
+    sendLocked(text);
+    if (events != nullptr)
+        obs::writeEventsJsonl(*events, [this](const std::string &chunk) {
+            sendLocked(chunk);
+        });
+}
+
+void
+Connection::sendLocked(const std::string &text)
+{
     if (dead.load())
         return;
     size_t off = 0;
@@ -155,6 +165,17 @@ Server::readerLoop(std::shared_ptr<Connection> conn)
         size_t start = 0;
         for (;;) {
             size_t eol = buffer.find('\n', start);
+            // A line past the bound is refused without waiting for
+            // its end; the reader then stops and the connection closes.
+            const size_t end =
+                eol == std::string::npos ? buffer.size() : eol;
+            if (end - start > maxRequestLineBytes) {
+                refuseLine(*conn, 0, "bad_request",
+                           "request line longer than " +
+                               std::to_string(maxRequestLineBytes) +
+                               " bytes");
+                return;
+            }
             if (eol == std::string::npos)
                 break;
             std::string line = buffer.substr(start, eol - start);
@@ -169,28 +190,29 @@ Server::readerLoop(std::shared_ptr<Connection> conn)
 }
 
 void
+Server::refuseLine(Connection &conn, uint64_t id, const std::string &code,
+                   const std::string &message)
+{
+    {
+        std::lock_guard<std::mutex> lock(statsMutex_);
+        ++requests_;
+        ++errors_;
+    }
+    conn.writeBlock(errorHeader(id, code, message) + "\n");
+}
+
+void
 Server::admitLine(const std::shared_ptr<Connection> &conn,
                   const std::string &line)
 {
     Request req;
     std::string err;
     if (!parseRequest(line, req, err)) {
-        {
-            std::lock_guard<std::mutex> lock(statsMutex_);
-            ++requests_;
-            ++errors_;
-        }
-        conn->writeBlock(errorHeader(req.id, "bad_request", err) + "\n");
+        refuseLine(*conn, req.id, "bad_request", err);
         return;
     }
     if (stopping_.load()) {
-        {
-            std::lock_guard<std::mutex> lock(statsMutex_);
-            ++requests_;
-            ++errors_;
-        }
-        conn->writeBlock(errorHeader(req.id, "shutting_down",
-                                     "the server is stopping") + "\n");
+        refuseLine(*conn, req.id, "shutting_down", "the server is stopping");
         return;
     }
     // Monitoring verbs bypass the workload ledger *and* the admission
@@ -269,9 +291,10 @@ Server::startRequest(std::shared_ptr<Pending> p)
             return;
           }
           case Verb::Stats: {
+            // The event lines stream to the socket after the head.
             obs::ProfileData profile = statsProfile(p->req.resetStats);
-            finishRequest(p, ResponseInfo{},
-                          obs::renderProfileJsonl(profile));
+            finishRequest(p, ResponseInfo{}, obs::toJsonlHead(profile),
+                          &profile.events);
             return;
           }
           case Verb::Metrics: {
@@ -396,15 +419,18 @@ Server::runSliceStep(std::shared_ptr<Pending> p)
 
 void
 Server::finishRequest(const std::shared_ptr<Pending> &p,
-                      ResponseInfo info, const std::string &payload)
+                      ResponseInfo info, const std::string &payload,
+                      const std::vector<obs::Event> *events)
 {
     uint64_t end = nowUs();
     info.id = p->req.id;
     info.verb = p->req.verb;
     info.waitUs = p->beginUs - p->enqueueUs;
     info.serviceUs = end - p->beginUs;
-    std::string text =
-        successHeader(info, countLines(payload)) + "\n" + payload;
+    // One line per event: event lines carry no escaped newlines.
+    const size_t lines =
+        countLines(payload) + (events != nullptr ? events->size() : 0);
+    std::string text = successHeader(info, lines) + "\n" + payload;
     // Record before writing: once a client holds the response, the
     // request's latency is visible in stats/metrics — the ordering the
     // serve tests lean on.
@@ -429,7 +455,7 @@ Server::finishRequest(const std::shared_ptr<Pending> &p,
         // writing_ count keeps stop()'s drain honest about the send.
         retireLocked(p->monitoring);
     }
-    p->conn->writeBlock(text);
+    p->conn->writeBlock(text, events);
     writeDone();
 }
 

@@ -24,7 +24,9 @@
  * Responses are written under a per-connection mutex as one atomic
  * block (header + payload), in completion order. Profile payloads come
  * from uhm::profileJsonl on the machine's RunResult — the same bytes a
- * cold `uhm_cli --profile` run emits.
+ * cold `uhm_cli --profile` run emits. A `stats` reply streams its
+ * event lines to the socket in bounded chunks under that mutex, so no
+ * reply holds the rendered event ring.
  */
 
 #ifndef UHM_SERVE_SERVER_HH
@@ -51,8 +53,8 @@ namespace uhm::serve
 /** Daemon knobs. */
 struct ServerConfig
 {
-    /** Largest serve-track event ring --timeline-events accepts; the
-     *  ring is allocated whole at start. */
+    /** Largest serve-track event ring --timeline-events accepts. The
+     *  capacity is a ceiling: the ring grows as events arrive. */
     static constexpr size_t maxEventCapacity = size_t{1} << 24;
 
     std::string socketPath = "/tmp/uhm_serve.sock";
@@ -64,7 +66,7 @@ struct ServerConfig
     size_t maxQueue = 128;
     /** Cycle budget per runSlice() call (fairness granule). */
     uint64_t sliceCycles = 50'000;
-    /** serve-track event ring capacity (--timeline-events). */
+    /** serve-track event ring ceiling (--timeline-events). */
     size_t eventCapacity = 1 << 20;
     /** Rolling metrics window width in microseconds (--window). */
     uint64_t windowUs = 60'000'000;
@@ -79,12 +81,21 @@ struct Connection
     Connection(const Connection &) = delete;
     Connection &operator=(const Connection &) = delete;
 
-    /** Write one atomic response block; errors mark the peer dead. */
-    void writeBlock(const std::string &text);
+    /**
+     * Write one atomic response block; errors mark the peer dead. When
+     * @p events is set, its JSONL event lines follow @p text in the
+     * same block, rendered and sent a bounded chunk at a time.
+     */
+    void writeBlock(const std::string &text,
+                    const std::vector<obs::Event> *events = nullptr);
 
     const int fd;
     std::mutex writeMutex;
     std::atomic<bool> dead{false};
+
+  private:
+    /** Send all of @p text; called with writeMutex held. */
+    void sendLocked(const std::string &text);
 };
 
 /** The daemon. */
@@ -147,6 +158,11 @@ class Server
     void acceptLoop();
     void readerLoop(std::shared_ptr<Connection> conn);
 
+    /** Reader-side: answer a line that is never admitted (malformed,
+     *  overlong, or sent while stopping) with an error response. */
+    void refuseLine(Connection &conn, uint64_t id, const std::string &code,
+                    const std::string &message);
+
     /** Reader-side: admit or reject one raw request line. */
     void admitLine(const std::shared_ptr<Connection> &conn,
                    const std::string &line);
@@ -157,9 +173,11 @@ class Server
     /** One bounded execution slice; resubmits itself until HALT. */
     void runSliceStep(std::shared_ptr<Pending> p);
 
-    /** Write the final response and retire the request. */
+    /** Write the final response and retire the request. The payload
+     *  is @p payload, then the JSONL lines of @p events when set. */
     void finishRequest(const std::shared_ptr<Pending> &p,
-                       ResponseInfo info, const std::string &payload);
+                       ResponseInfo info, const std::string &payload,
+                       const std::vector<obs::Event> *events = nullptr);
 
     /**
      * Write an error response and retire the request. A session the

@@ -265,6 +265,19 @@ HuffmanCode::buildDecodeTable(const std::vector<uint32_t> &order)
         }
     }
 
+    // Size the whole table before allocating any of it. Every term is
+    // at most 2^53 slots and the sum stops at the limit, so it cannot
+    // overflow.
+    uint64_t slots = root_.size();
+    for (const auto &[prefix, width] : prefixWidth) {
+        slots += uint64_t{1} << width;
+        if (slots * sizeof(uint32_t) > maxDecodeTableBytes)
+            fatal("Huffman code with a %u-bit codeword needs a decode "
+                  "table over the %llu-byte limit",
+                  maxLen_,
+                  static_cast<unsigned long long>(maxDecodeTableBytes));
+    }
+
     // Pass 2: allocate the subtables and point the root at them.
     for (const auto &[prefix, width] : prefixWidth) {
         uhm_assert(root_[prefix] == 0, "prefix clash in overflow table");

@@ -133,6 +133,15 @@ class HuffmanCode
     /** Longest codeword length in bits (0 before build). */
     unsigned maxCodeLength() const { return maxLen_; }
 
+    /**
+     * Largest lookup table (root plus overflow subtables) a code may
+     * build, in bytes; building a code that needs more is a fatal()
+     * error. Each overflow subtable spans 2^(its longest suffix) slots,
+     * so a code with a long tail of rare symbols could otherwise ask
+     * for gigabytes. 1 MiB, the same bound as mem's maxBufferBytes.
+     */
+    static constexpr uint64_t maxDecodeTableBytes = uint64_t{1} << 20;
+
   private:
     /** Widest root lookup the table decoder will build. */
     static constexpr unsigned maxRootBits = 11;

@@ -12,12 +12,19 @@
 #define UHM_SUPPORT_JSON_HH
 
 #include <cstdint>
+#include <functional>
 #include <sstream>
 #include <string>
 #include <vector>
 
 namespace uhm
 {
+
+/** Receives a document's text piece by piece (a file, a socket). */
+using TextSink = std::function<void(const std::string &)>;
+
+/** Text a streaming writer gathers before handing it to its sink. */
+inline constexpr size_t sinkChunkBytes = size_t{64} << 10;
 
 /**
  * Streaming JSON writer with explicit begin/end nesting.
@@ -35,6 +42,16 @@ namespace uhm
 class JsonWriter
 {
   public:
+    JsonWriter() = default;
+
+    /**
+     * A streaming writer: whenever an object closes with at least
+     * sinkChunkBytes gathered, the text so far goes to @p sink, so a
+     * long document never sits whole in memory. flush() hands on the
+     * rest; str() holds only what has not been handed on.
+     */
+    explicit JsonWriter(TextSink sink) : sink_(std::move(sink)) {}
+
     JsonWriter &
     beginObject()
     {
@@ -49,6 +66,8 @@ class JsonWriter
     {
         stack_.pop_back();
         os_ << "}";
+        if (sink_ && os_.tellp() >= std::streamoff{sinkChunkBytes})
+            flush();
         return *this;
     }
 
@@ -138,6 +157,14 @@ class JsonWriter
     /** The finished document. */
     std::string str() const { return os_.str(); }
 
+    /** Hand the gathered text to the sink (streaming writers only). */
+    void
+    flush()
+    {
+        sink_(os_.str());
+        os_.str("");
+    }
+
   private:
     enum class State : uint8_t { FirstInObject, InObject, FirstInArray,
                                  InArray };
@@ -185,6 +212,7 @@ class JsonWriter
     }
 
     std::ostringstream os_;
+    TextSink sink_;
     std::vector<State> stack_;
     bool pendingValue_ = false;
 };

@@ -27,6 +27,7 @@
 #include <vector>
 
 #include "hlr/compiler.hh"
+#include "obs/trace.hh"
 #include "uhm/machine.hh"
 #include "uhm/settings.hh"
 #include "workload/samples.hh"
@@ -234,6 +235,27 @@ TEST(AllocLedger, ColdRequestStagesStayWithinBudget)
                     ledger[s].budget / requests);
         EXPECT_LE(stages[s].calls, ledger[s].budget) << stageNames[s];
     }
+#endif
+}
+
+/**
+ * A tracer's capacity is a ceiling, not an allocation: enabling a ring
+ * of 2^24 events (uhm_serve's --timeline-events maximum) allocates
+ * nothing, where 2^24 slots of 32 bytes would be 512 MiB.
+ */
+TEST(AllocLedger, EnablingATracerAllocatesNothing)
+{
+#ifdef UHM_LEDGER_SANITIZED
+    GTEST_SKIP() << "the sanitizer runtime owns the allocator";
+#else
+    obs::Tracer tracer;
+    Tally enable;
+    measure(enable, [&] { tracer.enable(size_t{1} << 24); });
+    std::printf("Tracer::enable(1 << 24): %llu allocs, %llu bytes\n",
+                static_cast<unsigned long long>(enable.calls),
+                static_cast<unsigned long long>(enable.bytes));
+    EXPECT_EQ(enable.bytes, 0u);
+    EXPECT_EQ(tracer.capacity(), size_t{1} << 24);
 #endif
 }
 

@@ -8,13 +8,18 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <algorithm>
+#include <fstream>
 #include <iterator>
+#include <sstream>
 #include <memory>
 #include <set>
 
 #include "hlr/compiler.hh"
 #include "obs/counter.hh"
+#include "obs/emit.hh"
 #include "obs/histogram.hh"
 #include "obs/registry.hh"
 #include "obs/report.hh"
@@ -23,6 +28,7 @@
 #include "obs/window.hh"
 #include "support/json.hh"
 #include "support/logging.hh"
+#include "support/rng.hh"
 #include "uhm/machine.hh"
 #include "uhm/profile.hh"
 #include "workload/samples.hh"
@@ -153,6 +159,136 @@ TEST(ObsTracer, ClearKeepsRingAndEnablement)
     EXPECT_TRUE(t.events().empty());
     t.record(obs::EventKind::Trap, 3, 4);
     EXPECT_EQ(t.events().size(), 1u);
+}
+
+/**
+ * The tracer as it was before its ring grew lazily: enable() fills
+ * every slot up front. The growing ring must be indistinguishable.
+ */
+class FixedRingTwin
+{
+  public:
+    void
+    enable(size_t capacity)
+    {
+        ring_.assign(capacity, obs::Event{});
+        next_ = 0;
+        seen_ = 0;
+        enabled_ = true;
+    }
+
+    void
+    disable()
+    {
+        ring_.clear();
+        next_ = 0;
+        seen_ = 0;
+        enabled_ = false;
+    }
+
+    void
+    record(obs::EventKind kind, uint64_t cycle, uint64_t addr,
+           uint64_t arg)
+    {
+        if (!enabled_)
+            return;
+        ring_[next_] = obs::Event{cycle, addr, arg, kind};
+        next_ = next_ + 1 == ring_.size() ? 0 : next_ + 1;
+        ++seen_;
+    }
+
+    void
+    clear()
+    {
+        next_ = 0;
+        seen_ = 0;
+    }
+
+    size_t capacity() const { return ring_.size(); }
+    uint64_t seen() const { return seen_; }
+
+    uint64_t
+    dropped() const
+    {
+        return seen_ > ring_.size() ? seen_ - ring_.size() : 0;
+    }
+
+    std::vector<obs::Event>
+    events() const
+    {
+        std::vector<obs::Event> out;
+        if (seen_ <= ring_.size()) {
+            out.assign(ring_.begin(),
+                       ring_.begin() + static_cast<ptrdiff_t>(seen_));
+            return out;
+        }
+        out.assign(ring_.begin() + static_cast<ptrdiff_t>(next_),
+                   ring_.end());
+        out.insert(out.end(), ring_.begin(),
+                   ring_.begin() + static_cast<ptrdiff_t>(next_));
+        return out;
+    }
+
+  private:
+    std::vector<obs::Event> ring_;
+    size_t next_ = 0;
+    uint64_t seen_ = 0;
+    bool enabled_ = false;
+};
+
+/**
+ * Seeded enable/record/clear/disable sequences at every capacity from
+ * 1 to 1000: the growing ring reports the same events, seen, dropped
+ * and capacity as the fixed ring after every operation.
+ */
+TEST(ObsTracer, GrowingRingMatchesFixedRingTwin)
+{
+    for (size_t capacity = 1; capacity <= 1000; ++capacity) {
+        SCOPED_TRACE(::testing::Message() << "capacity " << capacity);
+        Rng rng(capacity);
+        obs::Tracer tracer;
+        FixedRingTwin twin;
+        tracer.enable(capacity);
+        twin.enable(capacity);
+        for (int step = 0; step < 8; ++step) {
+            const uint64_t op = rng.below(8);
+            if (op == 0) {
+                tracer.clear();
+                twin.clear();
+            } else if (op == 1) {
+                tracer.disable();
+                twin.disable();
+            } else if (op == 2) {
+                const size_t again = rng.below(2) == 0 ?
+                    capacity : 1 + rng.below(1000);
+                tracer.enable(again);
+                twin.enable(again);
+            } else {
+                const uint64_t n = rng.below(3 * capacity + 2);
+                for (uint64_t i = 0; i < n; ++i) {
+                    const auto kind = obs::allEventKinds[rng.below(
+                        obs::numEventKinds)];
+                    const uint64_t cycle = rng.next();
+                    const uint64_t addr = rng.next();
+                    const uint64_t arg = rng.next();
+                    tracer.record(kind, cycle, addr, arg);
+                    twin.record(kind, cycle, addr, arg);
+                }
+            }
+            ASSERT_EQ(tracer.capacity(), twin.capacity()) << step;
+            ASSERT_EQ(tracer.seen(), twin.seen()) << step;
+            ASSERT_EQ(tracer.dropped(), twin.dropped()) << step;
+            const std::vector<obs::Event> got = tracer.events();
+            const std::vector<obs::Event> want = twin.events();
+            ASSERT_EQ(got.size(), want.size()) << step;
+            for (size_t i = 0; i < got.size(); ++i) {
+                ASSERT_EQ(got[i].cycle, want[i].cycle) << step << "/" << i;
+                ASSERT_EQ(got[i].addr, want[i].addr) << step << "/" << i;
+                ASSERT_EQ(got[i].arg, want[i].arg) << step << "/" << i;
+                ASSERT_EQ(got[i].kind, want[i].kind) << step << "/" << i;
+            }
+        }
+    }
 }
 
 TEST(ObsTracer, EveryKindHasAUniqueStableName)
@@ -412,6 +548,60 @@ TEST(ObsReport, JsonlShapeAndEventLines)
     EXPECT_NE(doc.find("{\"type\":\"event\",\"cycle\":42,"
                        "\"kind\":\"dtb_miss\",\"addr\":5,\"arg\":1}"),
               std::string::npos);
+}
+
+/** The bytes at @p path. */
+std::string
+slurp(const std::string &path)
+{
+    std::ifstream in(path);
+    std::ostringstream text;
+    text << in.rdbuf();
+    return text.str();
+}
+
+/**
+ * The file emitters stream the documents the string renderers build,
+ * and every piece a streaming renderer hands its sink stays near one
+ * chunk, however many events the profile holds.
+ */
+TEST(ObsEmit, FileEmittersStreamTheRenderedBytes)
+{
+    obs::ProfileData p;
+    p.meta.emplace_back("program", "demo");
+    p.phases.emplace_back("fetch", 40000);
+    p.phases.emplace_back("total", 40000);
+    for (uint64_t i = 0; i < 20000; ++i)
+        p.events.push_back(obs::Event{2 * i, i, i % 3,
+                                      obs::allEventKinds[i % 20]});
+    p.eventsSeen = p.events.size();
+
+    const std::string jsonl = obs::renderProfileJsonl(p);
+    const std::string trace = obs::toChromeTrace(p);
+    EXPECT_EQ(jsonl, obs::toJsonlHead(p) + obs::eventsToJsonl(p.events));
+
+    const std::string base = ::testing::TempDir() + "obs_emit_" +
+        std::to_string(::getpid());
+    obs::emitProfileJsonl(p, base + ".jsonl");
+    obs::emitChromeTrace(p, base + ".json");
+    EXPECT_EQ(slurp(base + ".jsonl"), jsonl);
+    EXPECT_EQ(slurp(base + ".json"), trace);
+    std::remove((base + ".jsonl").c_str());
+    std::remove((base + ".json").c_str());
+
+    for (bool chrome : {false, true}) {
+        std::vector<size_t> chunks;
+        const TextSink sink = [&](const std::string &text) {
+            chunks.push_back(text.size());
+        };
+        if (chrome)
+            obs::writeChromeTrace(p, sink);
+        else
+            obs::writeEventsJsonl(p.events, sink);
+        EXPECT_GT(chunks.size(), 10u) << chrome;
+        for (size_t n : chunks)
+            EXPECT_LT(n, sinkChunkBytes + 1024) << chrome;
+    }
 }
 
 TEST(ObsReport, EmbeddedJsonCarriesNoEventBodies)

@@ -7,10 +7,14 @@
 
 #include <gtest/gtest.h>
 
+#include <sys/socket.h>
+#include <sys/un.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <thread>
 
 #include "bench_common.hh"
@@ -988,6 +992,135 @@ TEST(ServeDaemon, EventDropRateIsSurfaced)
         }
     }
     EXPECT_TRUE(found);
+
+    server.stop();
+}
+
+// ---------------------------------------------------------------------
+// The streamed stats reply and the request-line bound.
+// ---------------------------------------------------------------------
+
+namespace
+{
+
+/** The lines of @p payload that are event lines, '\n'-terminated. */
+std::string
+eventLines(const std::string &payload)
+{
+    std::string out;
+    size_t start = 0;
+    while (start < payload.size()) {
+        size_t eol = payload.find('\n', start);
+        std::string line = payload.substr(start, eol + 1 - start);
+        if (line.rfind(R"({"type":"event")", 0) == 0)
+            out += line;
+        start = eol + 1;
+    }
+    return out;
+}
+
+} // anonymous namespace
+
+/**
+ * A stats reply streams its event lines in chunks, yet is byte for byte
+ * the rendered ring: its header counts every line it sends (the next
+ * response on the connection still frames), and its event lines equal
+ * the JSONL of the ring's retained events — whether the ring wrapped
+ * (64 events) or holds more than one chunk (the default ceiling).
+ */
+TEST(ServeDaemon, StatsReplyStreamsTheRingByteForByte)
+{
+    for (size_t capacity : {size_t{64}, serve::ServerConfig{}.eventCapacity}) {
+        SCOPED_TRACE(::testing::Message() << "capacity " << capacity);
+        serve::ServerConfig cfg;
+        cfg.socketPath = testSocketPath();
+        cfg.workers = 2;
+        cfg.eventCapacity = capacity;
+        cfg.maxQueue = 256; // admit every pipelined run
+        serve::Server server(cfg);
+        server.start();
+
+        serve::Client client(cfg.socketPath);
+        constexpr int runs = 200;
+        for (int id = 1; id <= runs; ++id)
+            client.send(R"({"id":)" + std::to_string(id) +
+                        R"(,"verb":"run","program":"fib"})");
+        for (int i = 0; i < runs; ++i)
+            ASSERT_TRUE(client.recv().ok);
+
+        serve::Response stats = client.call(R"({"id":0,"verb":"stats"})");
+        ASSERT_TRUE(stats.ok) << stats.message;
+        // Monitoring verbs record no events, so the ring is unchanged.
+        const obs::ProfileData profile = server.statsProfile(false);
+        const std::string events = eventLines(stats.payload);
+        EXPECT_EQ(events, obs::eventsToJsonl(profile.events));
+        EXPECT_EQ(stats.uintField("payload_lines"),
+                  static_cast<uint64_t>(std::count(
+                      stats.payload.begin(), stats.payload.end(), '\n')));
+        if (capacity == 64) {
+            EXPECT_EQ(profile.events.size(), 64u);
+            EXPECT_GT(profile.eventsDropped, 0u);
+        } else {
+            EXPECT_EQ(profile.eventsDropped, 0u);
+            EXPECT_GT(events.size(), sinkChunkBytes);
+        }
+
+        // The reply ended exactly where its header said it would.
+        serve::Response ping = client.call(R"({"id":7,"verb":"ping"})");
+        EXPECT_TRUE(ping.ok);
+        EXPECT_EQ(ping.id, 7u);
+
+        server.stop();
+    }
+}
+
+TEST(ServeDaemon, OverlongLineIsRefusedAndTheDaemonKeepsServing)
+{
+    serve::ServerConfig cfg;
+    cfg.socketPath = testSocketPath();
+    cfg.workers = 1;
+    serve::Server server(cfg);
+    server.start();
+
+    // One byte past the bound, with no newline: the reader must not
+    // wait for one (nor buffer without end).
+    const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+    ASSERT_GE(fd, 0);
+    sockaddr_un addr{};
+    addr.sun_family = AF_UNIX;
+    std::strncpy(addr.sun_path, cfg.socketPath.c_str(),
+                 sizeof(addr.sun_path) - 1);
+    ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr *>(&addr),
+                        sizeof(addr)), 0);
+    const std::string line(serve::maxRequestLineBytes + 1, 'x');
+    size_t off = 0;
+    while (off < line.size()) {
+        ssize_t n = ::send(fd, line.data() + off, line.size() - off,
+                           MSG_NOSIGNAL);
+        ASSERT_GT(n, 0);
+        off += static_cast<size_t>(n);
+    }
+    // The daemon answers, then closes the connection.
+    std::string reply;
+    char buf[4096];
+    for (ssize_t n; (n = ::recv(fd, buf, sizeof(buf), 0)) > 0;)
+        reply.append(buf, static_cast<size_t>(n));
+    ::close(fd);
+    ASSERT_FALSE(reply.empty());
+    ASSERT_EQ(reply.back(), '\n');
+    serve::JsonValue doc;
+    std::string err;
+    ASSERT_TRUE(serve::parseJson(reply.substr(0, reply.size() - 1), doc,
+                                 err))
+        << err;
+    EXPECT_EQ(doc.find("error")->string, "bad_request");
+    EXPECT_NE(doc.find("message")->string.find(
+                  std::to_string(serve::maxRequestLineBytes)),
+              std::string::npos);
+
+    serve::Client fresh(cfg.socketPath);
+    EXPECT_TRUE(fresh.call(R"({"id":1,"verb":"ping"})").ok);
+    EXPECT_EQ(server.statsProfile(false).counters.at("serve.errors"), 1u);
 
     server.stop();
 }

@@ -835,6 +835,22 @@ TEST(Huffman, DecodeTreeNodesGrowWithAlphabet)
     EXPECT_LT(small.decodeTreeNodes(), large.decodeTreeNodes());
 }
 
+/**
+ * Rare symbols ~40 bits deep would need overflow subtables of up to
+ * 2^29 slots each; building such a code is refused before any of the
+ * table is allocated.
+ */
+TEST(Huffman, DecodeTableOverTheLimitIsRefused)
+{
+    std::vector<uint64_t> freqs(400);
+    for (size_t i = 0; i < freqs.size(); ++i)
+        freqs[i] = uint64_t{1} << (i / 10); // 2^0 .. 2^39
+    EXPECT_THROW(HuffmanCode::build(freqs), FatalError);
+
+    // Limited to 20 bits, the same alphabet fits.
+    EXPECT_NO_THROW(HuffmanCode::build(freqs, 20));
+}
+
 TEST(Entropy, UniformAndDegenerate)
 {
     EXPECT_NEAR(entropyBits({1, 1, 1, 1}), 2.0, 1e-12);
