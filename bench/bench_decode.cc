@@ -10,8 +10,10 @@
  *     sample corpus, per encoding scheme;
  *  2. translate: the cold DynamicTranslator path vs. the memoized
  *     repeated-miss replay;
- *  3. events: a full DTB run with the typed-event tracer detached vs.
- *     attached (the zero-overhead observability claim).
+ *  3. events: a full DTB run with events off vs. on — the DTB run
+ *     loop's plain instantiation against its Events instantiation,
+ *     which records every per-instruction event into the ring (the
+ *     cost of a per-instruction trace; the plain loop pays nothing).
  *
  * Emits a human-readable table on stdout and a JSON document (schema
  * in docs/BENCHMARKS.md) to --out=<file>, default BENCH_decode.json.

@@ -47,6 +47,7 @@
 #include <cstring>
 #include <fstream>
 #include <map>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -447,7 +448,7 @@ runMultiTenant(const Options &opts, const uhm::DirProgram &prog,
         p.phases = uhm::cyclePhases(sr.breakdown);
         p.counters = sr.counters;
         p.histograms = sr.histograms;
-        p.events = sr.events;
+        p.events = std::move(sr.events);
         p.eventsSeen = sr.eventsSeen;
         p.eventsDropped = sr.eventsDropped;
         uhm::obs::emitChromeTrace(p, opts.timelinePath);
@@ -577,18 +578,20 @@ try {
     meta.machine = uhm::machineKindName(kind);
     meta.encoding = uhm::encodingName(scheme);
     meta.imageBits = image->bitSize();
+    // The event list is held once: the report takes it from the run.
+    std::optional<uhm::obs::ProfileData> profile;
     if (opts.profile || !opts.timelinePath.empty()) {
-        uhm::obs::ProfileData profile = uhm::buildProfile(meta, r);
+        profile = uhm::buildProfile(meta, std::move(r));
         if (opts.profile)
-            uhm::obs::emitProfileJsonl(profile, opts.profilePath);
+            uhm::obs::emitProfileJsonl(*profile, opts.profilePath);
         if (!opts.timelinePath.empty())
-            uhm::obs::emitChromeTrace(profile, opts.timelinePath);
+            uhm::obs::emitChromeTrace(*profile, opts.timelinePath);
     }
     if (opts.trace) {
         // From the ring: after an overflow (warned above) these are
         // the retained tail's lookups, not the run's first ones.
         const std::vector<uhm::InterpStep> steps =
-            uhm::interpSteps(r.events);
+            uhm::interpSteps(profile ? profile->events : r.events);
         const size_t shown = std::min<size_t>(steps.size(), 200);
         for (size_t i = 0; i < shown; ++i)
             std::fprintf(stderr, "# %s\n", steps[i].toString().c_str());

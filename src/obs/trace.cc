@@ -91,6 +91,21 @@ Tracer::events() const
     return out;
 }
 
+std::vector<Event>
+Tracer::take()
+{
+    // Before the ring wraps it holds exactly seen_ events, in order.
+    if (seen_ > ring_.size())
+        std::rotate(ring_.begin(),
+                    ring_.begin() + static_cast<ptrdiff_t>(next_),
+                    ring_.end());
+    std::vector<Event> out = std::move(ring_);
+    ring_ = {};
+    next_ = 0;
+    seen_ = 0;
+    return out;
+}
+
 void
 Tracer::clear()
 {

@@ -100,6 +100,8 @@ struct Event
     uint64_t addr = 0;  ///< DIR bit address involved
     uint64_t arg = 0;   ///< kind-specific argument
     EventKind kind = EventKind::Fetch;
+
+    bool operator==(const Event &) const = default;
 };
 
 /** Bounded ring-buffer event recorder. */
@@ -157,6 +159,12 @@ class Tracer
 
     /** The retained events, oldest first. */
     std::vector<Event> events() const;
+
+    /**
+     * events(), moved out instead of copied: a wrapped ring is unrolled
+     * in place. Leaves the tracer as clear() does.
+     */
+    std::vector<Event> take();
 
     /** Drop all recorded events, keeping the capacity and enablement. */
     void clear();

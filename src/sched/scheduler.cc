@@ -229,9 +229,9 @@ Scheduler::run()
     result.totalCycles = global;
     result.flushes = dtb_.flushes();
     result.flushedEntries = dtb_.flushedEntries();
-    result.events = tracer_.events();
     result.eventsSeen = tracer_.seen();
     result.eventsDropped = tracer_.dropped();
+    result.events = tracer_.take();
 
     // Merged counter map: scheduler totals, the shared DTB, and one
     // zero-padded namespace per tenant.

@@ -139,79 +139,7 @@ Machine::Machine(const EncodedDir &image, const MachineConfig &config,
 
 Machine::~Machine() = default;
 
-// ---- operand stack --------------------------------------------------------
-
-void
-Machine::pushStack(int64_t value, uint64_t &bucket)
-{
-    if (sp_ >= config_.layout.stackWords)
-        fatal("operand stack overflow (%llu words)",
-              static_cast<unsigned long long>(config_.layout.stackWords));
-    uint64_t before = mem_.cycles();
-    mem_.write(config_.layout.stackBase + sp_, value);
-    ++sp_;
-    bucket += mem_.cycles() - before;
-}
-
-int64_t
-Machine::popStack(uint64_t &bucket)
-{
-    if (sp_ == 0)
-        fatal("operand stack underflow");
-    --sp_;
-    uint64_t before = mem_.cycles();
-    int64_t v = mem_.read(config_.layout.stackBase + sp_);
-    bucket += mem_.cycles() - before;
-    return v;
-}
-
-// ---- IU1: semantic-routine execution --------------------------------------
-//
-// The out-of-line instance of the micro-op core, which the step
-// functions reach through executeStaged and executeShort. The fast
-// loops include vm_ops.inc themselves and batch its charges; this
-// instance applies them when the routine retires, so a step leaves the
-// counters, the breakdown and the memory accounting current for the
-// events and samples that follow it.
-
-void
-Machine::callRoutine(size_t entry)
-{
-    const uint32_t *vm_code = flat_->code.data();
-    const int64_t *vm_imm = flat_->imm.data();
-    const uint64_t tau1 = config_.timing.tau1;
-    const uint64_t tau2 = config_.timing.tau2;
-    const uint64_t level1_words = mem_.level1Words();
-    const uint64_t stack_base = config_.layout.stackBase;
-    const uint64_t stack_words = config_.layout.stackWords;
-    auto &r = regs_;
-
-    uint64_t n = 0, sem_mem = 0, l1 = 0, l2 = 0;
-    uint64_t sp = sp_;
-    int64_t *stk = mem_.raw() + stack_base;
-    size_t vm_i = entry, vm_ii = 0;
-    uint32_t vm_w = 0;
-
-#define VM_BAIL()                                                      \
-    do {                                                               \
-        microOps_ += n;                                                \
-        breakdown_.semantic += n * tau1 + sem_mem;                     \
-        mem_.chargeBatch(l1, l2);                                      \
-        sp_ = sp;                                                      \
-    } while (0)
-
-    goto vm_enter;
-routine_done:
-    VM_BAIL();
-    return;
-
-#define VM_DONE_GOTO goto routine_done
-#include "uhm/vm_ops.inc"
-#undef VM_DONE_GOTO
-#undef VM_BAIL
-}
-
-// ---- fetch paths ----------------------------------------------------------
+// ---- cold paths ------------------------------------------------------------
 
 void
 Machine::chargeFetchLevel2(uint64_t bits)
@@ -220,73 +148,6 @@ Machine::chargeFetchLevel2(uint64_t bits)
     breakdown_.fetch += refs * config_.timing.tau2;
     dirFetchRefs_ += refs;
     emitEvent(obs::EventKind::Fetch, pc_, refs);
-}
-
-void
-Machine::chargeFetchCached(uint64_t bit_addr, uint64_t bits)
-{
-    uint64_t first = bit_addr / 64;
-    uint64_t last = bits == 0 ? first : (bit_addr + bits - 1) / 64;
-    for (uint64_t word = first; word <= last; ++word) {
-        bool hit = icache_->access(word * 8);
-        breakdown_.fetch += hit ? config_.timing.tauD :
-            config_.timing.tau2;
-        ++dirFetchRefs_;
-    }
-    emitEvent(obs::EventKind::Fetch, bit_addr, last - first + 1);
-}
-
-// ---- execution ------------------------------------------------------------
-
-void
-Machine::executeStaged(const Staging &staging)
-{
-    for (int64_t v : staging.pushList())
-        pushStack(v, breakdown_.stage);
-    if (staging.routine >= 0) {
-        int32_t entry = flat_->entry[static_cast<size_t>(staging.routine)];
-        if (entry >= 0)
-            callRoutine(static_cast<size_t>(entry));
-    }
-    switch (staging.next) {
-      case NextKind::Imm:
-        pc_ = staging.nextImm;
-        break;
-      case NextKind::Stack:
-        pc_ = static_cast<uint64_t>(popStack(breakdown_.dispatch));
-        break;
-      case NextKind::Halt:
-        halted_ = true;
-        break;
-    }
-}
-
-void
-Machine::convStep()
-{
-    maybeSample();
-    if (dirInstrs_ >= config_.maxDirInstrs)
-        fatal("DIR instruction budget exhausted (%llu)",
-              static_cast<unsigned long long>(config_.maxDirInstrs));
-    ++dirInstrs_;
-    ++decodedInstrs_;
-    if (config_.captureAddressTrace)
-        addressTrace_.push_back(pc_);
-
-    // The simulated machine decodes every executed instruction (and is
-    // charged for it below); the host replays the memoized result after
-    // the first visit to a pc.
-    const DecodeResult &res = decodeMemo_->decodeAt(pc_);
-    ++opcodeCounts_[static_cast<size_t>(res.instr.op)];
-    uint64_t bits = res.nextBitAddr - pc_;
-    if (config_.kind == MachineKind::Cached)
-        chargeFetchCached(pc_, bits);
-    else
-        chargeFetchLevel2(bits);
-    uint64_t decode_cycles = config_.costs.decodeCycles(res.cost);
-    breakdown_.decode += decode_cycles;
-    emitEvent(obs::EventKind::Decode, pc_, decode_cycles);
-    executeStaged(stagingAt(res));
 }
 
 const Staging &
@@ -298,65 +159,6 @@ Machine::stagingAt(const DecodeResult &res)
         stagingValid_[res.index] = 1;
     }
     return stagingMemo_[res.index];
-}
-
-void
-Machine::executeShort(const ShortInstr &si)
-{
-    switch (si.op) {
-      case SOp::PUSH: {
-        int64_t value = si.operand;
-        if (si.mode == SMode::Direct || si.mode == SMode::Indirect) {
-            uint64_t before = mem_.cycles();
-            value = mem_.read(static_cast<uint64_t>(si.operand));
-            if (si.mode == SMode::Indirect)
-                value = mem_.read(static_cast<uint64_t>(value));
-            breakdown_.stage += mem_.cycles() - before;
-        }
-        pushStack(value, breakdown_.stage);
-        break;
-      }
-      case SOp::POP: {
-        int64_t value = popStack(breakdown_.stage);
-        uint64_t before = mem_.cycles();
-        uint64_t addr = static_cast<uint64_t>(si.operand);
-        if (si.mode == SMode::Indirect)
-            addr = static_cast<uint64_t>(mem_.read(addr));
-        mem_.write(addr, value);
-        breakdown_.stage += mem_.cycles() - before;
-        break;
-      }
-      case SOp::CALL: {
-        uhm_assert(si.operand >= 0 &&
-                   static_cast<size_t>(si.operand) < flat_->entry.size(),
-                   "CALL to unknown routine id");
-        int32_t entry = flat_->entry[static_cast<size_t>(si.operand)];
-        if (entry >= 0)
-            callRoutine(static_cast<size_t>(entry));
-        break;
-      }
-      case SOp::INTERP:
-        panic("INTERP outside the dispatch loop");
-    }
-}
-
-uint64_t
-Machine::executeShortSequence(std::span<const ShortInstr> code,
-                              uint64_t fetch_cost)
-{
-    for (const ShortInstr &si : code) {
-        // IU2 fetches each short instruction from the buffer array.
-        breakdown_.dispatch += fetch_cost;
-        ++shortInstrs_;
-        if (si.op == SOp::INTERP) {
-            if (si.mode == SMode::Stack)
-                return static_cast<uint64_t>(
-                    popStack(breakdown_.dispatch));
-            return static_cast<uint64_t>(si.operand);
-        }
-        executeShort(si);
-    }
-    panic("PSDER sequence did not end with INTERP");
 }
 
 std::span<const ShortInstr>
@@ -406,134 +208,39 @@ Machine::missFlow()
     return tr.code;
 }
 
-uint32_t
-Machine::dtbStep()
+void
+Machine::recordPc()
 {
-    uint32_t hit_idx = UINT32_MAX;
-    maybeSample();
-    if (dirInstrs_ >= config_.maxDirInstrs)
-        fatal("DIR instruction budget exhausted (%llu)",
-              static_cast<unsigned long long>(config_.maxDirInstrs));
-
-    // Recorder hook (Tiered): report the pc about to be interpreted.
-    if (tier_ && tier_->recording()) {
-        tier::TierEngine::RecordOutcome ro = tier_->recordStep(pc_);
-        if (ro.status == tier::TierEngine::RecordStatus::Closed) {
-            // Tier-2 translation charge: construct each short
-            // instruction of the fused body and store it into the trace
-            // cache's buffer array.
-            breakdown_.translate2 += ro.compile.compiledShorts *
-                (config_.tier.gen2CyclesPerInstr + config_.timing.tauD);
-            tierTraceLen_.record(ro.compile.steps);
-            emitEvent(obs::EventKind::Translate2, ro.compile.head,
-                      ro.compile.compiledShorts);
-            if (ro.compile.evictedTrace)
-                emitEvent(obs::EventKind::TraceEvict,
-                          ro.compile.evictedHead);
-        } else if (ro.status == tier::TierEngine::RecordStatus::Aborted) {
-            emitEvent(obs::EventKind::TraceAbort, pc_);
-        }
+    tier::TierEngine::RecordOutcome ro = tier_->recordStep(pc_);
+    if (ro.status == tier::TierEngine::RecordStatus::Closed) {
+        // Tier-2 translation charge: construct each short instruction
+        // of the fused body and store it into the trace cache's buffer
+        // array.
+        breakdown_.translate2 += ro.compile.compiledShorts *
+            (config_.tier.gen2CyclesPerInstr + config_.timing.tauD);
+        tierTraceLen_.record(ro.compile.steps);
+        emitEvent(obs::EventKind::Translate2, ro.compile.head,
+                  ro.compile.compiledShorts);
+        if (ro.compile.evictedTrace)
+            emitEvent(obs::EventKind::TraceEvict, ro.compile.evictedHead);
+    } else if (ro.status == tier::TierEngine::RecordStatus::Aborted) {
+        emitEvent(obs::EventKind::TraceAbort, pc_);
     }
-
-    // Empty until a buffer or the translator supplies it: every
-    // translation ends in an INTERP.
-    std::span<const ShortInstr> code;
-    uint64_t fetch_cost = config_.timing.tauD;
-
-    // First-level translation buffer (Dtb2): a tau1-speed lookup.
-    if (dtbL1_) {
-        breakdown_.dispatch += config_.timing.tau1;
-        uint32_t l1 = dtbL1_->lookup(pc_);
-        if (l1 != Dtb::npos) {
-            code = dtbL1_->payloadAt(l1);
-            fetch_cost = config_.timing.tau1;
-        }
-    }
-
-    if (code.empty()) {
-        // INTERP presents the DIR address to the associative address
-        // array (one DTB-array access).
-        breakdown_.dispatch += config_.timing.tauD;
-        uint32_t idx = dtb_->lookup(pc_);
-        if (idx == Dtb::npos) {
-            code = missFlow();
-            if (dtbL1_)
-                dtbL1_->insert(pc_, code);
-        } else {
-            hit_idx = idx;
-            code = dtb_->payloadAt(idx);
-            emitEvent(obs::EventKind::DtbHit, pc_);
-            if (dtbL1_) {
-                // Promote into the first-level buffer: one tau1 store
-                // per short instruction copied.
-                breakdown_.dispatch += code.size() * config_.timing.tau1;
-                dtbL1_->insert(pc_, code);
-                emitEvent(obs::EventKind::Promote, pc_, code.size());
-            }
-            if (tier_) {
-                // Hotness profile: a backward transfer into a resident
-                // entry is a backedge (loops close with one).
-                EntryMeta &meta = dtb_->metaAt(idx);
-                bool backedge = pc_ <= prevPc_;
-                if (backedge)
-                    ++meta.backedgeCount;
-                if (meta.anchorsTrace && !tier_->recording()) {
-                    // Trace dispatch: one trace-cache access plus the
-                    // dispatch overhead, paid once per entry rather
-                    // than once per instruction. runTrace counts the
-                    // head itself.
-                    breakdown_.dispatch += config_.timing.tauD +
-                        config_.tier.dispatchCycles;
-                    uint32_t tidx = tier_->lookupTrace(pc_);
-                    if (tidx != tier::TraceCache::npos) {
-                        ++traceEnters_;
-                        emitEvent(obs::EventKind::TraceEnter, pc_,
-                                  tier_->cache().payloadAt(tidx).dirCount);
-                        uint64_t iters_before = traceIterations_.value();
-                        uint64_t next = runTrace(tidx);
-                        emitEvent(obs::EventKind::TraceExit, next,
-                                  traceIterations_.value() -
-                                      iters_before);
-                        if (next == haltBitAddr)
-                            halted_ = true;
-                        else
-                            pc_ = next;
-                        return hit_idx;
-                    }
-                    // Stale anchor (cleared by lookupTrace): fall back
-                    // to the ordinary tier-1 path.
-                }
-                if (backedge && tier_->wantsRecording(meta, pc_)) {
-                    tier_->beginRecording(pc_);
-                    emitEvent(obs::EventKind::TraceRecord, pc_);
-                }
-            }
-        }
-    }
-
-    ++dirInstrs_;
-    if (config_.captureAddressTrace)
-        addressTrace_.push_back(pc_);
-    prevPc_ = pc_;
-    uint64_t next = executeShortSequence(code, fetch_cost);
-    if (next == haltBitAddr)
-        halted_ = true;
-    else
-        pc_ = next;
-    return hit_idx;
 }
 
 // ---- the run loops --------------------------------------------------------
 //
-// One fast loop per organization family. Every charge a loop batches
-// into a Pending is the exact sum its step function would have applied
-// instruction by instruction, and anything it cannot run from a lowered
-// image — misses, cold sites, active trace recording, pushes that
-// would overflow the stack — falls back to exactly one step (convStep
-// or dtbStep), so cold-path accounting has a single implementation.
-// Runs with events on step every instruction: events are stamped
-// mid-instruction, which batched attribution does not reproduce.
-// tests/dispatch_test.cc holds stepped and fast runs byte-identical.
+// One loop per organization family, each compiled twice: Events = false
+// for every run without a tracer, Events = true for runs that record
+// every per-instruction event. A loop batches charges into register
+// buckets and a Pending, and drains them before anything that reads or
+// charges the machine's breakdown directly: a sample, a trace dispatch,
+// the Figure 4 miss flow, the recorder hook, a fatal. An event of the
+// Events instantiation is stamped with the loop's running total plus
+// the current instruction's charges up to that event, which is where
+// charging them one by one would put it. tests/stepped_reference.hh
+// keeps that one-by-one engine, and dispatch_test and fuzz_test hold
+// both instantiations byte-identical to it.
 
 void
 Machine::drainPending(Pending &p)
@@ -592,28 +299,23 @@ Machine::promoteFastSeq(uint64_t pc, uint32_t idx, const FastSeq &fs)
     return ins.entryIdx;
 }
 
-// The DTB family's one fast loop. Dtb2 adds the first-level buffer in
-// front of the main DTB. Its inline caches live in the same FastSeq
-// fields and name dtbL1 slots: every site predicts where its successor
-// sits in the first-level buffer, which is where a Dtb2 step looks
-// first. A first-level hit runs the L1 slot's lowering (fetched at
-// tau1); a first-level miss that hits the main DTB promotes inside the
-// loop and runs the main slot's lowering (fetched at tauD). Tiered adds
-// the hotness profile and trace dispatch on a committed hit, and keeps
-// to dtbStep while the recorder is active (every step must pass
-// through it; recording windows are short). Only a main-DTB miss, a
-// stack overflow or an active recording takes dtbStep.
-template <MachineKind K>
+// The DTB family's loop. Dtb2 adds the first-level buffer in front of
+// the main DTB. Its inline caches live in the same FastSeq fields and
+// name dtbL1 slots: every site predicts where its successor sits in the
+// first-level buffer, which is where a Dtb2 lookup looks first. A
+// first-level hit runs the L1 slot's lowering (fetched at tau1); a
+// first-level miss that hits the main DTB promotes inside the loop and
+// runs the main slot's lowering (fetched at tauD). Tiered adds the
+// hotness profile and trace dispatch on a hit, and the recorder hook at
+// the loop head while a recording is active. A main-DTB miss drains,
+// runs missFlow and then the translation it returns, lowered, through
+// the same commit path as a hit.
+template <MachineKind K, bool Events>
 void
 Machine::runDtbFast()
 {
     constexpr bool TwoLevel = K == MachineKind::Dtb2;
     constexpr bool Tiered = K == MachineKind::Tiered;
-    if (eventsOn()) {
-        while (!halted_ && breakdown_.total() < sliceLimit_)
-            dtbStep();
-        return;
-    }
     const uint32_t *vm_code = flat_->code.data();
     const int64_t *vm_imm = flat_->imm.data();
     const uint64_t tau1 = config_.timing.tau1;
@@ -625,15 +327,14 @@ Machine::runDtbFast()
     const bool capture = config_.captureAddressTrace;
     Dtb *const dtb = dtb_;
     Dtb *const l1buf = dtbL1_.get();
-    // The buffer a step looks in first, which its inline caches name.
+    // The buffer a lookup looks in first, which its inline caches name.
     Dtb *const first = TwoLevel ? l1buf : dtb;
     auto &r = regs_;
 
     // Pending step-level charges plus register-resident micro-op
-    // charges (n, sem_mem, l1, l2). "Now" in a step is
-    // breakdown_.total(); here it is drained + cyc + n*tau1 + sem_mem,
-    // where cyc mirrors p.cycles() so the loop head never has to sum
-    // the Pending buckets.
+    // charges (n, sem_mem, l1, l2). The machine's running total is
+    // drained + cyc + n*tau1 + sem_mem, where cyc mirrors p.cycles() so
+    // the loop head never has to sum the Pending buckets.
     Pending p;
     uint64_t drained = breakdown_.total();
     uint64_t cyc = 0;
@@ -654,6 +355,8 @@ Machine::runDtbFast()
     // slot of the pc about to be looked up.
     FastSeq *site = nullptr;
     FastSeq *fs = nullptr;
+    // The lowering of a miss's translation that the DTB did not retain.
+    FastSeq rejected;
     uint32_t idx = 0;
     uint64_t next = 0;
     // Dispatch cycles of the buffer lookups (and promotion) that
@@ -684,18 +387,24 @@ Machine::runDtbFast()
         VM_FLUSH();                                                    \
         drainPending(p);                                               \
     } while (0)
+// After a drained cold call that charged the breakdown directly.
+#define VM_RELOAD()                                                    \
+    do {                                                               \
+        drained = breakdown_.total();                                  \
+        cyc = 0;                                                       \
+        budget_left = config_.maxDirInstrs - dirInstrs_.value();       \
+    } while (0)
+// The running total, for an event stamp.
+#define VM_NOW() (drained + cyc + n * tau1 + sem_mem)
 
     while (!halted_) {
         {
-            uint64_t now = drained + cyc + n * tau1 + sem_mem;
+            uint64_t now = VM_NOW();
             if (now >= sliceLimit_)
                 break;
             if (now >= sample_at) {
                 VM_BAIL();
-                drained = breakdown_.total();
-                cyc = 0;
-                budget_left =
-                    config_.maxDirInstrs - dirInstrs_.value();
+                VM_RELOAD();
                 takeSample();
                 sample_at = nextSampleAt_;
             }
@@ -705,33 +414,34 @@ Machine::runDtbFast()
             fatal("DIR instruction budget exhausted (%llu)",
                   static_cast<unsigned long long>(config_.maxDirInstrs));
         }
+        if constexpr (Tiered) {
+            if (tier_->recording()) {
+                // Every pc interpreted while recording passes the
+                // recorder, which may close, compile and install.
+                VM_BAIL();
+                recordPc();
+                VM_RELOAD();
+            }
+        }
 
         // Inline-cache probe, then a full — still side-effect-free —
-        // probe of the buffer the step looks in first. Nothing is
-        // charged or counted unless the fast step commits below.
-        idx = UINT32_MAX;
-        if (!(Tiered && tier_->recording())) {
-            if (site && site->icTag == pc &&
-                first->icCheck(site->icIdx, pc)) {
-                idx = site->icIdx;
-            } else {
-                idx = first->probeIdx(pc);
-                if (idx != UINT32_MAX && site) {
-                    site->icTag = pc;
-                    site->icIdx = idx;
-                }
+        // probe of the buffer a lookup looks in first. Nothing is
+        // charged or counted until a hit or a miss commits below.
+        if (site && site->icTag == pc && first->icCheck(site->icIdx, pc)) {
+            idx = site->icIdx;
+        } else {
+            idx = first->probeIdx(pc);
+            if (idx != UINT32_MAX && site) {
+                site->icTag = pc;
+                site->icIdx = idx;
             }
         }
         fs = nullptr;
         if constexpr (TwoLevel) {
             if (idx != UINT32_MAX) {
                 fs = ensureSeqLowered(*l1buf, fastL1Slots_, idx, tau1);
-                if (sp + fs->numPushes > stack_words) {
-                    fs = nullptr;
-                } else {
-                    l1buf->hitAt(idx);
-                    lookup = tau1;
-                }
+                l1buf->hitAt(idx);
+                lookup = tau1;
             } else {
                 // First-level miss: the main DTB, through the site's
                 // second inline cache.
@@ -751,93 +461,121 @@ Machine::runDtbFast()
                     // instruction copied — and run it from the main
                     // DTB at tauD.
                     fs = ensureSeqLowered(*dtb, fastSlots_, idx, tau_d);
-                    if (sp + fs->numPushes > stack_words) {
-                        fs = nullptr;
-                    } else {
-                        l1buf->countMiss();
-                        dtb->hitAt(idx);
-                        uint32_t copy = promoteFastSeq(pc, idx, *fs);
-                        if (site && copy != UINT32_MAX) {
-                            site->icTag = pc;
-                            site->icIdx = copy;
-                        }
-                        lookup = tau1 + tau_d + fs->shortCount * tau1;
+                    l1buf->countMiss();
+                    dtb->hitAt(idx);
+                    lookup = tau1 + tau_d + fs->shortCount * tau1;
+                    if constexpr (Events) {
+                        uint64_t at = VM_NOW() + tau1 + tau_d;
+                        tracer_.record(obs::EventKind::DtbHit, at, pc);
+                        tracer_.record(obs::EventKind::Promote,
+                                       VM_NOW() + lookup, pc,
+                                       fs->shortCount);
+                    }
+                    uint32_t copy = promoteFastSeq(pc, idx, *fs);
+                    if (site && copy != UINT32_MAX) {
+                        site->icTag = pc;
+                        site->icIdx = copy;
                     }
                 }
             }
         } else if (idx != UINT32_MAX) {
             fs = ensureSeqLowered(*dtb, fastSlots_, idx, tau_d);
-            if (sp + fs->numPushes > stack_words) {
-                fs = nullptr;
-            } else {
-                dtb->hitAt(idx);
-                lookup = tau_d;
-            }
+            dtb->hitAt(idx);
+            lookup = tau_d;
+            if constexpr (Events)
+                tracer_.record(obs::EventKind::DtbHit, VM_NOW() + tau_d,
+                               pc);
         }
         if (!fs) {
-            // True DTB miss (translation), a stack overflow or an
-            // active recording: one full dtbStep (the lookups count
-            // their hits and misses exactly as always), then re-prime
-            // the inline cache from its outcome so the chain re-forms.
+            // Main-DTB miss: charge and count the lookups that missed,
+            // then Figure 4's miss flow, with the locals drained so its
+            // charges and events land in order. The translation then
+            // runs like a hit, from its slot's lowering or, when the
+            // DTB did not retain it, from a one-off lowering.
             VM_BAIL();
-            uint64_t lookup_pc = pc;
-            uint32_t hit = dtbStep();
-            // Two-level sites predict first-level slots, and the step
-            // left lookup_pc there (unless the insert was rejected).
-            if constexpr (TwoLevel)
-                hit = l1buf->probeIdx(lookup_pc);
-            if (hit != UINT32_MAX) {
-                if (site) {
-                    site->icTag = lookup_pc;
-                    site->icIdx = hit;
-                }
-                site = TwoLevel ?
-                    ensureSeqLowered(*l1buf, fastL1Slots_, hit, tau1) :
-                    ensureSeqLowered(*dtb, fastSlots_, hit, tau_d);
-            } else {
-                site = nullptr;
+            if constexpr (TwoLevel) {
+                breakdown_.dispatch += tau1;
+                l1buf->countMiss();
             }
-            goto resync;
+            breakdown_.dispatch += tau_d;
+            dtb->countMiss();
+            std::span<const ShortInstr> code = missFlow();
+            if constexpr (TwoLevel)
+                l1buf->insert(pc, code);
+            idx = dtb->probeIdx(pc);
+            if (idx != UINT32_MAX) {
+                fs = ensureSeqLowered(*dtb, fastSlots_, idx, tau_d);
+            } else {
+                lowerFastSeq(code, *flat_, tau_d, tau1, rejected);
+                fs = &rejected;
+            }
+            VM_RELOAD();
+            lookup = 0;
+            prev_pc = pc;
+            goto commit;
         }
 
         if constexpr (Tiered) {
-            // Hotness profile and trace dispatch, as in dtbStep (the
-            // recorder is known idle here).
+            // Hotness profile: a backward transfer into a resident
+            // entry is a backedge (loops close with one).
             EntryMeta &meta = dtb->metaAt(idx);
             bool backedge = pc <= prev_pc;
             if (backedge)
                 ++meta.backedgeCount;
-            if (meta.anchorsTrace) {
-                // The DTB lookup plus one trace-cache access and the
-                // dispatch overhead, charged before the drain.
+            if (meta.anchorsTrace && !tier_->recording()) {
+                // Trace dispatch: the DTB lookup plus one trace-cache
+                // access and the dispatch overhead, paid once per entry
+                // rather than once per instruction.
                 uint64_t add =
                     lookup + tau_d + config_.tier.dispatchCycles;
                 d_disp += add;
                 cyc += add;
+                lookup = 0;
                 uint32_t tidx = tier_->lookupTrace(pc);
                 if (tidx != tier::TraceCache::npos) {
                     ++traceEnters_;
                     // Trace boundaries are drain points.
                     VM_BAIL();
+                    if constexpr (Events)
+                        emitEvent(obs::EventKind::TraceEnter, pc,
+                                  tier_->cache().payloadAt(tidx).dirCount);
+                    uint64_t iters_before =
+                        Events ? traceIterations_.value() : 0;
                     next = runTrace(tidx);
+                    if constexpr (Events)
+                        emitEvent(obs::EventKind::TraceExit, next,
+                                  traceIterations_.value() -
+                                      iters_before);
                     site = nullptr;
                     if (next == haltBitAddr)
                         halted_ = true;
                     else
                         pc_ = next;
-                    goto resync;
+                    // The trace ran with the locals drained: reload.
+                    VM_RELOAD();
+                    sample_at = sampleEvery_ ? nextSampleAt_ : UINT64_MAX;
+                    sp = sp_;
+                    pc = pc_;
+                    prev_pc = prevPc_;
+                    stk = mem_.raw() + stack_base;
+                    continue;
                 }
                 // Stale anchor (cleared by lookupTrace): fall through
-                // to the ordinary tier-1 sequence path.
+                // to the ordinary tier-1 sequence path, the lookup
+                // already charged.
             }
-            if (backedge && tier_->wantsRecording(meta, pc))
+            if (backedge && tier_->wantsRecording(meta, pc)) {
                 tier_->beginRecording(pc);
+                if constexpr (Events)
+                    tracer_.record(obs::EventKind::TraceRecord,
+                                   VM_NOW() + lookup, pc);
+            }
             prev_pc = pc;
         }
 
-        // Committed fast hit — the lookups' hit accounting is applied
-        // above; add their cycles and the sequence's statically known
-        // charges.
+    commit:
+        // The lookups' hit or miss accounting is applied above; add
+        // their cycles and the sequence's statically known charges.
         ++d_dir;
         if (capture)
             addressTrace_.push_back(pc);
@@ -850,6 +588,11 @@ Machine::runDtbFast()
         l1 += fs->level1Add;
         d_short += fs->shortCount;
 
+        if (sp + fs->numPushes > stack_words) {
+            VM_BAIL();
+            fatal("operand stack overflow (%llu words)",
+                  static_cast<unsigned long long>(stack_words));
+        }
         {
             const int64_t *pv = fs->pushes.data();
             size_t np = fs->numPushes;
@@ -865,7 +608,7 @@ Machine::runDtbFast()
     seq_done:
         if (fs->stackNext) {
             if (sp == 0) {
-                // The step fatals before charging the pop.
+                // Fatal before charging the pop.
                 d_disp -= tau1;
                 cyc -= tau1;
                 --l1;
@@ -881,18 +624,6 @@ Machine::runDtbFast()
             halted_ = true;
         else
             pc = next;
-        continue;
-
-    resync:
-        // A step or a trace ran with the locals drained: reload them.
-        drained = breakdown_.total();
-        cyc = 0;
-        budget_left = config_.maxDirInstrs - dirInstrs_.value();
-        sample_at = sampleEvery_ ? nextSampleAt_ : UINT64_MAX;
-        sp = sp_;
-        pc = pc_;
-        prev_pc = prevPc_;
-        stk = mem_.raw() + stack_base;
     }
     VM_BAIL();
     return;
@@ -900,6 +631,8 @@ Machine::runDtbFast()
 #define VM_DONE_GOTO goto seq_done
 #include "uhm/vm_ops.inc"
 #undef VM_DONE_GOTO
+#undef VM_NOW
+#undef VM_RELOAD
 #undef VM_BAIL
 #undef VM_FLUSH
 }
@@ -1051,17 +784,12 @@ Machine::runTrace(uint32_t idx)
 }
 
 // Cached probes the icache once per image word an instruction spans,
-// charging tauD on a hit and tau2 on a miss (chargeFetchCached); the
-// Conventional instantiation compiles that loop away.
-template <bool Cached>
+// charging tauD on a hit and tau2 on a miss; the Conventional
+// instantiations compile that loop away.
+template <bool Cached, bool Events>
 void
 Machine::runConventionalFast()
 {
-    if (eventsOn()) {
-        while (!halted_ && breakdown_.total() < sliceLimit_)
-            convStep();
-        return;
-    }
     const uint32_t *vm_code = flat_->code.data();
     const int64_t *vm_imm = flat_->imm.data();
     const uint64_t tau1 = config_.timing.tau1;
@@ -1198,6 +926,14 @@ Machine::runConventionalFast()
                     fetch += icache->access(byte, fc->icHint[1]) ? tau_d
                         : tau2;
                 }
+            }
+            if constexpr (Events) {
+                uint64_t at = drained + cyc + n * tau1 + sem_mem + fetch;
+                tracer_.record(obs::EventKind::Fetch, at, pc,
+                               fc->fetchRefs);
+                tracer_.record(obs::EventKind::Decode,
+                               at + fc->decodeCycles, pc,
+                               fc->decodeCycles);
             }
             uint64_t add = fetch + fc->decodeCycles + fc->stageAdd +
                 fc->dispatchAdd;
@@ -1400,12 +1136,28 @@ Machine::runSlice(uint64_t max_cycles)
     sliceLimit_ = max_cycles > UINT64_MAX - start ? UINT64_MAX :
         start + max_cycles;
 
+    const bool ev = eventsOn();
     switch (config_.kind) {
-      case MachineKind::Conventional: runConventionalFast<false>(); break;
-      case MachineKind::Cached:       runConventionalFast<true>(); break;
-      case MachineKind::Dtb:          runDtbFast<MachineKind::Dtb>(); break;
-      case MachineKind::Dtb2:         runDtbFast<MachineKind::Dtb2>(); break;
-      case MachineKind::Tiered:       runDtbFast<MachineKind::Tiered>(); break;
+      case MachineKind::Conventional:
+        ev ? runConventionalFast<false, true>() :
+             runConventionalFast<false, false>();
+        break;
+      case MachineKind::Cached:
+        ev ? runConventionalFast<true, true>() :
+             runConventionalFast<true, false>();
+        break;
+      case MachineKind::Dtb:
+        ev ? runDtbFast<MachineKind::Dtb, true>() :
+             runDtbFast<MachineKind::Dtb, false>();
+        break;
+      case MachineKind::Dtb2:
+        ev ? runDtbFast<MachineKind::Dtb2, true>() :
+             runDtbFast<MachineKind::Dtb2, false>();
+        break;
+      case MachineKind::Tiered:
+        ev ? runDtbFast<MachineKind::Tiered, true>() :
+             runDtbFast<MachineKind::Tiered, false>();
+        break;
     }
     return breakdown_.total() - start;
 }
@@ -1454,9 +1206,9 @@ Machine::finishRun()
     result.counters = registry_.snapshot();
     result.histograms = registry_.histogramSnapshot();
     result.samples = std::move(samples_);
-    result.events = tracer_.events();
     result.eventsSeen = tracer_.seen();
     result.eventsDropped = tracer_.dropped();
+    result.events = tracer_.take();
     result.addressTrace = std::move(addressTrace_);
     if (decodesEveryInstr(config_.kind))
         result.opcodeCounts = opcodeCounts_;

@@ -132,9 +132,10 @@ struct MachineConfig
      * Record typed obs::Events — fetch, decode, dtb_hit, dtb_miss,
      * dtb_evict, dtb_reject, trap, translate, promote — stamped with
      * the machine's cycle counter, into a bounded ring
-     * (RunResult::events). Zero-overhead when off. When on, every
-     * instruction takes its organization's step instead of the fast
-     * loop: slower on the host, identical in every simulated result.
+     * (RunResult::events). Zero-overhead when off. When on, the run
+     * loops' Events instantiation runs: the same loop with each event
+     * recorded where its instruction's charges put it, identical in
+     * every simulated result.
      */
     bool profileEvents = false;
     /** Ring capacity (events) for the typed trace. */
@@ -364,43 +365,12 @@ class Machine
     const FlatRoutines &routines() const { return *flat_; }
 
   private:
-    // ---- operand stack (resident in level-1 memory) ----------------------
-    void pushStack(int64_t value, uint64_t &bucket);
-    int64_t popStack(uint64_t &bucket);
+    /** The test-only stepped twin of the run loops
+     *  (tests/stepped_reference.hh), which drives this machine's state. */
+    friend class SteppedReference;
 
-    // ---- IU1: long-format micro-routine execution ------------------------
-    /**
-     * Run the semantic routine whose flat code starts at @p entry
-     * (FlatRoutines::entry) to DONE, charging as it retires. The one
-     * out-of-line instance of uhm/vm_ops.inc; the steps call it.
-     */
-    void callRoutine(size_t entry);
-
-    // ---- fetch paths ------------------------------------------------------
     /** Charge a conventional level-2 fetch of @p bits DIR bits. */
     void chargeFetchLevel2(uint64_t bits);
-    /** Charge a fetch of @p bits at @p bit_addr through the icache. */
-    void chargeFetchCached(uint64_t bit_addr, uint64_t bits);
-
-    // ---- per-instruction steps --------------------------------------------
-    //
-    // One step per organization family executes one DIR instruction with
-    // every charge applied as it accrues and every event emitted. A fast
-    // loop calls its step for each instruction it cannot run from a
-    // lowered image, and for every instruction while events are on, so
-    // cold paths have exactly one accounting implementation.
-
-    /** One Conventional/Cached instruction: fetch, decode, staging. */
-    void convStep();
-
-    /**
-     * One Dtb/Dtb2/Tiered instruction, or one Tiered trace dispatch
-     * (sampler gate, budget check, recorder hook, lookups or miss flow,
-     * sequence execution).
-     * @return the main-DTB entry index that hit, or UINT32_MAX (miss,
-     *         or a first-level hit in Dtb2).
-     */
-    uint32_t dtbStep();
 
     /**
      * Figure 4's miss flow for pc_: trap through DTRPOINT, fetch,
@@ -413,8 +383,16 @@ class Machine
     /** The memoized staging of a decoded conventional-path instruction. */
     const Staging &stagingAt(const DecodeResult &res);
 
-    /** Typed events are on: the run loops step every instruction,
-     *  since events are stamped mid-instruction. */
+    /**
+     * Tiered's recorder hook: report pc_, the pc about to be
+     * interpreted, to the active recording, and charge and trace the
+     * tier-2 compilation it closes with. Cold: the DTB loop calls it at
+     * its head while the recorder is active.
+     */
+    void recordPc();
+
+    /** Typed events are on: runSlice picks the loops' Events
+     *  instantiation. */
     bool eventsOn() const { return config_.profileEvents; }
 
     // ---- the run loops ----------------------------------------------------
@@ -434,45 +412,35 @@ class Machine
 
     /**
      * Promote main-DTB entry @p idx (whose lowering is @p fs) into the
-     * first-level buffer under @p pc, as dtbStep's hit path does, and
-     * install the copy's lowering in fastL1Slots_.
+     * first-level buffer under @p pc, and install the copy's lowering
+     * in fastL1Slots_.
      * @return the copy's first-level entry index, or UINT32_MAX when
      *         the buffer rejected it.
      */
     uint32_t promoteFastSeq(uint64_t pc, uint32_t idx, const FastSeq &fs);
 
-    /** The Dtb, Dtb2 or Tiered fast loop. */
-    template <MachineKind K>
+    /**
+     * The Dtb, Dtb2 or Tiered run loop. Events = true is the
+     * instantiation that records every per-instruction event, stamped
+     * where the instruction's charges put it.
+     */
+    template <MachineKind K, bool Events>
     void runDtbFast();
-    /** Conventional (Cached = false) or Cached fast loop. */
-    template <bool Cached>
+    /** Conventional (Cached = false) or Cached run loop; Events as for
+     *  runDtbFast. */
+    template <bool Cached, bool Events>
     void runConventionalFast();
 
     /**
      * Execute the tier-2 trace at trace-cache entry @p idx (the index
      * a lookupTrace hit committed) from its lowered image until a
      * guard side-exits or a non-looping trace runs out of steps;
-     * returns the exit address. Counts every covered DIR instruction exactly as the
-     * tier-1 step would (dirInstrs, address trace), charges tauD per
-     * body short instruction and TierConfig::dispatchCycles per
-     * loop-back, and drains all of it before returning. The fast loop
-     * and dtbStep both dispatch traces through it.
+     * returns the exit address. Counts every covered DIR instruction
+     * exactly as tier 1 would (dirInstrs, address trace), charges tauD
+     * per body short instruction and TierConfig::dispatchCycles per
+     * loop-back, and drains all of it before returning.
      */
     uint64_t runTrace(uint32_t idx);
-
-    /** Perform the staging actions and semantics of one instruction. */
-    void executeStaged(const Staging &staging);
-
-    /** Execute one non-INTERP short instruction (PUSH/POP/CALL). */
-    void executeShort(const ShortInstr &si);
-
-    /**
-     * Execute one PSDER short sequence; returns the successor address.
-     * @param fetch_cost cycles per short-instruction fetch (tauD from
-     *                   the main DTB, tau1 from the first-level buffer)
-     */
-    uint64_t executeShortSequence(std::span<const ShortInstr> code,
-                                  uint64_t fetch_cost);
 
     /**
      * Record a typed obs event stamped with the current cycle count.

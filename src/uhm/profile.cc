@@ -16,7 +16,7 @@ cyclePhases(const CycleBreakdown &b)
 }
 
 obs::ProfileData
-buildProfile(const ProfileMeta &meta, const RunResult &result)
+buildProfile(const ProfileMeta &meta, RunResult result)
 {
     obs::ProfileData p;
     if (!meta.program.empty())
@@ -32,12 +32,11 @@ buildProfile(const ProfileMeta &meta, const RunResult &result)
     const CycleBreakdown &b = result.breakdown;
     p.phases = cyclePhases(b);
 
-    p.counters = result.counters;
-    p.histograms = result.histograms;
-    p.samples = result.samples;
-
     uint64_t translated = result.counter("machine.translated_instrs");
     uint64_t emitted = result.counter("translate.short_emitted");
+    p.counters = std::move(result.counters);
+    p.histograms = std::move(result.histograms);
+    p.samples = std::move(result.samples);
 
     p.ratios.emplace_back("cycles_per_instr", result.avgInterpTime());
     p.ratios.emplace_back("dtb.hit_ratio", result.dtbHitRatio);
@@ -70,7 +69,7 @@ buildProfile(const ProfileMeta &meta, const RunResult &result)
         static_cast<double>(result.eventsDropped) /
         static_cast<double>(result.eventsSeen));
 
-    p.events = result.events;
+    p.events = std::move(result.events);
     p.eventsSeen = result.eventsSeen;
     p.eventsDropped = result.eventsDropped;
     return p;

@@ -42,9 +42,12 @@ struct ProfileMeta
 std::vector<std::pair<std::string, uint64_t>>
 cyclePhases(const CycleBreakdown &b);
 
-/** Assemble the full report for one run. */
-obs::ProfileData buildProfile(const ProfileMeta &meta,
-                              const RunResult &result);
+/**
+ * Assemble the full report for one run. The report takes @p result's
+ * snapshots and event list: pass an rvalue to move them instead of
+ * copying.
+ */
+obs::ProfileData buildProfile(const ProfileMeta &meta, RunResult result);
 
 /** Convenience: buildProfile + obs::toJsonl. */
 std::string profileJsonl(const ProfileMeta &meta,

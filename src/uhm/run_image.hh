@@ -20,8 +20,9 @@
  *    TraceStep with per-step static charges.
  *
  * Lowered images carry no simulated semantics of their own: every
- * charge they batch is the exact sum the per-instruction step functions
- * would have accumulated, and tests assert byte-identical counters.
+ * charge they batch is the exact sum that executing the sequence one
+ * short instruction at a time accumulates, and tests hold the run loops
+ * byte-identical to a stepped reference (tests/stepped_reference.hh).
  * Validity is keyed on EntryMeta::gen — any insert/evict/flush of the
  * backing cache entry bumps the generation and orphans the lowered
  * image, so invalidation rides the existing replacement paths.

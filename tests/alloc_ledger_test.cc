@@ -259,6 +259,48 @@ TEST(AllocLedger, EnablingATracerAllocatesNothing)
 #endif
 }
 
+/**
+ * finishRun hands the machine's event ring to the RunResult instead of
+ * copying it: on a run with events on it allocates far less than the
+ * event list's size, whether the ring wrapped (and is unrolled in
+ * place) or not.
+ */
+TEST(AllocLedger, FinishRunMovesTheEventRing)
+{
+#ifdef UHM_LEDGER_SANITIZED
+    GTEST_SKIP() << "the sanitizer runtime owns the allocator";
+#else
+    const workload::SampleProgram &sample =
+        workload::sampleByName("collatz");
+    DirProgram program = hlr::compileSource(sample.source);
+    auto image = encodeDir(program, EncodingScheme::Huffman);
+    for (size_t capacity : {obs::Tracer::defaultCapacity, size_t{1000}}) {
+        MachineConfig cfg;
+        cfg.kind = MachineKind::Dtb;
+        cfg.profileEvents = true;
+        cfg.profileEventCapacity = capacity;
+        Machine machine(*image, cfg);
+        machine.beginRun(sample.input);
+        machine.runSlice(UINT64_MAX);
+        RunResult r;
+        Tally finish;
+        measure(finish, [&] { r = machine.finishRun(); });
+        const uint64_t list_bytes = r.events.size() * sizeof(obs::Event);
+        std::printf("finishRun, ring of %zu: %llu allocs, %llu bytes; "
+                    "%zu events (%llu bytes), %llu dropped\n",
+                    capacity,
+                    static_cast<unsigned long long>(finish.calls),
+                    static_cast<unsigned long long>(finish.bytes),
+                    r.events.size(),
+                    static_cast<unsigned long long>(list_bytes),
+                    static_cast<unsigned long long>(r.eventsDropped));
+        EXPECT_GT(r.events.size(), 0u);
+        EXPECT_EQ(r.eventsDropped > 0, capacity == 1000);
+        EXPECT_LT(4 * finish.bytes, list_bytes);
+    }
+#endif
+}
+
 /** Encode through finishRun allocate at most half what they did. */
 TEST(AllocLedger, BudgetHalvesEncodeThroughFinish)
 {

@@ -1,20 +1,21 @@
 /**
  * @file
- * The execution engine's identity contract: a run with events on takes
- * its organization's per-instruction step for every DIR instruction
- * (the single cold-path accounting), a run with events off takes the
- * fast loops over lowered run images. Batching is a host-side
- * implementation detail, so every simulated observable except the
- * events themselves must be byte-identical between the two — across
- * machine kinds, encoders, the interval sampler, batch sweeps and the
- * multi-tenant scheduler — and the per-site inline caches must be
- * invalidated by the existing DTB, first-level buffer and icache
- * eviction and flush paths.
+ * The execution engine's identity contract: the machine's run loops,
+ * with events off and with events on, against the stepped reference
+ * engine (stepped_reference.hh), which applies every charge one by one
+ * and stamps every event with the running total. Batching and stamping
+ * are host-side implementation details, so every simulated observable
+ * must be byte-identical between the two, and with events on so must
+ * the event stream — across machine kinds, encoders, the interval
+ * sampler, batch sweeps and the multi-tenant scheduler — and the
+ * per-site inline caches must be invalidated by the existing DTB,
+ * first-level buffer and icache eviction and flush paths.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -22,6 +23,7 @@
 #include "bench_common.hh"
 #include "hlr/compiler.hh"
 #include "sched/scheduler.hh"
+#include "stepped_reference.hh"
 #include "uhm/machine.hh"
 #include "workload/samples.hh"
 #include "workload/synthetic.hh"
@@ -63,26 +65,31 @@ expectIdentical(const RunResult &a, const RunResult &b,
     EXPECT_EQ(a.traceCoverage, b.traceCoverage);
     EXPECT_EQ(a.traceMeanIterLen, b.traceMeanIterLen);
     EXPECT_EQ(a.addressTrace, b.addressTrace);
+    EXPECT_EQ(a.eventsSeen, b.eventsSeen);
+    EXPECT_EQ(a.eventsDropped, b.eventsDropped);
+    EXPECT_TRUE(a.events == b.events) << "event streams differ";
 }
 
-/** @p cfg with typed events on: every instruction takes the step. */
-MachineConfig
-stepped(MachineConfig cfg)
-{
-    cfg.profileEvents = true;
-    return cfg;
-}
-
-/** Run @p prog stepped and on the fast loops; demand identity. */
+/**
+ * Run @p prog on the machine and on the stepped reference, events off
+ * and then on; demand identity, event streams included.
+ */
 void
 compareModes(const DirProgram &prog, EncodingScheme scheme,
              const MachineConfig &cfg, const std::vector<int64_t> &input,
              const std::string &what)
 {
-    RunResult st = runProgram(prog, scheme, stepped(cfg), input);
-    RunResult fast = runProgram(prog, scheme, cfg, input);
-    EXPECT_GT(st.eventsSeen, 0u) << what;
-    expectIdentical(st, fast, what);
+    auto image = encodeDir(prog, scheme);
+    for (bool events : {false, true}) {
+        MachineConfig c = cfg;
+        c.profileEvents = events;
+        RunResult ref = runStepped(*image, c, input);
+        RunResult run = Machine(*image, c).run(input);
+        if (events) {
+            EXPECT_GT(run.eventsSeen, 0u) << what;
+        }
+        expectIdentical(ref, run, what + (events ? "/events" : ""));
+    }
 }
 
 TEST(DispatchIdentity, SamplesAcrossKindsAndEncoders)
@@ -110,9 +117,10 @@ TEST(DispatchIdentity, BudgetAbortLeavesIdenticalState)
 {
     // Every loop publishes its batched charges (VM_BAIL) before it
     // fatals, so a run that exhausts its DIR budget leaves the same
-    // counters stepped and fast. The nested loop puts the exhaustion
-    // point in the tier-1 loop, in a step or inside a tier-2 trace
-    // (runTrace's per-address budget path), depending on the budget.
+    // counters and events as the stepped reference. The nested loop
+    // puts the exhaustion point in the tier-1 loop, on a miss or inside
+    // a tier-2 trace (runTrace's per-address budget path), depending on
+    // the budget.
     DirProgram prog = hlr::compileSource(
         "program t; var i, a; begin"
         " while 1 do i := 0;"
@@ -121,18 +129,25 @@ TEST(DispatchIdentity, BudgetAbortLeavesIdenticalState)
     auto image = encodeDir(prog, EncodingScheme::Huffman);
     for (MachineKind kind : kAllKinds) {
         for (uint64_t budget : {997u, 10007u, 123457u}) {
-            SCOPED_TRACE(std::string(machineKindName(kind)) + "/" +
-                         std::to_string(budget));
-            MachineConfig cfg;
-            cfg.kind = kind;
-            cfg.maxDirInstrs = budget;
-            Machine st(*image, stepped(cfg));
-            Machine fast(*image, cfg);
-            EXPECT_THROW(st.run(), FatalError);
-            EXPECT_THROW(fast.run(), FatalError);
-            EXPECT_EQ(st.dirInstrsSoFar(), fast.dirInstrsSoFar());
-            EXPECT_EQ(st.cyclesSoFar(), fast.cyclesSoFar());
-            EXPECT_EQ(st.registry().snapshot(), fast.registry().snapshot());
+            for (bool events : {false, true}) {
+                SCOPED_TRACE(std::string(machineKindName(kind)) + "/" +
+                             std::to_string(budget) +
+                             (events ? "/events" : ""));
+                MachineConfig cfg;
+                cfg.kind = kind;
+                cfg.maxDirInstrs = budget;
+                cfg.profileEvents = events;
+                Machine st(*image, cfg);
+                Machine fast(*image, cfg);
+                EXPECT_THROW(SteppedReference(st).run(), FatalError);
+                EXPECT_THROW(fast.run(), FatalError);
+                EXPECT_EQ(st.dirInstrsSoFar(), fast.dirInstrsSoFar());
+                EXPECT_EQ(st.cyclesSoFar(), fast.cyclesSoFar());
+                EXPECT_EQ(st.registry().snapshot(),
+                          fast.registry().snapshot());
+                EXPECT_TRUE(SteppedReference::events(st) ==
+                            SteppedReference::events(fast));
+            }
         }
     }
 }
@@ -191,10 +206,24 @@ TEST(DispatchIdentity, SweepJsonlByteIdentical)
         }
         return points;
     };
+    // Each point against the reference, and the report with events on
+    // byte-identical to the one with them off.
     bench::SweepRunner runner(2);
-    std::string st = bench::runSweep(runner, makePoints(true)).jsonl;
-    std::string fast = bench::runSweep(runner, makePoints(false)).jsonl;
-    EXPECT_EQ(st, fast);
+    std::string jsonl[2];
+    for (bool events : {false, true}) {
+        std::vector<bench::SweepPoint> points = makePoints(events);
+        bench::SweepReport report = bench::runSweep(runner, points);
+        ASSERT_EQ(report.results.size(), points.size());
+        for (size_t i = 0; i < points.size(); ++i) {
+            auto image = encodeDir(points[i].program, points[i].scheme);
+            expectIdentical(runStepped(*image, points[i].config),
+                            report.results[i],
+                            "sweep/" + points[i].label +
+                                (events ? "/events" : ""));
+        }
+        jsonl[events] = report.jsonl;
+    }
+    EXPECT_EQ(jsonl[true], jsonl[false]);
 }
 
 /** Deterministic serialization of a scheduler run, for byte-compares. */
@@ -217,11 +246,98 @@ serializeSched(const sched::SchedResult &r)
     return os.str();
 }
 
+/** What replaySchedule() saw of one scheduled run. */
+struct Replay
+{
+    std::vector<RunResult> tenants;
+    uint64_t dtbHits = 0;
+    uint64_t dtbMisses = 0;
+    uint64_t flushes = 0;
+    uint64_t flushedEntries = 0;
+};
+
+/**
+ * Scheduler::run for the RoundRobin and Priority policies, with each
+ * slice run by the machine (@p stepped false) or by the stepped
+ * reference: the same slice order, ASID switches, flushes and cycle
+ * bases over one shared DTB.
+ */
+Replay
+replaySchedule(const sched::SchedConfig &sc,
+               const std::vector<sched::TenantSpec> &specs, bool stepped)
+{
+    const size_t n = specs.size();
+    Dtb dtb(sc.machine.dtb);
+    std::vector<std::unique_ptr<EncodedDir>> images;
+    std::vector<std::unique_ptr<Machine>> machines;
+    for (const sched::TenantSpec &spec : specs) {
+        images.push_back(encodeDir(spec.program, sc.scheme));
+        machines.push_back(
+            std::make_unique<Machine>(*images.back(), sc.machine, &dtb));
+    }
+    dtb.invalidateAll();
+    dtb.resetStats();
+    dtb.setAsid(0);
+    for (size_t t = 0; t < n; ++t)
+        machines[t]->beginRun(specs[t].input);
+
+    Replay out;
+    out.tenants.resize(n);
+    std::vector<bool> finished(n, false);
+    std::vector<uint32_t> quanta_left(n, 0);
+    const bool priority = sc.policy == sched::Policy::Priority;
+    uint64_t global = 0;
+    size_t current = SIZE_MAX;
+    size_t finished_count = 0;
+    while (finished_count < n) {
+        size_t next = SIZE_MAX;
+        if (priority && current < n && !finished[current] &&
+            quanta_left[current] > 0) {
+            --quanta_left[current];
+            next = current;
+        } else {
+            size_t start = current >= n ? 0 : (current + 1) % n;
+            for (size_t k = 0; k < n && next == SIZE_MAX; ++k) {
+                size_t c = (start + k) % n;
+                if (finished[c])
+                    continue;
+                if (priority)
+                    quanta_left[c] = specs[c].priority - 1;
+                next = c;
+            }
+        }
+        if (next != current) {
+            if (current != SIZE_MAX &&
+                sc.switchMode == sched::SwitchMode::FlushOnSwitch)
+                machines[current]->flushDtb();
+            dtb.setAsid(static_cast<uint32_t>(next));
+        }
+        current = next;
+        Machine &m = *machines[current];
+        m.setCycleBase(global - m.cyclesSoFar());
+        global += stepped ? SteppedReference(m).runSlice(sc.quantumCycles)
+                          : m.runSlice(sc.quantumCycles);
+        if (m.finished()) {
+            finished[current] = true;
+            ++finished_count;
+            out.tenants[current] = m.finishRun();
+        }
+    }
+    out.dtbHits = dtb.hits();
+    out.dtbMisses = dtb.misses();
+    out.flushes = dtb.flushes();
+    out.flushedEntries = dtb.flushedEntries();
+    return out;
+}
+
 TEST(DispatchIdentity, MultiTenantSchedulerByteIdentical)
 {
     // FlushOnSwitch flushes the shared DTB (and trace anchors) at
     // every context switch, mid-run from the tenants' point of view —
-    // the inline caches must die with the entries they point at.
+    // the inline caches must die with the entries they point at. The
+    // scheduler's own report must not move with events on, and each
+    // tenant's run must match the stepped reference under the same
+    // schedule (which the replay ties to the scheduler's).
     const char *kLoop =
         "program t; var i, s; begin i := 400; s := 0; "
         "while i > 0 do s := s + i; i := i - 1; od; write s; end.";
@@ -246,16 +362,34 @@ TEST(DispatchIdentity, MultiTenantSchedulerByteIdentical)
                             1 + static_cast<uint32_t>(i % 3);
                         specs.push_back(std::move(spec));
                     }
-                    std::string fast =
-                        serializeSched(runScheduled(sc, specs));
-                    sc.machine = stepped(sc.machine);
-                    std::string st =
-                        serializeSched(runScheduled(sc, specs));
-                    SCOPED_TRACE(std::string(machineKindName(kind)) +
-                                 "/" + policyName(policy) + "/" +
-                                 switchModeName(mode) + "/" +
-                                 std::to_string(tenants));
-                    EXPECT_EQ(st, fast);
+                    std::string what = std::string(machineKindName(kind)) +
+                        "/" + policyName(policy) + "/" +
+                        switchModeName(mode) + "/" +
+                        std::to_string(tenants);
+                    SCOPED_TRACE(what);
+                    std::string report[2];
+                    for (bool events : {false, true}) {
+                        sc.machine.profileEvents = events;
+                        sched::SchedResult sr = runScheduled(sc, specs);
+                        report[events] = serializeSched(sr);
+                        Replay run = replaySchedule(sc, specs, false);
+                        Replay ref = replaySchedule(sc, specs, true);
+                        EXPECT_EQ(run.dtbHits, ref.dtbHits);
+                        EXPECT_EQ(run.dtbMisses, ref.dtbMisses);
+                        EXPECT_EQ(run.flushes, ref.flushes);
+                        EXPECT_EQ(run.flushedEntries, ref.flushedEntries);
+                        EXPECT_EQ(run.flushes, sr.flushes);
+                        for (size_t t = 0; t < tenants; ++t) {
+                            std::string who = what + "/tenant " +
+                                std::to_string(t) +
+                                (events ? "/events" : "");
+                            expectIdentical(sr.tenants[t].run,
+                                            run.tenants[t], who);
+                            expectIdentical(ref.tenants[t],
+                                            run.tenants[t], who);
+                        }
+                    }
+                    EXPECT_EQ(report[true], report[false]);
                 }
             }
         }
@@ -350,22 +484,26 @@ TEST(InlineCache, ConventionalSlicesAndRerunsStayIdentical)
         auto img = encodeDir(prog, scheme);
         for (MachineKind kind :
              {MachineKind::Conventional, MachineKind::Cached}) {
-            MachineConfig cfg;
-            cfg.kind = kind;
-            cfg.icache.capacityBytes = 64;
-            cfg.icache.assoc = 2;
-            std::string what = std::string(machineKindName(kind)) + "/" +
-                encodingName(scheme);
-            RunResult whole = Machine(*img, stepped(cfg)).run({});
-            Machine fast(*img, cfg);
-            for (uint64_t slice : {1u, 7u, 50u, 333u}) {
-                fast.beginRun({});
-                while (!fast.finished())
-                    fast.runSlice(slice);
-                expectIdentical(whole, fast.finishRun(),
-                                what + "/slice " + std::to_string(slice));
+            for (bool events : {false, true}) {
+                MachineConfig cfg;
+                cfg.kind = kind;
+                cfg.icache.capacityBytes = 64;
+                cfg.icache.assoc = 2;
+                cfg.profileEvents = events;
+                std::string what = std::string(machineKindName(kind)) +
+                    "/" + encodingName(scheme) + (events ? "/events" : "");
+                RunResult whole = runStepped(*img, cfg);
+                Machine fast(*img, cfg);
+                for (uint64_t slice : {1u, 7u, 50u, 333u}) {
+                    fast.beginRun({});
+                    while (!fast.finished())
+                        fast.runSlice(slice);
+                    expectIdentical(whole, fast.finishRun(),
+                                    what + "/slice " +
+                                        std::to_string(slice));
+                }
+                expectIdentical(whole, fast.run({}), what + "/rerun");
             }
-            expectIdentical(whole, fast.run({}), what + "/rerun");
         }
     }
 }
@@ -374,29 +512,36 @@ TEST(InlineCache, FlushDtbBetweenSlicesStaysIdentical)
 {
     // flushDtb() between slices empties the DTB and the first-level
     // buffer under a run in progress: every inline cache naming a
-    // flushed slot must miss, and the run must match the stepped run
-    // under the same flush schedule.
+    // flushed slot must miss, and the run must match the stepped
+    // reference under the same flush schedule.
     DirProgram prog = hlr::compileSource(
         "program t; var i, s; begin i := 300; s := 0; "
         "while i > 0 do s := s + 3; i := i - 1; od; write s; end.");
     auto img = encodeDir(prog, EncodingScheme::Huffman);
-    auto sliced = [&](MachineKind kind, bool events) {
+    auto sliced = [&](MachineKind kind, bool events, bool stepped) {
         MachineConfig cfg;
         cfg.kind = kind;
         cfg.profileEvents = events;
         Machine m(*img, cfg);
         m.beginRun({});
         while (!m.finished()) {
-            m.runSlice(700);
+            if (stepped)
+                SteppedReference(m).runSlice(700);
+            else
+                m.runSlice(700);
             m.flushDtb();
         }
         return m.finishRun();
     };
     for (MachineKind kind :
          {MachineKind::Dtb, MachineKind::Dtb2, MachineKind::Tiered}) {
-        expectIdentical(sliced(kind, true), sliced(kind, false),
-                        std::string("flush-slices/") +
-                            machineKindName(kind));
+        for (bool events : {false, true}) {
+            expectIdentical(sliced(kind, events, true),
+                            sliced(kind, events, false),
+                            std::string("flush-slices/") +
+                                machineKindName(kind) +
+                                (events ? "/events" : ""));
+        }
     }
 }
 

@@ -2,9 +2,9 @@
  * @file
  * Randomized differential tests: generated Contour programs must
  * behave identically under direct HLR interpretation and under every
- * encoding x machine-organization combination, and a run that steps
- * every instruction (events on) must agree with the fast loops on
- * every simulated observable.
+ * encoding x machine-organization combination, and the machine's run
+ * loops, events off and on, must agree with the stepped reference
+ * engine on every simulated observable and on the event stream.
  */
 
 #include <gtest/gtest.h>
@@ -15,6 +15,7 @@
 #include "hlr/interp.hh"
 #include "hlr/parser.hh"
 #include "support/logging.hh"
+#include "stepped_reference.hh"
 #include "support/rng.hh"
 #include "uhm/machine.hh"
 #include "workload/fuzz.hh"
@@ -71,22 +72,28 @@ TEST_P(FuzzDifferential, HlrAndAllMachinePathsAgree)
                                  MachineKind::Tiered}) {
             SCOPED_TRACE(std::string(encodingName(scheme)) + " / " +
                          machineKindName(kind));
-            MachineConfig mc;
-            mc.kind = kind;
-            RunResult fast = Machine(*image, mc).run(input);
-            mc.profileEvents = true;
-            RunResult st = Machine(*image, mc).run(input);
-            ASSERT_EQ(st.output, reference);
-            ASSERT_EQ(fast.output, reference);
-            EXPECT_EQ(st.cycles, fast.cycles);
-            EXPECT_EQ(st.breakdown.fetch, fast.breakdown.fetch);
-            EXPECT_EQ(st.breakdown.decode, fast.breakdown.decode);
-            EXPECT_EQ(st.breakdown.stage, fast.breakdown.stage);
-            EXPECT_EQ(st.breakdown.dispatch, fast.breakdown.dispatch);
-            EXPECT_EQ(st.breakdown.semantic, fast.breakdown.semantic);
-            EXPECT_EQ(st.breakdown.translate, fast.breakdown.translate);
-            EXPECT_EQ(st.breakdown.translate2, fast.breakdown.translate2);
-            EXPECT_EQ(st.counters, fast.counters);
+            for (bool events : {false, true}) {
+                SCOPED_TRACE(events ? "events on" : "events off");
+                MachineConfig mc;
+                mc.kind = kind;
+                mc.profileEvents = events;
+                RunResult fast = Machine(*image, mc).run(input);
+                RunResult st = runStepped(*image, mc, input);
+                ASSERT_EQ(st.output, reference);
+                ASSERT_EQ(fast.output, reference);
+                EXPECT_EQ(st.cycles, fast.cycles);
+                EXPECT_EQ(st.breakdown.fetch, fast.breakdown.fetch);
+                EXPECT_EQ(st.breakdown.decode, fast.breakdown.decode);
+                EXPECT_EQ(st.breakdown.stage, fast.breakdown.stage);
+                EXPECT_EQ(st.breakdown.dispatch, fast.breakdown.dispatch);
+                EXPECT_EQ(st.breakdown.semantic, fast.breakdown.semantic);
+                EXPECT_EQ(st.breakdown.translate,
+                          fast.breakdown.translate);
+                EXPECT_EQ(st.breakdown.translate2,
+                          fast.breakdown.translate2);
+                EXPECT_EQ(st.counters, fast.counters);
+                EXPECT_TRUE(st.events == fast.events);
+            }
         }
     }
 }

@@ -239,7 +239,8 @@ class FixedRingTwin
 /**
  * Seeded enable/record/clear/disable sequences at every capacity from
  * 1 to 1000: the growing ring reports the same events, seen, dropped
- * and capacity as the fixed ring after every operation.
+ * and capacity as the fixed ring after every operation, and take()
+ * then hands over the events the twin holds and leaves the ring clear.
  */
 TEST(ObsTracer, GrowingRingMatchesFixedRingTwin)
 {
@@ -288,6 +289,9 @@ TEST(ObsTracer, GrowingRingMatchesFixedRingTwin)
                 ASSERT_EQ(got[i].kind, want[i].kind) << step << "/" << i;
             }
         }
+        ASSERT_TRUE(tracer.take() == twin.events());
+        EXPECT_EQ(tracer.seen(), 0u);
+        EXPECT_TRUE(tracer.events().empty());
     }
 }
 

@@ -541,16 +541,35 @@ TEST(MachineErrors, StackOutsideLevel1IsFatal)
 TEST(MachineErrors, OperandStackOverflowIsFatal)
 {
     // Unbounded recursion with a pending left operand per activation
-    // overflows the operand stack quickly.
+    // overflows the operand stack quickly, on every organization and in
+    // both instantiations of its run loop.
     DirProgram p = hlr::compileSource(
         "program t; func f(n); begin return 1 + f(n + 1); end; "
         "begin write f(0); end.");
     auto image = encodeDir(p, EncodingScheme::Packed);
-    MachineConfig cfg;
-    cfg.layout.stackWords = 128;
-    cfg.layout.rasDepth = 1 << 20;
-    Machine machine(*image, cfg);
-    EXPECT_THROW(machine.run(), FatalError);
+    for (MachineKind kind :
+         {MachineKind::Conventional, MachineKind::Cached, MachineKind::Dtb,
+          MachineKind::Dtb2, MachineKind::Tiered}) {
+        for (bool events : {false, true}) {
+            SCOPED_TRACE(std::string(machineKindName(kind)) +
+                         (events ? "/events" : ""));
+            MachineConfig cfg;
+            cfg.kind = kind;
+            cfg.profileEvents = events;
+            cfg.layout.stackWords = 128;
+            cfg.layout.rasDepth = 1 << 20;
+            Machine machine(*image, cfg);
+            try {
+                machine.run();
+                ADD_FAILURE() << "the run did not fail";
+            } catch (const FatalError &e) {
+                EXPECT_NE(std::string(e.what()).find(
+                              "operand stack overflow"),
+                          std::string::npos)
+                    << e.what();
+            }
+        }
+    }
 }
 
 TEST(MachineErrors, RasOverflowIsFatal)
