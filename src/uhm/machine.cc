@@ -86,8 +86,6 @@ Machine::Machine(const EncodedDir &image, const MachineConfig &config,
     flat_ = FlatRoutines::forLayout(layout);
     if (decodesEveryInstr(config_.kind)) {
         decodeMemo_.emplace(image);
-        stagingValid_.assign(image.numInstrs(), 0);
-        stagingMemo_.resize(image.numInstrs());
     } else {
         translator_.emplace(image);
     }
@@ -148,17 +146,6 @@ Machine::chargeFetchLevel2(uint64_t bits)
     breakdown_.fetch += refs * config_.timing.tau2;
     dirFetchRefs_ += refs;
     emitEvent(obs::EventKind::Fetch, pc_, refs);
-}
-
-const Staging &
-Machine::stagingAt(const DecodeResult &res)
-{
-    if (!stagingValid_[res.index]) {
-        stagingMemo_[res.index] =
-            stageInstruction(res.instr, *image_, res.index);
-        stagingValid_[res.index] = 1;
-    }
-    return stagingMemo_[res.index];
 }
 
 std::span<const ShortInstr>
@@ -232,15 +219,18 @@ Machine::recordPc()
 //
 // One loop per organization family, each compiled twice: Events = false
 // for every run without a tracer, Events = true for runs that record
-// every per-instruction event. A loop batches charges into register
-// buckets and a Pending, and drains them before anything that reads or
-// charges the machine's breakdown directly: a sample, a trace dispatch,
-// the Figure 4 miss flow, the recorder hook, a fatal. An event of the
-// Events instantiation is stamped with the loop's running total plus
-// the current instruction's charges up to that event, which is where
-// charging them one by one would put it. tests/stepped_reference.hh
-// keeps that one-by-one engine, and dispatch_test and fuzz_test hold
-// both instantiations byte-identical to it.
+// every per-instruction event. Every DIR instruction is a LoweredStep
+// that the loop hands to the one step executor in vm_ops.inc; the loop
+// itself keeps only its organization's policy. A loop batches charges
+// in one Pending and the µop core's register buckets, and drains them
+// before anything that reads or charges the machine's breakdown
+// directly: a sample, a trace dispatch, the Figure 4 miss flow, the
+// recorder hook, a fatal. An event of the Events instantiation is
+// stamped with the loop's running total plus the current instruction's
+// charges up to that event, which is where charging them one by one
+// would put it. tests/stepped_reference.hh keeps that one-by-one
+// engine, and dispatch_test and fuzz_test hold both instantiations
+// byte-identical to it.
 
 void
 Machine::drainPending(Pending &p)
@@ -272,9 +262,10 @@ Machine::ensureSeqLowered(const Dtb &buf, FastSlots &slots,
     if (slots.gen[idx] != gen) {
         // The entry's contents changed since this slot was lowered
         // (insert, evict or flush all bump the generation): relower,
-        // which also clears the slot's inline cache.
-        lowerFastSeq(buf.payloadAt(idx), *flat_, fetch_cost,
-                     config_.timing.tau1, fs);
+        // and clear the slot's inline caches.
+        lowerStep(buf.payloadAt(idx), *flat_, fetch_cost,
+                  config_.timing.tau1, fs);
+        fs.icTag = fs.mainIcTag = ~0ull;
         slots.gen[idx] = gen;
     }
     return &fs;
@@ -299,6 +290,118 @@ Machine::promoteFastSeq(uint64_t pc, uint32_t idx, const FastSeq &fs)
     return ins.entryIdx;
 }
 
+void
+Machine::lowerConv(FastConv &fc, uint64_t pc, const DecodeResult &res)
+{
+    std::vector<ShortInstr> code;
+    code.reserve(Staging::maxShortInstrs);
+    lowerStaging(stageInstruction(res.instr, *image_, res.index), code);
+    lowerStep(code, *flat_, 0, config_.timing.tau1, fc);
+    fc.opIdx = static_cast<uint16_t>(res.instr.op);
+    uint64_t bits = res.nextBitAddr - pc;
+    if (icache_) {
+        uint64_t first = pc / 64;
+        uint64_t last = bits == 0 ? first : (pc + bits - 1) / 64;
+        fc.fetchWord = first;
+        fc.fetchRefs = static_cast<uint32_t>(last - first + 1);
+        fc.fetchAdd = 0;
+    } else {
+        fc.fetchRefs = static_cast<uint32_t>(
+            std::max<uint64_t>(1, (bits + 63) / 64));
+        fc.fetchAdd = fc.fetchRefs * config_.timing.tau2;
+    }
+    fc.decodeCycles = config_.costs.decodeCycles(res.cost);
+    fc.valid = true;
+}
+
+// The loops' shared state, the locals vm_ops.inc and its step executor
+// run on. `b` is the loop's batched charges. Its address never escapes,
+// so its fields stay in registers; a drain moves them into `p`, whose
+// address drainPending takes. `cyc` mirrors the cycles batched in b, so
+// the loop head never sums them: the machine's running total is
+// drained + cyc + n*tau1 + sem_mem.
+#define VM_LOCALS()                                                    \
+    const uint32_t *vm_code = flat_->code.data();                      \
+    const int64_t *vm_imm = flat_->imm.data();                         \
+    const uint64_t tau1 = config_.timing.tau1;                         \
+    const uint64_t tau2 = config_.timing.tau2;                         \
+    const uint64_t level1_words = mem_.level1Words();                  \
+    const uint64_t stack_base = config_.layout.stackBase;              \
+    const uint64_t stack_words = config_.layout.stackWords;            \
+    const bool capture = config_.captureAddressTrace;                  \
+    auto &r = regs_;                                                   \
+    Pending b, p;                                                      \
+    uint64_t cyc = 0, n = 0, sem_mem = 0, l1 = 0, l2 = 0;              \
+    uint64_t sp = sp_;                                                 \
+    int64_t *stk = mem_.raw() + stack_base;                            \
+    size_t vm_i = 0, vm_ii = 0;                                        \
+    uint32_t vm_w = 0;                                                 \
+    const LoweredStep *vm_st = nullptr;                                \
+    uint64_t vm_next = 0
+// Move the µop core's buckets and b into p, and publish sp. A bucket a
+// loop never bumps is a constant 0, and its add compiles away. The
+// tier-1 loops publish pc themselves, before the cold calls that read
+// it and at the end of a slice.
+#define VM_FLUSH()                                                     \
+    do {                                                               \
+        uint64_t vm_sem = n * tau1 + sem_mem;                          \
+        p.microOps += n;                                               \
+        p.semantic += vm_sem;                                          \
+        p.level1 += l1;                                                \
+        p.level2 += l2;                                                \
+        p.fetch += b.fetch;                                            \
+        p.decode += b.decode;                                          \
+        p.stage += b.stage;                                            \
+        p.dispatch += b.dispatch;                                      \
+        p.dirInstrs += b.dirInstrs;                                    \
+        p.decodedInstrs += b.decodedInstrs;                            \
+        p.shortInstrs += b.shortInstrs;                                \
+        p.dirFetchRefs += b.dirFetchRefs;                              \
+        p.traceDirInstrs += b.traceDirInstrs;                          \
+        p.traceShortInstrs += b.traceShortInstrs;                      \
+        p.traceIterations += b.traceIterations;                        \
+        p.traceExits += b.traceExits;                                  \
+        cyc += vm_sem;                                                 \
+        n = sem_mem = l1 = l2 = 0;                                     \
+        b = Pending{};                                                 \
+        sp_ = sp;                                                      \
+    } while (0)
+// Apply everything batched to the machine.
+#define VM_BAIL()                                                      \
+    do {                                                               \
+        VM_FLUSH();                                                    \
+        drainPending(p);                                               \
+    } while (0)
+// After a drained cold call that charged the breakdown directly.
+#define VM_RELOAD()                                                    \
+    do {                                                               \
+        drained = breakdown_.total();                                  \
+        cyc = 0;                                                       \
+        budget_left = config_.maxDirInstrs - dirInstrs_.value();       \
+    } while (0)
+// The running total, for an event stamp.
+#define VM_NOW() (drained + cyc + n * tau1 + sem_mem)
+// The tier-1 loops' head: end the slice, take a due sample, stop at
+// the DIR budget.
+#define VM_LOOP_HEAD()                                                 \
+    {                                                                  \
+        uint64_t now = VM_NOW();                                       \
+        if (now >= sliceLimit_)                                        \
+            break;                                                     \
+        if (now >= sample_at) {                                        \
+            VM_BAIL();                                                 \
+            VM_RELOAD();                                               \
+            takeSample();                                              \
+            sample_at = nextSampleAt_;                                 \
+        }                                                              \
+        if (b.dirInstrs >= budget_left) {                              \
+            VM_BAIL();                                                 \
+            fatal("DIR instruction budget exhausted (%llu)",           \
+                  static_cast<unsigned long long>(                     \
+                      config_.maxDirInstrs));                          \
+        }                                                              \
+    }
+
 // The DTB family's loop. Dtb2 adds the first-level buffer in front of
 // the main DTB. Its inline caches live in the same FastSeq fields and
 // name dtbL1 slots: every site predicts where its successor sits in the
@@ -316,41 +419,17 @@ Machine::runDtbFast()
 {
     constexpr bool TwoLevel = K == MachineKind::Dtb2;
     constexpr bool Tiered = K == MachineKind::Tiered;
-    const uint32_t *vm_code = flat_->code.data();
-    const int64_t *vm_imm = flat_->imm.data();
-    const uint64_t tau1 = config_.timing.tau1;
-    const uint64_t tau2 = config_.timing.tau2;
+    VM_LOCALS();
     const uint64_t tau_d = config_.timing.tauD;
-    const uint64_t level1_words = mem_.level1Words();
-    const uint64_t stack_base = config_.layout.stackBase;
-    const uint64_t stack_words = config_.layout.stackWords;
-    const bool capture = config_.captureAddressTrace;
     Dtb *const dtb = dtb_;
     Dtb *const l1buf = dtbL1_.get();
     // The buffer a lookup looks in first, which its inline caches name.
     Dtb *const first = TwoLevel ? l1buf : dtb;
-    auto &r = regs_;
-
-    // Pending step-level charges plus register-resident micro-op
-    // charges (n, sem_mem, l1, l2). The machine's running total is
-    // drained + cyc + n*tau1 + sem_mem, where cyc mirrors p.cycles() so
-    // the loop head never has to sum the Pending buckets.
-    Pending p;
     uint64_t drained = breakdown_.total();
-    uint64_t cyc = 0;
-    uint64_t n = 0, sem_mem = 0, l1 = 0, l2 = 0;
-    // Step-level buckets mirrored in never-address-taken locals so the
-    // per-step bumps stay in registers (p's address escapes into
-    // drainPending, so p fields would be memory RMWs).
-    uint64_t d_dir = 0, d_disp = 0, d_stage = 0, d_short = 0;
-    uint64_t sp = sp_;
-    uint64_t pc = pc_;
-    uint64_t prev_pc = prevPc_;
-    int64_t *stk = mem_.raw() + stack_base;
     uint64_t budget_left = config_.maxDirInstrs - dirInstrs_.value();
     uint64_t sample_at = sampleEvery_ ? nextSampleAt_ : UINT64_MAX;
-    size_t vm_i = 0, vm_ii = 0;
-    uint32_t vm_w = 0;
+    uint64_t pc = pc_;
+    uint64_t prev_pc = prevPc_;
     // The sequence executed last step: its inline cache predicts the
     // slot of the pc about to be looked up.
     FastSeq *site = nullptr;
@@ -358,67 +437,18 @@ Machine::runDtbFast()
     // The lowering of a miss's translation that the DTB did not retain.
     FastSeq rejected;
     uint32_t idx = 0;
-    uint64_t next = 0;
     // Dispatch cycles of the buffer lookups (and promotion) that
     // resolved this step's sequence.
     uint64_t lookup = 0;
 
-#define VM_FLUSH()                                                     \
-    do {                                                               \
-        uint64_t vm_sem = n * tau1 + sem_mem;                          \
-        p.microOps += n;                                               \
-        p.semantic += vm_sem;                                          \
-        p.level1 += l1;                                                \
-        p.level2 += l2;                                                \
-        p.dirInstrs += d_dir;                                          \
-        p.dispatch += d_disp;                                          \
-        p.stage += d_stage;                                            \
-        p.shortInstrs += d_short;                                      \
-        cyc += vm_sem;                                                 \
-        n = sem_mem = l1 = l2 = 0;                                     \
-        d_dir = d_disp = d_stage = d_short = 0;                        \
-        sp_ = sp;                                                      \
-        pc_ = pc;                                                      \
-        if constexpr (Tiered)                                          \
-            prevPc_ = prev_pc;                                         \
-    } while (0)
-#define VM_BAIL()                                                      \
-    do {                                                               \
-        VM_FLUSH();                                                    \
-        drainPending(p);                                               \
-    } while (0)
-// After a drained cold call that charged the breakdown directly.
-#define VM_RELOAD()                                                    \
-    do {                                                               \
-        drained = breakdown_.total();                                  \
-        cyc = 0;                                                       \
-        budget_left = config_.maxDirInstrs - dirInstrs_.value();       \
-    } while (0)
-// The running total, for an event stamp.
-#define VM_NOW() (drained + cyc + n * tau1 + sem_mem)
-
     while (!halted_) {
-        {
-            uint64_t now = VM_NOW();
-            if (now >= sliceLimit_)
-                break;
-            if (now >= sample_at) {
-                VM_BAIL();
-                VM_RELOAD();
-                takeSample();
-                sample_at = nextSampleAt_;
-            }
-        }
-        if (d_dir >= budget_left) {
-            VM_BAIL();
-            fatal("DIR instruction budget exhausted (%llu)",
-                  static_cast<unsigned long long>(config_.maxDirInstrs));
-        }
+        VM_LOOP_HEAD();
         if constexpr (Tiered) {
             if (tier_->recording()) {
                 // Every pc interpreted while recording passes the
                 // recorder, which may close, compile and install.
                 VM_BAIL();
+                pc_ = pc;
                 recordPc();
                 VM_RELOAD();
             }
@@ -493,6 +523,7 @@ Machine::runDtbFast()
             // runs like a hit, from its slot's lowering or, when the
             // DTB did not retain it, from a one-off lowering.
             VM_BAIL();
+            pc_ = pc;
             if constexpr (TwoLevel) {
                 breakdown_.dispatch += tau1;
                 l1buf->countMiss();
@@ -506,7 +537,8 @@ Machine::runDtbFast()
             if (idx != UINT32_MAX) {
                 fs = ensureSeqLowered(*dtb, fastSlots_, idx, tau_d);
             } else {
-                lowerFastSeq(code, *flat_, tau_d, tau1, rejected);
+                lowerStep(code, *flat_, tau_d, tau1, rejected);
+                rejected.icTag = rejected.mainIcTag = ~0ull;
                 fs = &rejected;
             }
             VM_RELOAD();
@@ -528,7 +560,7 @@ Machine::runDtbFast()
                 // rather than once per instruction.
                 uint64_t add =
                     lookup + tau_d + config_.tier.dispatchCycles;
-                d_disp += add;
+                b.dispatch += add;
                 cyc += add;
                 lookup = 0;
                 uint32_t tidx = tier_->lookupTrace(pc);
@@ -541,21 +573,20 @@ Machine::runDtbFast()
                                   tier_->cache().payloadAt(tidx).dirCount);
                     uint64_t iters_before =
                         Events ? traceIterations_.value() : 0;
-                    next = runTrace(tidx);
+                    vm_next = runTrace(tidx);
                     if constexpr (Events)
-                        emitEvent(obs::EventKind::TraceExit, next,
+                        emitEvent(obs::EventKind::TraceExit, vm_next,
                                   traceIterations_.value() -
                                       iters_before);
                     site = nullptr;
-                    if (next == haltBitAddr)
+                    if (vm_next == haltBitAddr)
                         halted_ = true;
                     else
-                        pc_ = next;
+                        pc = vm_next;
                     // The trace ran with the locals drained: reload.
                     VM_RELOAD();
                     sample_at = sampleEvery_ ? nextSampleAt_ : UINT64_MAX;
                     sp = sp_;
-                    pc = pc_;
                     prev_pc = prevPc_;
                     stk = mem_.raw() + stack_base;
                     continue;
@@ -575,66 +606,30 @@ Machine::runDtbFast()
 
     commit:
         // The lookups' hit or miss accounting is applied above; add
-        // their cycles and the sequence's statically known charges.
-        ++d_dir;
+        // their cycles, and run the sequence.
+        ++b.dirInstrs;
         if (capture)
             addressTrace_.push_back(pc);
-        {
-            uint64_t add = lookup + fs->dispatchAdd;
-            d_disp += add;
-            d_stage += fs->stageAdd;
-            cyc += add + fs->stageAdd;
-        }
-        l1 += fs->level1Add;
-        d_short += fs->shortCount;
-
-        if (sp + fs->numPushes > stack_words) {
-            VM_BAIL();
-            fatal("operand stack overflow (%llu words)",
-                  static_cast<unsigned long long>(stack_words));
-        }
-        {
-            const int64_t *pv = fs->pushes.data();
-            size_t np = fs->numPushes;
-            for (size_t k = 0; k < np; ++k)
-                stk[sp + k] = pv[k];
-            sp += np;
-        }
-
-        if (fs->routineEntry >= 0) {
-            vm_i = static_cast<size_t>(fs->routineEntry);
-            goto vm_enter;
-        }
+        b.dispatch += lookup;
+        cyc += lookup;
+        b.shortInstrs += fs->shortCount;
+        vm_st = fs;
+        goto vm_step;
     seq_done:
-        if (fs->stackNext) {
-            if (sp == 0) {
-                // Fatal before charging the pop.
-                d_disp -= tau1;
-                cyc -= tau1;
-                --l1;
-                VM_BAIL();
-                fatal("operand stack underflow");
-            }
-            next = static_cast<uint64_t>(stk[--sp]);
-        } else {
-            next = fs->nextImm;
-        }
         site = fs;
-        if (next == haltBitAddr)
+        if (vm_next == haltBitAddr)
             halted_ = true;
         else
-            pc = next;
+            pc = vm_next;
     }
     VM_BAIL();
+    pc_ = pc;
+    prevPc_ = prev_pc;
     return;
 
-#define VM_DONE_GOTO goto seq_done
+#define VM_STEP_DONE_GOTO goto seq_done
 #include "uhm/vm_ops.inc"
-#undef VM_DONE_GOTO
-#undef VM_NOW
-#undef VM_RELOAD
-#undef VM_BAIL
-#undef VM_FLUSH
+#undef VM_STEP_DONE_GOTO
 }
 
 uint64_t
@@ -649,138 +644,63 @@ Machine::runTrace(uint32_t idx)
         ft.gen = gen;
     }
 
-    const uint32_t *vm_code = flat_->code.data();
-    const int64_t *vm_imm = flat_->imm.data();
-    const uint64_t tau1 = config_.timing.tau1;
-    const uint64_t tau2 = config_.timing.tau2;
-    const uint64_t level1_words = mem_.level1Words();
-    const uint64_t stack_base = config_.layout.stackBase;
-    const uint64_t stack_words = config_.layout.stackWords;
+    VM_LOCALS();
     const uint64_t max_dir = config_.maxDirInstrs;
-    const bool capture = config_.captureAddressTrace;
-    const uint64_t loop_cycles = config_.tier.dispatchCycles;
-    auto &r = regs_;
-
-    uint64_t n = 0, sem_mem = 0, l1 = 0, l2 = 0;
-    uint64_t d_dir = 0, d_tdir = 0, d_disp = 0, d_stage = 0;
-    uint64_t d_short = 0, d_tshort = 0, d_iter = 0;
-    uint64_t sp = sp_;
-    int64_t *stk = mem_.raw() + stack_base;
-    const FastTraceStep *steps = ft.steps.data();
+    const uint64_t budget_left =
+        max_dir > dirInstrs_.value() ? max_dir - dirInstrs_.value() : 0;
+    const FastTraceStep *const steps = ft.steps.data();
     const size_t nsteps = ft.steps.size();
     const FastTraceStep *stp = nullptr;
-    const FastTraceItem *itp = nullptr;
-    size_t si = 0, ki = 0, nitems = 0;
-    uint64_t next = 0;
-    size_t vm_i = 0, vm_ii = 0;
-    uint32_t vm_w = 0;
-    Pending p;
-    uint64_t dir_base = dirInstrs_.value();
-    uint64_t budget_left = max_dir > dir_base ? max_dir - dir_base : 0;
-
-#define VM_FLUSH()                                                     \
-    do {                                                               \
-        p.microOps += n;                                               \
-        p.semantic += n * tau1 + sem_mem;                              \
-        p.level1 += l1;                                                \
-        p.level2 += l2;                                                \
-        p.dirInstrs += d_dir;                                          \
-        p.traceDirInstrs += d_tdir;                                    \
-        p.dispatch += d_disp;                                          \
-        p.stage += d_stage;                                            \
-        p.shortInstrs += d_short;                                      \
-        p.traceShortInstrs += d_tshort;                                \
-        p.traceIterations += d_iter;                                   \
-        n = sem_mem = l1 = l2 = 0;                                     \
-        d_dir = d_tdir = d_disp = d_stage = 0;                         \
-        d_short = d_tshort = d_iter = 0;                               \
-        sp_ = sp;                                                      \
-    } while (0)
-#define VM_BAIL()                                                      \
-    do {                                                               \
-        VM_FLUSH();                                                    \
-        drainPending(p);                                               \
-    } while (0)
+    size_t si = 0;
 
     for (;;) {
-        ++d_iter;
+        ++b.traceIterations;
         for (si = 0; si < nsteps; ++si) {
             stp = steps + si;
-            if (!capture && d_dir + stp->nDir <= budget_left) {
-                d_dir += stp->nDir;
-                d_tdir += stp->nDir;
+            if (!capture && b.dirInstrs + stp->nDir <= budget_left) {
+                b.dirInstrs += stp->nDir;
+                b.traceDirInstrs += stp->nDir;
             } else {
                 // Rare: address capture, or within nDir of the budget.
-                p.dirInstrs += d_dir;
-                p.traceDirInstrs += d_tdir;
-                d_dir = d_tdir = 0;
                 for (uint64_t addr : stp->src->dirAddrs) {
-                    if (dirInstrs_.value() + p.dirInstrs >= max_dir) {
+                    if (b.dirInstrs >= budget_left) {
                         VM_BAIL();
                         fatal("DIR instruction budget exhausted "
                               "(%llu)",
                               static_cast<unsigned long long>(
                                   max_dir));
                     }
-                    ++p.dirInstrs;
-                    ++p.traceDirInstrs;
+                    ++b.dirInstrs;
+                    ++b.traceDirInstrs;
                     if (capture)
                         addressTrace_.push_back(addr);
                 }
-                dir_base = dirInstrs_.value() + p.dirInstrs;
-                budget_left = max_dir > dir_base ? max_dir - dir_base
-                    : 0;
             }
-            d_disp += stp->dispatchAdd;
-            d_stage += stp->stageAdd;
-            l1 += stp->level1Add;
-            d_short += stp->nBody;
-            d_tshort += stp->nBody;
-            itp = stp->items.data();
-            nitems = stp->items.size();
-            for (ki = 0; ki < nitems; ++ki) {
-                if (itp[ki].routineEntry >= 0) {
-                    vm_i = static_cast<size_t>(itp[ki].routineEntry);
-                    goto vm_enter;
-                } else {
-                    if (sp >= stack_words) {
-                        VM_BAIL();
-                        fatal("operand stack overflow (%llu words)",
-                              static_cast<unsigned long long>(
-                                  stack_words));
-                    }
-                    stk[sp++] = itp[ki].pushValue;
-                }
-            item_done:;
-            }
-            if (stp->guarded) {
-                if (sp == 0) {
-                    VM_BAIL();
-                    fatal("operand stack underflow");
-                }
-                next = static_cast<uint64_t>(stk[--sp]);
-                if (next != stp->expect) {
-                    ++p.traceExits;
-                    prevPc_ = stp->lastAddr;
-                    VM_BAIL();
-                    return next;
-                }
+            b.shortInstrs += stp->shortCount;
+            b.traceShortInstrs += stp->shortCount;
+            vm_st = stp;
+            goto vm_step;
+        step_done:
+            if (vm_next != stp->nextImm) {
+                // A guard saw another successor: side-exit to it.
+                ++b.traceExits;
+                prevPc_ = stp->lastAddr;
+                VM_BAIL();
+                return vm_next;
             }
         }
         if (!ft.loops) {
-            ++p.traceExits;
+            ++b.traceExits;
             prevPc_ = ft.lastAddr;
             VM_BAIL();
             return ft.exitAddr;
         }
-        d_disp += loop_cycles;
+        b.dispatch += config_.tier.dispatchCycles;
     }
 
-#define VM_DONE_GOTO goto item_done
+#define VM_STEP_DONE_GOTO goto step_done
 #include "uhm/vm_ops.inc"
-#undef VM_DONE_GOTO
-#undef VM_BAIL
-#undef VM_FLUSH
+#undef VM_STEP_DONE_GOTO
 }
 
 // Cached probes the icache once per image word an instruction spans,
@@ -790,81 +710,19 @@ template <bool Cached, bool Events>
 void
 Machine::runConventionalFast()
 {
-    const uint32_t *vm_code = flat_->code.data();
-    const int64_t *vm_imm = flat_->imm.data();
-    const uint64_t tau1 = config_.timing.tau1;
-    const uint64_t tau2 = config_.timing.tau2;
+    VM_LOCALS();
     const uint64_t tau_d = config_.timing.tauD;
     SetAssocCache *const icache = icache_.get();
-    const uint64_t level1_words = mem_.level1Words();
-    const uint64_t stack_base = config_.layout.stackBase;
-    const uint64_t stack_words = config_.layout.stackWords;
-    const bool capture = config_.captureAddressTrace;
-    auto &r = regs_;
-
-    Pending p;
     uint64_t drained = breakdown_.total();
-    uint64_t cyc = 0;
-    uint64_t n = 0, sem_mem = 0, l1 = 0, l2 = 0;
-    // Register-resident step buckets; see runDtbFast.
-    uint64_t d_dir = 0, d_disp = 0, d_stage = 0;
-    uint64_t d_fetch = 0, d_decode = 0, d_refs = 0;
-    uint64_t sp = sp_;
-    uint64_t pc = pc_;
-    int64_t *stk = mem_.raw() + stack_base;
     uint64_t budget_left = config_.maxDirInstrs - dirInstrs_.value();
     uint64_t sample_at = sampleEvery_ ? nextSampleAt_ : UINT64_MAX;
-    size_t vm_i = 0, vm_ii = 0;
-    uint32_t vm_w = 0;
+    uint64_t pc = pc_;
     FastConv *fc = nullptr;
 
-#define VM_FLUSH()                                                     \
-    do {                                                               \
-        uint64_t vm_sem = n * tau1 + sem_mem;                          \
-        p.microOps += n;                                               \
-        p.semantic += vm_sem;                                          \
-        p.level1 += l1;                                                \
-        p.level2 += l2;                                                \
-        p.dirInstrs += d_dir;                                          \
-        p.decodedInstrs += d_dir;                                      \
-        p.dispatch += d_disp;                                          \
-        p.stage += d_stage;                                            \
-        p.fetch += d_fetch;                                            \
-        p.decode += d_decode;                                          \
-        p.dirFetchRefs += d_refs;                                      \
-        cyc += vm_sem;                                                 \
-        n = sem_mem = l1 = l2 = 0;                                     \
-        d_dir = d_disp = d_stage = d_fetch = d_decode = d_refs = 0;    \
-        sp_ = sp;                                                      \
-        pc_ = pc;                                                      \
-    } while (0)
-#define VM_BAIL()                                                      \
-    do {                                                               \
-        VM_FLUSH();                                                    \
-        drainPending(p);                                               \
-    } while (0)
-
     while (!halted_) {
-        {
-            uint64_t now = drained + cyc + n * tau1 + sem_mem;
-            if (now >= sliceLimit_)
-                break;
-            if (now >= sample_at) {
-                VM_BAIL();
-                drained = breakdown_.total();
-                cyc = 0;
-                budget_left =
-                    config_.maxDirInstrs - dirInstrs_.value();
-                takeSample();
-                sample_at = nextSampleAt_;
-            }
-        }
-        if (d_dir >= budget_left) {
-            VM_BAIL();
-            fatal("DIR instruction budget exhausted (%llu)",
-                  static_cast<unsigned long long>(config_.maxDirInstrs));
-        }
-        ++d_dir;
+        VM_LOOP_HEAD();
+        ++b.dirInstrs;
+        ++b.decodedInstrs;
         if (capture)
             addressTrace_.push_back(pc);
 
@@ -876,42 +734,11 @@ Machine::runConventionalFast()
             FastConv *from = fc;
             const DecodeResult &res = decodeMemo_->decodeAt(pc);
             fc = &convFast_[res.index];
-            if (!fc->valid) {
-                // Lower lazily on first visit. The image is immutable,
-                // so a lowered instruction never invalidates.
-                const Staging &st = stagingAt(res);
-                fc->opIdx = static_cast<uint16_t>(res.instr.op);
-                uint64_t bits = res.nextBitAddr - pc;
-                if constexpr (Cached) {
-                    uint64_t first = pc / 64;
-                    uint64_t last =
-                        bits == 0 ? first : (pc + bits - 1) / 64;
-                    fc->fetchWord = first;
-                    fc->fetchRefs =
-                        static_cast<uint32_t>(last - first + 1);
-                    fc->fetchAdd = 0;
-                } else {
-                    fc->fetchRefs = static_cast<uint32_t>(
-                        std::max<uint64_t>(1, (bits + 63) / 64));
-                    fc->fetchAdd = fc->fetchRefs * tau2;
-                }
-                fc->decodeCycles = config_.costs.decodeCycles(res.cost);
-                fc->pushes = st.pushes;
-                fc->numPushes = st.numPushes;
-                fc->routineEntry = st.routine >= 0 ?
-                    flat_->entry[static_cast<size_t>(st.routine)] : -1;
-                fc->next = static_cast<uint8_t>(st.next);
-                fc->nextImm = st.nextImm;
-                fc->stageAdd = fc->numPushes * tau1;
-                fc->dispatchAdd =
-                    st.next == NextKind::Stack ? tau1 : 0;
-                fc->level1Add =
-                    fc->numPushes +
-                    (st.next == NextKind::Stack ? 1u : 0u);
-                fc->valid = true;
-            }
-            if (from && static_cast<NextKind>(from->next) ==
-                    NextKind::Imm)
+            // Lower on first visit. The image is immutable, so a
+            // lowered instruction never invalidates.
+            if (!fc->valid)
+                lowerConv(*fc, pc, res);
+            if (from && !from->stackNext)
                 from->succ = fc;
         }
         ++opcodeCounts_[fc->opIdx];
@@ -928,70 +755,41 @@ Machine::runConventionalFast()
                 }
             }
             if constexpr (Events) {
-                uint64_t at = drained + cyc + n * tau1 + sem_mem + fetch;
+                uint64_t at = VM_NOW() + fetch;
                 tracer_.record(obs::EventKind::Fetch, at, pc,
                                fc->fetchRefs);
                 tracer_.record(obs::EventKind::Decode,
                                at + fc->decodeCycles, pc,
                                fc->decodeCycles);
             }
-            uint64_t add = fetch + fc->decodeCycles + fc->stageAdd +
-                fc->dispatchAdd;
-            d_fetch += fetch;
-            d_decode += fc->decodeCycles;
-            d_stage += fc->stageAdd;
-            d_disp += fc->dispatchAdd;
-            cyc += add;
+            b.fetch += fetch;
+            b.decode += fc->decodeCycles;
+            cyc += fetch + fc->decodeCycles;
         }
-        d_refs += fc->fetchRefs;
-        l1 += fc->level1Add;
-
-        if (sp + fc->numPushes > stack_words) {
-            VM_BAIL();
-            fatal("operand stack overflow (%llu words)",
-                  static_cast<unsigned long long>(stack_words));
-        }
-        {
-            const int64_t *pv = fc->pushes.data();
-            size_t np = fc->numPushes;
-            for (size_t k = 0; k < np; ++k)
-                stk[sp + k] = pv[k];
-            sp += np;
-        }
-
-        if (fc->routineEntry >= 0) {
-            vm_i = static_cast<size_t>(fc->routineEntry);
-            goto vm_enter;
-        }
+        b.dirFetchRefs += fc->fetchRefs;
+        vm_st = fc;
+        goto vm_step;
     conv_done:
-        switch (static_cast<NextKind>(fc->next)) {
-          case NextKind::Imm:
-            pc = fc->nextImm;
-            break;
-          case NextKind::Stack:
-            if (sp == 0) {
-                d_disp -= tau1;
-                cyc -= tau1;
-                --l1;
-                VM_BAIL();
-                fatal("operand stack underflow");
-            }
-            pc = static_cast<uint64_t>(stk[--sp]);
-            break;
-          case NextKind::Halt:
+        if (vm_next == haltBitAddr)
             halted_ = true;
-            break;
-        }
+        else
+            pc = vm_next;
     }
     VM_BAIL();
+    pc_ = pc;
     return;
 
-#define VM_DONE_GOTO goto conv_done
+#define VM_STEP_DONE_GOTO goto conv_done
 #include "uhm/vm_ops.inc"
-#undef VM_DONE_GOTO
+#undef VM_STEP_DONE_GOTO
+}
+
+#undef VM_LOOP_HEAD
+#undef VM_NOW
+#undef VM_RELOAD
 #undef VM_BAIL
 #undef VM_FLUSH
-}
+#undef VM_LOCALS
 
 void
 Machine::takeSample()

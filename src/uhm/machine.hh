@@ -380,9 +380,6 @@ class Machine
      */
     std::span<const ShortInstr> missFlow();
 
-    /** The memoized staging of a decoded conventional-path instruction. */
-    const Staging &stagingAt(const DecodeResult &res);
-
     /**
      * Tiered's recorder hook: report pc_, the pc about to be
      * interpreted, to the active recording, and charge and trace the
@@ -419,6 +416,10 @@ class Machine
      */
     uint32_t promoteFastSeq(uint64_t pc, uint32_t idx, const FastSeq &fs);
 
+    /** Lower instruction @p res, at bit address @p pc, into @p fc: its
+     *  staging at fetch cost 0, plus its fetch and decode charges. */
+    void lowerConv(FastConv &fc, uint64_t pc, const DecodeResult &res);
+
     /**
      * The Dtb, Dtb2 or Tiered run loop. Events = true is the
      * instantiation that records every per-instruction event, stamped
@@ -438,7 +439,8 @@ class Machine
      * returns the exit address. Counts every covered DIR instruction
      * exactly as tier 1 would (dirInstrs, address trace), charges tauD
      * per body short instruction and TierConfig::dispatchCycles per
-     * loop-back, and drains all of it before returning.
+     * loop-back, counts the exit, sets prevPc_ to the last DIR address
+     * retired, and drains all of it before returning.
      */
     uint64_t runTrace(uint32_t idx);
 
@@ -454,22 +456,6 @@ class Machine
     {
         if (tracer_.enabled())
             tracer_.record(kind, breakdown_.total(), addr, arg);
-    }
-
-    /**
-     * Interval-sampler gate, called once per run-loop iteration. The
-     * interval check comes first so a run without sampling pays one
-     * predictable branch — the cycle total is only computed (and the
-     * occupancy snapshot only taken, in takeSample) once sampling is
-     * on.
-     */
-    void
-    maybeSample()
-    {
-        if (sampleEvery_ == 0)
-            return;
-        if (breakdown_.total() >= nextSampleAt_)
-            takeSample();
     }
 
     /** Snapshot occupancy + deltas into samples_ (sampler on only). */
@@ -491,15 +477,13 @@ class Machine
      *  empty for the kinds that decode every instruction. */
     std::optional<DynamicTranslator> translator_;
     /**
-     * Host-side decode/staging memos for the conventional and cached
-     * fetch paths, so allocated for those kinds only. The image is
-     * immutable, so the memos never invalidate; simulated decode
+     * Host-side decode memo for the conventional and cached fetch
+     * paths, so allocated for those kinds only. The image is
+     * immutable, so the memo never invalidates; simulated decode
      * cycles are charged from the cached DecodeCost and are identical
      * to a cold decode.
      */
     std::optional<DecodeMemo> decodeMemo_;
-    std::vector<uint8_t> stagingValid_;
-    std::vector<Staging> stagingMemo_;
 
     // Run images (see uhm/run_image.hh and docs/INTERNALS.md
     // "Execution engine").

@@ -230,54 +230,48 @@ FlatRoutines::forLayout(const MachineLayout &layout)
 }
 
 void
-lowerFastSeq(std::span<const ShortInstr> code,
-             const FlatRoutines &flat, uint64_t tau_d, uint64_t tau1,
-             FastSeq &out)
+lowerStep(std::span<const ShortInstr> code, const FlatRoutines &flat,
+          uint64_t fetch_cost, uint64_t tau1, LoweredStep &out)
 {
-    out.stackNext = false;
-    out.routineEntry = -1;
-    out.nextImm = 0;
-    out.icTag = ~0ull;
-    out.icIdx = 0;
-    out.mainIcTag = ~0ull;
-    out.mainIcIdx = 0;
-    out.numPushes = 0;
     out.pushes.fill(0);
-
-    // Every translation is PUSH#* [CALL] INTERP by construction
-    // (lowerStaging), with at most maxPushes pushes (stageInstruction).
+    out.numPushes = 0;
     size_t i = 0;
-    while (i < code.size() && code[i].op == SOp::PUSH &&
-           code[i].mode == SMode::Imm) {
-        uhm_assert(out.numPushes < FastSeq::maxPushes,
-                   "translation stages more than %u pushes",
-                   FastSeq::maxPushes);
-        out.pushes[out.numPushes++] = code[i].operand;
-        ++i;
+    while (i < code.size() && code[i].op == SOp::PUSH) {
+        uhm_assert(code[i].mode == SMode::Imm &&
+                       out.numPushes < LoweredStep::maxPushes,
+                   "step does not stage at most %u immediates",
+                   LoweredStep::maxPushes);
+        out.pushes[out.numPushes++] = code[i++].operand;
     }
+    out.routineEntry = -1;
     if (i < code.size() && code[i].op == SOp::CALL) {
-        int64_t id = code[i].operand;
+        int64_t id = code[i++].operand;
         uhm_assert(id >= 0 && static_cast<size_t>(id) < flat.entry.size(),
-                   "translation calls unknown routine %lld",
+                   "step calls unknown routine %lld",
                    static_cast<long long>(id));
         out.routineEntry = flat.entry[static_cast<size_t>(id)];
+    }
+    out.stackNext = false;
+    out.nextImm = 0;
+    bool pop = false;
+    if (i < code.size() && code[i].op == SOp::INTERP) {
+        uhm_assert(code[i].mode == SMode::Stack ||
+                       code[i].mode == SMode::Imm,
+                   "INTERP takes its successor from an immediate or "
+                   "the stack");
+        pop = code[i].mode == SMode::Stack;
+        if (!pop)
+            out.nextImm = static_cast<uint64_t>(code[i].operand);
         ++i;
     }
-    uhm_assert(i + 1 == code.size() && code[i].op == SOp::INTERP &&
-                   (code[i].mode == SMode::Stack ||
-                    code[i].mode == SMode::Imm),
-               "translation is not PUSH#* [CALL] INTERP");
-    if (code[i].mode == SMode::Stack)
-        out.stackNext = true;
-    else
-        out.nextImm = static_cast<uint64_t>(code[i].operand);
+    uhm_assert(i == code.size(), "step is not PUSH#* [CALL] [INTERP]");
 
     out.shortCount = static_cast<uint32_t>(code.size());
-    out.dispatchAdd = tau_d * out.shortCount +
-        (out.stackNext ? tau1 : 0);
+    out.dispatchAdd = fetch_cost * out.shortCount;
     out.stageAdd = static_cast<uint64_t>(out.numPushes) * tau1;
-    out.level1Add = out.numPushes +
-        (out.stackNext ? 1u : 0u);
+    out.level1Add = out.numPushes;
+    if (pop)
+        out.popSuccessor(tau1);
 }
 
 void
@@ -285,45 +279,23 @@ lowerFastTrace(const tier::Trace &trace, const FlatRoutines &flat,
                uint64_t tau_d, uint64_t tau1, FastTrace &out)
 {
     uhm_assert(!trace.steps.empty(), "empty trace");
-    out.steps.clear();
     out.loops = trace.loops;
     out.exitAddr = trace.exitAddr;
-
-    out.steps.reserve(trace.steps.size());
-    for (const tier::TraceStep &step : trace.steps) {
+    out.steps.resize(trace.steps.size());
+    for (size_t k = 0; k < trace.steps.size(); ++k) {
+        const tier::TraceStep &step = trace.steps[k];
+        FastTraceStep &fs = out.steps[k];
         uhm_assert(!step.dirAddrs.empty(), "trace step covers no DIR");
-        FastTraceStep fs;
+        // Bodies are PUSH#* [CALL] with the INTERP elided
+        // (tier::TierEngine). A guard pops the successor the routine
+        // left, as INTERP-Stack would, without fetching an INTERP.
+        lowerStep(step.body, flat, tau_d, tau1, fs);
+        if (step.guarded)
+            fs.popSuccessor(tau1);
+        fs.nextImm = step.guarded ? step.expect : step.staticNext;
         fs.src = &step;
-        fs.nDir = static_cast<uint32_t>(step.dirAddrs.size());
-        fs.nBody = static_cast<uint32_t>(step.body.size());
-        fs.guarded = step.guarded;
-        fs.expect = step.expect;
         fs.lastAddr = step.dirAddrs.back();
-        for (const ShortInstr &si : step.body) {
-            if (si.op == SOp::PUSH) {
-                // Trace bodies are PUSH#/CALL only by construction
-                // (tier::TierEngine lowers stagings without INTERP).
-                uhm_assert(si.mode == SMode::Imm,
-                           "non-immediate PUSH in a trace body");
-                ++fs.nPushes;
-                fs.items.push_back({-1, si.operand});
-                continue;
-            }
-            uhm_assert(si.op == SOp::CALL && si.operand >= 0 &&
-                       static_cast<size_t>(si.operand) <
-                           flat.entry.size(),
-                       "trace body is not PUSH#/CALL");
-            int32_t entry = flat.entry[static_cast<size_t>(si.operand)];
-            // Empty routines still count as executed short instructions
-            // (nBody covers them) but emit no item.
-            if (entry >= 0)
-                fs.items.push_back({entry, 0});
-        }
-        fs.dispatchAdd =
-            tau_d * fs.nBody + (fs.guarded ? tau1 : 0);
-        fs.stageAdd = static_cast<uint64_t>(fs.nPushes) * tau1;
-        fs.level1Add = fs.nPushes + (fs.guarded ? 1u : 0u);
-        out.steps.push_back(std::move(fs));
+        fs.nDir = static_cast<uint32_t>(step.dirAddrs.size());
     }
     out.lastAddr = out.steps.back().lastAddr;
 }

@@ -11,13 +11,17 @@
  *    two parallel streams (a packed op/register word and an immediate),
  *    with relative branch distances pre-resolved to absolute stream
  *    indices and a sentinel op terminating each routine.
- *  - FastSeq: one DTB-resident PSDER sequence (PUSH#* [CALL] INTERP)
- *    lowered to its push values, its routine's flat entry point, its
- *    successor, and the *statically known* cycle/counter deltas one
- *    execution of it incurs on the hit path. It doubles as the home of
- *    the per-INTERP-site inline cache for the successor's DTB entry.
- *  - FastTrace: a tier-2 trace body lowered the same way, one step per
- *    TraceStep with per-step static charges.
+ *  - LoweredStep: one DIR instruction's PSDER form, PUSH#* [CALL]
+ *    [INTERP], lowered to its push values, its routine's flat entry
+ *    point, its successor and the *statically known* cycle/counter
+ *    deltas one execution of it incurs. The DTB, the conventional path
+ *    and every tier-2 trace step lower through the one lowerStep, and
+ *    the run loops execute every step through one executor
+ *    (vm_ops.inc). Each organization's record is a LoweredStep plus
+ *    only its own fields: FastSeq (a DTB unit and the inline caches of
+ *    its INTERP site), FastConv (a conventionally fetched and decoded
+ *    instruction) and FastTraceStep (a trace step and the DIR
+ *    instructions it retires).
  *
  * Lowered images carry no simulated semantics of their own: every
  * charge they batch is the exact sum that executing the sequence one
@@ -128,46 +132,75 @@ struct FlatRoutines
 };
 
 /**
- * One DTB-resident PSDER sequence lowered for the fast hit path, plus
- * the per-site inline cache for its successor's DTB entry. Trivially
- * copyable: a Dtb2 promotion copies the main entry's lowering into the
- * first-level slot. No field has a default: lowerFastSeq sets every
- * one, so slot storage can start uninitialized.
+ * One DIR instruction's PSDER form, PUSH#{0..4} [CALL] [INTERP],
+ * lowered for the run loops' step executor. No field has a default:
+ * lowerStep sets every one, so slot storage can start uninitialized.
  */
-struct FastSeq
+struct LoweredStep
 {
     static constexpr uint32_t maxPushes = Staging::maxPushes;
 
-    /** Short instructions executed (up to and including the INTERP). */
+    /** Immediate push values, in order: the first numPushes. */
+    std::array<int64_t, maxPushes> pushes;
+    /** The static successor (when !stackNext): the INTERP's operand,
+     *  haltBitAddr for halt; or a guarded trace step's expected
+     *  successor. */
+    uint64_t nextImm;
+    /** Statically known per-execution charges: the short-instruction
+     *  fetches plus a popped successor's tau1; the staging pushes at
+     *  tau1 each; level-1 accesses (pushes plus the pop). */
+    uint64_t dispatchAdd;
+    uint64_t stageAdd;
+    uint32_t level1Add;
+    uint32_t numPushes;
+    /** Short instructions fetched (the INTERP included, if any). */
     uint32_t shortCount;
     /** Flat entry of the CALLed routine; -1 = none (or empty). */
     int32_t routineEntry;
-    /** Static successor DIR bit address (when !stackNext); may be
-     *  haltBitAddr. */
-    uint64_t nextImm;
-    /** Statically known per-execution charge deltas on the hit path
-     *  (IU2 fetches at tauD + the INTERP-Stack pop), excluding the
-     *  initial DTB lookup itself. */
-    uint64_t dispatchAdd;
-    /** Staging pushes: one level-1 store each. */
-    uint64_t stageAdd;
-    /** Level-1 memory accesses (pushes + successor pop). */
-    uint32_t level1Add;
-    /** The successor is popped from the operand stack (INTERP-Stack). */
+    /** The successor is popped from the operand stack (INTERP-Stack,
+     *  or a trace guard). */
     bool stackNext;
+
+    /** Take the successor from the operand stack: one level-1 pop at
+     *  @p tau1. */
+    void
+    popSuccessor(uint64_t tau1)
+    {
+        stackNext = true;
+        dispatchAdd += tau1;
+        ++level1Add;
+    }
+};
+
+/**
+ * Lower @p code, of the shape PUSH#{0..4} [CALL] [INTERP], into @p out.
+ * lowerStaging emits that shape, with at most maxPushes pushes, for the
+ * DTB and the conventional path; a tier-2 trace body is the same with
+ * its INTERP elided, and its caller sets the successor. Each short
+ * instruction is fetched at @p fetch_cost; @p tau1 is the level-1
+ * access time.
+ */
+void lowerStep(std::span<const ShortInstr> code, const FlatRoutines &flat,
+               uint64_t fetch_cost, uint64_t tau1, LoweredStep &out);
+
+/**
+ * One DTB-resident PSDER sequence lowered for the fast hit path, plus
+ * the per-site inline cache for its successor's DTB entry. Trivially
+ * copyable: a Dtb2 promotion copies the main entry's lowering into the
+ * first-level slot.
+ */
+struct FastSeq : LoweredStep
+{
     /** Inline cache: last successor DIR address resolved at this
      *  INTERP site, and the DTB entry index it hit. icTag ~0 never
      *  matches a pc (halt is handled before the next lookup). */
     uint64_t icTag;
-    uint32_t icIdx;
     /** Second inline cache, for the main DTB behind a first-level
      *  buffer (Dtb2): where the successor sat in the main DTB the last
      *  time it missed the first level. */
     uint64_t mainIcTag;
+    uint32_t icIdx;
     uint32_t mainIcIdx;
-    /** Immediate push values, in order: the first numPushes. */
-    uint32_t numPushes;
-    std::array<int64_t, maxPushes> pushes;
 };
 
 /**
@@ -195,41 +228,16 @@ struct FastSlots
     }
 };
 
-/**
- * Lower @p code into @p out. Every translation lowers: it is
- * PUSH#* [CALL] INTERP with at most FastSeq::maxPushes pushes by
- * construction (lowerStaging). @p tau_d / @p tau1 are the IU2 fetch
- * and level-1 access times the static charges are computed with.
- */
-void lowerFastSeq(std::span<const ShortInstr> code,
-                  const FlatRoutines &flat, uint64_t tau_d,
-                  uint64_t tau1, FastSeq &out);
-
-/** One lowered trace-body element: a push or a routine call. */
-struct FastTraceItem
-{
-    /** Flat routine entry; < 0 = this item is a push of #pushValue. */
-    int32_t routineEntry = -1;
-    int64_t pushValue = 0;
-};
-
-/** One lowered TraceStep with its static per-execution charges. */
-struct FastTraceStep
+/** One lowered TraceStep: its body, at tauD per short instruction, and
+ *  its guard as a popped successor whose nextImm is the expected one. */
+struct FastTraceStep : LoweredStep
 {
     /** The source step (dirAddrs live there; stable while gen holds). */
-    const tier::TraceStep *src = nullptr;
-    uint32_t nDir = 0;
-    uint32_t nBody = 0;
-    uint32_t nPushes = 0;
-    /** tauD per body instruction + the guard pop, when guarded. */
-    uint64_t dispatchAdd = 0;
-    uint64_t stageAdd = 0;
-    uint32_t level1Add = 0;
-    bool guarded = false;
-    uint64_t expect = 0;
+    const tier::TraceStep *src;
     /** Last DIR address the step retires (prevPc_ on side-exit). */
-    uint64_t lastAddr = 0;
-    std::vector<FastTraceItem> items;
+    uint64_t lastAddr;
+    /** DIR instructions the step retires. */
+    uint32_t nDir;
 };
 
 /** A tier-2 trace lowered for the fast path. */
@@ -254,53 +262,44 @@ void lowerFastTrace(const tier::Trace &trace, const FlatRoutines &flat,
                     uint64_t tau_d, uint64_t tau1, FastTrace &out);
 
 /**
- * One conventional-path DIR instruction lowered for the fast loop:
- * static fetch/decode charges plus the staged pushes and successor.
+ * One conventional-path DIR instruction lowered for the fast loop: its
+ * staging, lowered at fetch cost 0, plus static fetch/decode charges.
  * The image is immutable, so a lowered instruction never invalidates,
  * and neither does the link to its static successor's lowering.
  * Under the Cached organization the fetch charge is not static — each
  * word's icache probe decides it — so only the word range is kept,
  * plus where those words hit last time.
  */
-struct FastConv
+struct FastConv : LoweredStep
 {
     bool valid = false;
-    /** The lowering of the static successor (next == Imm), once the
-     *  loop has resolved it; the loop follows it instead of looking
-     *  nextImm up. Null until then, and for every other successor. */
-    FastConv *succ = nullptr;
-    /** Icache line hints (SetAssocCache::access): where the first
-     *  fetch word hit last time, and where a later word did. */
-    std::array<uint32_t, 2> icHint{};
     /** Opcode index (opcodeCounts_ bump). */
     uint16_t opIdx = 0;
     /** References one fetch performs: level-2 references
      *  (Conventional), or 64-bit words the instruction spans, one
      *  icache probe each (Cached). */
     uint32_t fetchRefs = 0;
+    /** Icache line hints (SetAssocCache::access): where the first
+     *  fetch word hit last time, and where a later word did. */
+    std::array<uint32_t, 2> icHint{};
+    /** The lowering of the static successor, once the loop has
+     *  resolved it; the loop follows it instead of looking nextImm up.
+     *  Null until then, and for a stack successor. */
+    FastConv *succ = nullptr;
     /** First 64-bit image word the instruction spans (Cached). */
     uint64_t fetchWord = 0;
     /** fetchRefs * tau2 (Conventional); 0 (Cached). */
     uint64_t fetchAdd = 0;
     uint64_t decodeCycles = 0;
-    /** NextKind, widened. */
-    uint8_t next = 0;
-    uint64_t nextImm = 0;
-    int32_t routineEntry = -1;
-    uint64_t stageAdd = 0;
-    /** Stack-successor pop charge (tau1 when next == Stack). */
-    uint64_t dispatchAdd = 0;
-    uint32_t level1Add = 0;
-    /** Staged values, in order: the first numPushes. */
-    uint32_t numPushes = 0;
-    std::array<int64_t, Staging::maxPushes> pushes{};
 };
 
 /**
- * Per-bucket deltas the fast dispatch loops accumulate in locals and
- * drain at trace boundaries, slice boundaries and sampler intervals.
- * Machine::drainPending applies a Pending to the real counters;
- * between drains, breakdown_.total() is understated by cycles().
+ * The charges a run loop batches between drains: trace boundaries,
+ * slice boundaries, sampler intervals, misses and fatals. A loop bumps
+ * one Pending whose address never escapes, so its fields stay in
+ * registers, and moves it into a second one at a drain;
+ * Machine::drainPending applies that one to the real counters. Between
+ * drains, breakdown_.total() is understated by cycles().
  */
 struct Pending
 {

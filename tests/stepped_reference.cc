@@ -37,6 +37,15 @@ SteppedReference::events(const Machine &machine)
     return machine.tracer_.events();
 }
 
+void
+SteppedReference::maybeSample()
+{
+    if (m_.sampleEvery_ == 0)
+        return;
+    if (m_.breakdown_.total() >= m_.nextSampleAt_)
+        m_.takeSample();
+}
+
 // ---- operand stack --------------------------------------------------------
 
 void
@@ -160,7 +169,7 @@ SteppedReference::executeStaged(const Staging &staging)
 void
 SteppedReference::convStep()
 {
-    m_.maybeSample();
+    maybeSample();
     if (m_.dirInstrs_ >= m_.config_.maxDirInstrs)
         fatal("DIR instruction budget exhausted (%llu)",
               static_cast<unsigned long long>(m_.config_.maxDirInstrs));
@@ -179,7 +188,7 @@ SteppedReference::convStep()
     uint64_t decode_cycles = m_.config_.costs.decodeCycles(res.cost);
     m_.breakdown_.decode += decode_cycles;
     m_.emitEvent(obs::EventKind::Decode, m_.pc_, decode_cycles);
-    executeStaged(m_.stagingAt(res));
+    executeStaged(stageInstruction(res.instr, *m_.image_, res.index));
 }
 
 void
@@ -232,7 +241,7 @@ SteppedReference::dtbStep()
 {
     const MachineConfig &config = m_.config_;
     CycleBreakdown &bd = m_.breakdown_;
-    m_.maybeSample();
+    maybeSample();
     if (m_.dirInstrs_ >= config.maxDirInstrs)
         fatal("DIR instruction budget exhausted (%llu)",
               static_cast<unsigned long long>(config.maxDirInstrs));
@@ -297,7 +306,7 @@ SteppedReference::dtbStep()
                             m_.tier_->cache().payloadAt(tidx).dirCount);
                         uint64_t iters_before =
                             m_.traceIterations_.value();
-                        uint64_t next = m_.runTrace(tidx);
+                        uint64_t next = runTrace(tidx);
                         m_.emitEvent(obs::EventKind::TraceExit, next,
                                      m_.traceIterations_.value() -
                                          iters_before);
@@ -327,6 +336,55 @@ SteppedReference::dtbStep()
         m_.halted_ = true;
     else
         m_.pc_ = next;
+}
+
+uint64_t
+SteppedReference::runTrace(uint32_t idx)
+{
+    const MachineConfig &config = m_.config_;
+    const tier::Trace &trace = m_.tier_->cache().payloadAt(idx);
+    for (;;) {
+        ++m_.traceIterations_;
+        for (const tier::TraceStep &step : trace.steps) {
+            // Every DIR instruction the step covers counts as if tier 1
+            // had interpreted it.
+            for (uint64_t addr : step.dirAddrs) {
+                if (m_.dirInstrs_ >= config.maxDirInstrs)
+                    fatal("DIR instruction budget exhausted (%llu)",
+                          static_cast<unsigned long long>(
+                              config.maxDirInstrs));
+                ++m_.dirInstrs_;
+                ++m_.traceDirInstrs_;
+                if (config.captureAddressTrace)
+                    m_.addressTrace_.push_back(addr);
+            }
+            // The fused body: IU2 fetches each short instruction from
+            // the trace cache's buffer array.
+            for (const ShortInstr &si : step.body) {
+                m_.breakdown_.dispatch += config.timing.tauD;
+                ++m_.shortInstrs_;
+                ++m_.traceShortInstrs_;
+                executeShort(si);
+            }
+            if (step.guarded) {
+                // The guard: pop the successor the routine left and
+                // side-exit to it when it is not the recorded one.
+                uint64_t next = static_cast<uint64_t>(
+                    popStack(m_.breakdown_.dispatch));
+                if (next != step.expect) {
+                    ++m_.traceExits_;
+                    m_.prevPc_ = step.dirAddrs.back();
+                    return next;
+                }
+            }
+        }
+        if (!trace.loops) {
+            ++m_.traceExits_;
+            m_.prevPc_ = trace.steps.back().dirAddrs.back();
+            return trace.exitAddr;
+        }
+        m_.breakdown_.dispatch += config.tier.dispatchCycles;
+    }
 }
 
 RunResult

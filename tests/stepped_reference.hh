@@ -10,8 +10,9 @@
  * SteppedReference executes the same program one instruction at a
  * time instead: every charge is applied to the machine's breakdown and
  * counters as it accrues, and every event is stamped with the
- * breakdown's total at that moment. It shares only the cold work with
- * the machine (Machine::missFlow, the recorder hook, runTrace), so a
+ * breakdown's total at that moment. Tier-2 traces run one short
+ * instruction at a time too (runTrace). It shares only the cold work
+ * with the machine (Machine::missFlow and the recorder hook), so a
  * batching or stamping mistake in a loop shows up as a difference
  * between the two runs. dispatch_test and fuzz_test demand identity on
  * every simulated observable, and on the event stream when events are
@@ -51,6 +52,11 @@ class SteppedReference
     static std::vector<obs::Event> events(const Machine &machine);
 
   private:
+    /** Take a sample when one is due; called once per instruction. The
+     *  interval check comes first, so a run without sampling never
+     *  computes the cycle total. */
+    void maybeSample();
+
     // ---- operand stack (resident in level-1 memory) ----------------------
     void pushStack(int64_t value, uint64_t &bucket);
     int64_t popStack(uint64_t &bucket);
@@ -77,6 +83,10 @@ class SteppedReference
 
     /** One Dtb/Dtb2/Tiered instruction, or one Tiered trace dispatch. */
     void dtbStep();
+
+    /** Machine::runTrace, stepped: run the trace at trace-cache entry
+     *  @p idx to its exit and return the exit address. */
+    uint64_t runTrace(uint32_t idx);
 
     Machine &m_;
 };

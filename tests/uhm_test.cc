@@ -15,6 +15,7 @@
 #include "support/logging.hh"
 #include "support/pool.hh"
 #include "uhm/machine.hh"
+#include "uhm/run_image.hh"
 #include "workload/samples.hh"
 #include "workload/synthetic.hh"
 
@@ -692,6 +693,87 @@ TEST(RoutineLibraryMemo, ConcurrentBuildsShareOneLibrary)
     for (const FlatRoutines *flat : seen)
         EXPECT_EQ(flat, seen[0]);
     EXPECT_EQ(&Machine(*image, cfg).routines(), seen[0]);
+}
+
+TEST(RunImage, OneLoweringForEveryForm)
+{
+    // One DIR instruction has three PSDER forms: the translation the
+    // DTB holds, the conventional path's lowered staging (the same code,
+    // fetched for free) and a tier-2 trace step (the code without its
+    // INTERP, a stack successor becoming a guard). lowerStep lowers all
+    // three; each must stage what the instruction's staging says and
+    // charge its own fetch cost per short instruction. Unequal tau1 and
+    // tauD keep a charge from passing under the wrong factor.
+    const uint64_t tau1 = 3, tau_d = 7;
+    std::shared_ptr<const FlatRoutines> flat =
+        FlatRoutines::forLayout(MachineLayout{});
+    for (const auto &sample : workload::samplePrograms()) {
+        DirProgram prog = hlr::compileSource(sample.source);
+        auto image = encodeDir(prog, EncodingScheme::Huffman);
+        DynamicTranslator translator(*image);
+        for (size_t i = 0; i < image->numInstrs(); ++i) {
+            SCOPED_TRACE(std::string(sample.name) + " #" +
+                         std::to_string(i));
+            uint64_t pc = image->bitAddrOf(i);
+            DecodeResult res = image->decodeAt(pc);
+            Staging st = stageInstruction(res.instr, *image, res.index);
+            std::vector<ShortInstr> conv_code;
+            lowerStaging(st, conv_code);
+            std::span<const ShortInstr> dtb_code =
+                translator.translate(pc).code;
+            ASSERT_FALSE(dtb_code.empty());
+            ASSERT_EQ(dtb_code.back().op, SOp::INTERP);
+
+            tier::Trace trace;
+            tier::TraceStep &ts = trace.steps.emplace_back();
+            ts.body.assign(dtb_code.begin(), dtb_code.end() - 1);
+            ts.guarded = st.next == NextKind::Stack;
+            ts.staticNext = st.next == NextKind::Halt ? haltBitAddr
+                                                      : st.nextImm;
+            ts.dirAddrs = {pc};
+            FastTrace ft;
+            lowerFastTrace(trace, *flat, tau_d, tau1, ft);
+            LoweredStep dtb, conv;
+            lowerStep(dtb_code, *flat, tau_d, tau1, dtb);
+            lowerStep(conv_code, *flat, 0, tau1, conv);
+
+            struct Form
+            {
+                const char *name;
+                const LoweredStep &step;
+                uint64_t fetchCost;
+                size_t shorts;
+            };
+            const Form forms[] = {
+                {"dtb", dtb, tau_d, dtb_code.size()},
+                {"conventional", conv, 0, conv_code.size()},
+                {"trace", ft.steps[0], tau_d, dtb_code.size() - 1},
+            };
+            for (const Form &f : forms) {
+                SCOPED_TRACE(f.name);
+                const LoweredStep &ls = f.step;
+                ASSERT_EQ(ls.numPushes, st.numPushes);
+                for (uint32_t k = 0; k < ls.numPushes; ++k)
+                    EXPECT_EQ(ls.pushes[k], st.pushes[k]);
+                EXPECT_EQ(ls.routineEntry,
+                          st.routine < 0 ? -1
+                              : flat->entry[static_cast<size_t>(
+                                    st.routine)]);
+                EXPECT_EQ(ls.stackNext, st.next == NextKind::Stack);
+                if (st.next == NextKind::Imm) {
+                    EXPECT_EQ(ls.nextImm, st.nextImm);
+                } else if (st.next == NextKind::Halt) {
+                    EXPECT_EQ(ls.nextImm, haltBitAddr);
+                }
+                uint64_t pop = ls.stackNext ? 1 : 0;
+                EXPECT_EQ(ls.shortCount, f.shorts);
+                EXPECT_EQ(ls.dispatchAdd,
+                          f.fetchCost * f.shorts + pop * tau1);
+                EXPECT_EQ(ls.stageAdd, st.numPushes * tau1);
+                EXPECT_EQ(ls.level1Add, st.numPushes + pop);
+            }
+        }
+    }
 }
 
 } // anonymous namespace
