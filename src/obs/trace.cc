@@ -59,6 +59,7 @@ Tracer::disable()
     ring_.shrink_to_fit();
     capacity_ = 0;
     next_ = 0;
+    taken_ = 0;
     seen_ = 0;
     enabled_ = false;
 }
@@ -68,7 +69,8 @@ Tracer::grow()
 {
     // 128 events = one 4 KiB page to start with.
     ring_.reserve(std::min(capacity_,
-                           std::max<size_t>(2 * ring_.size(), 128)));
+                           std::max({2 * ring_.size(), taken_,
+                                     size_t{128}})));
 }
 
 std::vector<Event>
@@ -101,6 +103,7 @@ Tracer::take()
                     ring_.end());
     std::vector<Event> out = std::move(ring_);
     ring_ = {};
+    taken_ = out.size();
     next_ = 0;
     seen_ = 0;
     return out;

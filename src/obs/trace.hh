@@ -162,7 +162,9 @@ class Tracer
 
     /**
      * events(), moved out instead of copied: a wrapped ring is unrolled
-     * in place. Leaves the tracer as clear() does.
+     * in place. Leaves the tracer as clear() does, with no storage; the
+     * next grow() reserves room for as many events as were taken, so a
+     * rerun that records as many allocates its ring once.
      */
     std::vector<Event> take();
 
@@ -170,8 +172,9 @@ class Tracer
     void clear();
 
   private:
-    /** Make room for the next event: double the storage, never past
-     *  the capacity. Off the hot path (once per doubling). */
+    /** Make room for the next event: double the storage, or reserve
+     *  what the last take() handed out if that is more, never past the
+     *  capacity. Off the hot path (once per doubling). */
     void grow();
 
     /** The retained events; slot order once full, record order before. */
@@ -180,6 +183,9 @@ class Tracer
     size_t capacity_ = 0;
     /** The slot the next event overwrites once the ring is full. */
     size_t next_ = 0;
+    /** Events the last take() handed out: grow() reserves at least
+     *  this many. */
+    size_t taken_ = 0;
     uint64_t seen_ = 0;
     bool enabled_ = false;
 };

@@ -225,7 +225,7 @@ Machine::recordPc()
 // in one Pending and the µop core's register buckets, and drains them
 // before anything that reads or charges the machine's breakdown
 // directly: a sample, a trace dispatch, the Figure 4 miss flow, the
-// recorder hook, a fatal. An event of the Events instantiation is
+// recorder hook, the fault exit. An event of the Events instantiation is
 // stamped with the loop's running total plus the current instruction's
 // charges up to that event, which is where charging them one by one
 // would put it. tests/stepped_reference.hh keeps that one-by-one
@@ -337,7 +337,8 @@ Machine::lowerConv(FastConv &fc, uint64_t pc, const DecodeResult &res)
     size_t vm_i = 0, vm_ii = 0;                                        \
     uint32_t vm_w = 0;                                                 \
     const LoweredStep *vm_st = nullptr;                                \
-    uint64_t vm_next = 0
+    uint64_t vm_next = 0;                                              \
+    VmFault vm_fault = VmFault::DirBudget
 // Move the µop core's buckets and b into p, and publish sp. A bucket a
 // loop never bumps is a constant 0, and its add compiles away. The
 // tier-1 loops publish pc themselves, before the cold calls that read
@@ -372,6 +373,12 @@ Machine::lowerConv(FastConv &fc, uint64_t pc, const DecodeResult &res)
         VM_FLUSH();                                                    \
         drainPending(p);                                               \
     } while (0)
+// Leave through the loop's one fault exit (vm_ops.inc).
+#define VM_FAULT(code)                                                 \
+    do {                                                               \
+        vm_fault = (code);                                             \
+        goto vm_fault_exit;                                            \
+    } while (0)
 // After a drained cold call that charged the breakdown directly.
 #define VM_RELOAD()                                                    \
     do {                                                               \
@@ -394,12 +401,8 @@ Machine::lowerConv(FastConv &fc, uint64_t pc, const DecodeResult &res)
             takeSample();                                              \
             sample_at = nextSampleAt_;                                 \
         }                                                              \
-        if (b.dirInstrs >= budget_left) {                              \
-            VM_BAIL();                                                 \
-            fatal("DIR instruction budget exhausted (%llu)",           \
-                  static_cast<unsigned long long>(                     \
-                      config_.maxDirInstrs));                          \
-        }                                                              \
+        if (b.dirInstrs >= budget_left)                                \
+            VM_FAULT(VmFault::DirBudget);                              \
     }
 
 // The DTB family's loop. Dtb2 adds the first-level buffer in front of
@@ -628,7 +631,9 @@ Machine::runDtbFast()
     return;
 
 #define VM_STEP_DONE_GOTO goto seq_done
+#define VM_UNCOUNT_SHORTS(k) b.shortInstrs -= (k)
 #include "uhm/vm_ops.inc"
+#undef VM_UNCOUNT_SHORTS
 #undef VM_STEP_DONE_GOTO
 }
 
@@ -663,13 +668,8 @@ Machine::runTrace(uint32_t idx)
             } else {
                 // Rare: address capture, or within nDir of the budget.
                 for (uint64_t addr : stp->src->dirAddrs) {
-                    if (b.dirInstrs >= budget_left) {
-                        VM_BAIL();
-                        fatal("DIR instruction budget exhausted "
-                              "(%llu)",
-                              static_cast<unsigned long long>(
-                                  max_dir));
-                    }
+                    if (b.dirInstrs >= budget_left)
+                        VM_FAULT(VmFault::DirBudget);
                     ++b.dirInstrs;
                     ++b.traceDirInstrs;
                     if (capture)
@@ -699,7 +699,13 @@ Machine::runTrace(uint32_t idx)
     }
 
 #define VM_STEP_DONE_GOTO goto step_done
+#define VM_UNCOUNT_SHORTS(k)                                           \
+    do {                                                               \
+        b.shortInstrs -= (k);                                          \
+        b.traceShortInstrs -= (k);                                     \
+    } while (0)
 #include "uhm/vm_ops.inc"
+#undef VM_UNCOUNT_SHORTS
 #undef VM_STEP_DONE_GOTO
 }
 
@@ -780,13 +786,17 @@ Machine::runConventionalFast()
     return;
 
 #define VM_STEP_DONE_GOTO goto conv_done
+// The conventional organization fetches no short instructions.
+#define VM_UNCOUNT_SHORTS(k) (void)(k)
 #include "uhm/vm_ops.inc"
+#undef VM_UNCOUNT_SHORTS
 #undef VM_STEP_DONE_GOTO
 }
 
 #undef VM_LOOP_HEAD
 #undef VM_NOW
 #undef VM_RELOAD
+#undef VM_FAULT
 #undef VM_BAIL
 #undef VM_FLUSH
 #undef VM_LOCALS

@@ -275,6 +275,34 @@ lowerStep(std::span<const ShortInstr> code, const FlatRoutines &flat,
 }
 
 void
+vmFault(VmFault code, uint64_t stack_words, uint64_t max_dir_instrs)
+{
+    switch (code) {
+      case VmFault::DivideByZero:
+        fatal("division by zero");
+      case VmFault::ModuloByZero:
+        fatal("modulo by zero");
+      case VmFault::StackOverflow:
+      case VmFault::StagingOverflow:
+        fatal("operand stack overflow (%llu words)",
+              static_cast<unsigned long long>(stack_words));
+      case VmFault::StackUnderflow:
+      case VmFault::SuccessorUnderflow:
+        fatal("operand stack underflow");
+      case VmFault::RasOverflow:
+        fatal("return-address stack overflow");
+      case VmFault::RasUnderflow:
+        fatal("return-address stack underflow");
+      case VmFault::DirBudget:
+        fatal("DIR instruction budget exhausted (%llu)",
+              static_cast<unsigned long long>(max_dir_instrs));
+      case VmFault::RoutineOverrun:
+        break;
+    }
+    panic("flat routine stream ran off its end");
+}
+
+void
 lowerFastTrace(const tier::Trace &trace, const FlatRoutines &flat,
                uint64_t tau_d, uint64_t tau1, FastTrace &out)
 {

@@ -132,6 +132,36 @@ struct FlatRoutines
 };
 
 /**
+ * Why a run loop left through its one fault exit (vm_ops.inc). Every
+ * code but RoutineOverrun is a guest fault, raised as FatalError;
+ * RoutineOverrun is a simulator bug, raised as PanicError. The operand
+ * stack's overflow and underflow each have a second code for the step
+ * executor's own check, so the exit knows how far the step got.
+ */
+enum class VmFault : uint8_t
+{
+    DivideByZero,       ///< "division by zero"
+    ModuloByZero,       ///< "modulo by zero"
+    StackOverflow,      ///< a routine's push: "operand stack overflow
+                        ///< (N words)"
+    StagingOverflow,    ///< a step's staging pushes: the same message
+    StackUnderflow,     ///< a routine's pop: "operand stack underflow"
+    SuccessorUnderflow, ///< a step's successor pop: the same message
+    RasOverflow,        ///< "return-address stack overflow"
+    RasUnderflow,       ///< "return-address stack underflow"
+    DirBudget,          ///< "DIR instruction budget exhausted (N)"
+    RoutineOverrun,     ///< "flat routine stream ran off its end"
+};
+
+/**
+ * Raise @p code's error. @p stack_words and @p max_dir_instrs are the
+ * limits its message names (the layout's operand-stack words, the
+ * configured DIR budget).
+ */
+[[noreturn, gnu::cold]] void vmFault(VmFault code, uint64_t stack_words,
+                                     uint64_t max_dir_instrs);
+
+/**
  * One DIR instruction's PSDER form, PUSH#{0..4} [CALL] [INTERP],
  * lowered for the run loops' step executor. No field has a default:
  * lowerStep sets every one, so slot storage can start uninitialized.

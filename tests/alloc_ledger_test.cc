@@ -301,6 +301,52 @@ TEST(AllocLedger, FinishRunMovesTheEventRing)
 #endif
 }
 
+/**
+ * A rerun with events on allocates its event ring once: the first
+ * growth reserves as many events as the last run handed to its
+ * RunResult (at most the ring's capacity), where growing from 128 by
+ * doubling would allocate log2(events / 128) + 1 times. The rerun with
+ * events on allocates exactly one block more than the same rerun with
+ * events off, and that block holds the last run's events.
+ */
+TEST(AllocLedger, RerunAllocatesItsEventRingOnce)
+{
+#ifdef UHM_LEDGER_SANITIZED
+    GTEST_SKIP() << "the sanitizer runtime owns the allocator";
+#else
+    const workload::SampleProgram &sample =
+        workload::sampleByName("collatz");
+    DirProgram program = hlr::compileSource(sample.source);
+    auto image = encodeDir(program, EncodingScheme::Huffman);
+    for (size_t capacity : {obs::Tracer::defaultCapacity, size_t{1000}}) {
+        Tally rerun[2];
+        size_t taken = 0;
+        for (bool events : {false, true}) {
+            MachineConfig cfg;
+            cfg.kind = MachineKind::Dtb;
+            cfg.profileEvents = events;
+            cfg.profileEventCapacity = capacity;
+            Machine machine(*image, cfg);
+            taken = machine.run(sample.input).events.size();
+            machine.beginRun(sample.input);
+            measure(rerun[events],
+                    [&] { machine.runSlice(UINT64_MAX); });
+        }
+        std::printf("rerun, ring of %zu: %llu allocs events off, %llu "
+                    "on; %zu events taken by the first run\n",
+                    capacity,
+                    static_cast<unsigned long long>(rerun[false].calls),
+                    static_cast<unsigned long long>(rerun[true].calls),
+                    taken);
+        EXPECT_LE(taken, capacity);
+        EXPECT_GT(taken, 128u);
+        EXPECT_EQ(rerun[true].calls, rerun[false].calls + 1);
+        EXPECT_EQ(rerun[true].bytes,
+                  rerun[false].bytes + taken * sizeof(obs::Event));
+    }
+#endif
+}
+
 /** Encode through finishRun allocate at most half what they did. */
 TEST(AllocLedger, BudgetHalvesEncodeThroughFinish)
 {

@@ -15,15 +15,19 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <map>
 #include <memory>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench_common.hh"
+#include "dir/asm.hh"
 #include "hlr/compiler.hh"
 #include "sched/scheduler.hh"
 #include "stepped_reference.hh"
+#include "support/logging.hh"
 #include "uhm/machine.hh"
 #include "workload/samples.hh"
 #include "workload/synthetic.hh"
@@ -150,6 +154,211 @@ TEST(DispatchIdentity, BudgetAbortLeavesIdenticalState)
             }
         }
     }
+}
+
+/** What a run that faulted left behind: its error and its state. */
+struct FaultState
+{
+    bool threw = false;
+    bool panicked = false;
+    std::string message;
+    uint64_t cycles = 0;
+    uint64_t dirInstrs = 0;
+    std::map<std::string, uint64_t> counters;
+    std::vector<obs::Event> events;
+};
+
+/** Run @p image on a fresh machine, stepped or not, to its fault. */
+FaultState
+runToFault(const EncodedDir &image, const MachineConfig &cfg, bool stepped)
+{
+    FaultState s;
+    Machine m(image, cfg);
+    try {
+        if (stepped)
+            SteppedReference(m).run();
+        else
+            m.run();
+    } catch (const FatalError &e) {
+        s.threw = true;
+        s.message = e.what();
+    } catch (const PanicError &e) {
+        s.threw = s.panicked = true;
+        s.message = e.what();
+    }
+    s.cycles = m.cyclesSoFar();
+    s.dirInstrs = m.dirInstrsSoFar();
+    s.counters = m.registry().snapshot();
+    s.events = SteppedReference::events(m);
+    return s;
+}
+
+/** One guest fault: a program, the layout that makes it fault, and the
+ *  FatalError message every engine must raise. */
+struct GuestFault
+{
+    const char *name;
+    DirProgram program;
+    MachineLayout layout;
+    const char *message;
+};
+
+std::vector<GuestFault>
+guestFaults()
+{
+    // A loop that divides by i down to i = 0: hot enough that Tiered
+    // runs it as a trace when the divisor reaches zero.
+    auto hotLoop = [](const char *op) {
+        return hlr::compileSource(
+            std::string("program t; var i, a; begin i := 60; "
+                        "while i >= 0 do a := a + 1000 ") +
+            op + " i; i := i - 1; od; write a; end.");
+    };
+    auto straight = [](const char *op) {
+        return hlr::compileSource(
+            std::string("program t; var z, a; begin a := 7; a := a ") +
+            op + " z; write a; end.");
+    };
+    // Each level of f leaves n on the operand stack under the call and
+    // one return address on the RAS.
+    DirProgram recursion = hlr::compileSource(
+        "program t; func f(n); begin if n = 0 then return 0; fi; "
+        "return n + f(n - 1); end; begin write f(100000); end.");
+    auto dirAsm = [](const char *body) {
+        return parseDirAssembly(
+            std::string(".program t\n.globals 1\n.in <main>\n"
+                        "ENTER 1 0 0\n") + body);
+    };
+    MachineLayout deflt;
+    MachineLayout shallowStack;
+    shallowStack.stackWords = 128;
+    shallowStack.rasDepth = 1 << 20;
+    MachineLayout shallowRas;
+    shallowRas.rasDepth = 64;
+    return {
+        {"div-straight", straight("/"), deflt, "division by zero"},
+        {"mod-straight", straight("%"), deflt, "modulo by zero"},
+        {"div-hot", hotLoop("/"), deflt, "division by zero"},
+        {"mod-hot", hotLoop("%"), deflt, "modulo by zero"},
+        // Overflow in a step's staging pushes, and in its routine: READ
+        // pushes what it reads, DUP pops one word and pushes two.
+        {"stack-overflow", recursion, shallowStack,
+         "operand stack overflow (128 words)"},
+        {"read-overflow", dirAsm("top: READ\nJMP top\n"), shallowStack,
+         "operand stack overflow (128 words)"},
+        {"dup-overflow", dirAsm("PUSHC 1\ntop: DUP\nJMP top\n"),
+         shallowStack, "operand stack overflow (128 words)"},
+        {"ras-overflow", recursion, shallowRas,
+         "return-address stack overflow"},
+        // RET in the main contour pops a return address no CALLP
+        // pushed.
+        {"ras-underflow", dirAsm("RET 1 0\nHALT\n"), deflt,
+         "return-address stack underflow"},
+        {"drop-empty", dirAsm("DROP\nHALT\n"), deflt,
+         "operand stack underflow"},
+        {"add-empty", dirAsm("ADD\nHALT\n"), deflt,
+         "operand stack underflow"},
+        {"jz-empty", dirAsm("JZ end\nend: HALT\n"), deflt,
+         "operand stack underflow"},
+    };
+}
+
+/** Every row of guestFaults() on @p kinds, events off and on, Packed
+ *  and Huffman: the run loops must raise the reference's error and
+ *  leave its state. @p tweak adjusts each config; @p hot_in_trace
+ *  demands that Tiered meets the hot rows' fault inside a trace. */
+template <typename Tweak>
+void
+compareGuestFaults(const std::vector<MachineKind> &kinds, Tweak tweak,
+                   bool hot_in_trace)
+{
+    for (const GuestFault &f : guestFaults()) {
+        for (EncodingScheme scheme :
+             {EncodingScheme::Packed, EncodingScheme::Huffman}) {
+            auto image = encodeDir(f.program, scheme);
+            for (MachineKind kind : kinds) {
+                for (bool events : {false, true}) {
+                    std::string what = std::string(f.name) + "/" +
+                        machineKindName(kind) + "/" +
+                        encodingName(scheme) + (events ? "/events" : "");
+                    SCOPED_TRACE(what);
+                    MachineConfig cfg;
+                    cfg.kind = kind;
+                    cfg.layout = f.layout;
+                    cfg.profileEvents = events;
+                    tweak(cfg);
+                    FaultState ref = runToFault(*image, cfg, true);
+                    FaultState run = runToFault(*image, cfg, false);
+                    ASSERT_TRUE(ref.threw);
+                    EXPECT_FALSE(ref.panicked);
+                    EXPECT_EQ(ref.message, f.message);
+                    EXPECT_EQ(run.threw, ref.threw);
+                    EXPECT_EQ(run.panicked, ref.panicked);
+                    EXPECT_EQ(run.message, ref.message);
+                    EXPECT_EQ(run.cycles, ref.cycles);
+                    EXPECT_EQ(run.dirInstrs, ref.dirInstrs);
+                    EXPECT_EQ(run.counters, ref.counters);
+                    EXPECT_TRUE(run.events == ref.events)
+                        << "event streams differ";
+                    if (hot_in_trace && kind == MachineKind::Tiered &&
+                        std::string(f.name).ends_with("-hot")) {
+                        EXPECT_GT(run.counters["tier.trace_enters"], 0u);
+                        EXPECT_EQ(run.counters["tier.trace_exits"] + 1,
+                                  run.counters["tier.trace_enters"]);
+                    }
+                }
+            }
+        }
+    }
+}
+
+TEST(DispatchIdentity, GuestFaultLeavesIdenticalState)
+{
+    // A guest fault ends the run at its fault exit, which charges the
+    // faulting step exactly as far as the stepped reference got: the
+    // short instructions fetched up to the faulting one, no successor
+    // pop, no INTERP.
+    compareGuestFaults(kAllKinds, [](MachineConfig &) {}, true);
+}
+
+/** One short instruction per buffer unit and no overflow blocks: every
+ *  translation longer than one short instruction is rejected, so it
+ *  runs from the loop's one-off lowering. */
+void
+rejectEveryLongTranslation(MachineConfig &cfg)
+{
+    cfg.dtb.unitShortInstrs = 1;
+    cfg.dtb.allowOverflow = false;
+}
+
+TEST(DispatchIdentity, RejectedTranslationsStayIdentical)
+{
+    const workload::SampleProgram &collatz =
+        workload::sampleByName("collatz");
+    DirProgram prog = hlr::compileSource(collatz.source);
+    auto image = encodeDir(prog, EncodingScheme::Huffman);
+    // Dtb2's first-level buffer keeps what the main DTB rejects, so
+    // Dtb2 misses the main DTB far less often.
+    const std::pair<MachineKind, uint64_t> kinds[] = {
+        {MachineKind::Dtb, 2091},
+        {MachineKind::Dtb2, 31},
+        {MachineKind::Tiered, 2091},
+    };
+    for (auto [kind, rejects] : kinds) {
+        MachineConfig cfg;
+        cfg.kind = kind;
+        rejectEveryLongTranslation(cfg);
+        compareModes(prog, EncodingScheme::Huffman, cfg, collatz.input,
+                     std::string("reject/") + machineKindName(kind));
+        RunResult run = Machine(*image, cfg).run(collatz.input);
+        EXPECT_EQ(run.counters.at("dtb.rejects"), rejects)
+            << machineKindName(kind);
+    }
+    // A fault in a step that runs from the rejected lowering. No entry
+    // that anchors a trace is retained, so Tiered never enters one.
+    compareGuestFaults(
+        {MachineKind::Dtb, MachineKind::Dtb2, MachineKind::Tiered},
+        rejectEveryLongTranslation, false);
 }
 
 TEST(DispatchIdentity, SyntheticSemworkAcrossKinds)

@@ -104,6 +104,7 @@ SteppedReference::callRoutine(size_t entry)
     int64_t *stk = mem_.raw() + stack_base;
     size_t vm_i = entry, vm_ii = 0;
     uint32_t vm_w = 0;
+    VmFault vm_fault = VmFault::RoutineOverrun;
 
 #define VM_BAIL()                                                      \
     do {                                                               \
@@ -111,6 +112,11 @@ SteppedReference::callRoutine(size_t entry)
         m_.breakdown_.semantic += n * tau1 + sem_mem;                  \
         mem_.chargeBatch(l1, l2);                                      \
         m_.sp_ = sp;                                                   \
+    } while (0)
+#define VM_FAULT(code)                                                 \
+    do {                                                               \
+        vm_fault = (code);                                             \
+        goto vm_fault_exit;                                            \
     } while (0)
 
     goto vm_enter;
@@ -121,6 +127,7 @@ routine_done:
 #define VM_DONE_GOTO goto routine_done
 #include "uhm/vm_ops.inc"
 #undef VM_DONE_GOTO
+#undef VM_FAULT
 #undef VM_BAIL
 }
 
